@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from .hilbert import StateVector, build_initial_state, parse_state_spec, sector_
 from .hamiltonian import DEG_TOL_RELATIVE, ModelParams
 from .spectrum import (
     SUPPORT_TOL,
+    _ground_state,
     degeneracy_histogram,
     diagonalize_sector,
     ground_state_scan,
@@ -64,19 +66,29 @@ def _config_dict(args: argparse.Namespace) -> dict:
     }
 
 
-def _resolve_state(spec_text: str, params: ModelParams) -> StateVector:
-    if spec_text in ("ground", "groundstate"):
-        best_m, best_e = None, None
-        for M in range(0, 7):
-            res = diagonalize_sector(M, params)
-            if best_e is None or res.eigenvalues[0] < best_e - 1e-12:
-                best_m, best_e = M, float(res.eigenvalues[0])
-        res = diagonalize_sector(best_m, params)
-        basis = sector_basis(best_m)
-        amps = np.zeros(1 << N_SITES)
-        amps[basis.configs] = res.eigenvectors[:, 0]
-        return StateVector(amps=amps, sector=None)
-    return build_initial_state(parse_state_spec(spec_text))
+def _check_inputs(args: argparse.Namespace) -> None:
+    """Reject non-finite times and negative or non-finite tolerances up front."""
+    if not math.isfinite(getattr(args, "t_max", 0.0)):
+        raise ValueError("--t-max must be finite")
+    for name in ("tol_deg", "tol_support", "tol_svd"):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite and non-negative")
+
+
+def _resolve_state(args: argparse.Namespace) -> StateVector:
+    if args.state not in ("ground", "groundstate"):
+        return build_initial_state(parse_state_spec(args.state))
+    point, M, vector = _ground_state(_params(args), args.tol_deg)
+    if point.degeneracy > 1:
+        sectors = "|".join(str(m) for m in point.sectors)
+        raise ValueError(
+            f"ground level at Jz/J={args.jz_over_j:g} is {point.degeneracy}-fold "
+            f"degenerate (sectors {sectors}); --state ground needs a unique ground state"
+        )
+    amps = np.zeros(1 << N_SITES)
+    amps[sector_basis(M).configs] = vector
+    return StateVector(amps=amps, sector=None)
 
 
 def _csv_text(config: dict, header: list[str], rows: list[list[str]],
@@ -253,7 +265,7 @@ def cmd_ground_scan(args: argparse.Namespace) -> None:
 
 def cmd_dynamics(args: argparse.Namespace) -> None:
     params = _params(args)
-    state = _resolve_state(args.state, params)
+    state = _resolve_state(args)
     times = _times(args)
     traj = evolve_probabilities(state, args.sector, params, times,
                                 args.tol_support, args.tol_deg)
@@ -295,7 +307,7 @@ def cmd_dynamics(args: argparse.Namespace) -> None:
 
 def cmd_return_prob(args: argparse.Namespace) -> None:
     params = _params(args)
-    state = _resolve_state(args.state, params)
+    state = _resolve_state(args)
     times = _times(args)
     p = return_probability(state, args.sector, params, times, args.tol_deg)
     config = _config_dict(args)
@@ -307,8 +319,7 @@ def cmd_return_prob(args: argparse.Namespace) -> None:
 
 
 def cmd_schmidt(args: argparse.Namespace) -> None:
-    params = _params(args)
-    state = _resolve_state(args.state, params)
+    state = _resolve_state(args)
     n = state.norm
     if n == 0.0:
         raise ValueError("state has zero norm")
@@ -465,6 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_inputs(args)
         args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

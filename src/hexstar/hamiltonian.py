@@ -7,19 +7,22 @@ In units of the transverse coupling J,
 with Pauli matrices s and distances in units of the nearest-neighbour
 spacing.  Squared distances are exact integers, so for even alpha every
 matrix element is a rational number; the exact assembly keeps them as
-Fractions for cross-checking the floating-point path.
+Fractions.  The float matrix, the exact entries and the Casimir S^2 all
+weight one per-sector table of flip-flop bonds and z-z signs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .lattice import N_SITES, Geometry, build_geometry
-from .hilbert import SectorBasis, sector_basis
+from .hilbert import sector_basis
 
 DEG_TOL_RELATIVE = 1e-8   # default eigenvalue clustering tolerance, times the spread
 
@@ -30,8 +33,10 @@ class ModelParams:
     jz_over_j: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be positive and finite")
+        if not math.isfinite(self.jz_over_j):
+            raise ValueError("jz_over_j must be finite")
 
     @property
     def exact_capable(self) -> bool:
@@ -82,56 +87,54 @@ def _site_z(configs: np.ndarray) -> np.ndarray:
 
 
 _PAIRS = tuple((i, j) for i in range(N_SITES) for j in range(i + 1, N_SITES))
+_PAIR_MASKS = np.array([(1 << i) | (1 << j) for i, j in _PAIRS])
 
 
-@lru_cache(maxsize=96)
-def _float_matrix(M: int, params: ModelParams) -> np.ndarray:
-    geometry = build_geometry()
-    basis = sector_basis(M)
-    configs = basis.configs
-    d = basis.dim
-    weights = np.array([coupling(geometry, i, j, params.alpha) for i, j in _PAIRS])
-
-    z = _site_z(configs)
-    zz = np.stack([z[:, i] * z[:, j] for i, j in _PAIRS], axis=1)
-    matrix = np.zeros((d, d))
-    np.fill_diagonal(matrix, params.jz_over_j * (zz @ weights))
-
-    # Transverse part: sx sx + sy sy exchanges one up-down pair, element 2w.
-    for a in range(d):
-        f = int(configs[a])
-        for k, (i, j) in enumerate(_PAIRS):
-            if ((f >> i) & 1) != ((f >> j) & 1):
-                g = f ^ (1 << i) ^ (1 << j)
-                b = int(basis.index_of[g])
-                if b > a:
-                    matrix[a, b] = matrix[b, a] = 2.0 * weights[k]
-    matrix.flags.writeable = False
-    return matrix
+class _BondTable(NamedTuple):
+    a: np.ndarray     # row of each flip-flop element, both orders listed
+    b: np.ndarray     # its column
+    pair: np.ndarray  # index into _PAIRS of the exchanged pair
+    zz: np.ndarray    # (d, 66) sz_i sz_j per configuration and pair
 
 
 @lru_cache(maxsize=16)
-def _exact_entries(M: int, params: ModelParams) -> dict[tuple[int, int], Fraction]:
-    geometry = build_geometry()
+def _bond_table(M: int) -> _BondTable:
+    """Pair structure of sector M that H, S^2 and the exact entries all weight."""
     basis = sector_basis(M)
-    configs = basis.configs
-    jz = Fraction(params.jz_over_j)
-    wx = [exact_coupling(geometry, i, j, params.alpha) for i, j in _PAIRS]
+    z = _site_z(basis.configs)
+    zz = np.stack([z[:, i] * z[:, j] for i, j in _PAIRS], axis=1)
+    # sx sx + sy sy exchanges an anti-aligned pair: f couples to f ^ mask.
+    a, pair = np.nonzero(zz < 0)
+    b = basis.index_of[basis.configs[a] ^ _PAIR_MASKS[pair]]
+    table = _BondTable(a=a, b=b, pair=pair, zz=zz)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
-    entries: dict[tuple[int, int], Fraction] = {}
-    for a in range(basis.dim):
-        f = int(configs[a])
-        diag = Fraction(0)
-        for k, (i, j) in enumerate(_PAIRS):
-            bi = (f >> i) & 1
-            if bi == ((f >> j) & 1):
-                diag += wx[k]
-            else:
-                diag -= wx[k]
-                b = int(basis.index_of[f ^ (1 << i) ^ (1 << j)])
-                if b > a:
-                    entries[(a, b)] = entries[(b, a)] = 2 * wx[k]
-        entries[(a, a)] = jz * diag
+
+def _assemble(M: int, weights: np.ndarray, jz_over_j: float) -> np.ndarray:
+    """Dense sum_k weights[k] [(sx sx + sy sy) + jz_over_j sz sz] over the pairs."""
+    table = _bond_table(M)
+    matrix = np.zeros((len(table.zz),) * 2)
+    np.fill_diagonal(matrix, jz_over_j * (table.zz @ weights))
+    matrix[table.a, table.b] = 2.0 * weights[table.pair]
+    return matrix
+
+
+def _exact_entries(M: int, params: ModelParams) -> dict[tuple[int, int], Fraction]:
+    """The _assemble sum with Fraction weights, as sparse entries."""
+    geometry = build_geometry()
+    table = _bond_table(M)
+    weights = [exact_coupling(geometry, i, j, params.alpha) for i, j in _PAIRS]
+    # Diagonal sums run over integers on a common denominator.
+    denom = math.lcm(*(w.denominator for w in weights))
+    numer = np.array([int(w * denom) for w in weights], dtype=object)
+    jz = Fraction(params.jz_over_j)
+    entries = {(a, a): jz * Fraction(int(s), denom)
+               for a, s in enumerate(table.zz @ numer)}
+    flip = [2 * w for w in weights]
+    entries.update(zip(zip(table.a.tolist(), table.b.tolist()),
+                       (flip[k] for k in table.pair.tolist())))
     return entries
 
 
@@ -146,10 +149,12 @@ def build_sector_hamiltonian(
     """
     if exact is None:
         exact = params.exact_capable
+    geometry = build_geometry()
+    weights = np.array([coupling(geometry, i, j, params.alpha) for i, j in _PAIRS])
     return SectorHamiltonian(
         M=M,
         params=params,
-        matrix=_float_matrix(M, params),
+        matrix=_assemble(M, weights, params.jz_over_j),
         exact=_exact_entries(M, params) if exact else None,
     )
 
@@ -163,22 +168,8 @@ def exact_entry(ham: SectorHamiltonian, a: int, b: int) -> Fraction:
 @lru_cache(maxsize=16)
 def heisenberg_casimir(M: int) -> np.ndarray:
     """Total-spin Casimir S^2 in the sector basis; eigenvalues are S(S+1)."""
-    basis = sector_basis(M)
-    configs = basis.configs
-    d = basis.dim
-    z = _site_z(configs)
-
-    s2 = np.zeros((d, d))
-    # S^2 = 3N/4 + sum_{i<j} (2 sz_i sz_j + flip-flop), spin-1/2 operators.
-    zz_sum = np.einsum("ai,aj->a", z, z) - N_SITES  # sum_{i != j} z_i z_j
-    np.fill_diagonal(s2, 3.0 * N_SITES / 4.0 + zz_sum / 4.0)
-    for a in range(d):
-        f = int(configs[a])
-        for i in range(N_SITES):
-            for j in range(i + 1, N_SITES):
-                if ((f >> i) & 1) != ((f >> j) & 1):
-                    b = int(basis.index_of[f ^ (1 << i) ^ (1 << j)])
-                    if b > a:
-                        s2[a, b] = s2[b, a] = 1.0
+    # S^2 = 3N/4 + sum_{i<j} 2 S_i.S_j, and 2 S_i.S_j is half a unit-weight pair term.
+    h = _assemble(M, np.ones(len(_PAIRS)), 1.0)
+    s2 = 0.5 * h + 0.75 * N_SITES * np.eye(len(h))
     s2.flags.writeable = False
     return s2

@@ -122,10 +122,7 @@ def _label_clusters(
 
 @lru_cache(maxsize=48)
 def diagonalize_sector(
-    M: int,
-    params: ModelParams,
-    deg_tol_rel: float = DEG_TOL_RELATIVE,
-    label: bool = True,
+    M: int, params: ModelParams, deg_tol_rel: float = DEG_TOL_RELATIVE
 ) -> SpectrumResult:
     ham = build_sector_hamiltonian(M, params, exact=False)
     eigenvalues, eigenvectors = scipy.linalg.eigh(ham.matrix)
@@ -137,13 +134,8 @@ def diagonalize_sector(
 
     deg_tol = deg_tol_rel * spread
     raw = split_into_clusters(eigenvalues, deg_tol)
-    if label:
-        with_spin = params.jz_over_j == 1.0
-        clusters = _label_clusters(raw, eigenvalues, eigenvectors, M, with_spin)
-    else:
-        clusters = tuple(
-            EigenCluster(indices=idx, energy=float(eigenvalues[idx[0]])) for idx in raw
-        )
+    with_spin = params.jz_over_j == 1.0
+    clusters = _label_clusters(raw, eigenvalues, eigenvectors, M, with_spin)
     eigenvalues.flags.writeable = False
     eigenvectors.flags.writeable = False
     return SpectrumResult(
@@ -175,14 +167,12 @@ def _mirror_result(res: SpectrumResult) -> SpectrumResult:
 
 
 def full_spectrum(
-    params: ModelParams,
-    deg_tol_rel: float = DEG_TOL_RELATIVE,
-    label: bool = True,
+    params: ModelParams, deg_tol_rel: float = DEG_TOL_RELATIVE
 ) -> dict[int, SpectrumResult]:
     """Spectra of all thirteen sectors; negative M mirrored from positive."""
     with ThreadPoolExecutor(max_workers=thread_budget()) as pool:
         futures = {
-            M: pool.submit(diagonalize_sector, M, params, deg_tol_rel, label)
+            M: pool.submit(diagonalize_sector, M, params, deg_tol_rel)
             for M in range(0, 7)
         }
         out = {M: f.result() for M, f in futures.items()}
@@ -207,7 +197,7 @@ def degeneracy_histogram(
     params: ModelParams, deg_tol_rel: float = DEG_TOL_RELATIVE
 ) -> DegeneracyHistogram:
     """Histogram of eigenvalue multiplicities across the full 4096 states."""
-    spectra = full_spectrum(params, deg_tol_rel, label=False)
+    spectra = full_spectrum(params, deg_tol_rel)
     merged = np.sort(np.concatenate([s.eigenvalues for s in spectra.values()]))
     deg_tol = deg_tol_rel * float(merged[-1] - merged[0])
     groups = split_into_clusters(merged, deg_tol)
@@ -227,20 +217,6 @@ def degeneracy_histogram(
     )
 
 
-def _lowest_eigenvalues(params: ModelParams) -> dict[int, float]:
-    """Smallest eigenvalue of every sector M >= 0."""
-    out = {}
-    for M in range(0, 7):
-        ham = build_sector_hamiltonian(M, params, exact=False)
-        if ham.dim == 1:
-            out[M] = float(ham.matrix[0, 0])
-        else:
-            out[M] = float(scipy.linalg.eigh(
-                ham.matrix, subset_by_index=[0, 0], eigvals_only=True,
-            )[0])
-    return out
-
-
 @dataclass(frozen=True)
 class GroundPoint:
     jz_over_j: float
@@ -258,15 +234,23 @@ class GroundScan:
     crossover_bracket: tuple[float, float] | None
 
 
-def ground_state_point(
-    params: ModelParams, deg_tol_rel: float = DEG_TOL_RELATIVE
-) -> GroundPoint:
-    """Global ground level at one parameter point, eigenvalues-only except the winner."""
-    evals = {
+def _sector_levels(params: ModelParams) -> dict[int, np.ndarray]:
+    """Eigenvalues of every sector M >= 0; sector -M repeats those of M."""
+    return {
         M: np.linalg.eigvalsh(build_sector_hamiltonian(M, params, exact=False).matrix)
         for M in range(0, 7)
     }
-    merged = np.concatenate(list(evals.values()))
+
+
+def _ground_state(
+    params: ModelParams, deg_tol_rel: float
+) -> tuple[GroundPoint, int, np.ndarray]:
+    """Global ground level, the lowest M >= 0 holding it and one ground vector there.
+
+    Eigenvalues only for every sector; the winner alone gets a vector.
+    """
+    levels = _sector_levels(params)
+    merged = np.concatenate(list(levels.values()))
     deg_tol = deg_tol_rel * float(merged.max() - merged.min())
     e0 = float(merged.min())
 
@@ -274,7 +258,7 @@ def ground_state_point(
     sectors = []
     winner = None
     for M in range(0, 7):
-        hits = int(np.count_nonzero(evals[M] <= e0 + deg_tol))
+        hits = int(np.count_nonzero(levels[M] <= e0 + deg_tol))
         if not hits:
             continue
         if M == 0:
@@ -291,14 +275,21 @@ def ground_state_point(
     else:
         _, v = scipy.linalg.eigh(ham.matrix, subset_by_index=[0, 0])
         vector = v[:, 0]
-    irrep = label_eigenvector(vector, winner)
-    return GroundPoint(
+    point = GroundPoint(
         jz_over_j=params.jz_over_j,
         energy=e0,
         sectors=tuple(sorted(sectors)),
         degeneracy=degeneracy,
-        irrep=irrep,
+        irrep=label_eigenvector(vector, winner),
     )
+    return point, winner, vector
+
+
+def ground_state_point(
+    params: ModelParams, deg_tol_rel: float = DEG_TOL_RELATIVE
+) -> GroundPoint:
+    """Global ground level at one parameter point, eigenvalues-only except the winner."""
+    return _ground_state(params, deg_tol_rel)[0]
 
 
 def ground_state_scan(
@@ -323,8 +314,8 @@ def ground_state_scan(
     w = total_coupling(build_geometry(), alpha)
 
     def ferro_excess(jz: float) -> float:
-        lows = _lowest_eigenvalues(ModelParams(alpha=alpha, jz_over_j=jz))
-        rival = min(lows[M] for M in range(0, 6))
+        levels = _sector_levels(ModelParams(alpha=alpha, jz_over_j=jz))
+        rival = min(levels[M][0] for M in range(0, 6))
         return jz * w - rival
 
     for a, b in zip(points[:-1], points[1:]):

@@ -114,6 +114,22 @@ def test_schmidt_product_state(capsys):
     assert stats == {"entangled": False, "min_rank": 1, "max_rank": 1}
 
 
+def test_schmidt_of_the_unique_heisenberg_ground_state(capsys):
+    code, out, _ = run_cli(capsys, "schmidt", "--state", "ground", "--jz-over-j", "1")
+    assert code == 0
+    _, _, rows, stats = parse_csv(out)
+    assert len(rows) == (1 << 11) - 1
+    assert stats["entangled"] is True
+
+
+def test_degenerate_ground_state_is_refused(capsys):
+    # the ferromagnetic ground level is the pair M = +-6
+    code, out, err = run_cli(capsys, "schmidt", "--state", "ground", "--jz-over-j", "-3")
+    assert code == 2
+    assert out == ""
+    assert "2-fold" in err and "-6|6" in err
+
+
 def test_analytic_block_agrees_with_engine(capsys):
     code, out, _ = run_cli(capsys, "analytic-m5", "--jz-over-j", "-3",
                            "--t-steps", "3")
@@ -159,6 +175,24 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = run_cli(capsys, "dynamics", "--state", "xi", "--sector", "5",
                            "--t-steps", "0")
     assert code == 2 and "t-steps" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--sector", "6", "--alpha", "inf"),
+    ("spectrum", "--sector", "6", "--jz-over-j", "nan"),
+    ("ground-scan", "--alpha", "nan", "--jz-points", "2"),
+    ("return-prob", "--state", "chi", "--sector", "5", "--t-max", "nan"),
+    ("dynamics", "--state", "xi", "--sector", "6", "--t-max", "inf"),
+    ("degeneracy", "--tol-deg", "-1"),
+    ("spectrum", "--sector", "6", "--tol-deg", "nan"),
+    ("dynamics", "--state", "xi", "--sector", "6", "--tol-support=-1e-10"),
+    ("schmidt", "--state", "config:63", "--tol-svd", "inf"),
+])
+def test_non_finite_and_negative_inputs_exit_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_argparse_level_errors(capsys):

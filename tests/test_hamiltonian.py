@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hexstar.hamiltonian import (
     HEISENBERG,
@@ -24,6 +25,9 @@ def test_params_validation():
         ModelParams(alpha=0.0, jz_over_j=1.0)
     with pytest.raises(ValueError):
         ModelParams(alpha=-2.0, jz_over_j=1.0)
+    for alpha, jz in ((math.inf, 1.0), (math.nan, 1.0), (6.0, math.nan), (6.0, -math.inf)):
+        with pytest.raises(ValueError):
+            ModelParams(alpha=alpha, jz_over_j=jz)
 
 
 def test_exact_capable():
@@ -105,3 +109,51 @@ def test_casimir_commutes_with_heisenberg_only():
 def test_sector_dimensions_guard():
     with pytest.raises(ValueError):
         build_sector_hamiltonian(7, HEISENBERG)
+
+
+@pytest.fixture(scope="module")
+def pauli_sites():
+    """Sparse 4096x4096 Pauli x, y, z on each site; bit i is site i, set means down."""
+    paulis = {
+        "x": sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]]),
+        "y": sp.csr_matrix([[0.0, -1.0j], [1.0j, 0.0]]),
+        "z": sp.csr_matrix([[1.0, 0.0], [0.0, -1.0]]),
+    }
+    eye = sp.identity(2, format="csr")
+
+    def on_site(op, i):
+        out = sp.identity(1, format="csr")
+        for site in reversed(range(12)):   # kron puts its first factor on the top bit
+            out = sp.kron(out, op if site == i else eye, format="csr")
+        return out
+
+    return {a: [on_site(op, i) for i in range(12)] for a, op in paulis.items()}
+
+
+def test_sector_blocks_match_the_full_pauli_hamiltonian(geometry, pauli_sites):
+    sx, sy, sz = pauli_sites["x"], pauli_sites["y"], pauli_sites["z"]
+    pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
+    for params in (HEISENBERG, XXZ_FERRO, ModelParams(3.0, 0.5)):
+        full = sum(
+            coupling(geometry, i, j, params.alpha)
+            * (sx[i] @ sx[j] + sy[i] @ sy[j] + params.jz_over_j * sz[i] @ sz[j])
+            for i, j in pairs
+        )
+        assert abs(full.imag).max() == 0.0
+        full = full.real.tocsr()
+        for M in range(-6, 7):
+            configs = sector_basis(M).configs
+            block = full[configs][:, configs].toarray()
+            ham = build_sector_hamiltonian(M, params, exact=False)
+            assert np.abs(block - ham.matrix).max() < 1e-12
+
+
+def test_casimir_matches_the_full_pauli_spin(pauli_sites):
+    total = [sum(ops) / 2.0 for ops in pauli_sites.values()]
+    s2 = (sum(t @ t for t in total)).tocsr()
+    assert abs(s2.imag).max() == 0.0
+    s2 = s2.real.tocsr()
+    for M in range(-6, 7):
+        configs = sector_basis(M).configs
+        block = s2[configs][:, configs].toarray()
+        assert np.abs(block - heisenberg_casimir(M)).max() < 1e-12

@@ -10,10 +10,18 @@ from hexstar.hamiltonian import (
     build_sector_hamiltonian,
     total_coupling,
 )
-from hexstar.hilbert import StateVector, act_permutation, sector_basis
+from hexstar.dynamics import evolve_probabilities
+from hexstar.hilbert import (
+    StateVector,
+    act_permutation,
+    build_initial_state,
+    parse_state_spec,
+    sector_basis,
+)
 from hexstar.spectrum import (
     degeneracy_histogram,
     diagonalize_sector,
+    full_spectrum,
     ground_state_point,
     ground_state_scan,
     heisenberg_overlap_scan,
@@ -101,6 +109,17 @@ def test_degeneracy_histogram_heisenberg(heisenberg_spectra):
     assert hist.counts == HEISENBERG_HISTOGRAM
     assert hist.total_states == 4096
     assert hist.ambiguous_gaps == ()
+
+
+def test_spectra_are_shared_through_one_cache_key():
+    # full_spectrum, the dynamics and the histogram all reuse one labelled
+    # decomposition per (M, params, tolerance)
+    full_spectrum(HEISENBERG)
+    misses = diagonalize_sector.cache_info().misses
+    chi = build_initial_state(parse_state_spec("chi"))
+    evolve_probabilities(chi, 0, HEISENBERG, np.linspace(0.0, 1.0, 11))
+    degeneracy_histogram(HEISENBERG)
+    assert diagonalize_sector.cache_info().misses == misses
 
 
 def test_ferromagnetic_ground_point(geometry):
