@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -126,9 +127,18 @@ def _write(path: str, text: str) -> None:
         sys.stdout.write(text)
         return
     target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, target)
+    fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        # mkstemp creates the file 0600; give the output the usual 0666 & ~umask
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cell(irrep: str, n: int) -> str:
@@ -272,7 +282,9 @@ def cmd_dynamics(args: argparse.Namespace) -> None:
     basis = sector_basis(args.sector)
     config = _config_dict(args)
     header = ["t"] + [f"p{int(f)}" for f in basis.configs]
-    rows = [
+    # a 2001 x 924 grid takes hundreds of MB as strings or floats: build one form only
+    as_json = args.format == "json"
+    rows = [] if as_json else [
         [_fmt(times[k])] + [_fmt(p) for p in traj.probs[:, k]]
         for k in range(len(times))
     ]
@@ -301,7 +313,7 @@ def cmd_dynamics(args: argparse.Namespace) -> None:
         # one distribution per time point, aligned with "times"
         "probabilities": [[float(p) for p in col] for col in traj.probs.T],
         "stats": stats,
-    }
+    } if as_json else {}
     _emit(args, config, header, rows, stats, json_data)
 
 

@@ -27,6 +27,7 @@ from .spectrum import SUPPORT_TOL, SpectrumResult, diagonalize_sector, split_int
 EVOLVE_FLOOR = 1e-13
 
 CLASS_TOL = 1e-8          # entrywise tolerance when matching support rows
+GRAM_BLOCK = 128          # support rows per Gram-matrix block of the class prefilter
 COLLAPSE_THRESHOLD = 0.1  # rescaled probability below which the peak has collapsed
 
 
@@ -68,6 +69,11 @@ def _normalized_sector_state(
     if n == 0.0:
         raise ValueError("cannot evolve the zero vector")
     return state.amps / n, n * n
+
+
+def _check_times(times: np.ndarray) -> None:
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
 
 
 def _cluster_modes(
@@ -152,21 +158,42 @@ def equiprobability_classes(
     Two configurations with P0|c_f> = +-P0|c_g> have identical rescaled
     probability trajectories for every time, so the class count N_p lower-
     bounds the number of distinct curves a measurement can follow.
+
+    Rows are assigned first-fit: each joins the earliest class whose
+    representative (first member) matches it to ``tol`` entrywise under
+    either sign, else it starts a class.  Only representatives that pass
+    a Gram-matrix prefilter are tested.  With n columns,
+    ||r_f -+ r_g||_inf <= tol implies ||r_f -+ r_g||_2^2 <= n tol^2, and
+    ||r_f -+ r_g||_2^2 = |r_f|^2 + |r_g|^2 -+ 2 r_f.r_g.  In floating
+    point the computed right side is off by at most
+    2 gamma_{n+2} (|r_f|^2 + |r_g|^2), gamma_k = k eps / (1 - k eps), so
+    accepting pairs with |r_f|^2 + |r_g|^2 - 2 |r_f.r_g| up to n tol^2
+    plus twice that error keeps every pair the exact test could accept.
+    The candidates are a superset, so the classes, members and order
+    included, are those of testing every representative.
     """
     rows = support.basis
-    reps: list[np.ndarray] = []
+    d, n = rows.shape
+    sq = np.einsum("ij,ij->i", rows, rows)
+    rounding = 4.0 * (n + 2) * np.finfo(float).eps
+    rep_class = np.full(d, -1)  # class of each representative row, -1 elsewhere
     members: list[list[int]] = []
-    for f in range(rows.shape[0]):
-        r = rows[f]
-        placed = False
-        for k, rep in enumerate(reps):
-            if np.max(np.abs(r - rep)) <= tol or np.max(np.abs(r + rep)) <= tol:
-                members[k].append(f)
-                placed = True
-                break
-        if not placed:
-            reps.append(r)
-            members.append([f])
+    for start in range(0, d, GRAM_BLOCK):
+        stop = min(start + GRAM_BLOCK, d)
+        pair_sq = sq[start:stop, None] + sq[None, :]
+        gram = rows[start:stop] @ rows.T
+        near = pair_sq - 2.0 * np.abs(gram) <= n * tol * tol + rounding * pair_sq
+        for f in range(start, stop):
+            r = rows[f]
+            # rows from f on are no representatives yet, so only earlier ones qualify
+            for g in np.flatnonzero(near[f - start] & (rep_class >= 0)):
+                rep = rows[g]
+                if np.max(np.abs(r - rep)) <= tol or np.max(np.abs(r + rep)) <= tol:
+                    members[rep_class[g]].append(f)
+                    break
+            else:
+                rep_class[f] = len(members)
+                members.append([f])
     return tuple(np.array(m) for m in members)
 
 
@@ -209,6 +236,7 @@ def evolve_probabilities(
     deg_tol_rel: float = DEG_TOL_RELATIVE,
 ) -> Trajectory:
     """Rescaled probability of every sector configuration along a time grid."""
+    _check_times(times)
     psi, weight = _normalized_sector_state(state, M)
     res = diagonalize_sector(M, params, deg_tol_rel)
 
@@ -257,6 +285,7 @@ def evolve_full(
     sector-by-sector path: the two must agree because the Hamiltonian
     never mixes magnetization sectors.
     """
+    _check_times(times)
     if state.sector is not None:
         raise ValueError("evolve_full expects a full-space state")
     out: dict[int, np.ndarray] = {}
@@ -280,6 +309,7 @@ def return_probability(
     deg_tol_rel: float = DEG_TOL_RELATIVE,
 ) -> np.ndarray:
     """|<psi0|psi(t)>|^2 for the normalized sector component of the state."""
+    _check_times(times)
     psi, _ = _normalized_sector_state(state, M)
     res = diagonalize_sector(M, params, deg_tol_rel)
     entries, energies, _, _, _ = _cluster_modes(res, psi, EVOLVE_FLOOR)

@@ -120,10 +120,19 @@ def _label_clusters(
     return tuple(clusters)
 
 
-@lru_cache(maxsize=48)
 def diagonalize_sector(
     M: int, params: ModelParams, deg_tol_rel: float = DEG_TOL_RELATIVE
 ) -> SpectrumResult:
+    """Eigenpairs and labelled eigenvalue clusters of sector M, cached.
+
+    Every call form (tolerance given or defaulted, positional or keyword)
+    shares one cache entry per (M, params, deg_tol_rel).
+    """
+    return _diagonalize_sector(M, params, deg_tol_rel)
+
+
+@lru_cache(maxsize=48)
+def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> SpectrumResult:
     ham = build_sector_hamiltonian(M, params, exact=False)
     eigenvalues, eigenvectors = scipy.linalg.eigh(ham.matrix)
 
@@ -146,6 +155,10 @@ def diagonalize_sector(
         clusters=clusters,
         deg_tol=deg_tol,
     )
+
+
+diagonalize_sector.cache_info = _diagonalize_sector.cache_info
+diagonalize_sector.cache_clear = _diagonalize_sector.cache_clear
 
 
 def _mirror_result(res: SpectrumResult) -> SpectrumResult:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -210,6 +211,27 @@ def test_io_errors_exit_four(capsys, tmp_path):
     code, _, err = run_cli(capsys, "geometry", "--output", str(target))
     assert code == 4
     assert "i/o failure" in err
+
+
+def test_output_ignores_a_stale_temp_name(capsys, tmp_path):
+    target = tmp_path / "out.csv"
+    (tmp_path / "out.csv.tmp").mkdir()  # blocked the old fixed temp name
+    code, _, _ = run_cli(capsys, "geometry", "--output", str(target))
+    assert code == 0
+    assert target.read_text().startswith("# config: ")
+    umask = os.umask(0)
+    os.umask(umask)
+    assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]
+
+
+def test_failed_output_leaves_no_temp_file(capsys, tmp_path):
+    target = tmp_path / "out.csv"
+    target.mkdir()  # a directory cannot be replaced by the written file
+    code, _, err = run_cli(capsys, "geometry", "--output", str(target))
+    assert code == 4
+    assert "i/o failure" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_module_entry_point():

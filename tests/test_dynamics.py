@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexstar.analytic import gap
 from hexstar.dynamics import (
+    CLASS_TOL,
+    SpectralSupport,
     collapse_metrics,
+    equiprobability_classes,
     evolve_full,
     evolve_probabilities,
     regime_classifier,
@@ -206,3 +211,78 @@ def test_configuration_state_return_is_not_instantly_lost():
     times = np.array([0.0])
     p = return_probability(state, 0, HEISENBERG, times)
     assert p[0] == pytest.approx(1.0, abs=1e-13)
+
+
+def _first_fit_classes(rows, tol=CLASS_TOL):
+    """Reference: every row against every representative, first match wins."""
+    reps = []
+    members = []
+    for f in range(rows.shape[0]):
+        r = rows[f]
+        placed = False
+        for k, rep in enumerate(reps):
+            if np.max(np.abs(r - rep)) <= tol or np.max(np.abs(r + rep)) <= tol:
+                members[k].append(f)
+                placed = True
+                break
+        if not placed:
+            reps.append(r)
+            members.append([f])
+    return members
+
+
+def _assert_same_classes(state, M, params):
+    support = spectral_support(state, M, params)
+    classes = equiprobability_classes(support)
+    assert [c.tolist() for c in classes] == _first_fit_classes(support.basis), (M, params)
+    return support, classes
+
+
+def test_classes_match_first_fit_for_canonical_states(xi, chi, xxz_spectra, heisenberg_spectra):
+    for state in (xi, chi):
+        for params in (XXZ_FERRO, HEISENBERG):
+            for M in range(-6, 7):
+                if project_sector(state, M)[1] > 0.0:
+                    _assert_same_classes(state, M, params)
+
+
+def test_classes_match_first_fit_for_complex_and_configuration_states():
+    zeta = build_initial_state(parse_state_spec("zeta:1.1,0.4,1.9,2.5"))
+    assert np.iscomplexobj(zeta.amps)
+    for params in (XXZ_FERRO, HEISENBERG):
+        for M in (0, 1, -1):
+            _assert_same_classes(zeta, M, params)
+    support, classes = _assert_same_classes(
+        build_initial_state(parse_state_spec("config:3930")), -2, XXZ_FERRO)
+    assert support.basis.shape == (495, 330)
+    assert len(classes) == 493
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_classes_match_first_fit_at_the_tolerance_edge(seed):
+    # rows are +-copies of a few unit rows (one of them zero), each shifted
+    # by exactly s in every entry, with s just inside or outside the tolerance
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    base = rng.normal(size=(6, n))
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    base[0] = 0.0
+    picks = rng.integers(0, 6, size=80)
+    signs = rng.choice([-1.0, 1.0], size=(80, 1))
+    shifts = CLASS_TOL * rng.choice([0.0, 0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0], size=(80, 1))
+    rows = signs * base[picks] + shifts * rng.choice([-1.0, 1.0], size=(80, n))
+    support = SpectralSupport(M=0, entries=(), energies=np.zeros(0), basis=rows,
+                              col_energy=np.zeros(n), coef=np.zeros(n, dtype=complex),
+                              support_tol=0.0)
+    assert [c.tolist() for c in equiprobability_classes(support)] == _first_fit_classes(rows)
+
+
+def test_non_finite_times_are_rejected(chi):
+    for bad in (np.array([0.0, np.inf]), np.array([0.0, np.nan]), np.array([-np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            return_probability(chi, 6, XXZ_FERRO, bad)
+        with pytest.raises(ValueError, match="finite"):
+            evolve_probabilities(chi, 5, HEISENBERG, bad)
+        with pytest.raises(ValueError, match="finite"):
+            evolve_full(chi, HEISENBERG, bad)

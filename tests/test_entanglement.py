@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hexstar.entanglement import is_entangled, schmidt_number
+from hexstar.entanglement import _cut_matrix, is_entangled, schmidt_number
 from hexstar.hamiltonian import ModelParams
 from hexstar.hilbert import (
     StateVector,
@@ -98,3 +100,61 @@ def test_sector_states_are_rejected():
     sector_state = StateVector(amps=np.ones(12) / math.sqrt(12.0), sector=5)
     with pytest.raises(ValueError):
         schmidt_number(sector_state, 1)
+    with pytest.raises(ValueError):
+        is_entangled(sector_state)
+
+
+def _gathered_cut_matrix(amps, mask):
+    """Reference: place every amplitude by its part-A and part-B bit strings."""
+    configs = np.arange(1 << 12)
+    a_sites = [i for i in range(12) if not (mask >> i) & 1]
+    b_sites = [i for i in range(12) if (mask >> i) & 1]
+    rows = np.zeros(1 << 12, dtype=np.int64)
+    cols = np.zeros(1 << 12, dtype=np.int64)
+    for k, site in enumerate(a_sites):
+        rows |= ((configs >> site) & 1) << k
+    for k, site in enumerate(b_sites):
+        cols |= ((configs >> site) & 1) << k
+    matrix = np.zeros((1 << len(a_sites), 1 << len(b_sites)), dtype=amps.dtype)
+    matrix[rows, cols] = amps
+    return matrix
+
+
+def test_cut_matrices_match_the_bit_gather():
+    rng = np.random.default_rng(43)
+    amps = rng.normal(size=1 << 12) + 1j * rng.normal(size=1 << 12)
+    tensor = amps.reshape((2,) * 12)
+    for mask in (1, 1 << 11, 0b101, 0b111000111, 0b10101010101, FULL_MASK ^ 1, 2047, 2048):
+        assert np.array_equal(_cut_matrix(tensor, mask), _gathered_cut_matrix(amps, mask)), mask
+
+
+def _random_state(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "real":
+        amps = rng.normal(size=1 << 12)
+    elif kind == "complex":
+        amps = rng.normal(size=1 << 12) + 1j * rng.normal(size=1 << 12)
+    elif kind == "product":
+        # random states of the two parts of a random cut: rank one there only
+        mask = int(rng.integers(1, FULL_MASK))
+        a = rng.normal(size=1 << 12) + 1j * rng.normal(size=1 << 12)
+        b = rng.normal(size=1 << 12) + 1j * rng.normal(size=1 << 12)
+        configs = np.arange(1 << 12)
+        amps = a[configs & ~mask & FULL_MASK] * b[configs & mask]
+    else:
+        M = int(rng.integers(-6, 7))
+        basis = sector_basis(M)
+        amps = np.zeros(1 << 12)
+        amps[basis.configs] = rng.normal(size=basis.dim)
+    return StateVector(amps=amps / np.linalg.norm(amps), sector=None)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(("real", "complex", "product", "sector")), st.integers(0, 2**32 - 1))
+def test_scan_ranks_match_single_cuts(kind, seed):
+    state = _random_state(kind, seed)
+    report = is_entangled(state)
+    assert list(report.ranks) == list(range(1, 1 << 11))
+    assert report.ranks == {mask: schmidt_number(state, mask) for mask in report.ranks}
+    if kind == "product":
+        assert report.min_rank == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hexstar.hamiltonian import (
+    DEG_TOL_RELATIVE,
     HEISENBERG,
     XXZ_FERRO,
     ModelParams,
@@ -120,6 +121,15 @@ def test_spectra_are_shared_through_one_cache_key():
     evolve_probabilities(chi, 0, HEISENBERG, np.linspace(0.0, 1.0, 11))
     degeneracy_histogram(HEISENBERG)
     assert diagonalize_sector.cache_info().misses == misses
+
+
+def test_default_tolerance_shares_the_explicit_cache_entry():
+    params = ModelParams(5.0, 0.5)  # used by no other test
+    before = diagonalize_sector.cache_info()
+    diagonalize_sector(6, params, DEG_TOL_RELATIVE)
+    diagonalize_sector(6, params)
+    after = diagonalize_sector.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
 
 
 def test_ferromagnetic_ground_point(geometry):
