@@ -73,7 +73,6 @@ from .dynamics import (
     CollapseMetrics,
     spectral_support,
     evolve_probabilities,
-    evolve_full,
     return_probability,
     frequency_count,
     equiprobability_classes,

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import StateVector, project_sector, sector_basis
+from .hilbert import StateVector, project_sector
 from .hamiltonian import DEG_TOL_RELATIVE, ModelParams
-from .spectrum import SUPPORT_TOL, SpectrumResult, diagonalize_sector, split_into_clusters
+from .spectrum import SUPPORT_TOL, diagonalize_sector
 
 # Clusters with projection below this never matter against the 1e-10
 # tolerances used downstream; dropping them keeps the mode sum small.
@@ -76,41 +76,93 @@ def _check_times(times: np.ndarray) -> None:
         raise ValueError("times must be finite")
 
 
-def _cluster_modes(
-    res: SpectrumResult, psi: np.ndarray, floor: float
-) -> tuple[list[tuple[int, float]], list[float], list[np.ndarray], list[float], list[complex]]:
-    """Per-cluster projections of psi, orthonormalized into real mode vectors."""
-    entries = []
-    energies = []
+@dataclass(frozen=True, eq=False)
+class _Modes:
+    """Projections of psi onto every cluster above EVOLVE_FLOOR, as real modes.
+
+    Cluster arrays have one entry per such cluster, column arrays one per
+    mode vector; ``col_cluster`` maps each column to its cluster.
+    """
+
+    M: int
+    weight: float            # squared norm of the sector component
+    deg_tol: float           # absolute clustering tolerance of the spectrum
+    first: np.ndarray        # (K,) first eigenindex of each cluster
+    overlap: np.ndarray      # (K,) ||P_cluster psi||
+    energies: np.ndarray     # (K,) units of J
+    basis: np.ndarray        # (d, ncols) real orthonormal
+    col_cluster: np.ndarray  # (ncols,) index into the cluster arrays
+    coef: np.ndarray         # (ncols,) complex; P psi = basis @ coef
+
+    @property
+    def col_energy(self) -> np.ndarray:
+        return self.energies[self.col_cluster]
+
+    def support(self, support_tol: float) -> SpectralSupport:
+        """The clusters above support_tol, with their columns."""
+        keep = self.overlap > support_tol
+        cols = keep[self.col_cluster]
+        return SpectralSupport(
+            M=self.M,
+            entries=tuple(zip(self.first[keep].tolist(), self.overlap[keep].tolist())),
+            energies=self.energies[keep],
+            basis=self.basis.compress(cols, axis=1),  # C order, like the full basis
+            col_energy=self.col_energy[cols],
+            coef=self.coef[cols],
+            support_tol=support_tol,
+        )
+
+
+def _sector_modes(
+    state: StateVector, M: int, params: ModelParams, deg_tol_rel: float
+) -> _Modes:
+    """Mode decomposition of the normalized sector component of the state.
+
+    Each cluster's projection of psi is split into real and (for a complex
+    psi) imaginary parts, orthonormalized within the cluster; a part whose
+    remainder is at most EVOLVE_FLOOR adds no column.
+    """
+    psi, weight = _normalized_sector_state(state, M)
+    res = diagonalize_sector(M, params, deg_tol_rel)
+    first, overlap, energies = [], [], []
     cols: list[np.ndarray] = []
-    col_energy: list[float] = []
+    col_cluster: list[int] = []
     coef: list[complex] = []
-    complex_state = np.iscomplexobj(psi)
+    parts = (np.real, np.imag) if np.iscomplexobj(psi) else (np.real,)
     for cluster in res.clusters:
         block = res.eigenvectors[:, cluster.indices]
         z = block.T @ psi
-        overlap = float(np.linalg.norm(z))
-        if overlap <= floor:
+        norm = float(np.linalg.norm(z))
+        if norm <= EVOLVE_FLOOR:
             continue
-        entries.append((int(cluster.indices[0]), overlap))
+        k = len(first)
+        first.append(int(cluster.indices[0]))
+        overlap.append(norm)
         energies.append(cluster.energy)
         proj = block @ z  # P_cluster psi, complex iff psi is
-        parts = [np.asarray(proj.real)]
-        if complex_state:
-            parts.append(np.asarray(proj.imag))
-        first_col = len(cols)
-        for v in parts:
-            w = v.copy()
-            for k in range(first_col, len(cols)):
-                w -= cols[k] * (cols[k] @ w)
-            norm = float(np.linalg.norm(w))
-            if norm <= floor:
+        own = len(cols)
+        for part in parts:
+            w = part(proj).copy()
+            for c in cols[own:]:
+                w -= c * (c @ w)
+            rest = float(np.linalg.norm(w))
+            if rest <= EVOLVE_FLOOR:
                 continue
-            w /= norm
+            w /= rest
             cols.append(w)
-            col_energy.append(cluster.energy)
+            col_cluster.append(k)
             coef.append(complex(w @ proj))
-    return entries, energies, cols, col_energy, coef
+    return _Modes(
+        M=M,
+        weight=weight,
+        deg_tol=res.deg_tol,
+        first=np.array(first, dtype=int),
+        overlap=np.array(overlap),
+        energies=np.array(energies),
+        basis=np.stack(cols, axis=1) if cols else np.zeros((res.dim, 0)),
+        col_cluster=np.array(col_cluster, dtype=int),
+        coef=np.array(coef, dtype=complex),
+    )
 
 
 def spectral_support(
@@ -120,19 +172,7 @@ def spectral_support(
     support_tol: float = SUPPORT_TOL,
     deg_tol_rel: float = DEG_TOL_RELATIVE,
 ) -> SpectralSupport:
-    psi, _ = _normalized_sector_state(state, M)
-    res = diagonalize_sector(M, params, deg_tol_rel)
-    entries, energies, cols, col_energy, coef = _cluster_modes(res, psi, support_tol)
-    basis = np.stack(cols, axis=1) if cols else np.zeros((res.dim, 0))
-    return SpectralSupport(
-        M=M,
-        entries=tuple(entries),
-        energies=np.array(energies),
-        basis=basis,
-        col_energy=np.array(col_energy),
-        coef=np.array(coef, dtype=complex),
-        support_tol=support_tol,
-    )
+    return _sector_modes(state, M, params, deg_tol_rel).support(support_tol)
 
 
 @dataclass(frozen=True)
@@ -145,8 +185,8 @@ def frequency_count(support: SpectralSupport, deg_tol: float) -> FrequencyCount:
     n = support.dim
     formula = n * (n - 1) // 2
     e = support.energies
-    diffs = np.abs(e[:, None] - e[None, :])[np.triu_indices(n, k=1)]
-    distinct = len(split_into_clusters(np.sort(diffs), deg_tol))
+    diffs = np.sort(np.abs(e[:, None] - e[None, :])[np.triu_indices(n, k=1)])
+    distinct = 1 + int(np.count_nonzero(np.diff(diffs) > deg_tol)) if len(diffs) else 0
     return FrequencyCount(formula=formula, distinct=distinct)
 
 
@@ -213,20 +253,6 @@ class Trajectory:
         return len(self.classes)
 
 
-def _mode_amplitudes(
-    cols: list[np.ndarray],
-    col_energy: list[float],
-    coef: list[complex],
-    times: np.ndarray,
-    dim: int,
-) -> np.ndarray:
-    if not cols:
-        return np.zeros((dim, len(times)), dtype=complex)
-    basis = np.stack(cols, axis=1)
-    phase = np.exp(-2j * np.pi * np.outer(np.array(col_energy), times))
-    return basis @ (np.array(coef, dtype=complex)[:, None] * phase)
-
-
 def evolve_probabilities(
     state: StateVector,
     M: int,
@@ -235,70 +261,27 @@ def evolve_probabilities(
     support_tol: float = SUPPORT_TOL,
     deg_tol_rel: float = DEG_TOL_RELATIVE,
 ) -> Trajectory:
-    """Rescaled probability of every sector configuration along a time grid."""
+    """Rescaled probability of every sector configuration along a time grid.
+
+    Every mode above EVOLVE_FLOOR is evolved; ``support_tol`` only selects
+    the support the statistics are read from, the same one spectral_support
+    reports.
+    """
     _check_times(times)
-    psi, weight = _normalized_sector_state(state, M)
-    res = diagonalize_sector(M, params, deg_tol_rel)
-
-    entries, energies, cols, col_energy, coef = _cluster_modes(res, psi, EVOLVE_FLOOR)
-    amps = _mode_amplitudes(cols, col_energy, coef, times, res.dim)
-    probs = amps.real**2 + amps.imag**2
-
-    keep = [k for k, (_, w) in enumerate(entries) if w > support_tol]
-    kept_cols = [k for k, e in enumerate(col_energy)
-                 if any(energies[j] == e for j in keep)]
-    support = SpectralSupport(
-        M=M,
-        entries=tuple(entries[k] for k in keep),
-        energies=np.array([energies[k] for k in keep]),
-        basis=(np.stack([cols[k] for k in kept_cols], axis=1)
-               if kept_cols else np.zeros((res.dim, 0))),
-        col_energy=np.array([col_energy[k] for k in kept_cols]),
-        coef=np.array([coef[k] for k in kept_cols], dtype=complex),
-        support_tol=support_tol,
-    )
-    classes = equiprobability_classes(support)
-    freq = frequency_count(support, res.deg_tol)
+    modes = _sector_modes(state, M, params, deg_tol_rel)
+    phase = np.exp(-2j * np.pi * np.outer(modes.col_energy, times))
+    amps = modes.basis @ (modes.coef[:, None] * phase)
+    support = modes.support(support_tol)
     return Trajectory(
         M=M,
         params=params,
         times=times,
-        probs=probs,
-        sector_weight=weight,
+        probs=amps.real**2 + amps.imag**2,
+        sector_weight=modes.weight,
         support=support,
-        classes=classes,
-        freq=freq,
+        classes=equiprobability_classes(support),
+        freq=frequency_count(support, modes.deg_tol),
     )
-
-
-def evolve_full(
-    state: StateVector,
-    params: ModelParams,
-    times: np.ndarray,
-    support_tol: float = SUPPORT_TOL,
-    deg_tol_rel: float = DEG_TOL_RELATIVE,
-) -> dict[int, np.ndarray]:
-    """Evolve all sectors of a full state at once; rescaled probabilities per sector.
-
-    One combined mode stack over the 4096-dimensional space, sliced back
-    into sectors at the end.  Exists as an independent cross-check of the
-    sector-by-sector path: the two must agree because the Hamiltonian
-    never mixes magnetization sectors.
-    """
-    _check_times(times)
-    if state.sector is not None:
-        raise ValueError("evolve_full expects a full-space state")
-    out: dict[int, np.ndarray] = {}
-    for M in range(-6, 7):
-        basis = sector_basis(M)
-        component, weight = project_sector(state, M)
-        if weight == 0.0:
-            continue
-        res = diagonalize_sector(M, params, deg_tol_rel)
-        _, _, cols, col_energy, coef = _cluster_modes(res, component.amps, EVOLVE_FLOOR)
-        amps = _mode_amplitudes(cols, col_energy, coef, times, res.dim)
-        out[M] = (amps.real**2 + amps.imag**2) / weight
-    return out
 
 
 def return_probability(
@@ -310,12 +293,9 @@ def return_probability(
 ) -> np.ndarray:
     """|<psi0|psi(t)>|^2 for the normalized sector component of the state."""
     _check_times(times)
-    psi, _ = _normalized_sector_state(state, M)
-    res = diagonalize_sector(M, params, deg_tol_rel)
-    entries, energies, _, _, _ = _cluster_modes(res, psi, EVOLVE_FLOOR)
-    weights = np.array([w * w for _, w in entries])
-    phase = np.exp(-2j * np.pi * np.outer(np.array(energies), times))
-    amp = weights @ phase
+    modes = _sector_modes(state, M, params, deg_tol_rel)
+    phase = np.exp(-2j * np.pi * np.outer(modes.energies, times))
+    amp = modes.overlap**2 @ phase
     return amp.real**2 + amp.imag**2
 
 

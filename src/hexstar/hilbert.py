@@ -140,6 +140,9 @@ class StateSpec:
     config: int = 0
 
 
+_ZETA_ANGLES = ("theta_out", "phi_out", "theta_in", "phi_in")
+
+
 def parse_state_spec(text: str) -> StateSpec:
     head, _, rest = text.partition(":")
     if head == "xi" and not rest:
@@ -149,8 +152,11 @@ def parse_state_spec(text: str) -> StateSpec:
     if head == "zeta":
         parts = rest.split(",")
         if len(parts) != 4:
-            raise ValueError("zeta takes four angles: theta_out,phi_out,theta_in,phi_in")
-        t_o, p_o, t_i, p_i = (float(p) for p in parts)
+            raise ValueError(f"zeta takes four angles: {','.join(_ZETA_ANGLES)}")
+        t_o, p_o, t_i, p_i = angles = [float(p) for p in parts]
+        bad = [f"{name}={a}" for name, a in zip(_ZETA_ANGLES, angles) if not math.isfinite(a)]
+        if bad:
+            raise ValueError(f"zeta angles must be finite: {', '.join(bad)}")
         return StateSpec(kind="zeta", outer=(t_o, p_o), inner=(t_i, p_i))
     if head == "config":
         f = int(rest, 0)

@@ -16,7 +16,6 @@ import pytest
 from hexstar.analytic import gap, m5_block
 from hexstar.dynamics import (
     collapse_metrics,
-    evolve_full,
     evolve_probabilities,
     regime_classifier,
     spectral_support,
@@ -263,7 +262,7 @@ def test_09_ground_state(geometry):
                f"overlaps {min(p.overlap_sq for p in overlaps):.6f}+")
 
 
-def test_10_structural_properties(group, chi):
+def test_10_structural_properties(group, chi, plain_evolution):
     names = {g.name for g in group}
     for a in group:
         assert compose(a, inverse(a, group), group).name == "E"
@@ -298,7 +297,7 @@ def test_10_structural_properties(group, chi):
         sums = traj.probs.sum(axis=0)
         assert np.abs(sums - 1.0).max() < 1e-10
 
-    combined = evolve_full(chi, HEISENBERG, times)
+    combined = plain_evolution(chi, HEISENBERG, times)
     for M, probs in combined.items():
         alone = evolve_probabilities(chi, M, HEISENBERG, times)
         assert np.abs(probs - alone.probs).max() < 1e-10, M

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import hexstar
 from hexstar.cli import main
 from hexstar.hamiltonian import total_coupling
 
@@ -196,6 +197,22 @@ def test_non_finite_and_negative_inputs_exit_two(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("return-prob", "--state", "zeta:nan,0,1,1", "--sector", "0", "--t-steps", "3"),
+     "theta_out=nan"),
+    (("return-prob", "--state", "zeta:inf,0,1,1", "--sector", "0", "--t-steps", "3"),
+     "theta_out=inf"),
+    (("dynamics", "--state", "zeta:0,nan,1,-inf", "--sector", "0", "--t-steps", "3"),
+     "phi_out=nan, phi_in=-inf"),
+    (("schmidt", "--state", "zeta:1,0,nan,0"), "theta_in=nan"),
+])
+def test_non_finite_zeta_angles_exit_two(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: zeta angles must be finite") and named in err
+
+
 def test_argparse_level_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -235,9 +252,13 @@ def test_failed_output_leaves_no_temp_file(capsys, tmp_path):
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(hexstar.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "hexstar.cli", "symmetry-tables"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# config: ")

@@ -1,10 +1,12 @@
 """Measurement-probability trajectories and their statistics."""
 
 import math
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hexstar.analytic import gap
@@ -13,20 +15,23 @@ from hexstar.dynamics import (
     SpectralSupport,
     collapse_metrics,
     equiprobability_classes,
-    evolve_full,
     evolve_probabilities,
     regime_classifier,
     return_probability,
     spectral_support,
 )
-from hexstar.hamiltonian import HEISENBERG, XXZ_FERRO
+from hexstar.hamiltonian import HEISENBERG, XXZ_FERRO, ModelParams
 from hexstar.hilbert import (
+    StateVector,
     basis_state,
     build_initial_state,
     parse_state_spec,
+    product_state,
     project_sector,
     sector_basis,
+    spin_flip,
 )
+from hexstar.spectrum import _diagonalize_sector
 
 # Spectral support dimensions per sector, M = 6 down to 0.  The in-plane
 # state is evolved under the anisotropic model, the mixed-ring state under
@@ -175,9 +180,9 @@ def test_trajectories_mirror_under_global_flip(xi):
     assert np.abs(down.probs[rows] - up.probs).max() < 1e-12
 
 
-def test_full_evolution_agrees_with_sector_evolution(chi):
+def test_full_evolution_agrees_with_sector_evolution(chi, plain_evolution):
     times = np.linspace(0.0, 1.0, 51)
-    combined = evolve_full(chi, HEISENBERG, times)
+    combined = plain_evolution(chi, HEISENBERG, times)
     assert sorted(combined.keys()) == list(range(0, 7))
     for M, probs in combined.items():
         alone = evolve_probabilities(chi, M, HEISENBERG, times)
@@ -284,5 +289,44 @@ def test_non_finite_times_are_rejected(chi):
             return_probability(chi, 6, XXZ_FERRO, bad)
         with pytest.raises(ValueError, match="finite"):
             evolve_probabilities(chi, 5, HEISENBERG, bad)
-        with pytest.raises(ValueError, match="finite"):
-            evolve_full(chi, HEISENBERG, bad)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    alpha=st.floats(1.0, 8.0),
+    jz_over_j=st.floats(-3.0, 3.0),
+    angles=st.tuples(*(st.floats(0.0, math.pi) if i % 2 == 0 else st.floats(0.0, 2 * math.pi)
+                       for i in range(4))),
+    M=st.sampled_from((3, 4, 5, 6, -3, -4, -5, -6)),
+    phase_seed=st.none() | st.integers(0, 2**32 - 1),
+)
+def test_evolution_properties_at_random_couplings(
+    plain_evolution, alpha, jz_over_j, angles, M, phase_seed
+):
+    params = ModelParams(alpha=alpha, jz_over_j=jz_over_j)
+    state = product_state(angles[:2], angles[2:])
+    if phase_seed is not None:
+        # random phase per configuration: no longer symmetric, so degenerate
+        # clusters carry independent real and imaginary parts (two columns)
+        kick = np.exp(2j * np.pi * np.random.default_rng(phase_seed).random(4096))
+        state = StateVector(amps=state.amps * kick, sector=None)
+    assume(project_sector(state, M)[1] > 1e-8)
+    times = np.linspace(0.0, 1.0, 21)
+    # a cache of its own, so random couplings do not evict the spectra other tests share
+    own_cache = lru_cache(maxsize=2)(_diagonalize_sector.__wrapped__)
+    with mock.patch("hexstar.dynamics.diagonalize_sector", own_cache):
+        traj = evolve_probabilities(state, M, params, times)
+        mirror = evolve_probabilities(spin_flip(state), -M, params, times)
+        support = spectral_support(state, M, params)
+
+    assert np.abs(traj.probs.sum(axis=0) - 1.0).max() < 1e-10
+
+    rows = sector_basis(-M).index_of[sector_basis(M).configs ^ 4095]
+    assert np.abs(mirror.probs[rows] - traj.probs).max() < 1e-12
+
+    reference = plain_evolution(state, params, times, sectors=(M,))[M]
+    assert np.abs(reference - traj.probs).max() < 1e-12
+
+    assert support.entries == traj.support.entries
+    for field in ("energies", "basis", "col_energy", "coef"):
+        assert np.array_equal(getattr(support, field), getattr(traj.support, field)), field

@@ -143,6 +143,10 @@ def test_parse_state_spec_rejections():
     for bad in ("zeta:1,2", "config:4096", "config:x", "nonsense", ""):
         with pytest.raises(ValueError):
             parse_state_spec(bad)
+    for bad, named in (("zeta:nan,0,1,1", "theta_out=nan"),
+                       ("zeta:0,1,-inf,2", "theta_in=-inf")):
+        with pytest.raises(ValueError, match=f"must be finite: {named}"):
+            parse_state_spec(bad)
 
 
 def test_xi_is_uniform_in_magnitude():
