@@ -39,12 +39,14 @@ from .hamiltonian import (
     heisenberg_casimir,
 )
 from .symmetry import (
+    IrrepBlock,
     IrrepCountTable,
     MultipletTable,
     sector_character,
     irrep_counts,
     multiplet_counts,
     irrep_projector,
+    irrep_blocks,
     irrep_weights,
     label_eigenvector,
     classify_factorized_state,

@@ -19,10 +19,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 from .lattice import N_SITES, build_geometry, build_group
 from .hilbert import StateVector, build_initial_state, parse_state_spec, sector_basis
-from .hamiltonian import DEG_TOL_RELATIVE, ModelParams
+from .hamiltonian import DEG_TOL_RELATIVE, ModelParams, build_sector_hamiltonian
 from .spectrum import (
     SUPPORT_TOL,
     _ground_state,
@@ -80,15 +81,19 @@ def _check_inputs(args: argparse.Namespace) -> None:
 def _resolve_state(args: argparse.Namespace) -> StateVector:
     if args.state not in ("ground", "groundstate"):
         return build_initial_state(parse_state_spec(args.state))
-    point, M, vector = _ground_state(_params(args), args.tol_deg)
+    params = _params(args)
+    point, M = _ground_state(params, args.tol_deg)
     if point.degeneracy > 1:
         sectors = "|".join(str(m) for m in point.sectors)
         raise ValueError(
             f"ground level at Jz/J={args.jz_over_j:g} is {point.degeneracy}-fold "
             f"degenerate (sectors {sectors}); --state ground needs a unique ground state"
         )
+    # unique, so in M = 0: every level of M != 0 has its spin-flip copy at -M
+    matrix = build_sector_hamiltonian(M, params, exact=False).matrix
+    _, vector = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
     amps = np.zeros(1 << N_SITES)
-    amps[sector_basis(M).configs] = vector
+    amps[sector_basis(M).configs] = vector[:, 0]
     return StateVector(amps=amps, sector=None)
 
 

@@ -8,6 +8,7 @@ clusters resolved at a relative tolerance of the spectral spread.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .lattice import N_SITES, build_geometry
+from .lattice import IRREP_DIMS, N_SITES, build_geometry
 from .hilbert import FULL_MASK, sector_basis
 from .hamiltonian import (
     DEG_TOL_RELATIVE,
@@ -25,7 +26,7 @@ from .hamiltonian import (
     heisenberg_casimir,
     total_coupling,
 )
-from .symmetry import irrep_weights, label_eigenvector
+from .symmetry import irrep_blocks, irrep_weights
 
 SUPPORT_TOL = 1e-10   # default overlap threshold for spectral support
 RESIDUAL_TOL = 1e-10  # per-eigenpair residual bound, relative to the spread
@@ -247,23 +248,25 @@ class GroundScan:
     crossover_bracket: tuple[float, float] | None
 
 
-def _sector_levels(params: ModelParams) -> dict[int, np.ndarray]:
-    """Eigenvalues of every sector M >= 0; sector -M repeats those of M."""
-    return {
-        M: np.linalg.eigvalsh(build_sector_hamiltonian(M, params, exact=False).matrix)
-        for M in range(0, 7)
-    }
+def _sector_levels(params: ModelParams) -> dict[int, dict[str, np.ndarray]]:
+    """Eigenvalues of every irrep block of every sector M >= 0, keyed by irrep.
 
-
-def _ground_state(
-    params: ModelParams, deg_tol_rel: float
-) -> tuple[GroundPoint, int, np.ndarray]:
-    """Global ground level, the lowest M >= 0 holding it and one ground vector there.
-
-    Eigenvalues only for every sector; the winner alone gets a vector.
+    Sector -M repeats the levels of M; a level of a two-dimensional irrep
+    stands for two states of its sector.
     """
+    levels = {}
+    for M in range(0, 7):
+        h = build_sector_hamiltonian(M, params, exact=False).matrix
+        levels[M] = {
+            b.irrep: np.linalg.eigvalsh(b.basis @ (b.basis @ h).T) for b in irrep_blocks(M)
+        }
+    return levels
+
+
+def _ground_state(params: ModelParams, deg_tol_rel: float) -> tuple[GroundPoint, int]:
+    """Global ground level and the lowest M >= 0 holding it, from block eigenvalues alone."""
     levels = _sector_levels(params)
-    merged = np.concatenate(list(levels.values()))
+    merged = np.concatenate([v for blocks in levels.values() for v in blocks.values()])
     deg_tol = deg_tol_rel * float(merged.max() - merged.min())
     e0 = float(merged.min())
 
@@ -271,37 +274,33 @@ def _ground_state(
     sectors = []
     winner = None
     for M in range(0, 7):
-        hits = int(np.count_nonzero(levels[M] <= e0 + deg_tol))
-        if not hits:
+        hits = {r: int(np.count_nonzero(v <= e0 + deg_tol)) for r, v in levels[M].items()}
+        states = sum(IRREP_DIMS[r] * n for r, n in hits.items())
+        if not states:
             continue
         if M == 0:
-            degeneracy += hits
+            degeneracy += states
             sectors.append(0)
         else:  # the exact spin flip duplicates every M > 0 level at -M
-            degeneracy += 2 * hits
+            degeneracy += 2 * states
             sectors.extend((-M, M))
         if winner is None:
             winner = M
-    ham = build_sector_hamiltonian(winner, params, exact=False)
-    if ham.dim == 1:
-        vector = np.ones(1)
-    else:
-        _, v = scipy.linalg.eigh(ham.matrix, subset_by_index=[0, 0])
-        vector = v[:, 0]
+            holders = [r for r, n in hits.items() if n]
     point = GroundPoint(
         jz_over_j=params.jz_over_j,
         energy=e0,
         sectors=tuple(sorted(sectors)),
         degeneracy=degeneracy,
-        irrep=label_eigenvector(vector, winner),
+        irrep=holders[0] if len(holders) == 1 else None,
     )
-    return point, winner, vector
+    return point, winner
 
 
 def ground_state_point(
     params: ModelParams, deg_tol_rel: float = DEG_TOL_RELATIVE
 ) -> GroundPoint:
-    """Global ground level at one parameter point, eigenvalues-only except the winner."""
+    """Global ground level at one parameter point, from irrep-block eigenvalues only."""
     return _ground_state(params, deg_tol_rel)[0]
 
 
@@ -314,9 +313,13 @@ def ground_state_scan(
     """Ground level along a Jz/J grid, with the level crossing refined by bisection.
 
     The ferromagnetic branch is exactly linear, E = (Jz/J) * sum of
-    couplings, so the crossing against the lowest M=0 level is a clean
-    one-dimensional root find.
+    couplings, so the crossing against the lowest level of the sectors
+    M = 0..5 is a clean one-dimensional root find.  The grid may run in
+    either direction; the bisection works between the ordered endpoints
+    of the first grid step where the ferromagnet starts or stops winning.
     """
+    if not (math.isfinite(refine_tol) and refine_tol > 0):
+        raise ValueError(f"refine_tol must be finite and positive, got {refine_tol}")
     points = tuple(
         ground_state_point(ModelParams(alpha=alpha, jz_over_j=float(jz)), deg_tol_rel)
         for jz in jz_values
@@ -328,7 +331,7 @@ def ground_state_scan(
 
     def ferro_excess(jz: float) -> float:
         levels = _sector_levels(ModelParams(alpha=alpha, jz_over_j=jz))
-        rival = min(levels[M][0] for M in range(0, 6))
+        rival = min(v[0] for M in range(0, 6) for v in levels[M].values())
         return jz * w - rival
 
     for a, b in zip(points[:-1], points[1:]):
@@ -336,7 +339,7 @@ def ground_state_scan(
         ferro_b = 6 in b.sectors or -6 in b.sectors
         if ferro_a == ferro_b:
             continue
-        lo, hi = a.jz_over_j, b.jz_over_j
+        lo, hi = sorted((a.jz_over_j, b.jz_over_j))
         f_lo = ferro_excess(lo)
         while hi - lo > refine_tol:
             mid = 0.5 * (lo + hi)

@@ -1,20 +1,25 @@
 """Point-group bookkeeping on the sector bases.
 
 Characters of the signed permutation action, irrep multiplicities per
-magnetization sector, total-spin multiplet counts, and projectors onto the
-six irreps that survive the trivial horizontal mirror.
+magnetization sector, total-spin multiplet counts, projectors onto the six
+irreps that survive the trivial horizontal mirror, and the symmetry-adapted
+bases that split each sector Hamiltonian into one block per irrep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import lattice
 from .lattice import CharacterTable, GroupElement
 from .hilbert import StateVector, _config_map, act_permutation, sector_basis
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 INT_TOL = 1e-9   # multiplicities and projector traces must be integers to this
 
@@ -115,6 +120,93 @@ def irrep_projector(irrep: str, M: int) -> np.ndarray:
         raise RuntimeError(f"projector trace {trace} != {expected} for {irrep}, M={M}")
     proj.flags.writeable = False
     return proj
+
+
+@dataclass(frozen=True, eq=False)
+class IrrepBlock:
+    """Symmetry-adapted rows of one irrep in one sector.
+
+    Each row is one copy of the irrep (for E1u and E2g, the partner that
+    the two-fold rotation C2'(0) fixes), so a level of the block H_r =
+    basis @ H @ basis.T stands for ``dim`` states of the sector.
+    """
+
+    irrep: str
+    dim: int                        # dimension of the irrep
+    basis: scipy.sparse.csr_array  # (copies, sector dim), orthonormal rows
+
+
+@lru_cache(maxsize=None)
+def irrep_blocks(M: int) -> tuple[IrrepBlock, ...]:
+    """Orthonormal symmetry-adapted basis of sector M, one block per irrep present.
+
+    The 12 proper elements realise the 12 distinct site permutations, and
+    every retained irrep has sigma_h trivial, so P_r = (d_r / 12) sum_g
+    chi_r(g) U_g with U_g the signed action.  For the two-dimensional
+    irreps P_r (1 + U_h) / 2, h = C2'(0) with chi(h) = 0, keeps one
+    partner; it is again an orthogonal projector, because P_r is central
+    and so commutes with U_h.  Both map each configuration orbit to
+    itself, so each orbit's restricted projector is diagonalized on its
+    own and its unit eigenvectors become rows.
+    """
+    import scipy.sparse  # deferred: `import hexstar` does not load scipy.sparse
+
+    ct = _chartable()
+    proper = [g for g in _group() if not g.inverted]
+    by_perm = {g.perm: g for g in proper}
+    h = next(g for g in proper if g.flip and g.rot == 0)
+    # the element acting as U_g U_h, found by composing the site maps
+    times_h = [by_perm[tuple(g.perm[i] for i in h.perm)] for g in proper]
+    parity = np.array([g.parity for g in proper])
+
+    basis = sector_basis(M)
+    d = basis.dim
+    images = np.stack([basis.index_of[_config_map(g.perm)[basis.configs]] for g in proper])
+    # orbits labelled by their smallest index; members in ascending order
+    _, orbit, sizes = np.unique(images.min(axis=0), return_inverse=True, return_counts=True)
+    order = np.argsort(orbit, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    pos = np.empty(d, dtype=np.int64)
+    pos[order] = np.arange(d) - starts[orbit[order]]
+
+    expected = irrep_counts().counts
+    blocks = []
+    for r in ct.irreps:
+        chi = np.array([ct.chi(r, g.class_label) for g in proper])
+        if ct.dims[r] == 2:
+            chi = chi + np.array([ct.chi(r, g.class_label) for g in times_h])
+        coef = (chi * parity)[:, None] / 12.0  # U_g weight in the projector
+        data, indices, lengths = [], [], []
+        for n in np.unique(sizes):
+            picked = np.nonzero(sizes == n)[0]
+            members = order[starts[picked][:, None] + np.arange(n)]  # (orbits, n)
+            local = np.empty(len(sizes), dtype=np.int64)
+            local[picked] = np.arange(len(picked))
+            src = members.ravel()
+            # Q[o, pos(g f), pos(f)] += coef(g) for every member f and element g
+            flat = (local[orbit[src]] * n + pos[images[:, src]]) * n + pos[src]
+            q = np.bincount(flat.ravel(), np.broadcast_to(coef, flat.shape).ravel(),
+                            minlength=len(picked) * n * n).reshape(-1, n, n)
+            evals, evecs = np.linalg.eigh(q)
+            o, k = np.nonzero(evals > 0.5)
+            data.append(evecs[o, :, k].ravel())
+            indices.append(members[o].ravel())
+            lengths.append(np.full(len(o), n))
+        lengths = np.concatenate(lengths)
+        if len(lengths) != expected[r][M]:
+            raise RuntimeError(
+                f"{len(lengths)} rows for {r} in sector {M}, expected {expected[r][M]}")
+        if not len(lengths):
+            continue
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        rows = scipy.sparse.csr_array(
+            (np.concatenate(data), np.concatenate(indices), indptr), shape=(len(lengths), d))
+        for a in (rows.data, rows.indices, rows.indptr):
+            a.flags.writeable = False
+        blocks.append(IrrepBlock(irrep=r, dim=ct.dims[r], basis=rows))
+    if sum(b.dim * b.basis.shape[0] for b in blocks) != d:
+        raise RuntimeError(f"irrep blocks do not fill sector {M} of dimension {d}")
+    return tuple(blocks)
 
 
 def irrep_weights(vectors: np.ndarray, M: int) -> dict[str, np.ndarray]:

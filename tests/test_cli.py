@@ -171,6 +171,17 @@ def test_ground_scan_output(capsys):
     assert -0.49 < stats["crossover"] < -0.48
 
 
+def test_descending_ground_scan_grid_is_refined(capsys):
+    stats = []
+    for lo, hi in (("-1", "0"), ("0", "-1")):
+        code, out, _ = run_cli(capsys, "ground-scan", "--jz-min", lo, "--jz-max", hi,
+                               "--jz-points", "2")
+        assert code == 0
+        stats.append(parse_csv(out)[3])
+    assert stats[1] == stats[0]
+    assert -0.49 < stats[1]["crossover"] < -0.48
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "dynamics", "--state", "bogus", "--sector", "0")[0] == 2
     assert run_cli(capsys, "dynamics", "--state", "chi", "--sector", "-2")[0] == 2

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hexstar.hamiltonian import (
     DEG_TOL_RELATIVE,
@@ -30,6 +31,7 @@ from hexstar.spectrum import (
     split_into_clusters,
     thread_budget,
 )
+from hexstar.symmetry import label_eigenvector
 
 # Eigenvalue multiplicities over all 4096 states, counted once at the
 # default clustering tolerance and frozen.
@@ -165,6 +167,52 @@ def test_ground_scan_finds_the_crossover(geometry):
         else:
             assert point.sectors == (0,)
             assert point.degeneracy == 1
+
+
+@pytest.mark.parametrize("params", [HEISENBERG, XXZ_FERRO] + [
+    ModelParams(6.0, float(jz)) for jz in np.linspace(-1.0, 0.0, 11)
+], ids=lambda p: f"alpha={p.alpha:g},jz={p.jz_over_j:.2g}")
+def test_ground_irrep_matches_the_dense_ground_vector(params):
+    point = ground_state_point(params)
+    M = min(abs(m) for m in point.sectors)
+    h = build_sector_hamiltonian(M, params, exact=False).matrix
+    _, v = scipy.linalg.eigh(h, subset_by_index=[0, 0])
+    assert point.irrep is not None
+    assert point.irrep == label_eigenvector(v[:, 0], M)
+
+
+@pytest.mark.parametrize("ground, expected", [
+    ({0: {"E1u": 0.0}}, ((0,), 2, "E1u")),
+    ({0: {"A1g": 0.0, "E1u": 0.0}}, ((0,), 3, None)),
+    ({1: {"E2g": 0.0}, 3: {"B1u": 0.0}}, ((-3, -1, 1, 3), 6, "E2g")),
+])
+def test_ground_level_counts_two_states_per_e_level(monkeypatch, ground, expected):
+    # every block starts above the ground level; `ground` puts e0 = 0 into some
+    levels = {M: {"A2g": np.array([1.0, 2.0]), "E1u": np.array([1.5])} for M in range(7)}
+    for M, blocks in ground.items():
+        for irrep, e0 in blocks.items():
+            levels[M][irrep] = np.array([e0, 3.0])
+    monkeypatch.setattr("hexstar.spectrum._sector_levels", lambda params: levels)
+    point = ground_state_point(HEISENBERG)
+    assert (point.sectors, point.degeneracy, point.irrep) == expected
+    assert point.energy == 0.0
+
+
+@pytest.mark.parametrize("refine_tol", [0.0, -1e-6, float("nan"), float("inf")])
+def test_scan_rejects_bad_refine_tol(refine_tol):
+    with pytest.raises(ValueError, match="refine_tol"):
+        ground_state_scan(6.0, [-1.0, 0.0], refine_tol=refine_tol)
+
+
+def test_descending_grid_is_refined_like_the_ascending_one():
+    up = ground_state_scan(6.0, [-1.0, 0.0])
+    down = ground_state_scan(6.0, [0.0, -1.0])
+    assert down.crossover == up.crossover
+    assert down.crossover_bracket == up.crossover_bracket
+    assert down.points == up.points[::-1]
+    lo, hi = down.crossover_bracket
+    assert lo < hi and hi - lo <= 1e-6
+    assert -0.49 < down.crossover < -0.48
 
 
 def test_ground_overlap_with_heisenberg():

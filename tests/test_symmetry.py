@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hexstar.hamiltonian import HEISENBERG, XXZ_FERRO, build_sector_hamiltonian
+from hexstar.hamiltonian import HEISENBERG, XXZ_FERRO, ModelParams, build_sector_hamiltonian
 from hexstar.hilbert import StateVector, basis_state, product_state, sector_basis
 from hexstar.lattice import IRREP_DIMS, IRREP_LABELS
+from hexstar.spectrum import _sector_levels
 from hexstar.symmetry import (
     classify_factorized_state,
     identify_one_dim_irrep,
+    irrep_blocks,
     irrep_counts,
     irrep_projector,
     irrep_weights,
@@ -125,6 +129,39 @@ def test_projectors_commute_with_hamiltonian():
         for irrep in ("A2g", "E1u"):
             p = irrep_projector(irrep, 4)
             assert np.abs(h @ p - p @ h).max() < 1e-10
+
+
+def test_irrep_block_sizes_match_the_census():
+    table = irrep_counts().counts
+    for M in range(0, 7):
+        sizes = {b.irrep: b.basis.shape for b in irrep_blocks(M)}
+        d = sector_basis(M).dim
+        assert sizes == {r: (table[r][M], d) for r in IRREP_LABELS if table[r][M]}
+    assert [b.basis.shape[0] for b in irrep_blocks(0)] == [70, 90, 156, 76, 76, 150]
+
+
+@settings(max_examples=12, deadline=None)
+@given(alpha=st.floats(1.0, 8.0), jz_over_j=st.floats(-3.0, 3.0), M=st.integers(0, 6))
+def test_irrep_blocks_split_the_sector_hamiltonian(alpha, jz_over_j, M):
+    params = ModelParams(alpha, jz_over_j)
+    h = build_sector_hamiltonian(M, params, exact=False).matrix
+    dense = np.linalg.eigvalsh(h)
+    blocks = irrep_blocks(M)
+    levels = _sector_levels(params)[M]
+    assert list(levels) == [b.irrep for b in blocks]
+    merged = np.sort(np.concatenate([np.repeat(levels[b.irrep], b.dim) for b in blocks]))
+    spread = dense[-1] - dense[0]
+    assert np.abs(merged - dense).max() <= 1e-12 * max(spread, 1.0)
+
+    rows = np.vstack([b.basis.toarray() for b in blocks])
+    assert np.abs(rows @ rows.T - np.eye(len(rows))).max() < 1e-12
+    for b in blocks:
+        bt = b.basis.toarray()
+        assert np.abs(irrep_projector(b.irrep, M) @ bt.T - bt.T).max() < 1e-12
+        for other in blocks:
+            if other is not b:
+                # group commutation: H never couples two irreps
+                assert np.abs(bt @ h @ other.basis.toarray().T).max() < 1e-12
 
 
 def test_every_configuration_meets_the_a2g_block():
