@@ -19,11 +19,10 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import N_SITES, build_geometry, build_group
 from .hilbert import StateVector, build_initial_state, parse_state_spec, sector_basis
-from .hamiltonian import DEG_TOL_RELATIVE, ModelParams, build_sector_hamiltonian
+from .hamiltonian import DEG_TOL_RELATIVE, ModelParams
 from .spectrum import (
     SUPPORT_TOL,
     _ground_state,
@@ -90,10 +89,9 @@ def _resolve_state(args: argparse.Namespace) -> StateVector:
             f"degenerate (sectors {sectors}); --state ground needs a unique ground state"
         )
     # unique, so in M = 0: every level of M != 0 has its spin-flip copy at -M
-    matrix = build_sector_hamiltonian(M, params, exact=False).matrix
-    _, vector = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
+    vector = diagonalize_sector(M, params, args.tol_deg).eigenvectors[:, 0]
     amps = np.zeros(1 << N_SITES)
-    amps[sector_basis(M).configs] = vector[:, 0]
+    amps[sector_basis(M).configs] = vector
     return StateVector(amps=amps, sector=None)
 
 

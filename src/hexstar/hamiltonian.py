@@ -46,6 +46,16 @@ class ModelParams:
 HEISENBERG = ModelParams(alpha=6.0, jz_over_j=1.0)
 XXZ_FERRO = ModelParams(alpha=6.0, jz_over_j=-3.0)
 
+_PAIRS = tuple((i, j) for i in range(N_SITES) for j in range(i + 1, N_SITES))
+_PAIR_I, _PAIR_J = np.array(_PAIRS).T
+_PAIR_MASKS = np.array([(1 << i) | (1 << j) for i, j in _PAIRS])
+
+
+@lru_cache(maxsize=1)
+def _pair_distance_sq() -> tuple[int, ...]:
+    """Squared distance of each pair in _PAIRS, read from the geometry once."""
+    return tuple(build_geometry().distance_sq[_PAIR_I, _PAIR_J].tolist())
+
 
 def coupling(geometry: Geometry, i: int, j: int, alpha: float) -> float:
     """Distance-power coupling d_ij^-alpha in units of J."""
@@ -60,12 +70,14 @@ def exact_coupling(geometry: Geometry, i: int, j: int, alpha: float) -> Fraction
     return Fraction(1, int(geometry.distance_sq[i, j]) ** (int(alpha) // 2))
 
 
+def _pair_couplings(distance_sq: tuple[int, ...], alpha: float) -> list[float]:
+    """d^-alpha per pair, as ``coupling`` computes it: Python's scalar float power."""
+    return [float(d2) ** (-alpha / 2.0) for d2 in distance_sq]
+
+
 def total_coupling(geometry: Geometry, alpha: float) -> float:
     """Sum of couplings over all pairs; the ferromagnet energy is (Jz/J) times this."""
-    return sum(
-        coupling(geometry, i, j, alpha)
-        for i in range(N_SITES) for j in range(i + 1, N_SITES)
-    )
+    return sum(_pair_couplings(geometry.distance_sq[_PAIR_I, _PAIR_J].tolist(), alpha))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +96,6 @@ def _site_z(configs: np.ndarray) -> np.ndarray:
     """(d, 12) array of sz eigenvalues +-1 per configuration."""
     bits = (configs[:, None] >> np.arange(N_SITES)[None, :]) & 1
     return 1 - 2 * bits
-
-
-_PAIRS = tuple((i, j) for i in range(N_SITES) for j in range(i + 1, N_SITES))
-_PAIR_MASKS = np.array([(1 << i) | (1 << j) for i, j in _PAIRS])
 
 
 class _BondTable(NamedTuple):
@@ -149,20 +157,13 @@ def build_sector_hamiltonian(
     """
     if exact is None:
         exact = params.exact_capable
-    geometry = build_geometry()
-    weights = np.array([coupling(geometry, i, j, params.alpha) for i, j in _PAIRS])
+    weights = np.array(_pair_couplings(_pair_distance_sq(), params.alpha))
     return SectorHamiltonian(
         M=M,
         params=params,
         matrix=_assemble(M, weights, params.jz_over_j),
         exact=_exact_entries(M, params) if exact else None,
     )
-
-
-def exact_entry(ham: SectorHamiltonian, a: int, b: int) -> Fraction:
-    if ham.exact is None:
-        raise ValueError("sector was assembled without exact rationals")
-    return ham.exact.get((a, b), Fraction(0))
 
 
 @lru_cache(maxsize=16)

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
-from .lattice import IRREP_DIMS, N_SITES, build_geometry
+from .lattice import IRREP_DIMS, IRREP_LABELS, N_SITES, build_geometry
 from .hilbert import FULL_MASK, sector_basis
 from .hamiltonian import (
     DEG_TOL_RELATIVE,
@@ -26,14 +24,18 @@ from .hamiltonian import (
     heisenberg_casimir,
     total_coupling,
 )
-from .symmetry import irrep_blocks, irrep_weights
+from .symmetry import irrep_blocks, odd_partner_blocks
 
 SUPPORT_TOL = 1e-10   # default overlap threshold for spectral support
 RESIDUAL_TOL = 1e-10  # per-eigenpair residual bound, relative to the spread
 
 
 def thread_budget() -> int:
-    """Worker cap for sector fan-out, overridable via HEXSTAR_THREADS."""
+    """Worker cap once used for a sector fan-out, overridable via HEXSTAR_THREADS.
+
+    The library no longer reads it: sectors are diagonalized one after
+    another.  perfbench still records it as ``sector_pool_workers``.
+    """
     env = os.environ.get("HEXSTAR_THREADS")
     if env is not None:
         n = int(env)
@@ -78,49 +80,6 @@ def split_into_clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return np.split(np.arange(len(values)), breaks + 1)
 
 
-def _label_clusters(
-    raw: list[np.ndarray],
-    eigenvalues: np.ndarray,
-    eigenvectors: np.ndarray,
-    M: int,
-    with_spin: bool,
-) -> tuple[EigenCluster, ...]:
-    weights = irrep_weights(eigenvectors, M)
-    s2 = heisenberg_casimir(M) if with_spin else None
-    clusters = []
-    for idx in raw:
-        slots: dict[str, int] = {}
-        for r, w in weights.items():
-            total = float(np.sum(w[idx]))
-            n = int(round(total))
-            if abs(total - n) > 1e-6:
-                raise RuntimeError(
-                    f"irrep weight {total} for {r} is not an integer in sector {M}; "
-                    "eigenvalue clustering is too coarse or too fine"
-                )
-            if n:
-                slots[r] = n
-        if sum(slots.values()) != len(idx):
-            raise RuntimeError(f"irrep slots {slots} do not fill a cluster of {len(idx)}")
-        irrep = next(iter(slots)) if len(slots) == 1 else None
-        spin = None
-        if s2 is not None:
-            v = eigenvectors[:, idx[0]]
-            s_sq = float(v @ (s2 @ v))
-            s_val = 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * s_sq))
-            spin = int(round(s_val))
-            if abs(s_val - spin) > 1e-6:
-                raise RuntimeError(f"non-integer total spin {s_val} in sector {M}")
-        clusters.append(EigenCluster(
-            indices=idx,
-            energy=float(eigenvalues[idx[0]]),
-            irrep_slots=slots,
-            irrep=irrep,
-            spin=spin,
-        ))
-    return tuple(clusters)
-
-
 def diagonalize_sector(
     M: int, params: ModelParams, deg_tol_rel: float = DEG_TOL_RELATIVE
 ) -> SpectrumResult:
@@ -132,20 +91,59 @@ def diagonalize_sector(
     return _diagonalize_sector(M, params, deg_tol_rel)
 
 
-@lru_cache(maxsize=48)
+@lru_cache(maxsize=26)  # two parameter sets of all 13 sectors
 def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> SpectrumResult:
-    ham = build_sector_hamiltonian(M, params, exact=False)
-    eigenvalues, eigenvectors = scipy.linalg.eigh(ham.matrix)
+    """Eigenpairs from the irrep blocks of both partners, one row per state.
+
+    Every eigenvector is a block eigenvector mapped back through its
+    block's rows, so it carries exactly one irrep, and a cluster's irrep
+    slots count the levels each irrep contributes to it.
+    """
+    h = build_sector_hamiltonian(M, params, exact=False).matrix
+    blocks = irrep_blocks(M) + odd_partner_blocks(M)
+    solved = [np.linalg.eigh(b.basis @ (b.basis @ h).T) for b in blocks]
+    merged = np.concatenate([values for values, _ in solved])
+    order = np.argsort(merged, kind="stable")
+    eigenvalues = merged[order]
+    column = np.empty_like(order)  # sorted column of each merged level
+    column[order] = np.arange(len(order))
+    eigenvectors = np.empty((len(order), len(order)), order="F")  # columns contiguous
+    irrep_of = np.empty(len(order), dtype=np.int64)  # index into IRREP_LABELS per column
+    start = 0
+    for b, (values, u) in zip(blocks, solved):
+        cols = column[start:start + len(values)]
+        eigenvectors[:, cols] = b.basis.T @ u
+        irrep_of[cols] = IRREP_LABELS.index(b.irrep)
+        start += len(values)
 
     spread = float(eigenvalues[-1] - eigenvalues[0])
-    residual = np.abs(ham.matrix @ eigenvectors - eigenvectors * eigenvalues).max()
+    residual = np.abs(h @ eigenvectors - eigenvectors * eigenvalues).max()
     if residual > RESIDUAL_TOL * max(spread, 1.0):
         raise RuntimeError(f"eigenpair residual {residual:.2e} too large in sector {M}")
 
     deg_tol = deg_tol_rel * spread
     raw = split_into_clusters(eigenvalues, deg_tol)
-    with_spin = params.jz_over_j == 1.0
-    clusters = _label_clusters(raw, eigenvalues, eigenvectors, M, with_spin)
+    spins = [None] * len(raw)
+    if params.jz_over_j == 1.0:
+        # S(S+1) = <v|S^2|v> on each cluster's first eigenvector
+        v = eigenvectors[:, [idx[0] for idx in raw]]
+        s_sq = np.einsum("ij,ij->j", v, heisenberg_casimir(M) @ v)
+        s_val = 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * s_sq))
+        off = np.abs(s_val - np.rint(s_val))
+        if off.max() > 1e-6:
+            raise RuntimeError(f"non-integer total spin {s_val[off.argmax()]} in sector {M}")
+        spins = np.rint(s_val).astype(int).tolist()
+    clusters = []
+    for idx, spin in zip(raw, spins):
+        counts = np.bincount(irrep_of[idx], minlength=len(IRREP_LABELS))
+        slots = {r: int(n) for r, n in zip(IRREP_LABELS, counts) if n}
+        clusters.append(EigenCluster(
+            indices=idx,
+            energy=float(eigenvalues[idx[0]]),
+            irrep_slots=slots,
+            irrep=next(iter(slots)) if len(slots) == 1 else None,
+            spin=spin,
+        ))
     eigenvalues.flags.writeable = False
     eigenvectors.flags.writeable = False
     return SpectrumResult(
@@ -153,7 +151,7 @@ def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> Spec
         params=params,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
-        clusters=clusters,
+        clusters=tuple(clusters),
         deg_tol=deg_tol,
     )
 
@@ -184,12 +182,7 @@ def full_spectrum(
     params: ModelParams, deg_tol_rel: float = DEG_TOL_RELATIVE
 ) -> dict[int, SpectrumResult]:
     """Spectra of all thirteen sectors; negative M mirrored from positive."""
-    with ThreadPoolExecutor(max_workers=thread_budget()) as pool:
-        futures = {
-            M: pool.submit(diagonalize_sector, M, params, deg_tol_rel)
-            for M in range(0, 7)
-        }
-        out = {M: f.result() for M, f in futures.items()}
+    out = {M: diagonalize_sector(M, params, deg_tol_rel) for M in range(0, 7)}
     for M in range(1, 7):
         out[-M] = _mirror_result(out[M])
     return dict(sorted(out.items()))
@@ -379,14 +372,25 @@ def heisenberg_overlap_scan(
     jz_values: tuple[float, ...] | list[float] | np.ndarray,
     alpha: float = 6.0,
 ) -> tuple[OverlapPoint, ...]:
-    """Overlap of the M=0 ground state with its Heisenberg-point counterpart."""
-    reference = diagonalize_sector(0, ModelParams(alpha=alpha, jz_over_j=1.0))
-    ref_vector = reference.eigenvectors[:, 0]
+    """Overlap of the M=0 ground state with its Heisenberg-point counterpart.
 
+    Raises ValueError when the lowest M=0 level of the reference or of any
+    point is degenerate: no single vector of that level is the ground state.
+    """
+    def ground_vector(jz: float) -> np.ndarray:
+        res = diagonalize_sector(0, ModelParams(alpha=alpha, jz_over_j=jz))
+        size = res.clusters[0].size
+        if size > 1:
+            raise ValueError(
+                f"M=0 ground level at Jz/J={jz:g}, alpha={alpha:g} is {size}-fold "
+                "degenerate; the overlap scan needs a unique ground state"
+            )
+        return res.eigenvectors[:, 0]
+
+    ref_vector = ground_vector(1.0)
     out = []
     for jz in jz_values:
-        res = diagonalize_sector(0, ModelParams(alpha=alpha, jz_over_j=float(jz)))
-        v = res.eigenvectors[:, 0]
+        v = ground_vector(float(jz))
         overlap_sq = float(np.dot(ref_vector, v) ** 2)
         weights = {}
         for S in range(0, 7):

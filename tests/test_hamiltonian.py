@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from hexstar.hamiltonian import (
     heisenberg_casimir,
     total_coupling,
 )
+from hexstar.hamiltonian import _PAIRS, _assemble
 from hexstar.hilbert import sector_basis
+from hexstar.lattice import build_geometry
+from hexstar.spectrum import full_spectrum
 
 
 def test_params_validation():
@@ -157,3 +161,21 @@ def test_casimir_matches_the_full_pauli_spin(pauli_sites):
         configs = sector_basis(M).configs
         block = s2[configs][:, configs].toarray()
         assert np.abs(block - heisenberg_casimir(M)).max() < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.37, 1.0, 3.7, 6.0, 13.1])
+def test_float_assembly_uses_the_pairwise_couplings_bit_for_bit(geometry, alpha):
+    weights = np.array([coupling(geometry, i, j, alpha) for i, j in _PAIRS])
+    for M in (0, 3, -5):
+        ham = build_sector_hamiltonian(M, ModelParams(alpha, -0.7), exact=False)
+        assert np.array_equal(ham.matrix, _assemble(M, weights, -0.7))
+    assert total_coupling(geometry, alpha) == sum(weights.tolist())
+
+
+def test_spectra_do_not_rebuild_the_geometry():
+    full_spectrum(ModelParams(4.5, 0.3))
+    counter = mock.Mock(wraps=build_geometry)
+    with mock.patch("hexstar.hamiltonian.build_geometry", counter), \
+            mock.patch("hexstar.lattice.build_geometry", counter):
+        full_spectrum(ModelParams(4.5, 0.35))  # new couplings: every sector is assembled
+    assert counter.call_count == 0

@@ -1,8 +1,12 @@
 """Diagonalization, degeneracy structure, and the ground-state scan."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexstar.hamiltonian import (
     DEG_TOL_RELATIVE,
@@ -10,6 +14,7 @@ from hexstar.hamiltonian import (
     XXZ_FERRO,
     ModelParams,
     build_sector_hamiltonian,
+    heisenberg_casimir,
     total_coupling,
 )
 from hexstar.dynamics import evolve_probabilities
@@ -20,7 +25,10 @@ from hexstar.hilbert import (
     parse_state_spec,
     sector_basis,
 )
+from hexstar.lattice import IRREP_LABELS
 from hexstar.spectrum import (
+    EigenCluster,
+    _diagonalize_sector,
     degeneracy_histogram,
     diagonalize_sector,
     full_spectrum,
@@ -31,7 +39,7 @@ from hexstar.spectrum import (
     split_into_clusters,
     thread_budget,
 )
-from hexstar.symmetry import label_eigenvector
+from hexstar.symmetry import irrep_weights, label_eigenvector
 
 # Eigenvalue multiplicities over all 4096 states, counted once at the
 # default clustering tolerance and frozen.
@@ -40,6 +48,89 @@ HEISENBERG_HISTOGRAM = {
     1: 48, 2: 42, 3: 99, 5: 89, 6: 99, 7: 54, 9: 18,
     10: 93, 11: 3, 13: 1, 14: 50, 18: 18, 22: 4,
 }
+
+
+def _dense_labelled(M, params, deg_tol_rel=DEG_TOL_RELATIVE):
+    """Reference labelling: a dense sector eigh, irrep weights rounded per cluster.
+
+    Returns the eigenvalues and (size, irrep_slots, irrep, spin) per cluster.
+    """
+    values, vectors = scipy.linalg.eigh(build_sector_hamiltonian(M, params, exact=False).matrix)
+    weights = irrep_weights(vectors, M)
+    s2 = heisenberg_casimir(M) if params.jz_over_j == 1.0 else None
+    clusters = []
+    for idx in split_into_clusters(values, deg_tol_rel * (values[-1] - values[0])):
+        slots = {}
+        for r, w in weights.items():
+            total = float(np.sum(w[idx]))
+            assert abs(total - round(total)) < 1e-6
+            if round(total):
+                slots[r] = round(total)
+        assert sum(slots.values()) == len(idx)
+        spin = None
+        if s2 is not None:
+            v = vectors[:, idx[0]]
+            s_val = 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * float(v @ (s2 @ v))))
+            assert abs(s_val - round(s_val)) < 1e-6
+            spin = round(s_val)
+        irrep = next(iter(slots)) if len(slots) == 1 else None
+        clusters.append((len(idx), slots, irrep, spin))
+    return values, clusters
+
+
+def _labels(res):
+    return [(c.size, c.irrep_slots, c.irrep, c.spin) for c in res.clusters]
+
+
+# A solve of their own, so random couplings do not evict the spectra other tests share.
+_uncached = _diagonalize_sector.__wrapped__
+_couplings = dict(alpha=st.floats(1.0, 8.0),
+                  jz_over_j=st.just(1.0) | st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=15, deadline=None)
+@given(**_couplings, M=st.integers(-6, 6))
+def test_block_labels_match_the_dense_reference(alpha, jz_over_j, M):
+    params = ModelParams(alpha, jz_over_j)
+    res = _uncached(M, params, DEG_TOL_RELATIVE)
+    values, clusters = _dense_labelled(M, params)
+    spread = values[-1] - values[0]
+    assert np.abs(res.eigenvalues - values).max() <= 1e-12 * max(spread, 1.0)
+    assert _labels(res) == clusters
+
+    vectors = res.eigenvectors
+    assert np.abs(vectors.T @ vectors - np.eye(res.dim)).max() < 1e-12
+    weights = irrep_weights(vectors, M)
+    stacked = np.stack(list(weights.values()))
+    assert stacked.max(axis=0).min() >= 1.0 - 1e-10
+    # the irrep each column carries accounts for its cluster's slots
+    own = np.array(list(weights))[stacked.argmax(axis=0)]
+    for c in res.clusters:
+        names, counts = np.unique(own[c.indices], return_counts=True)
+        assert dict(zip(names.tolist(), counts.tolist())) == c.irrep_slots
+
+
+@settings(max_examples=12, deadline=None)
+@given(**_couplings, M=st.integers(1, 6))
+def test_opposite_sectors_mirror_levels_and_labels(alpha, jz_over_j, M):
+    # -M is solved from its own blocks here, not mirrored by full_spectrum
+    params = ModelParams(alpha, jz_over_j)
+    up = _uncached(M, params, DEG_TOL_RELATIVE)
+    down = _uncached(-M, params, DEG_TOL_RELATIVE)
+    assert np.abs(up.eigenvalues - down.eigenvalues).max() <= 1e-12
+    assert ([(c.size, c.irrep_slots) for c in up.clusters]
+            == [(c.size, c.irrep_slots) for c in down.clusters])
+
+
+def test_slots_count_both_partners_of_e_levels(xxz_spectra):
+    res = xxz_spectra[0]
+    e_clusters = [c for c in res.clusters if c.irrep in ("E1u", "E2g")]
+    assert e_clusters and all(c.size == 2 for c in e_clusters)
+    slots = {}
+    for c in res.clusters:
+        for r, n in c.irrep_slots.items():
+            slots[r] = slots.get(r, 0) + n
+    assert slots == {r: n for r, n in zip(IRREP_LABELS, (70, 90, 312, 76, 76, 300))}
 
 
 def test_split_into_clusters_basics():
@@ -213,6 +304,23 @@ def test_descending_grid_is_refined_like_the_ascending_one():
     lo, hi = down.crossover_bracket
     assert lo < hi and hi - lo <= 1e-6
     assert -0.49 < down.crossover < -0.48
+
+
+@pytest.mark.parametrize("degenerate_jz", [1.0, 2.0])
+def test_overlap_scan_refuses_a_degenerate_ground_level(monkeypatch, degenerate_jz):
+    # no coupling on a coarse grid has one, so merge the two lowest M=0 clusters
+    def fake(M, params, deg_tol_rel=DEG_TOL_RELATIVE):
+        res = diagonalize_sector(M, params, deg_tol_rel)
+        if params.jz_over_j != degenerate_jz:
+            return res
+        first, second = res.clusters[:2]
+        merged = EigenCluster(indices=np.concatenate([first.indices, second.indices]),
+                              energy=first.energy)
+        return dataclasses.replace(res, clusters=(merged,) + res.clusters[2:])
+
+    monkeypatch.setattr("hexstar.spectrum.diagonalize_sector", fake)
+    with pytest.raises(ValueError, match=f"Jz/J={degenerate_jz:g}, alpha=6 is 2-fold"):
+        heisenberg_overlap_scan([0.0, 2.0])
 
 
 def test_ground_overlap_with_heisenberg():

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexstar.hamiltonian import HEISENBERG, XXZ_FERRO, ModelParams, build_sector_hamiltonian
-from hexstar.hilbert import StateVector, basis_state, product_state, sector_basis
+from hexstar.hilbert import (
+    StateVector,
+    act_permutation,
+    basis_state,
+    product_state,
+    sector_basis,
+)
 from hexstar.lattice import IRREP_DIMS, IRREP_LABELS
 from hexstar.spectrum import _sector_levels
 from hexstar.symmetry import (
@@ -20,6 +26,7 @@ from hexstar.symmetry import (
     irrep_weights,
     label_eigenvector,
     multiplet_counts,
+    odd_partner_blocks,
     sector_character,
 )
 
@@ -138,6 +145,26 @@ def test_irrep_block_sizes_match_the_census():
         d = sector_basis(M).dim
         assert sizes == {r: (table[r][M], d) for r in IRREP_LABELS if table[r][M]}
     assert [b.basis.shape[0] for b in irrep_blocks(0)] == [70, 90, 156, 76, 76, 150]
+
+
+@pytest.mark.parametrize("M", [0, 2, -3, 5])
+def test_odd_partner_rows_complete_the_sector(group, M):
+    table = irrep_counts().counts
+    even, odd = irrep_blocks(M), odd_partner_blocks(M)
+    assert {b.irrep: b.basis.shape[0] for b in odd} == {
+        r: table[r][M] for r in ("E2g", "E1u") if table[r][M]}
+    rows = np.vstack([b.basis.toarray() for b in even + odd])
+    assert rows.shape == (sector_basis(M).dim,) * 2
+    assert np.abs(rows @ rows.T - np.eye(len(rows))).max() < 1e-12
+
+    h = next(g for g in group if g.name == "C2'(0)")
+    for blocks, sign in ((even, 1.0), (odd, -1.0)):
+        for b in blocks:
+            bt = b.basis.toarray().T
+            assert np.abs(irrep_projector(b.irrep, M) @ bt - bt).max() < 1e-12
+            if b.dim == 2:  # the partners are the two eigenspaces of U_h
+                moved = act_permutation(h, StateVector(amps=bt, sector=M)).amps
+                assert np.abs(moved - sign * bt).max() < 1e-12
 
 
 @settings(max_examples=12, deadline=None)
