@@ -147,7 +147,7 @@ def m5_block(alpha: float, jz_over_j: float) -> M5Block:
 def numeric_block(alpha: float, jz_over_j: float) -> np.ndarray:
     """The same 2x2, but assembled by the generic engine for cross-checking."""
     params = ModelParams(alpha=alpha, jz_over_j=jz_over_j)
-    ham = build_sector_hamiltonian(_M, params, exact=False)
+    ham = build_sector_hamiltonian(_M, params)
     s = np.stack(
         [_sym_ring_state(outer=True).amps, _sym_ring_state(outer=False).amps],
         axis=1,

@@ -1,26 +1,34 @@
 """Command-line front end.
 
-Every subcommand emits CSV (default) or JSON to stdout or --output.  CSV
-starts with a "# config:" comment recording the exact run parameters;
-floats are printed with 17 significant digits, so reruns are byte
-identical.  File output is written to a temporary sibling and renamed
-into place.  Exit codes: 0 success, 2 usage, 3 numerical failure, 4 I/O.
+Every subcommand computes its numbers up front and returns one result: a
+CSV header, the CSV rows, a builder for the JSON body and, for some
+commands, summary statistics.  ``main`` hands that result to the one
+emitter, which writes CSV (default) or JSON to stdout or --output.  CSV
+starts with a "# config:" comment recording the exact run parameters and
+is streamed row by row; floats are printed with 17 significant digits, so
+reruns are byte identical.  Statistics close stdout CSV as a "# stats:"
+comment, go to a FILE.stats.json sidecar next to a CSV file, and sit under
+"stats" in JSON.  File output is streamed into a temporary sibling that is
+renamed into place only once complete.  Exit codes: 0 success, 2 usage,
+3 numerical failure, 4 I/O.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .lattice import N_SITES, build_geometry, build_group
+from .lattice import IRREP_DIMS, IRREP_LABELS, N_SITES, build_geometry, build_group
 from .hilbert import StateVector, build_initial_state, parse_state_spec, sector_basis
 from .hamiltonian import DEG_TOL_RELATIVE, ModelParams
 from .spectrum import (
@@ -41,8 +49,14 @@ from .dynamics import (
 from .entanglement import is_entangled
 from .analytic import m5_block, m5_probabilities, numeric_block
 
-IRREP_ORDER = ("A1g", "A2g", "E2g", "B1u", "B2u", "E1u")
-TWO_DIM = {"E2g", "E1u"}
+
+@dataclass(frozen=True)
+class _Output:
+    """One command's result, formatted only by the emitter."""
+    header: list[str]
+    rows: Iterable[list[str]]    # CSV cells, consumed once while writing
+    doc: Callable[[], dict]      # JSON body, built only for --format json
+    stats: dict | None = None
 
 
 def _fmt(x: float) -> str:
@@ -57,14 +71,6 @@ def _times(args: argparse.Namespace) -> np.ndarray:
     if args.t_steps < 1:
         raise ValueError("--t-steps must be at least 1")
     return np.linspace(0.0, args.t_max, args.t_steps)
-
-
-def _config_dict(args: argparse.Namespace) -> dict:
-    skip = {"func", "output", "format"}
-    return {"command": args.command} | {
-        k.replace("_", "-"): v for k, v in sorted(vars(args).items())
-        if k not in skip and k != "command" and v is not None
-    }
 
 
 def _check_inputs(args: argparse.Namespace) -> None:
@@ -95,45 +101,47 @@ def _resolve_state(args: argparse.Namespace) -> StateVector:
     return StateVector(amps=amps, sector=None)
 
 
-def _csv_text(config: dict, header: list[str], rows: list[list[str]],
-              stats: dict | None) -> str:
-    buf = io.StringIO()
-    buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(row) + "\n")
+def _json_chunks(doc: dict) -> Iterable[str]:
+    # json.dumps(doc, sort_keys=True, indent=2) in blocks, never as one string
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+    while block := "".join(itertools.islice(chunks, 1 << 16)):
+        yield block
+    yield "\n"
+
+
+def _csv_lines(config: dict, out: _Output, stats: dict | None) -> Iterable[str]:
+    yield "# config: " + json.dumps(config, sort_keys=True) + "\n"
+    yield ",".join(out.header) + "\n"
+    for row in out.rows:
+        yield ",".join(row) + "\n"
     if stats is not None:
-        buf.write("# stats: " + json.dumps(stats, sort_keys=True) + "\n")
-    return buf.getvalue()
+        yield "# stats: " + json.dumps(stats, sort_keys=True) + "\n"
 
 
-def _emit(args: argparse.Namespace, config: dict, header: list[str],
-          rows: list[list[str]], stats: dict | None, json_data: dict) -> None:
+def _emit(args: argparse.Namespace, out: _Output) -> None:
+    config = {k.replace("_", "-"): v for k, v in vars(args).items()
+              if k not in ("func", "output", "format") and v is not None}
+    stats = {} if out.stats is None else {"stats": out.stats}
     if args.format == "json":
-        doc = {"config": config} | json_data
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        _write(args.output, text)
-        return
-    if args.output == "-":
-        _write("-", _csv_text(config, header, rows, stats))
-        return
-    # file output: stats go to a JSON sidecar instead of a trailing comment
-    _write(args.output, _csv_text(config, header, rows, None))
-    if stats is not None:
-        sidecar = json.dumps({"config": config} | {"stats": stats},
-                             sort_keys=True, indent=2) + "\n"
-        _write(args.output + ".stats.json", sidecar)
+        _write(args.output, _json_chunks({"config": config} | out.doc() | stats))
+    elif args.output == "-":
+        _write("-", _csv_lines(config, out, out.stats))
+    else:
+        # file output: stats go to a JSON sidecar instead of a trailing comment
+        _write(args.output, _csv_lines(config, out, None))
+        if stats:
+            _write(args.output + ".stats.json", _json_chunks({"config": config} | stats))
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, chunks: Iterable[str]) -> None:
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     target = Path(path)
     fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         # mkstemp creates the file 0600; give the output the usual 0666 & ~umask
         umask = os.umask(0)
         os.umask(umask)
@@ -144,58 +152,39 @@ def _write(path: str, text: str) -> None:
         raise
 
 
-def _cell(irrep: str, n: int) -> str:
-    return f"2x{n}" if irrep in TWO_DIM else str(n)
-
-
-def cmd_geometry(args: argparse.Namespace) -> None:
+def cmd_geometry(args: argparse.Namespace) -> _Output:
     geometry = build_geometry()
     group = build_group(geometry)
-    config = _config_dict(args)
-    header = ["table", "name", "x", "y", "class", "perm", "parity"]
-    rows = []
-    for i in range(N_SITES):
-        ring = "outer" if i < 6 else "inner"
-        rows.append(["site", f"{i}({ring})", _fmt(geometry.positions[i, 0]),
-                     _fmt(geometry.positions[i, 1]), "", "", ""])
-    for g in group:
-        rows.append(["element", g.name, "", "", g.class_label,
-                     ":".join(str(p) for p in g.perm), str(g.parity)])
-    json_data = {
-        "sites": [
-            {"site": i, "ring": "outer" if i < 6 else "inner",
-             "x": geometry.positions[i, 0], "y": geometry.positions[i, 1]}
-            for i in range(N_SITES)
-        ],
+    sites = [(i, "outer" if i < 6 else "inner", x, y)
+             for i, (x, y) in enumerate(geometry.positions.tolist())]
+    rows = [["site", f"{i}({ring})", _fmt(x), _fmt(y), "", "", ""] for i, ring, x, y in sites]
+    rows += [["element", g.name, "", "", g.class_label, ":".join(map(str, g.perm)),
+              str(g.parity)] for g in group]
+    return _Output(["table", "name", "x", "y", "class", "perm", "parity"], rows, lambda: {
+        "sites": [{"site": i, "ring": ring, "x": x, "y": y} for i, ring, x, y in sites],
         "distance_sq": geometry.distance_sq.tolist(),
-        "elements": [
-            {"name": g.name, "class": g.class_label, "perm": list(g.perm),
-             "parity": g.parity}
-            for g in group
-        ],
-    }
-    _emit(args, config, header, rows, None, json_data)
+        "elements": [{"name": g.name, "class": g.class_label, "perm": list(g.perm),
+                      "parity": g.parity} for g in group],
+    })
 
 
-def cmd_symmetry_tables(args: argparse.Namespace) -> None:
+def cmd_symmetry_tables(args: argparse.Namespace) -> _Output:
     counts = irrep_counts().counts
     mult = multiplet_counts().multiplets
-    config = _config_dict(args)
-    header = ["table", "index"] + list(IRREP_ORDER) + ["total"]
-    rows = []
-    for M in range(6, -7, -1):
-        dim = sector_basis(M).dim
-        rows.append(["irreps_by_m", str(M)]
-                    + [_cell(r, counts[r][M]) for r in IRREP_ORDER] + [str(dim)])
-    for S in range(6, -1, -1):
-        total = sum((2 if r in TWO_DIM else 1) * mult[r][S] for r in IRREP_ORDER)
-        rows.append(["multiplets_by_s", str(S)]
-                    + [_cell(r, mult[r][S]) for r in IRREP_ORDER] + [str(total)])
-    json_data = {
+
+    def cells(table: dict, key: int) -> list[str]:
+        return [f"2x{table[r][key]}" if IRREP_DIMS[r] == 2 else str(table[r][key])
+                for r in IRREP_LABELS]
+
+    rows = [["irreps_by_m", str(M)] + cells(counts, M) + [str(sector_basis(M).dim)]
+            for M in range(6, -7, -1)]
+    rows += [["multiplets_by_s", str(S)] + cells(mult, S)
+             + [str(sum(IRREP_DIMS[r] * mult[r][S] for r in IRREP_LABELS))]
+             for S in range(6, -1, -1)]
+    return _Output(["table", "index", *IRREP_LABELS, "total"], rows, lambda: {
         "irreps_by_m": {r: {str(m): n for m, n in by.items()} for r, by in counts.items()},
         "multiplets_by_s": {r: {str(s): n for s, n in by.items()} for r, by in mult.items()},
-    }
-    _emit(args, config, header, rows, None, json_data)
+    })
 
 
 def _cluster_irrep_text(cluster) -> str:
@@ -206,91 +195,65 @@ def _cluster_irrep_text(cluster) -> str:
     return ""
 
 
-def cmd_spectrum(args: argparse.Namespace) -> None:
+def cmd_spectrum(args: argparse.Namespace) -> _Output:
     params = _params(args)
-    sectors = [args.sector] if args.sector is not None else list(range(6, -7, -1))
-    config = _config_dict(args)
-    header = ["sector", "index", "energy", "cluster", "degeneracy", "irrep", "spin"]
-    rows = []
-    json_sectors = []
-    for M in sectors:
-        res = diagonalize_sector(M, params, args.tol_deg)
-        for ci, cluster in enumerate(res.clusters):
-            irrep = _cluster_irrep_text(cluster)
-            spin = "" if cluster.spin is None else str(cluster.spin)
-            for k in cluster.indices:
-                rows.append([str(M), str(int(k)), _fmt(res.eigenvalues[k]),
-                             str(ci), str(cluster.size), irrep, spin])
-        json_sectors.append({
-            "sector": M,
-            "eigenvalues": [float(e) for e in res.eigenvalues],
+    sectors = [args.sector] if args.sector is not None else range(6, -7, -1)
+    results = [diagonalize_sector(M, params, args.tol_deg) for M in sectors]
+    rows = (
+        [str(res.M), str(k), _fmt(res.eigenvalues[k]), str(ci), str(c.size),
+         _cluster_irrep_text(c), "" if c.spin is None else str(c.spin)]
+        for res in results for ci, c in enumerate(res.clusters) for k in c.indices.tolist()
+    )
+    return _Output(
+        ["sector", "index", "energy", "cluster", "degeneracy", "irrep", "spin"], rows,
+        lambda: {"sectors": [{
+            "sector": res.M,
+            "eigenvalues": res.eigenvalues.tolist(),
             "clusters": [
-                {"indices": [int(i) for i in c.indices], "energy": c.energy,
+                {"indices": c.indices.tolist(), "energy": c.energy,
                  "irrep_slots": c.irrep_slots, "irrep": c.irrep, "spin": c.spin}
                 for c in res.clusters
             ],
-        })
-    _emit(args, config, header, rows, None, {"sectors": json_sectors})
+        } for res in results]},
+    )
 
 
-def cmd_degeneracy(args: argparse.Namespace) -> None:
-    params = _params(args)
-    hist = degeneracy_histogram(params, args.tol_deg)
-    config = _config_dict(args)
-    header = ["degeneracy", "count"]
-    rows = [[str(d), str(n)] for d, n in hist.counts.items()]
-    stats = {
-        "total_states": hist.total_states,
-        "deg_tol": hist.deg_tol,
-        "ambiguous_gaps": len(hist.ambiguous_gaps),
-    }
-    json_data = {"histogram": {str(d): n for d, n in hist.counts.items()},
-                 "stats": stats}
-    _emit(args, config, header, rows, stats, json_data)
+def cmd_degeneracy(args: argparse.Namespace) -> _Output:
+    hist = degeneracy_histogram(_params(args), args.tol_deg)
+    return _Output(
+        ["degeneracy", "count"], [[str(d), str(n)] for d, n in hist.counts.items()],
+        lambda: {"histogram": {str(d): n for d, n in hist.counts.items()}},
+        {"total_states": hist.total_states, "deg_tol": hist.deg_tol,
+         "ambiguous_gaps": len(hist.ambiguous_gaps)},
+    )
 
 
-def cmd_ground_scan(args: argparse.Namespace) -> None:
+def cmd_ground_scan(args: argparse.Namespace) -> _Output:
     if args.jz_points < 2:
         raise ValueError("--jz-points must be at least 2")
     grid = np.linspace(args.jz_min, args.jz_max, args.jz_points)
     scan = ground_state_scan(args.alpha, grid, args.tol_deg)
-    config = _config_dict(args)
-    header = ["jz_over_j", "energy", "degeneracy", "sectors", "irrep"]
-    rows = [
-        [_fmt(p.jz_over_j), _fmt(p.energy), str(p.degeneracy),
-         "|".join(str(m) for m in p.sectors), p.irrep or ""]
-        for p in scan.points
-    ]
-    stats = {
-        "crossover": scan.crossover,
-        "crossover_bracket": list(scan.crossover_bracket) if scan.crossover_bracket else None,
-    }
-    json_data = {
-        "points": [
+    rows = [[_fmt(p.jz_over_j), _fmt(p.energy), str(p.degeneracy),
+             "|".join(str(m) for m in p.sectors), p.irrep or ""] for p in scan.points]
+    return _Output(
+        ["jz_over_j", "energy", "degeneracy", "sectors", "irrep"], rows,
+        lambda: {"points": [
             {"jz_over_j": p.jz_over_j, "energy": p.energy, "degeneracy": p.degeneracy,
              "sectors": list(p.sectors), "irrep": p.irrep}
             for p in scan.points
-        ],
-        "stats": stats,
-    }
-    _emit(args, config, header, rows, stats, json_data)
+        ]},
+        {"crossover": scan.crossover,
+         "crossover_bracket": list(scan.crossover_bracket) if scan.crossover_bracket else None},
+    )
 
 
-def cmd_dynamics(args: argparse.Namespace) -> None:
+def cmd_dynamics(args: argparse.Namespace) -> _Output:
     params = _params(args)
     state = _resolve_state(args)
     times = _times(args)
     traj = evolve_probabilities(state, args.sector, params, times,
                                 args.tol_support, args.tol_deg)
-    basis = sector_basis(args.sector)
-    config = _config_dict(args)
-    header = ["t"] + [f"p{int(f)}" for f in basis.configs]
-    # a 2001 x 924 grid takes hundreds of MB as strings or floats: build one form only
-    as_json = args.format == "json"
-    rows = [] if as_json else [
-        [_fmt(times[k])] + [_fmt(p) for p in traj.probs[:, k]]
-        for k in range(len(times))
-    ]
+    configs = sector_basis(args.sector).configs.tolist()
     cm = collapse_metrics(traj)
     stats = {
         "sector": traj.M,
@@ -300,99 +263,85 @@ def cmd_dynamics(args: argparse.Namespace) -> None:
         "num_frequencies_formula": traj.freq.formula,
         "num_frequencies_distinct": traj.freq.distinct,
         "regime": regime_classifier(traj),
-        "classes": [[int(basis.configs[i]) for i in cls] for cls in traj.classes],
+        "classes": [[configs[i] for i in cls] for cls in traj.classes],
         "collapse": {
-            "initial_config": int(basis.configs[cm.initial_outcome]),
+            "initial_config": configs[cm.initial_outcome],
             "initial_prob": cm.initial_prob,
             "collapse_time": cm.collapse_time,
             "threshold": cm.threshold,
-            "dominant_configs": [int(basis.configs[i]) for i in cm.dominant],
+            "dominant_configs": [configs[i] for i in cm.dominant],
             "tail_max": cm.tail_max,
         },
     }
-    json_data = {
-        "times": [float(t) for t in times],
-        "configs": [int(f) for f in basis.configs],
+    # a 2001 x 924 grid is hundreds of MB as strings: format one time point at a time
+    rows = ([_fmt(t), *map(_fmt, dist.tolist())]
+            for t, dist in zip(times.tolist(), traj.probs.T))
+    return _Output(["t"] + [f"p{f}" for f in configs], rows, lambda: {
+        "times": times.tolist(),
+        "configs": configs,
         # one distribution per time point, aligned with "times"
-        "probabilities": [[float(p) for p in col] for col in traj.probs.T],
-        "stats": stats,
-    } if as_json else {}
-    _emit(args, config, header, rows, stats, json_data)
+        "probabilities": traj.probs.T.tolist(),
+    }, stats)
 
 
-def cmd_return_prob(args: argparse.Namespace) -> None:
+def cmd_return_prob(args: argparse.Namespace) -> _Output:
     params = _params(args)
     state = _resolve_state(args)
     times = _times(args)
     p = return_probability(state, args.sector, params, times, args.tol_deg)
-    config = _config_dict(args)
-    header = ["t", "p_return"]
-    rows = [[_fmt(t), _fmt(v)] for t, v in zip(times, p)]
-    json_data = {"times": [float(t) for t in times],
-                 "p_return": [float(v) for v in p]}
-    _emit(args, config, header, rows, None, json_data)
+    return _Output(["t", "p_return"], ([_fmt(t), _fmt(v)] for t, v in zip(times, p)),
+                   lambda: {"times": times.tolist(), "p_return": p.tolist()})
 
 
-def cmd_schmidt(args: argparse.Namespace) -> None:
+def cmd_schmidt(args: argparse.Namespace) -> _Output:
     state = _resolve_state(args)
     n = state.norm
     if n == 0.0:
         raise ValueError("state has zero norm")
-    state = StateVector(amps=state.amps / n, sector=None)
-    report = is_entangled(state, args.tol_svd)
-    config = _config_dict(args)
-    header = ["mask", "sites_a", "sites_b", "rank"]
-    rows = []
-    for mask, rank in report.ranks.items():
-        b = [i for i in range(N_SITES) if (mask >> i) & 1]
-        a = [i for i in range(N_SITES) if not (mask >> i) & 1]
-        rows.append([str(mask), "|".join(map(str, a)), "|".join(map(str, b)), str(rank)])
-    stats = {
-        "entangled": report.entangled,
-        "min_rank": report.min_rank,
-        "max_rank": report.max_rank,
-    }
-    json_data = {"ranks": {str(m): r for m, r in report.ranks.items()}, "stats": stats}
-    _emit(args, config, header, rows, stats, json_data)
+    report = is_entangled(StateVector(amps=state.amps / n, sector=None), args.tol_svd)
+
+    def sites(mask: int, side: int) -> str:
+        return "|".join(str(i) for i in range(N_SITES) if (mask >> i) & 1 == side)
+
+    rows = ([str(mask), sites(mask, 0), sites(mask, 1), str(rank)]
+            for mask, rank in report.ranks.items())
+    return _Output(
+        ["mask", "sites_a", "sites_b", "rank"], rows,
+        lambda: {"ranks": {str(m): r for m, r in report.ranks.items()}},
+        {"entangled": report.entangled, "min_rank": report.min_rank,
+         "max_rank": report.max_rank},
+    )
 
 
-def cmd_analytic_m5(args: argparse.Namespace) -> None:
+def cmd_analytic_m5(args: argparse.Namespace) -> _Output:
     block = m5_block(args.alpha, args.jz_over_j)
     times = _times(args)
     p_outer, p_inner = m5_probabilities(args.initial, args.alpha, args.jz_over_j, times)
-    config = _config_dict(args)
-    header = ["t", "p_outer", "p_inner"]
-    rows = [[_fmt(t), _fmt(po), _fmt(pi)]
-            for t, po, pi in zip(times, p_outer, p_inner)]
     engine_dev = float(
         np.abs(numeric_block(args.alpha, args.jz_over_j) - block.matrix).max()
     )
     stats = {
-        "matrix": [[block.matrix[0, 0], block.matrix[0, 1]],
-                   [block.matrix[1, 0], block.matrix[1, 1]]],
+        "matrix": block.matrix.tolist(),
         "exact": ([[str(e) for e in row] for row in block.exact]
                   if block.exact is not None else None),
         "delta_e": block.delta_e,
         "diagonal_gap": block.diagonal_gap,
         "engine_max_dev": engine_dev,
     }
-    json_data = {
-        "times": [float(t) for t in times],
-        "p_outer": [float(v) for v in p_outer],
-        "p_inner": [float(v) for v in p_inner],
-        "stats": stats,
-    }
-    _emit(args, config, header, rows, stats, json_data)
+    rows = ([_fmt(t), _fmt(po), _fmt(pi)] for t, po, pi in zip(times, p_outer, p_inner))
+    return _Output(["t", "p_outer", "p_inner"], rows, lambda: {
+        "times": times.tolist(), "p_outer": p_outer.tolist(), "p_inner": p_inner.tolist(),
+    }, stats)
 
 
-def cmd_ising(args: argparse.Namespace) -> None:
+def cmd_ising(args: argparse.Namespace) -> _Output:
     check = ising_degeneracy_check(args.jz_sign)
-    config = _config_dict(args)
-    header = ["jz_sign", "ground_energy", "degeneracy"]
-    rows = [[str(check.jz_sign), str(check.ground_energy), str(check.degeneracy)]]
-    json_data = {"jz_sign": check.jz_sign, "ground_energy": check.ground_energy,
-                 "degeneracy": check.degeneracy}
-    _emit(args, config, header, rows, None, json_data)
+    return _Output(
+        ["jz_sign", "ground_energy", "degeneracy"],
+        [[str(check.jz_sign), str(check.ground_energy), str(check.degeneracy)]],
+        lambda: {"jz_sign": check.jz_sign, "ground_energy": check.ground_energy,
+                 "degeneracy": check.degeneracy},
+    )
 
 
 def _add_common(sub: argparse.ArgumentParser, model: bool = True,
@@ -492,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_inputs(args)
-        args.func(args)
+        _emit(args, args.func(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

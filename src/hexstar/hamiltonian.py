@@ -147,16 +147,14 @@ def _exact_entries(M: int, params: ModelParams) -> dict[tuple[int, int], Fractio
 
 
 def build_sector_hamiltonian(
-    M: int, params: ModelParams, exact: bool | None = None
+    M: int, params: ModelParams, exact: bool = False
 ) -> SectorHamiltonian:
     """Dense sector block of H/J.
 
-    ``exact`` controls the rational assembly: None enables it exactly when
-    alpha is an even integer, True insists on it, False skips it (the
-    floating matrix is all the eigensolvers need).
+    ``exact=True`` adds the rational entries, which need an even-integer
+    alpha (ValueError otherwise); the default skips them, since the
+    floating matrix is all the eigensolvers need.
     """
-    if exact is None:
-        exact = params.exact_capable
     weights = np.array(_pair_couplings(_pair_distance_sq(), params.alpha))
     return SectorHamiltonian(
         M=M,

@@ -99,7 +99,7 @@ def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> Spec
     block's rows, so it carries exactly one irrep, and a cluster's irrep
     slots count the levels each irrep contributes to it.
     """
-    h = build_sector_hamiltonian(M, params, exact=False).matrix
+    h = build_sector_hamiltonian(M, params).matrix
     blocks = irrep_blocks(M) + odd_partner_blocks(M)
     solved = [np.linalg.eigh(b.basis @ (b.basis @ h).T) for b in blocks]
     merged = np.concatenate([values for values, _ in solved])
@@ -249,7 +249,7 @@ def _sector_levels(params: ModelParams) -> dict[int, dict[str, np.ndarray]]:
     """
     levels = {}
     for M in range(0, 7):
-        h = build_sector_hamiltonian(M, params, exact=False).matrix
+        h = build_sector_hamiltonian(M, params).matrix
         levels[M] = {
             b.irrep: np.linalg.eigvalsh(b.basis @ (b.basis @ h).T) for b in irrep_blocks(M)
         }

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import hexstar
+from hexstar import cli
 from hexstar.cli import main
 from hexstar.hamiltonian import total_coupling
 
@@ -262,12 +263,72 @@ def test_failed_output_leaves_no_temp_file(capsys, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
-def test_module_entry_point():
+@pytest.mark.parametrize("argv", [
+    ("geometry",),
+    ("symmetry-tables",),
+    ("spectrum", "--sector", "5", "--jz-over-j", "-3"),
+    ("degeneracy", "--jz-over-j", "-3"),
+    ("ground-scan", "--jz-min", "-0.6", "--jz-max", "-0.4", "--jz-points", "3"),
+    ("dynamics", "--state", "xi", "--sector", "5", "--jz-over-j", "-3", "--t-steps", "5"),
+    ("return-prob", "--state", "chi", "--sector", "5", "--t-steps", "5"),
+    ("schmidt", "--state", "config:63"),
+    ("analytic-m5", "--jz-over-j", "-3", "--t-steps", "3"),
+    ("ising", "--jz-sign", "1"),
+], ids=lambda argv: argv[0])
+def test_file_output_matches_stdout(capsys, tmp_path, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    config = json.loads(lines[0][len("# config: "):])
+    stats = None
+    if lines[-1].startswith("# stats: "):
+        stats = json.loads(lines.pop()[len("# stats: "):])
+
+    target = tmp_path / "out.csv"
+    assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert target.read_text() == "".join(lines)
+    sidecar = tmp_path / "out.csv.stats.json"
+    if stats is None:
+        assert not sidecar.exists()
+    else:
+        assert json.loads(sidecar.read_text()) == {"config": config, "stats": stats}
+
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"] == config
+    assert doc.get("stats") == stats
+    target = tmp_path / "out.json"
+    assert run_cli(capsys, *argv, "--format", "json", "--output", str(target)) == (0, "", "")
+    assert target.read_text() == out
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_failing_row_stream_leaves_the_target_alone(tmp_path, existing):
+    target = tmp_path / "out.csv"
+    if existing:
+        target.write_text("old\n")
+
+    def rows():
+        yield ["1", "2"]
+        raise RuntimeError("row failed")
+
+    result = cli._Output(["a", "b"], rows(), dict)
+    args = cli.build_parser().parse_args(["ising", "--output", str(target)])
+    with pytest.raises(RuntimeError, match="row failed"):
+        cli._emit(args, result)
+    assert [p.name for p in tmp_path.iterdir()] == (["out.csv"] if existing else [])
+    if existing:
+        assert target.read_text() == "old\n"
+
+
+@pytest.mark.parametrize("module", ["hexstar", "hexstar.cli"])
+def test_module_entry_point(module):
     # the child imports the same package as this process, installed or not
     src = os.path.dirname(os.path.dirname(hexstar.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-m", "hexstar.cli", "symmetry-tables"],
+        [sys.executable, "-m", module, "symmetry-tables"],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
