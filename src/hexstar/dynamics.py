@@ -301,7 +301,7 @@ def return_probability(
 
 @dataclass(frozen=True)
 class CollapseMetrics:
-    initial_outcome: int            # argmax of the t=0 distribution
+    initial_outcome: int            # most likely outcome at t=0, lowest index on ties
     initial_prob: float
     collapse_time: float | None     # first grid time below threshold, None if never
     threshold: float
@@ -312,8 +312,14 @@ class CollapseMetrics:
 def collapse_metrics(
     traj: Trajectory, threshold: float = COLLAPSE_THRESHOLD
 ) -> CollapseMetrics:
+    """Collapse of the most likely initial outcome, and the dominant outcomes.
+
+    The initial outcome is the lowest index whose t=0 probability lies
+    within CLASS_TOL of the maximum, so outcomes tied up to rounding (all
+    twelve of xi in M=5, say) resolve the same way on every platform.
+    """
     probs = traj.probs
-    initial = int(np.argmax(probs[:, 0]))
+    initial = int(np.argmax(probs[:, 0] >= probs[:, 0].max() - CLASS_TOL))
     p0 = float(probs[initial, 0])
 
     collapse_time = None

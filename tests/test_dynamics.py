@@ -1,5 +1,6 @@
 """Measurement-probability trajectories and their statistics."""
 
+import dataclasses
 import math
 from functools import lru_cache
 from unittest import mock
@@ -169,6 +170,18 @@ def test_collapse_of_the_balanced_outer_state(chi_balanced_trajectory):
     assert basis.configs[923] == 4032  # the spin-flipped partner revives
     assert metrics.tail_max < 0.04
     assert regime_classifier(traj) == "collapse"
+
+
+def test_initial_outcome_takes_the_lowest_of_tied_indices(xi):
+    traj = evolve_probabilities(xi, 5, XXZ_FERRO, np.linspace(0.0, 1.0, 11))
+    assert np.ptp(traj.probs[:, 0]) < 1e-14   # all twelve outcomes at 1/12
+    assert collapse_metrics(traj).initial_outcome == 0
+    probs = np.full((3, 2), 1.0 / 3.0)
+    probs[2, 0] += 1e-15
+    tied = dataclasses.replace(traj, probs=probs, times=np.array([0.0, 1.0]))
+    metrics = collapse_metrics(tied)
+    assert metrics.initial_outcome == 0
+    assert metrics.initial_prob == 1.0 / 3.0
 
 
 def test_trajectories_mirror_under_global_flip(xi):
