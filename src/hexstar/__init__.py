@@ -33,6 +33,7 @@ from .hamiltonian import (
     HEISENBERG,
     XXZ_FERRO,
     coupling,
+    exact_capable,
     exact_coupling,
     total_coupling,
     build_sector_hamiltonian,

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hamiltonian import ModelParams, build_sector_hamiltonian
+from .hamiltonian import ModelParams, build_sector_hamiltonian, exact_capable
 from .hilbert import StateVector, sector_basis
 
 _M = 5          # the block lives in the single-flipped-spin sector
@@ -51,7 +51,7 @@ def block_entries(alpha: float) -> tuple[float, float, float, float, float]:
 
 
 def exact_block_entries(alpha: float) -> tuple[Fraction, ...]:
-    if not (float(alpha).is_integer() and int(alpha) % 2 == 0):
+    if not exact_capable(alpha):
         raise ValueError("exact entries need an even integer alpha")
     half = int(alpha) // 2
     p2 = Fraction(1, 2 ** int(alpha))
@@ -100,7 +100,7 @@ def heisenberg_gap(alpha: float) -> float:
 
 
 def exact_heisenberg_gap(alpha: float) -> Fraction:
-    if not (float(alpha).is_integer() and int(alpha) % 2 == 0):
+    if not exact_capable(alpha):
         raise ValueError("exact gap needs an even integer alpha")
     return 8 * (1 + Fraction(1, 2 ** int(alpha)) + Fraction(1, 7 ** (int(alpha) // 2)))
 
@@ -125,7 +125,7 @@ def m5_block(alpha: float, jz_over_j: float) -> M5Block:
         [h12_0, h22_0 + x * h22_1],
     ])
     exact = None
-    if float(alpha).is_integer() and int(alpha) % 2 == 0:
+    if exact_capable(alpha):
         e11_0, e12_0, e22_0, e11_1, e22_1 = exact_block_entries(alpha)
         xf = Fraction(x)
         exact = (

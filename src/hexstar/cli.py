@@ -10,7 +10,8 @@ reruns are byte identical.  Statistics close stdout CSV as a "# stats:"
 comment, go to a FILE.stats.json sidecar next to a CSV file, and sit under
 "stats" in JSON.  File output is streamed into a temporary sibling that is
 renamed into place only once complete.  Exit codes: 0 success, 2 usage,
-3 numerical failure, 4 I/O.
+3 numerical failure, 4 I/O, 141 (128 + SIGPIPE) when the reader of
+stdout closes it early.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from .hilbert import StateVector, build_initial_state, parse_state_spec, sector_
 from .hamiltonian import DEG_TOL_RELATIVE, ModelParams
 from .spectrum import (
     SUPPORT_TOL,
-    _ground_state,
     degeneracy_histogram,
     diagonalize_sector,
+    ground_state_point,
     ground_state_scan,
     ising_degeneracy_check,
 )
@@ -46,7 +47,7 @@ from .dynamics import (
     regime_classifier,
     return_probability,
 )
-from .entanglement import is_entangled
+from .entanglement import SVD_TOL, is_entangled
 from .analytic import m5_block, m5_probabilities, numeric_block
 
 
@@ -87,7 +88,7 @@ def _resolve_state(args: argparse.Namespace) -> StateVector:
     if args.state not in ("ground", "groundstate"):
         return build_initial_state(parse_state_spec(args.state))
     params = _params(args)
-    point, M = _ground_state(params, args.tol_deg)
+    point = ground_state_point(params, args.tol_deg)
     if point.degeneracy > 1:
         sectors = "|".join(str(m) for m in point.sectors)
         raise ValueError(
@@ -95,9 +96,9 @@ def _resolve_state(args: argparse.Namespace) -> StateVector:
             f"degenerate (sectors {sectors}); --state ground needs a unique ground state"
         )
     # unique, so in M = 0: every level of M != 0 has its spin-flip copy at -M
-    vector = diagonalize_sector(M, params, args.tol_deg).eigenvectors[:, 0]
+    vector = diagonalize_sector(0, params, args.tol_deg).eigenvectors[:, 0]
     amps = np.zeros(1 << N_SITES)
-    amps[sector_basis(M).configs] = vector
+    amps[sector_basis(0).configs] = vector
     return StateVector(amps=amps, sector=None)
 
 
@@ -136,6 +137,7 @@ def _emit(args: argparse.Namespace, out: _Output) -> None:
 def _write(path: str, chunks: Iterable[str]) -> None:
     if path == "-":
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # a closed pipe raises here, inside main, not at exit
         return
     target = Path(path)
     fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
@@ -366,6 +368,9 @@ def _add_common(sub: argparse.ArgumentParser, model: bool = True,
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+_STATE_HELP = "xi | chi | zeta:to,po,ti,pi | config:F | ground"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hexstar",
@@ -402,8 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dynamics",
                        help="rescaled measurement probabilities along a time grid")
     _add_common(p, times=True)
-    p.add_argument("--state", required=True,
-                   help="xi | chi | zeta:to,po,ti,pi | config:F | groundstate")
+    p.add_argument("--state", required=True, help=_STATE_HELP)
     p.add_argument("--sector", type=int, required=True)
     p.add_argument("--tol-support", type=float, default=SUPPORT_TOL,
                    help="overlap threshold defining the spectral support")
@@ -411,14 +415,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("return-prob", help="return probability of a sector component")
     _add_common(p, times=True)
-    p.add_argument("--state", required=True)
+    p.add_argument("--state", required=True, help=_STATE_HELP)
     p.add_argument("--sector", type=int, required=True)
     p.set_defaults(func=cmd_return_prob)
 
     p = sub.add_parser("schmidt", help="Schmidt ranks across all bipartitions")
     _add_common(p)
-    p.add_argument("--state", required=True)
-    p.add_argument("--tol-svd", type=float, default=1e-10,
+    p.add_argument("--state", required=True, help=_STATE_HELP)
+    p.add_argument("--tol-svd", type=float, default=SVD_TOL,
                    help="relative singular value threshold")
     p.set_defaults(func=cmd_schmidt)
 
@@ -448,6 +452,10 @@ def main(argv: list[str] | None = None) -> int:
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout early: stop quietly, as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 4

@@ -190,9 +190,7 @@ def frequency_count(support: SpectralSupport, deg_tol: float) -> FrequencyCount:
     return FrequencyCount(formula=formula, distinct=distinct)
 
 
-def equiprobability_classes(
-    support: SpectralSupport, tol: float = CLASS_TOL
-) -> tuple[np.ndarray, ...]:
+def equiprobability_classes(support: SpectralSupport) -> tuple[np.ndarray, ...]:
     """Group outcomes whose support projections agree up to one global sign.
 
     Two configurations with P0|c_f> = +-P0|c_g> have identical rescaled
@@ -200,9 +198,9 @@ def equiprobability_classes(
     bounds the number of distinct curves a measurement can follow.
 
     Rows are assigned first-fit: each joins the earliest class whose
-    representative (first member) matches it to ``tol`` entrywise under
+    representative (first member) matches it to CLASS_TOL entrywise under
     either sign, else it starts a class.  Only representatives that pass
-    a Gram-matrix prefilter are tested.  With n columns,
+    a Gram-matrix prefilter are tested.  With n columns and tol = CLASS_TOL,
     ||r_f -+ r_g||_inf <= tol implies ||r_f -+ r_g||_2^2 <= n tol^2, and
     ||r_f -+ r_g||_2^2 = |r_f|^2 + |r_g|^2 -+ 2 r_f.r_g.  In floating
     point the computed right side is off by at most
@@ -222,13 +220,14 @@ def equiprobability_classes(
         stop = min(start + GRAM_BLOCK, d)
         pair_sq = sq[start:stop, None] + sq[None, :]
         gram = rows[start:stop] @ rows.T
-        near = pair_sq - 2.0 * np.abs(gram) <= n * tol * tol + rounding * pair_sq
+        near = pair_sq - 2.0 * np.abs(gram) <= n * CLASS_TOL * CLASS_TOL + rounding * pair_sq
         for f in range(start, stop):
             r = rows[f]
             # rows from f on are no representatives yet, so only earlier ones qualify
             for g in np.flatnonzero(near[f - start] & (rep_class >= 0)):
                 rep = rows[g]
-                if np.max(np.abs(r - rep)) <= tol or np.max(np.abs(r + rep)) <= tol:
+                if (np.max(np.abs(r - rep)) <= CLASS_TOL
+                        or np.max(np.abs(r + rep)) <= CLASS_TOL):
                     members[rep_class[g]].append(f)
                     break
             else:
@@ -309,9 +308,7 @@ class CollapseMetrics:
     tail_max: float                 # largest peak among the non-dominant outcomes
 
 
-def collapse_metrics(
-    traj: Trajectory, threshold: float = COLLAPSE_THRESHOLD
-) -> CollapseMetrics:
+def collapse_metrics(traj: Trajectory) -> CollapseMetrics:
     """Collapse of the most likely initial outcome, and the dominant outcomes.
 
     The initial outcome is the lowest index whose t=0 probability lies
@@ -323,8 +320,8 @@ def collapse_metrics(
     p0 = float(probs[initial, 0])
 
     collapse_time = None
-    if p0 >= threshold:
-        below = np.nonzero(probs[initial] < threshold)[0]
+    if p0 >= COLLAPSE_THRESHOLD:
+        below = np.nonzero(probs[initial] < COLLAPSE_THRESHOLD)[0]
         if len(below):
             collapse_time = float(traj.times[below[0]])
 
@@ -340,18 +337,18 @@ def collapse_metrics(
         initial_outcome=initial,
         initial_prob=p0,
         collapse_time=collapse_time,
-        threshold=threshold,
+        threshold=COLLAPSE_THRESHOLD,
         dominant=dominant,
         tail_max=tail_max,
     )
 
 
-def regime_classifier(traj: Trajectory, threshold: float = COLLAPSE_THRESHOLD) -> str:
+def regime_classifier(traj: Trajectory) -> str:
     """One of "constant", "sinusoidal", "collapse", "aperiodic"."""
     if traj.freq.distinct == 0:
         return "constant"
     if traj.freq.distinct == 1:
         return "sinusoidal"
-    if collapse_metrics(traj, threshold).collapse_time is not None:
+    if collapse_metrics(traj).collapse_time is not None:
         return "collapse"
     return "aperiodic"

@@ -38,10 +38,6 @@ class ModelParams:
         if not math.isfinite(self.jz_over_j):
             raise ValueError("jz_over_j must be finite")
 
-    @property
-    def exact_capable(self) -> bool:
-        return float(self.alpha).is_integer() and int(self.alpha) % 2 == 0
-
 
 HEISENBERG = ModelParams(alpha=6.0, jz_over_j=1.0)
 XXZ_FERRO = ModelParams(alpha=6.0, jz_over_j=-3.0)
@@ -64,10 +60,19 @@ def coupling(geometry: Geometry, i: int, j: int, alpha: float) -> float:
     return float(geometry.distance_sq[i, j]) ** (-alpha / 2.0)
 
 
-def exact_coupling(geometry: Geometry, i: int, j: int, alpha: float) -> Fraction:
-    if not (float(alpha).is_integer() and int(alpha) % 2 == 0):
+def exact_capable(alpha: float) -> bool:
+    """True for an even integer alpha, the powers at which every d^-alpha is rational."""
+    return float(alpha).is_integer() and int(alpha) % 2 == 0
+
+
+def _exact_weight(d2: int, alpha: float) -> Fraction:
+    if not exact_capable(alpha):
         raise ValueError("exact couplings need an even integer alpha")
-    return Fraction(1, int(geometry.distance_sq[i, j]) ** (int(alpha) // 2))
+    return Fraction(1, d2 ** (int(alpha) // 2))
+
+
+def exact_coupling(geometry: Geometry, i: int, j: int, alpha: float) -> Fraction:
+    return _exact_weight(int(geometry.distance_sq[i, j]), alpha)
 
 
 def _pair_couplings(distance_sq: tuple[int, ...], alpha: float) -> list[float]:
@@ -131,9 +136,8 @@ def _assemble(M: int, weights: np.ndarray, jz_over_j: float) -> np.ndarray:
 
 def _exact_entries(M: int, params: ModelParams) -> dict[tuple[int, int], Fraction]:
     """The _assemble sum with Fraction weights, as sparse entries."""
-    geometry = build_geometry()
     table = _bond_table(M)
-    weights = [exact_coupling(geometry, i, j, params.alpha) for i, j in _PAIRS]
+    weights = [_exact_weight(d2, params.alpha) for d2 in _pair_distance_sq()]
     # Diagonal sums run over integers on a common denominator.
     denom = math.lcm(*(w.denominator for w in weights))
     numer = np.array([int(w * denom) for w in weights], dtype=object)

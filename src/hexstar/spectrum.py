@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -86,12 +86,16 @@ def diagonalize_sector(
     """Eigenpairs and labelled eigenvalue clusters of sector M, cached.
 
     Every call form (tolerance given or defaulted, positional or keyword)
-    shares one cache entry per (M, params, deg_tol_rel).
+    shares one cache entry per (|M|, params, deg_tol_rel): sector -M is
+    the exact spin flip of the cached sector M, never solved on its own.
     """
-    return _diagonalize_sector(M, params, deg_tol_rel)
+    if M >= 0:
+        return _diagonalize_sector(M, params, deg_tol_rel)
+    sector_basis(M)  # rejects M < -6
+    return _mirror_result(_diagonalize_sector(-M, params, deg_tol_rel))
 
 
-@lru_cache(maxsize=26)  # two parameter sets of all 13 sectors
+@lru_cache(maxsize=26)  # M >= 0 only: three parameter sets of 7 sectors, plus 5 entries
 def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> SpectrumResult:
     """Eigenpairs from the irrep blocks of both partners, one row per state.
 
@@ -168,24 +172,14 @@ def _mirror_result(res: SpectrumResult) -> SpectrumResult:
     vectors = np.empty_like(res.eigenvectors)
     vectors[rows] = res.eigenvectors
     vectors.flags.writeable = False
-    return SpectrumResult(
-        M=-res.M,
-        params=res.params,
-        eigenvalues=res.eigenvalues,
-        eigenvectors=vectors,
-        clusters=res.clusters,
-        deg_tol=res.deg_tol,
-    )
+    return replace(res, M=-res.M, eigenvectors=vectors)
 
 
 def full_spectrum(
     params: ModelParams, deg_tol_rel: float = DEG_TOL_RELATIVE
 ) -> dict[int, SpectrumResult]:
     """Spectra of all thirteen sectors; negative M mirrored from positive."""
-    out = {M: diagonalize_sector(M, params, deg_tol_rel) for M in range(0, 7)}
-    for M in range(1, 7):
-        out[-M] = _mirror_result(out[M])
-    return dict(sorted(out.items()))
+    return {M: diagonalize_sector(M, params, deg_tol_rel) for M in range(-6, 7)}
 
 
 @dataclass(frozen=True)
@@ -256,8 +250,14 @@ def _sector_levels(params: ModelParams) -> dict[int, dict[str, np.ndarray]]:
     return levels
 
 
-def _ground_state(params: ModelParams, deg_tol_rel: float) -> tuple[GroundPoint, int]:
-    """Global ground level and the lowest M >= 0 holding it, from block eigenvalues alone."""
+def ground_state_point(
+    params: ModelParams, deg_tol_rel: float = DEG_TOL_RELATIVE
+) -> GroundPoint:
+    """Global ground level at one parameter point, from irrep-block eigenvalues only.
+
+    A unique ground level lies in M = 0: every level of M > 0 has its
+    spin-flip copy at -M.
+    """
     levels = _sector_levels(params)
     merged = np.concatenate([v for blocks in levels.values() for v in blocks.values()])
     deg_tol = deg_tol_rel * float(merged.max() - merged.min())
@@ -265,36 +265,24 @@ def _ground_state(params: ModelParams, deg_tol_rel: float) -> tuple[GroundPoint,
 
     degeneracy = 0
     sectors = []
-    winner = None
+    holders = None  # irreps at the ground level in its lowest |M|
     for M in range(0, 7):
         hits = {r: int(np.count_nonzero(v <= e0 + deg_tol)) for r, v in levels[M].items()}
         states = sum(IRREP_DIMS[r] * n for r, n in hits.items())
         if not states:
             continue
-        if M == 0:
-            degeneracy += states
-            sectors.append(0)
-        else:  # the exact spin flip duplicates every M > 0 level at -M
-            degeneracy += 2 * states
-            sectors.extend((-M, M))
-        if winner is None:
-            winner = M
+        # the exact spin flip duplicates every M > 0 level at -M
+        degeneracy += states if M == 0 else 2 * states
+        sectors.extend((0,) if M == 0 else (-M, M))
+        if holders is None:
             holders = [r for r, n in hits.items() if n]
-    point = GroundPoint(
+    return GroundPoint(
         jz_over_j=params.jz_over_j,
         energy=e0,
         sectors=tuple(sorted(sectors)),
         degeneracy=degeneracy,
         irrep=holders[0] if len(holders) == 1 else None,
     )
-    return point, winner
-
-
-def ground_state_point(
-    params: ModelParams, deg_tol_rel: float = DEG_TOL_RELATIVE
-) -> GroundPoint:
-    """Global ground level at one parameter point, from irrep-block eigenvalues only."""
-    return _ground_state(params, deg_tol_rel)[0]
 
 
 def ground_state_scan(
@@ -355,29 +343,19 @@ class OverlapPoint:
     spin_weights: dict[int, float]    # total-spin content of the ground state
 
 
-def _spin_component(vector: np.ndarray, M: int, S: int) -> np.ndarray:
-    """Project onto total spin S with the polynomial in S^2 that kills the rest."""
-    s2 = heisenberg_casimir(M)
-    out = vector.copy()
-    target = S * (S + 1)
-    for other in range(0, N_SITES // 2 + 1):
-        if other == S:
-            continue
-        casimir = other * (other + 1)
-        out = (s2 @ out - casimir * out) / (target - casimir)
-    return out
-
-
 def heisenberg_overlap_scan(
     jz_values: tuple[float, ...] | list[float] | np.ndarray,
     alpha: float = 6.0,
 ) -> tuple[OverlapPoint, ...]:
     """Overlap of the M=0 ground state with its Heisenberg-point counterpart.
 
+    The spin weights of a point are its squared overlaps with the
+    Heisenberg-point M=0 eigenvectors, summed per total-spin label over
+    whole clusters, so no vector of a degenerate level is singled out.
     Raises ValueError when the lowest M=0 level of the reference or of any
     point is degenerate: no single vector of that level is the ground state.
     """
-    def ground_vector(jz: float) -> np.ndarray:
+    def ground(jz: float) -> SpectrumResult:
         res = diagonalize_sector(0, ModelParams(alpha=alpha, jz_over_j=jz))
         size = res.clusters[0].size
         if size > 1:
@@ -385,21 +363,20 @@ def heisenberg_overlap_scan(
                 f"M=0 ground level at Jz/J={jz:g}, alpha={alpha:g} is {size}-fold "
                 "degenerate; the overlap scan needs a unique ground state"
             )
-        return res.eigenvectors[:, 0]
+        return res
 
-    ref_vector = ground_vector(1.0)
+    ref = ground(1.0)
+    # clusters are contiguous runs of columns, so this is the spin of each column
+    spin_of = np.repeat([c.spin for c in ref.clusters], [c.size for c in ref.clusters])
     out = []
     for jz in jz_values:
-        v = ground_vector(float(jz))
-        overlap_sq = float(np.dot(ref_vector, v) ** 2)
-        weights = {}
-        for S in range(0, 7):
-            comp = _spin_component(v, 0, S)
-            w = float(np.dot(comp, comp))
-            if w > 1e-12:
-                weights[S] = w
-        out.append(OverlapPoint(jz_over_j=float(jz), overlap_sq=overlap_sq,
-                                spin_weights=weights))
+        v = ground(float(jz)).eigenvectors[:, 0]
+        weights = np.bincount(spin_of, (ref.eigenvectors.T @ v) ** 2)
+        out.append(OverlapPoint(
+            jz_over_j=float(jz),
+            overlap_sq=float(np.dot(ref.eigenvectors[:, 0], v) ** 2),
+            spin_weights={S: float(w) for S, w in enumerate(weights) if w > 1e-12},
+        ))
     return tuple(out)
 
 

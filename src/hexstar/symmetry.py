@@ -22,6 +22,7 @@ if TYPE_CHECKING:
     import scipy.sparse
 
 INT_TOL = 1e-9   # multiplicities and projector traces must be integers to this
+PURE_TOL = 0.999  # amplitude of one irrep that labels an eigenvector as pure
 
 
 @lru_cache(maxsize=1)
@@ -261,11 +262,11 @@ def irrep_weights(vectors: np.ndarray, M: int) -> dict[str, np.ndarray]:
     return out
 
 
-def label_eigenvector(vector: np.ndarray, M: int, pure_tol: float = 0.999) -> str | None:
+def label_eigenvector(vector: np.ndarray, M: int) -> str | None:
     """Irrep of an eigenvector, or None when no single irrep dominates."""
     weights = irrep_weights(vector[:, None], M)
     for r, w in weights.items():
-        if w[0] > pure_tol**2:
+        if w[0] > PURE_TOL**2:
             return r
     return None
 

@@ -9,9 +9,9 @@ import sys
 import pytest
 
 import hexstar
-from hexstar import cli
+from hexstar import cli, spectrum
 from hexstar.cli import main
-from hexstar.hamiltonian import total_coupling
+from hexstar.hamiltonian import ModelParams, total_coupling
 
 
 def run_cli(capsys, *argv):
@@ -334,3 +334,48 @@ def test_module_entry_point(module):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# config: ")
+
+
+def _child_env():
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(hexstar.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_a_reader_that_closes_the_pipe_ends_the_run_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hexstar", "dynamics", "--state", "chi", "--sector", "0",
+         "--t-steps", "101"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()  # about 2 MB of rows are still to come
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141  # 128 + SIGPIPE, as a shell reports it
+    assert first.startswith(b"# config: ")
+    assert err == b""
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, hexstar; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_negative_sectors_are_only_mirrored(monkeypatch, capsys):
+    calls = []
+    for name in ("build_sector_hamiltonian", "irrep_blocks", "odd_partner_blocks",
+                 "heisenberg_casimir"):
+        def spy(M, *rest, _name=name, _original=getattr(spectrum, name), **kw):
+            calls.append((_name, M))
+            return _original(M, *rest, **kw)
+        monkeypatch.setattr(spectrum, name, spy)
+    spectrum.full_spectrum(ModelParams(4.25, 1.0))  # used by no other test
+    assert main(["spectrum", "--alpha", "4.25"]) == 0
+    assert main(["dynamics", "--alpha", "4.25", "--state", "xi", "--sector", "-2",
+                 "--t-steps", "11"]) == 0
+    capsys.readouterr()
+    assert {M for _, M in calls} == set(range(0, 7))

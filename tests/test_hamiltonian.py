@@ -14,6 +14,7 @@ from hexstar.hamiltonian import (
     ModelParams,
     build_sector_hamiltonian,
     coupling,
+    exact_capable,
     exact_coupling,
     heisenberg_casimir,
     total_coupling,
@@ -35,10 +36,10 @@ def test_params_validation():
 
 
 def test_exact_capable():
-    assert ModelParams(6.0, -3.0).exact_capable
-    assert ModelParams(2.0, 0.5).exact_capable
-    assert not ModelParams(3.0, 1.0).exact_capable
-    assert not ModelParams(6.5, 1.0).exact_capable
+    assert exact_capable(6.0)
+    assert exact_capable(2.0)
+    assert not exact_capable(3.0)
+    assert not exact_capable(6.5)
 
 
 def test_coupling_values(geometry):
@@ -178,4 +179,5 @@ def test_spectra_do_not_rebuild_the_geometry():
     with mock.patch("hexstar.hamiltonian.build_geometry", counter), \
             mock.patch("hexstar.lattice.build_geometry", counter):
         full_spectrum(ModelParams(4.5, 0.35))  # new couplings: every sector is assembled
+        build_sector_hamiltonian(3, ModelParams(4.0, 0.35), exact=True)
     assert counter.call_count == 0

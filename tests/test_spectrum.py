@@ -1,6 +1,7 @@
 """Diagonalization, degeneracy structure, and the ground-state scan."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -19,14 +20,16 @@ from hexstar.hamiltonian import (
 )
 from hexstar.dynamics import evolve_probabilities
 from hexstar.hilbert import (
+    FULL_MASK,
     StateVector,
     act_permutation,
     build_initial_state,
     parse_state_spec,
     sector_basis,
 )
-from hexstar.lattice import IRREP_LABELS
+from hexstar.lattice import IRREP_LABELS, N_SITES
 from hexstar.spectrum import (
+    RESIDUAL_TOL,
     EigenCluster,
     _diagonalize_sector,
     degeneracy_histogram,
@@ -122,6 +125,28 @@ def test_opposite_sectors_mirror_levels_and_labels(alpha, jz_over_j, M):
             == [(c.size, c.irrep_slots) for c in down.clusters])
 
 
+@pytest.mark.parametrize("params", [HEISENBERG, XXZ_FERRO], ids=["heisenberg", "xxz"])
+@pytest.mark.parametrize("M", range(1, 7))
+def test_negative_sector_is_the_spin_flip_of_the_positive_one(params, M):
+    up = diagonalize_sector(M, params)
+    down = diagonalize_sector(-M, params)
+    assert down.M == -M
+    assert np.array_equal(down.eigenvalues, up.eigenvalues)
+    assert _labels(down) == _labels(up)
+    rows = sector_basis(-M).index_of[sector_basis(M).configs ^ FULL_MASK]
+    assert np.array_equal(down.eigenvectors[rows], up.eigenvectors)
+    h = build_sector_hamiltonian(-M, params).matrix
+    vectors = down.eigenvectors
+    residual = np.abs(h @ vectors - vectors * down.eigenvalues).max()
+    spread = down.eigenvalues[-1] - down.eigenvalues[0]
+    assert residual <= RESIDUAL_TOL * max(spread, 1.0)
+
+
+def test_diagonalize_rejects_a_sector_below_minus_six():
+    with pytest.raises(ValueError, match="-7"):
+        diagonalize_sector(-7, HEISENBERG)
+
+
 def test_slots_count_both_partners_of_e_levels(xxz_spectra):
     res = xxz_spectra[0]
     e_clusters = [c for c in res.clusters if c.irrep in ("E1u", "E2g")]
@@ -165,11 +190,11 @@ def test_hamiltonian_commutes_with_the_group(group):
 
 def test_opposite_sectors_share_spectra():
     # the mirror sector is diagonalized from scratch here, so this checks
-    # physics rather than the construction of the merged table
+    # physics rather than the spin flip diagonalize_sector(-M) applies
     for M in (4, 5):
         up = diagonalize_sector(M, XXZ_FERRO)
-        down = diagonalize_sector(-M, XXZ_FERRO)
-        assert up.eigenvalues == pytest.approx(down.eigenvalues, abs=1e-10)
+        down = np.linalg.eigvalsh(build_sector_hamiltonian(-M, XXZ_FERRO).matrix)
+        assert up.eigenvalues == pytest.approx(down, abs=1e-10)
 
 
 def test_full_spectrum_covers_all_sectors(heisenberg_spectra):
@@ -321,6 +346,39 @@ def test_overlap_scan_refuses_a_degenerate_ground_level(monkeypatch, degenerate_
     monkeypatch.setattr("hexstar.spectrum.diagonalize_sector", fake)
     with pytest.raises(ValueError, match=f"Jz/J={degenerate_jz:g}, alpha=6 is 2-fold"):
         heisenberg_overlap_scan([0.0, 2.0])
+
+
+def _spin_component(vector, M, S):
+    """Reference: project onto total spin S with the polynomial in S^2 that kills the rest."""
+    s2 = heisenberg_casimir(M)
+    out = vector.copy()
+    target = S * (S + 1)
+    for other in range(0, N_SITES // 2 + 1):
+        if other == S:
+            continue
+        casimir = other * (other + 1)
+        out = (s2 @ out - casimir * out) / (target - casimir)
+    return out
+
+
+@pytest.mark.parametrize("alpha", [6.0, 3.0])
+def test_overlap_scan_spin_weights_match_the_casimir_projection(monkeypatch, alpha):
+    # solves of this test's own, so the scan does not evict the shared spectra
+    solve = functools.lru_cache(lambda M, params: _uncached(M, params, DEG_TOL_RELATIVE))
+    monkeypatch.setattr("hexstar.spectrum.diagonalize_sector", solve)
+    grid = np.linspace(-1.0, 3.0, 11)
+    for point, jz in zip(heisenberg_overlap_scan(grid, alpha), grid):
+        v = solve(0, ModelParams(alpha, float(jz))).eigenvectors[:, 0]
+        reference = {}
+        for S in range(0, 7):
+            comp = _spin_component(v, 0, S)
+            w = float(np.dot(comp, comp))
+            if w > 1e-12:
+                reference[S] = w
+        assert point.spin_weights.keys() == reference.keys()
+        for S, w in reference.items():
+            assert abs(point.spin_weights[S] - w) <= 1e-12, (jz, S)
+        assert abs(sum(point.spin_weights.values()) - 1.0) <= 1e-12
 
 
 def test_ground_overlap_with_heisenberg():
