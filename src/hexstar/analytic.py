@@ -32,32 +32,8 @@ def _sym_ring_state(outer: bool) -> StateVector:
     return StateVector(amps=amps, sector=_M)
 
 
-def block_entries(alpha: float) -> tuple[float, float, float, float, float]:
-    """(h11_0, h12_0, h22_0, h11_1, h22_1): the Jz-free part and the Jz slopes.
-
-    Index 1 is the outer-ring state, index 2 the inner-ring one; the
-    off-diagonal has no Jz part.
-    """
-    p2 = 2.0 ** (-alpha)
-    p3 = 3.0 ** (-alpha)
-    r3 = 3.0 ** (-alpha / 2)
-    r7 = 7.0 ** (-alpha / 2)
-    h11_0 = 4 * p3 + 4 * r3 + 2 * p2 * r3
-    h12_0 = 4 * (1 + p2 + r7)
-    h22_0 = 4 + 4 * r3 + 2 * p2
-    h11_1 = 14 + 11 * p2 + 2 * p3 + 8 * r3 + p2 * r3 + 8 * r7
-    h22_1 = 10 + 9 * p2 + 6 * p3 + 8 * r3 + 3 * p2 * r3 + 8 * r7
-    return h11_0, h12_0, h22_0, h11_1, h22_1
-
-
-def exact_block_entries(alpha: float) -> tuple[Fraction, ...]:
-    if not exact_capable(alpha):
-        raise ValueError("exact entries need an even integer alpha")
-    half = int(alpha) // 2
-    p2 = Fraction(1, 2 ** int(alpha))
-    p3 = Fraction(1, 3 ** int(alpha))
-    r3 = Fraction(1, 3**half)
-    r7 = Fraction(1, 7**half)
+def _closed_form(p2, p3, r3, r7):
+    """The five block entries from 2^-a, 3^-a, 3^(-a/2), 7^(-a/2), floats or Fractions."""
     return (
         4 * p3 + 4 * r3 + 2 * p2 * r3,
         4 * (1 + p2 + r7),
@@ -65,6 +41,24 @@ def exact_block_entries(alpha: float) -> tuple[Fraction, ...]:
         14 + 11 * p2 + 2 * p3 + 8 * r3 + p2 * r3 + 8 * r7,
         10 + 9 * p2 + 6 * p3 + 8 * r3 + 3 * p2 * r3 + 8 * r7,
     )
+
+
+def block_entries(alpha: float) -> tuple[float, float, float, float, float]:
+    """(h11_0, h12_0, h22_0, h11_1, h22_1): the Jz-free part and the Jz slopes.
+
+    Index 1 is the outer-ring state, index 2 the inner-ring one; the
+    off-diagonal has no Jz part.
+    """
+    return _closed_form(2.0 ** (-alpha), 3.0 ** (-alpha), 3.0 ** (-alpha / 2),
+                        7.0 ** (-alpha / 2))
+
+
+def exact_block_entries(alpha: float) -> tuple[Fraction, ...]:
+    if not exact_capable(alpha):
+        raise ValueError("exact entries need an even integer alpha")
+    a = int(alpha)
+    return _closed_form(Fraction(1, 2**a), Fraction(1, 3**a), Fraction(1, 3 ** (a // 2)),
+                        Fraction(1, 7 ** (a // 2)))
 
 
 def kappa(alpha: float) -> tuple[float, float]:
@@ -96,13 +90,11 @@ def gap(alpha: float, jz_over_j: float) -> float:
 
 def heisenberg_gap(alpha: float) -> float:
     """At Jz = J the diagonal entries tie and the gap is twice the off-diagonal."""
-    return 8.0 * (1.0 + 2.0 ** (-alpha) + 7.0 ** (-alpha / 2))
+    return 2 * block_entries(alpha)[1]
 
 
 def exact_heisenberg_gap(alpha: float) -> Fraction:
-    if not exact_capable(alpha):
-        raise ValueError("exact gap needs an even integer alpha")
-    return 8 * (1 + Fraction(1, 2 ** int(alpha)) + Fraction(1, 7 ** (int(alpha) // 2)))
+    return 2 * exact_block_entries(alpha)[1]
 
 
 @dataclass(frozen=True, eq=False)

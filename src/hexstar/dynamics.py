@@ -35,24 +35,50 @@ COLLAPSE_THRESHOLD = 0.1  # rescaled probability below which the peak has collap
 class SpectralSupport:
     """Clusters of the sector spectrum that carry the initial state.
 
-    ``entries`` holds one (first eigenindex, projection norm) pair per
-    contributing cluster; ``dim`` is the support dimension delta_0.  The
-    orthonormal ``basis`` spans the projections of psi0 onto those
+    Cluster arrays have one entry per contributing cluster, column arrays
+    one per mode vector; ``col_cluster`` maps each column to its cluster.
+    The orthonormal ``basis`` spans the projections of psi0 onto those
     clusters (two columns per cluster when the state is genuinely
     complex), so basis @ basis.T is the support projector P0.
     """
 
     M: int
-    entries: tuple[tuple[int, float], ...]
-    energies: np.ndarray       # one per contributing cluster, units of J
+    first: np.ndarray          # (K,) first eigenindex of each cluster
+    overlap: np.ndarray        # (K,) projection norm ||P_cluster psi0||
+    energies: np.ndarray       # (K,) units of J
     basis: np.ndarray          # (d, ncols) real orthonormal
-    col_energy: np.ndarray     # (ncols,)
+    col_cluster: np.ndarray    # (ncols,) index into the cluster arrays
     coef: np.ndarray           # (ncols,) complex; P0 psi0 = basis @ coef
     support_tol: float
 
     @property
+    def entries(self) -> tuple[tuple[int, float], ...]:
+        """One (first eigenindex, projection norm) pair per cluster."""
+        return tuple(zip(self.first.tolist(), self.overlap.tolist()))
+
+    @property
+    def col_energy(self) -> np.ndarray:
+        return self.energies[self.col_cluster]
+
+    @property
     def dim(self) -> int:
-        return len(self.entries)
+        """The support dimension delta_0."""
+        return len(self.first)
+
+    def restrict(self, support_tol: float) -> SpectralSupport:
+        """The clusters above support_tol, with their columns."""
+        keep = self.overlap > support_tol
+        cols = keep[self.col_cluster]
+        return SpectralSupport(
+            M=self.M,
+            first=self.first[keep],
+            overlap=self.overlap[keep],
+            energies=self.energies[keep],
+            basis=self.basis.compress(cols, axis=1),  # C order, like the full basis
+            col_cluster=(np.cumsum(keep) - 1)[self.col_cluster[cols]],
+            coef=self.coef[cols],
+            support_tol=support_tol,
+        )
 
 
 def _normalized_sector_state(
@@ -76,50 +102,15 @@ def _check_times(times: np.ndarray) -> None:
         raise ValueError("times must be finite")
 
 
-@dataclass(frozen=True, eq=False)
-class _Modes:
-    """Projections of psi onto every cluster above EVOLVE_FLOOR, as real modes.
-
-    Cluster arrays have one entry per such cluster, column arrays one per
-    mode vector; ``col_cluster`` maps each column to its cluster.
-    """
-
-    M: int
-    weight: float            # squared norm of the sector component
-    deg_tol: float           # absolute clustering tolerance of the spectrum
-    first: np.ndarray        # (K,) first eigenindex of each cluster
-    overlap: np.ndarray      # (K,) ||P_cluster psi||
-    energies: np.ndarray     # (K,) units of J
-    basis: np.ndarray        # (d, ncols) real orthonormal
-    col_cluster: np.ndarray  # (ncols,) index into the cluster arrays
-    coef: np.ndarray         # (ncols,) complex; P psi = basis @ coef
-
-    @property
-    def col_energy(self) -> np.ndarray:
-        return self.energies[self.col_cluster]
-
-    def support(self, support_tol: float) -> SpectralSupport:
-        """The clusters above support_tol, with their columns."""
-        keep = self.overlap > support_tol
-        cols = keep[self.col_cluster]
-        return SpectralSupport(
-            M=self.M,
-            entries=tuple(zip(self.first[keep].tolist(), self.overlap[keep].tolist())),
-            energies=self.energies[keep],
-            basis=self.basis.compress(cols, axis=1),  # C order, like the full basis
-            col_energy=self.col_energy[cols],
-            coef=self.coef[cols],
-            support_tol=support_tol,
-        )
-
-
 def _sector_modes(
     state: StateVector, M: int, params: ModelParams, deg_tol_rel: float
-) -> _Modes:
+) -> tuple[SpectralSupport, float, float]:
     """Mode decomposition of the normalized sector component of the state.
 
-    Each cluster's projection of psi is split into real and (for a complex
-    psi) imaginary parts, orthonormalized within the cluster; a part whose
+    Returns the support at EVOLVE_FLOOR, every mode that is ever evolved,
+    with the sector weight and the absolute clustering tolerance.  Each
+    cluster's projection of psi is split into real and (for a complex psi)
+    imaginary parts, orthonormalized within the cluster; a part whose
     remainder is at most EVOLVE_FLOOR adds no column.
     """
     psi, weight = _normalized_sector_state(state, M)
@@ -152,17 +143,16 @@ def _sector_modes(
             cols.append(w)
             col_cluster.append(k)
             coef.append(complex(w @ proj))
-    return _Modes(
+    return SpectralSupport(
         M=M,
-        weight=weight,
-        deg_tol=res.deg_tol,
         first=np.array(first, dtype=int),
         overlap=np.array(overlap),
         energies=np.array(energies),
         basis=np.stack(cols, axis=1) if cols else np.zeros((res.dim, 0)),
         col_cluster=np.array(col_cluster, dtype=int),
         coef=np.array(coef, dtype=complex),
-    )
+        support_tol=EVOLVE_FLOOR,
+    ), weight, res.deg_tol
 
 
 def spectral_support(
@@ -172,7 +162,7 @@ def spectral_support(
     support_tol: float = SUPPORT_TOL,
     deg_tol_rel: float = DEG_TOL_RELATIVE,
 ) -> SpectralSupport:
-    return _sector_modes(state, M, params, deg_tol_rel).support(support_tol)
+    return _sector_modes(state, M, params, deg_tol_rel)[0].restrict(support_tol)
 
 
 @dataclass(frozen=True)
@@ -267,19 +257,19 @@ def evolve_probabilities(
     reports.
     """
     _check_times(times)
-    modes = _sector_modes(state, M, params, deg_tol_rel)
+    modes, weight, deg_tol = _sector_modes(state, M, params, deg_tol_rel)
     phase = np.exp(-2j * np.pi * np.outer(modes.col_energy, times))
     amps = modes.basis @ (modes.coef[:, None] * phase)
-    support = modes.support(support_tol)
+    support = modes.restrict(support_tol)
     return Trajectory(
         M=M,
         params=params,
         times=times,
         probs=amps.real**2 + amps.imag**2,
-        sector_weight=modes.weight,
+        sector_weight=weight,
         support=support,
         classes=equiprobability_classes(support),
-        freq=frequency_count(support, modes.deg_tol),
+        freq=frequency_count(support, deg_tol),
     )
 
 
@@ -292,7 +282,7 @@ def return_probability(
 ) -> np.ndarray:
     """|<psi0|psi(t)>|^2 for the normalized sector component of the state."""
     _check_times(times)
-    modes = _sector_modes(state, M, params, deg_tol_rel)
+    modes = _sector_modes(state, M, params, deg_tol_rel)[0]
     phase = np.exp(-2j * np.pi * np.outer(modes.energies, times))
     amp = modes.overlap**2 @ phase
     return amp.real**2 + amp.imag**2

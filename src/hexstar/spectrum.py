@@ -8,7 +8,6 @@ clusters resolved at a relative tolerance of the spectral spread.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -16,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import IRREP_DIMS, IRREP_LABELS, N_SITES, build_geometry
-from .hilbert import FULL_MASK, sector_basis
+from .hilbert import StateVector, sector_basis, spin_flip
 from .hamiltonian import (
     DEG_TOL_RELATIVE,
     ModelParams,
@@ -24,10 +23,11 @@ from .hamiltonian import (
     heisenberg_casimir,
     total_coupling,
 )
-from .symmetry import irrep_blocks, odd_partner_blocks
+from .symmetry import irrep_blocks
 
 SUPPORT_TOL = 1e-10   # default overlap threshold for spectral support
 RESIDUAL_TOL = 1e-10  # per-eigenpair residual bound, relative to the spread
+REFINE_TOL = 1e-6     # Jz/J width of the bracket the ground-state crossover is refined to
 
 
 def thread_budget() -> int:
@@ -104,7 +104,7 @@ def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> Spec
     slots count the levels each irrep contributes to it.
     """
     h = build_sector_hamiltonian(M, params).matrix
-    blocks = irrep_blocks(M) + odd_partner_blocks(M)
+    blocks = irrep_blocks(M)
     solved = [np.linalg.eigh(b.basis @ (b.basis @ h).T) for b in blocks]
     merged = np.concatenate([values for values, _ in solved])
     order = np.argsort(merged, kind="stable")
@@ -166,11 +166,7 @@ diagonalize_sector.cache_clear = _diagonalize_sector.cache_clear
 
 def _mirror_result(res: SpectrumResult) -> SpectrumResult:
     """Spectrum of sector -M from sector M via the exact global spin flip."""
-    src = sector_basis(res.M)
-    dst = sector_basis(-res.M)
-    rows = dst.index_of[src.configs ^ FULL_MASK]
-    vectors = np.empty_like(res.eigenvectors)
-    vectors[rows] = res.eigenvectors
+    vectors = spin_flip(StateVector(amps=res.eigenvectors, sector=res.M)).amps
     vectors.flags.writeable = False
     return replace(res, M=-res.M, eigenvectors=vectors)
 
@@ -197,9 +193,12 @@ class DegeneracyHistogram:
 def degeneracy_histogram(
     params: ModelParams, deg_tol_rel: float = DEG_TOL_RELATIVE
 ) -> DegeneracyHistogram:
-    """Histogram of eigenvalue multiplicities across the full 4096 states."""
-    spectra = full_spectrum(params, deg_tol_rel)
-    merged = np.sort(np.concatenate([s.eigenvalues for s in spectra.values()]))
+    """Histogram of eigenvalue multiplicities across the full 4096 states.
+
+    Sector -M has the levels of M, so only the cached sectors M >= 0 are read.
+    """
+    merged = np.sort(np.concatenate([
+        diagonalize_sector(abs(M), params, deg_tol_rel).eigenvalues for M in range(-6, 7)]))
     deg_tol = deg_tol_rel * float(merged[-1] - merged[0])
     groups = split_into_clusters(merged, deg_tol)
 
@@ -236,7 +235,7 @@ class GroundScan:
 
 
 def _sector_levels(params: ModelParams) -> dict[int, dict[str, np.ndarray]]:
-    """Eigenvalues of every irrep block of every sector M >= 0, keyed by irrep.
+    """Eigenvalues of the C2'(0)-even irrep blocks of every sector M >= 0, keyed by irrep.
 
     Sector -M repeats the levels of M; a level of a two-dimensional irrep
     stands for two states of its sector.
@@ -245,7 +244,8 @@ def _sector_levels(params: ModelParams) -> dict[int, dict[str, np.ndarray]]:
     for M in range(0, 7):
         h = build_sector_hamiltonian(M, params).matrix
         levels[M] = {
-            b.irrep: np.linalg.eigvalsh(b.basis @ (b.basis @ h).T) for b in irrep_blocks(M)
+            b.irrep: np.linalg.eigvalsh(b.basis @ (b.basis @ h).T)
+            for b in irrep_blocks(M) if b.partner > 0
         }
     return levels
 
@@ -289,7 +289,6 @@ def ground_state_scan(
     alpha: float,
     jz_values: tuple[float, ...] | list[float] | np.ndarray,
     deg_tol_rel: float = DEG_TOL_RELATIVE,
-    refine_tol: float = 1e-6,
 ) -> GroundScan:
     """Ground level along a Jz/J grid, with the level crossing refined by bisection.
 
@@ -297,10 +296,9 @@ def ground_state_scan(
     couplings, so the crossing against the lowest level of the sectors
     M = 0..5 is a clean one-dimensional root find.  The grid may run in
     either direction; the bisection works between the ordered endpoints
-    of the first grid step where the ferromagnet starts or stops winning.
+    of the first grid step where the ferromagnet starts or stops winning,
+    down to a bracket of REFINE_TOL.
     """
-    if not (math.isfinite(refine_tol) and refine_tol > 0):
-        raise ValueError(f"refine_tol must be finite and positive, got {refine_tol}")
     points = tuple(
         ground_state_point(ModelParams(alpha=alpha, jz_over_j=float(jz)), deg_tol_rel)
         for jz in jz_values
@@ -322,7 +320,7 @@ def ground_state_scan(
             continue
         lo, hi = sorted((a.jz_over_j, b.jz_over_j))
         f_lo = ferro_excess(lo)
-        while hi - lo > refine_tol:
+        while hi - lo > REFINE_TOL:
             mid = 0.5 * (lo + hi)
             f_mid = ferro_excess(mid)
             if (f_mid < 0) == (f_lo < 0):

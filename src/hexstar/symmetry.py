@@ -3,7 +3,8 @@
 Characters of the signed permutation action, irrep multiplicities per
 magnetization sector, total-spin multiplet counts, projectors onto the six
 irreps that survive the trivial horizontal mirror, and the symmetry-adapted
-bases that split each sector Hamiltonian into one block per irrep.
+bases that split each sector Hamiltonian into one block per irrep and
+C2'(0) partner.
 """
 
 from __future__ import annotations
@@ -128,22 +129,32 @@ class IrrepBlock:
     """Symmetry-adapted rows of one irrep in one sector.
 
     Each row is one copy of the irrep.  For E1u and E2g it is one partner
-    of the copy, even or odd under the two-fold rotation C2'(0); a level
-    of the even block H_r = basis @ H @ basis.T stands for ``dim`` states
-    of the sector, one per partner.
+    of the copy, even (``partner`` +1) or odd (-1) under the two-fold
+    rotation C2'(0); U_h and H commute, so both partner blocks of an irrep
+    have the same levels, and a level of the even block
+    H_r = basis @ H @ basis.T stands for ``dim`` states of the sector.
     """
 
     irrep: str
     dim: int                        # dimension of the irrep
+    partner: int                    # -1 for the C2'(0)-odd rows of E1u and E2g, else +1
     basis: scipy.sparse.csr_array  # (copies, sector dim), orthonormal rows
 
 
-def _partner_blocks(M: int, sign: int) -> tuple[IrrepBlock, ...]:
-    """Rows of P_r (1 + sign U_h) / 2 per irrep, with h = C2'(0).
+@lru_cache(maxsize=None)
+def irrep_blocks(M: int) -> tuple[IrrepBlock, ...]:
+    """Orthonormal symmetry-adapted basis of sector M, one row per state.
 
-    sign = +1 gives every irrep, its two-dimensional ones reduced to the
-    C2'(0)-even partner; sign = -1 gives only the odd partners of E1u and
-    E2g.  Each block has one row per copy of its irrep in the sector.
+    The C2'(0)-even blocks come first, one per irrep present in irrep
+    order, then the odd partner blocks of the two-dimensional irreps.
+    The 12 proper elements realise the 12 distinct site permutations, and
+    every retained irrep has sigma_h trivial, so P_r = (d_r / 12) sum_g
+    chi_r(g) U_g with U_g the signed action.  For the two-dimensional
+    irreps P_r (1 +- U_h) / 2, h = C2'(0) with chi(h) = 0, keeps one
+    partner; it is again an orthogonal projector, because P_r is central
+    and so commutes with U_h.  Every projector maps each configuration
+    orbit to itself, so each orbit's restricted projector is diagonalized
+    on its own and its unit eigenvectors become rows.
     """
     import scipy.sparse  # deferred: `import hexstar` does not load scipy.sparse
 
@@ -166,13 +177,12 @@ def _partner_blocks(M: int, sign: int) -> tuple[IrrepBlock, ...]:
     pos[order] = np.arange(d) - starts[orbit[order]]
 
     expected = irrep_counts().counts
+    partners = [(r, 1) for r in ct.irreps] + [(r, -1) for r in ct.irreps if ct.dims[r] == 2]
     blocks = []
-    for r in ct.irreps:
+    for r, partner in partners:
         chi = np.array([ct.chi(r, g.class_label) for g in proper])
         if ct.dims[r] == 2:
-            chi = chi + sign * np.array([ct.chi(r, g.class_label) for g in times_h])
-        elif sign < 0:
-            continue
+            chi = chi + partner * np.array([ct.chi(r, g.class_label) for g in times_h])
         coef = (chi * parity)[:, None] / 12.0  # U_g weight in the projector
         data, indices, lengths = [], [], []
         for n in np.unique(sizes):
@@ -201,45 +211,11 @@ def _partner_blocks(M: int, sign: int) -> tuple[IrrepBlock, ...]:
             (np.concatenate(data), np.concatenate(indices), indptr), shape=(len(lengths), d))
         for a in (rows.data, rows.indices, rows.indptr):
             a.flags.writeable = False
-        blocks.append(IrrepBlock(irrep=r, dim=ct.dims[r], basis=rows))
-    return tuple(blocks)
-
-
-@lru_cache(maxsize=None)
-def irrep_blocks(M: int) -> tuple[IrrepBlock, ...]:
-    """Orthonormal symmetry-adapted basis of sector M, one block per irrep present.
-
-    The 12 proper elements realise the 12 distinct site permutations, and
-    every retained irrep has sigma_h trivial, so P_r = (d_r / 12) sum_g
-    chi_r(g) U_g with U_g the signed action.  For the two-dimensional
-    irreps P_r (1 + U_h) / 2, h = C2'(0) with chi(h) = 0, keeps one
-    partner; it is again an orthogonal projector, because P_r is central
-    and so commutes with U_h.  Both map each configuration orbit to
-    itself, so each orbit's restricted projector is diagonalized on its
-    own and its unit eigenvectors become rows.
-    """
-    blocks = _partner_blocks(M, +1)
-    d = sector_basis(M).dim
-    if sum(b.dim * b.basis.shape[0] for b in blocks) != d:
-        raise RuntimeError(f"irrep blocks do not fill sector {M} of dimension {d}")
-    return blocks
-
-
-@lru_cache(maxsize=None)
-def odd_partner_blocks(M: int) -> tuple[IrrepBlock, ...]:
-    """The C2'(0)-odd partner rows of E1u and E2g in sector M.
-
-    Built like ``irrep_blocks`` with (1 - U_h) / 2 in place of
-    (1 + U_h) / 2.  U_h and H commute, so each odd block has the spectrum
-    of its even partner; together with ``irrep_blocks(M)`` the rows form
-    an orthonormal basis of the sector, one row per state.
-    """
-    blocks = _partner_blocks(M, -1)
-    d = sector_basis(M).dim
-    if sum(b.basis.shape[0] for b in irrep_blocks(M) + blocks) != d:
+        blocks.append(IrrepBlock(irrep=r, dim=ct.dims[r], partner=partner, basis=rows))
+    if sum(b.basis.shape[0] for b in blocks) != d:
         raise RuntimeError(f"irrep rows of both partners do not fill sector {M} of "
                            f"dimension {d}")
-    return blocks
+    return tuple(blocks)
 
 
 def irrep_weights(vectors: np.ndarray, M: int) -> dict[str, np.ndarray]:

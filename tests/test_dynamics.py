@@ -290,9 +290,10 @@ def test_classes_match_first_fit_at_the_tolerance_edge(seed):
     signs = rng.choice([-1.0, 1.0], size=(80, 1))
     shifts = CLASS_TOL * rng.choice([0.0, 0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0], size=(80, 1))
     rows = signs * base[picks] + shifts * rng.choice([-1.0, 1.0], size=(80, n))
-    support = SpectralSupport(M=0, entries=(), energies=np.zeros(0), basis=rows,
-                              col_energy=np.zeros(n), coef=np.zeros(n, dtype=complex),
-                              support_tol=0.0)
+    support = SpectralSupport(M=0, first=np.zeros(1, dtype=int), overlap=np.ones(1),
+                              energies=np.zeros(1), basis=rows,
+                              col_cluster=np.zeros(n, dtype=int),
+                              coef=np.zeros(n, dtype=complex), support_tol=0.0)
     assert [c.tolist() for c in equiprobability_classes(support)] == _first_fit_classes(rows)
 
 

@@ -28,6 +28,7 @@ from hexstar.hilbert import (
     sector_basis,
 )
 from hexstar.lattice import IRREP_LABELS, N_SITES
+from hexstar import spectrum
 from hexstar.spectrum import (
     RESIDUAL_TOL,
     EigenCluster,
@@ -230,6 +231,40 @@ def test_degeneracy_histogram_heisenberg(heisenberg_spectra):
     assert hist.ambiguous_gaps == ()
 
 
+def test_histogram_builds_no_mirrored_eigenvectors(monkeypatch, heisenberg_spectra):
+    calls = []
+    original = spectrum._mirror_result
+    monkeypatch.setattr(spectrum, "_mirror_result",
+                        lambda res: calls.append(res.M) or original(res))
+    assert degeneracy_histogram(HEISENBERG).counts == HEISENBERG_HISTOGRAM
+    assert calls == []
+
+
+def _cluster_margins(values, clusters):
+    """Largest gap inside a cluster and smallest gap between two, over the spread."""
+    gaps = np.diff(values) / (values[-1] - values[0])  # empty for a single level
+    inside = np.ones(len(gaps), dtype=bool)
+    inside[[idx[0] - 1 for idx in clusters[1:]]] = False
+    return gaps[inside].max(initial=0.0), gaps[~inside].min(initial=np.inf)
+
+
+@pytest.mark.parametrize("name, params", [("heisenberg", HEISENBERG), ("xxz", XXZ_FERRO)])
+def test_clusters_hold_across_a_band_of_tolerances(name, params):
+    # every deg_tol_rel in [1e-13, 1e-7] gives the same clusters, hence the
+    # frozen cluster sizes and histograms
+    spectra = full_spectrum(params)  # cached: no new solve
+    per_sector = [_cluster_margins(res.eigenvalues, [c.indices for c in res.clusters])
+                  for res in spectra.values()]
+    merged = np.sort(np.concatenate([res.eigenvalues for res in spectra.values()]))
+    groups = split_into_clusters(merged, DEG_TOL_RELATIVE * (merged[-1] - merged[0]))
+    margins = {"per sector": (max(i for i, _ in per_sector), min(b for _, b in per_sector)),
+               "merged": _cluster_margins(merged, groups)}
+    for inside, between in margins.values():
+        assert inside < 1e-13 and between > 1e-7
+    print(f"cluster margins PASS  {name}: " + "; ".join(
+        f"{k} inside <= {i:.2g}, between >= {b:.3g}" for k, (i, b) in margins.items()))
+
+
 def test_spectra_are_shared_through_one_cache_key():
     # full_spectrum, the dynamics and the histogram all reuse one labelled
     # decomposition per (M, params, tolerance)
@@ -312,12 +347,6 @@ def test_ground_level_counts_two_states_per_e_level(monkeypatch, ground, expecte
     point = ground_state_point(HEISENBERG)
     assert (point.sectors, point.degeneracy, point.irrep) == expected
     assert point.energy == 0.0
-
-
-@pytest.mark.parametrize("refine_tol", [0.0, -1e-6, float("nan"), float("inf")])
-def test_scan_rejects_bad_refine_tol(refine_tol):
-    with pytest.raises(ValueError, match="refine_tol"):
-        ground_state_scan(6.0, [-1.0, 0.0], refine_tol=refine_tol)
 
 
 def test_descending_grid_is_refined_like_the_ascending_one():

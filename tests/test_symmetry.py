@@ -26,7 +26,6 @@ from hexstar.symmetry import (
     irrep_weights,
     label_eigenvector,
     multiplet_counts,
-    odd_partner_blocks,
     sector_character,
 )
 
@@ -141,30 +140,33 @@ def test_projectors_commute_with_hamiltonian():
 def test_irrep_block_sizes_match_the_census():
     table = irrep_counts().counts
     for M in range(0, 7):
-        sizes = {b.irrep: b.basis.shape for b in irrep_blocks(M)}
+        sizes = {b.irrep: b.basis.shape for b in irrep_blocks(M) if b.partner > 0}
         d = sector_basis(M).dim
         assert sizes == {r: (table[r][M], d) for r in IRREP_LABELS if table[r][M]}
-    assert [b.basis.shape[0] for b in irrep_blocks(0)] == [70, 90, 156, 76, 76, 150]
+    even = [b.basis.shape[0] for b in irrep_blocks(0) if b.partner > 0]
+    assert even == [70, 90, 156, 76, 76, 150]
 
 
 @pytest.mark.parametrize("M", [0, 2, -3, 5])
 def test_odd_partner_rows_complete_the_sector(group, M):
     table = irrep_counts().counts
-    even, odd = irrep_blocks(M), odd_partner_blocks(M)
+    blocks = list(irrep_blocks(M))
+    even = [b for b in blocks if b.partner > 0]
+    odd = [b for b in blocks if b.partner < 0]
+    assert blocks == even + odd
     assert {b.irrep: b.basis.shape[0] for b in odd} == {
         r: table[r][M] for r in ("E2g", "E1u") if table[r][M]}
-    rows = np.vstack([b.basis.toarray() for b in even + odd])
+    rows = np.vstack([b.basis.toarray() for b in blocks])
     assert rows.shape == (sector_basis(M).dim,) * 2
     assert np.abs(rows @ rows.T - np.eye(len(rows))).max() < 1e-12
 
     h = next(g for g in group if g.name == "C2'(0)")
-    for blocks, sign in ((even, 1.0), (odd, -1.0)):
-        for b in blocks:
-            bt = b.basis.toarray().T
-            assert np.abs(irrep_projector(b.irrep, M) @ bt - bt).max() < 1e-12
-            if b.dim == 2:  # the partners are the two eigenspaces of U_h
-                moved = act_permutation(h, StateVector(amps=bt, sector=M)).amps
-                assert np.abs(moved - sign * bt).max() < 1e-12
+    for b in blocks:
+        bt = b.basis.toarray().T
+        assert np.abs(irrep_projector(b.irrep, M) @ bt - bt).max() < 1e-12
+        if b.dim == 2:  # the partners are the two eigenspaces of U_h
+            moved = act_permutation(h, StateVector(amps=bt, sector=M)).amps
+            assert np.abs(moved - b.partner * bt).max() < 1e-12
 
 
 @settings(max_examples=12, deadline=None)
@@ -173,7 +175,7 @@ def test_irrep_blocks_split_the_sector_hamiltonian(alpha, jz_over_j, M):
     params = ModelParams(alpha, jz_over_j)
     h = build_sector_hamiltonian(M, params, exact=False).matrix
     dense = np.linalg.eigvalsh(h)
-    blocks = irrep_blocks(M)
+    blocks = [b for b in irrep_blocks(M) if b.partner > 0]
     levels = _sector_levels(params)[M]
     assert list(levels) == [b.irrep for b in blocks]
     merged = np.sort(np.concatenate([np.repeat(levels[b.irrep], b.dim) for b in blocks]))
