@@ -6,18 +6,19 @@ commands, summary statistics.  ``main`` hands that result to the one
 emitter, which writes CSV (default) or JSON to stdout or --output.  CSV
 starts with a "# config:" comment recording the exact run parameters and
 is streamed row by row; floats are printed with 17 significant digits, so
-reruns are byte identical.  Statistics close stdout CSV as a "# stats:"
-comment, go to a FILE.stats.json sidecar next to a CSV file, and sit under
-"stats" in JSON.  File output is streamed into a temporary sibling that is
-renamed into place only once complete.  Exit codes: 0 success, 2 usage,
-3 numerical failure, 4 I/O, 141 (128 + SIGPIPE) when the reader of
-stdout closes it early.
+reruns are byte identical.  JSON is streamed in blocks by a small writer
+whose bytes equal json.dumps(doc, sort_keys=True, indent=2); dynamics hands
+it the cells it formatted once per equiprobability class.  Statistics
+close stdout CSV as a "# stats:" comment, go to a FILE.stats.json sidecar
+next to a CSV file, and sit under "stats" in JSON.  File output is
+streamed into a temporary sibling that is renamed into place only once
+complete.  Exit codes: 0 success, 2 usage, 3 numerical failure, 4 I/O,
+141 (128 + SIGPIPE) when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -25,6 +26,7 @@ import sys
 import tempfile
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,7 @@ from .spectrum import (
 )
 from .symmetry import irrep_counts, multiplet_counts
 from .dynamics import (
+    Trajectory,
     collapse_metrics,
     evolve_probabilities,
     regime_classifier,
@@ -60,8 +63,7 @@ class _Output:
     stats: dict | None = None
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_fmt = "{:.17g}".format  # 17 significant digits: every float reads back exactly
 
 
 def _params(args: argparse.Namespace) -> ModelParams:
@@ -102,12 +104,140 @@ def _resolve_state(args: argparse.Namespace) -> StateVector:
     return StateVector(amps=amps, sector=None)
 
 
+@dataclass(frozen=True)
+class _Encoded:
+    """A JSON list of number lists whose cells are already encoded, made while writing."""
+    rows: Iterable[list[str]]
+
+
+_BLOCK = 1 << 16  # characters per streamed JSON block; the output is ASCII
+
+
+def _json_float(x: float) -> str:
+    # float.__repr__ with the stdlib's spellings of the non-finite values
+    if x - x == 0.0:  # finite; inf - inf and nan - nan are nan
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _json_scalar(o) -> str | None:
+    """JSON text of a string, number, bool or None; None for anything else."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _json_float(o)
+    return None
+
+
+_JSON_REPR = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
+
+
+def _json_run(values) -> list[str] | None:
+    """JSON text of values that share one exact type: str, int or finite float."""
+    kinds = set(map(type, values))
+    fast = _JSON_REPR.get(kinds.pop()) if len(kinds) == 1 else None
+    if fast is None or (fast is float.__repr__ and not all(map(math.isfinite, values))):
+        return None
+    return list(map(fast, values))
+
+
+def _json_members(o, indent: str) -> tuple[str, str, list[str] | None, list]:
+    """Opening, closing, key heads (None for a list) and values of a list or dict.
+
+    The members start their lines at indent + 2 spaces; dict keys are sorted.
+    """
+    inner = indent + "  "
+    if isinstance(o, dict):
+        items = sorted(o.items())
+        # non-string keys are written as their JSON text, as the stdlib does
+        names = [key if isinstance(key, str) else _json_scalar(key) for key, _ in items]
+        if None in names:
+            raise TypeError("keys must be str, int, float, bool or None")
+        return ("{\n" + inner, "\n" + indent + "}",
+                [encode_basestring_ascii(name) + ": " for name in names],
+                [value for _, value in items])
+    if isinstance(o, (list, tuple)):
+        return "[\n" + inner, "\n" + indent + "]", None, o
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _json_text(o, indent: str) -> str:
+    """json.dumps(o, sort_keys=True, indent=2) of o, which starts a line at indent."""
+    if not isinstance(o, (dict, list, tuple)):
+        text = _json_scalar(o)
+        if text is None:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        return text
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    open_, close, heads, values = _json_members(o, indent)
+    inner = indent + "  "
+    cells = _json_run(values) or [_json_text(value, inner) for value in values]
+    return _json_join(open_, close, heads, cells, inner)
+
+
+def _json_join(open_: str, close: str, heads: list[str] | None, cells: list[str],
+               inner: str) -> str:
+    if heads is not None:
+        cells = [head + cell for head, cell in zip(heads, cells)]
+    return open_ + (",\n" + inner).join(cells) + close
+
+
+def _json_parts(o, indent: str, depth: int = 2) -> Iterable[str]:
+    """_json_text(o, indent) in pieces.
+
+    An _Encoded list is written row by row.  The members of lists and dicts
+    down to ``depth`` levels are written one by one, unless they are scalars
+    of one type; anything deeper is one piece.
+    """
+    inner = indent + "  "
+    if isinstance(o, _Encoded):
+        cell_sep = ",\n" + inner + "  "
+        opened = False
+        for cells in o.rows:
+            row = "[\n" + inner + "  " + cell_sep.join(cells) + "\n" + inner + "]" if cells else "[]"
+            yield (",\n" if opened else "[\n") + inner + row
+            opened = True
+        yield "\n" + indent + "]" if opened else "[]"
+        return
+    if not isinstance(o, (dict, list, tuple)) or not o:
+        yield _json_text(o, indent)
+        return
+    open_, close, heads, values = _json_members(o, indent)
+    cells = _json_run(values)
+    if cells is not None:
+        yield _json_join(open_, close, heads, cells, inner)
+        return
+    for i, value in enumerate(values):
+        head = (",\n" + inner if i else open_) + ("" if heads is None else heads[i])
+        if isinstance(value, _Encoded) or (depth > 1 and isinstance(value, (dict, list, tuple))):
+            yield head
+            yield from _json_parts(value, inner, depth - 1)
+        else:
+            yield head + _json_text(value, inner)
+    yield close
+
+
 def _json_chunks(doc: dict) -> Iterable[str]:
-    # json.dumps(doc, sort_keys=True, indent=2) in blocks, never as one string
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
-    while block := "".join(itertools.islice(chunks, 1 << 16)):
-        yield block
-    yield "\n"
+    # json.dumps(doc, sort_keys=True, indent=2) + "\n" in blocks of about _BLOCK characters
+    block: list[str] = []
+    size = 0
+    for part in _json_parts(doc, ""):
+        block.append(part)
+        size += len(part)
+        if size >= _BLOCK:
+            yield "".join(block)
+            block, size = [], 0
+    block.append("\n")
+    yield "".join(block)
 
 
 def _csv_lines(config: dict, out: _Output, stats: dict | None) -> Iterable[str]:
@@ -200,23 +330,24 @@ def _cluster_irrep_text(cluster) -> str:
 def cmd_spectrum(args: argparse.Namespace) -> _Output:
     params = _params(args)
     sectors = [args.sector] if args.sector is not None else range(6, -7, -1)
-    results = [diagonalize_sector(M, params, args.tol_deg) for M in sectors]
+    # sector -M has the levels and labels of M; only its eigenvectors, unread here, differ
+    results = [(M, diagonalize_sector(abs(M), params, args.tol_deg)) for M in sectors]
     rows = (
-        [str(res.M), str(k), _fmt(res.eigenvalues[k]), str(ci), str(c.size),
+        [str(M), str(k), _fmt(res.eigenvalues[k]), str(ci), str(c.size),
          _cluster_irrep_text(c), "" if c.spin is None else str(c.spin)]
-        for res in results for ci, c in enumerate(res.clusters) for k in c.indices.tolist()
+        for M, res in results for ci, c in enumerate(res.clusters) for k in c.indices.tolist()
     )
     return _Output(
         ["sector", "index", "energy", "cluster", "degeneracy", "irrep", "spin"], rows,
         lambda: {"sectors": [{
-            "sector": res.M,
+            "sector": M,
             "eigenvalues": res.eigenvalues.tolist(),
             "clusters": [
                 {"indices": c.indices.tolist(), "energy": c.energy,
                  "irrep_slots": c.irrep_slots, "irrep": c.irrep, "spin": c.spin}
                 for c in res.clusters
             ],
-        } for res in results]},
+        } for M, res in results]},
     )
 
 
@@ -249,6 +380,12 @@ def cmd_ground_scan(args: argparse.Namespace) -> _Output:
     )
 
 
+def _class_cells(traj: Trajectory, fmt: Callable[[float], str]) -> Iterable[list[str]]:
+    """Per time point, one cell per configuration, formatted once per class."""
+    for column in traj.class_probs.T.tolist():
+        yield np.array(list(map(fmt, column)), dtype=object)[traj.row_class].tolist()
+
+
 def cmd_dynamics(args: argparse.Namespace) -> _Output:
     params = _params(args)
     state = _resolve_state(args)
@@ -264,6 +401,7 @@ def cmd_dynamics(args: argparse.Namespace) -> _Output:
         "num_trajectory_classes": traj.num_classes,
         "num_frequencies_formula": traj.freq.formula,
         "num_frequencies_distinct": traj.freq.distinct,
+        "class_broadcast_bound": traj.broadcast_bound,
         "regime": regime_classifier(traj),
         "classes": [[configs[i] for i in cls] for cls in traj.classes],
         "collapse": {
@@ -275,14 +413,14 @@ def cmd_dynamics(args: argparse.Namespace) -> _Output:
             "tail_max": cm.tail_max,
         },
     }
-    # a 2001 x 924 grid is hundreds of MB as strings: format one time point at a time
-    rows = ([_fmt(t), *map(_fmt, dist.tolist())]
-            for t, dist in zip(times.tolist(), traj.probs.T))
+    # members of a class share its row bit for bit: format each class's cell
+    # once per time point and gather, never the whole d x T grid as strings
+    rows = ([_fmt(t), *cells] for t, cells in zip(times.tolist(), _class_cells(traj, _fmt)))
     return _Output(["t"] + [f"p{f}" for f in configs], rows, lambda: {
         "times": times.tolist(),
         "configs": configs,
         # one distribution per time point, aligned with "times"
-        "probabilities": traj.probs.T.tolist(),
+        "probabilities": _Encoded(_class_cells(traj, _json_float)),
     }, stats)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .hilbert import StateVector, project_sector
 from .hamiltonian import DEG_TOL_RELATIVE, ModelParams
-from .spectrum import SUPPORT_TOL, diagonalize_sector
+from .spectrum import SUPPORT_TOL, EigenCluster, SpectrumResult, diagonalize_sector
 
 # Clusters with projection below this never matter against the 1e-10
 # tolerances used downstream; dropping them keeps the mode sum small.
@@ -102,6 +102,28 @@ def _check_times(times: np.ndarray) -> None:
         raise ValueError("times must be finite")
 
 
+def _cluster_overlaps(
+    state: StateVector, M: int, params: ModelParams, deg_tol_rel: float
+) -> tuple[float, SpectrumResult, list[tuple[EigenCluster, np.ndarray, np.ndarray, float]]]:
+    """First stage of the mode decomposition: psi's component in each cluster.
+
+    Returns the sector weight, the sector spectrum and, for every cluster
+    whose projection norm exceeds EVOLVE_FLOOR, the cluster with its
+    eigenvector block, the block coefficients z = block^T psi and ||z||.
+    """
+    psi, weight = _normalized_sector_state(state, M)
+    res = diagonalize_sector(M, params, deg_tol_rel)
+    kept = []
+    for cluster in res.clusters:
+        # cluster indices are contiguous, so the block is a view, not a copy
+        block = res.eigenvectors[:, cluster.indices[0]:cluster.indices[-1] + 1]
+        z = block.T @ psi
+        norm = float(np.linalg.norm(z))
+        if norm > EVOLVE_FLOOR:
+            kept.append((cluster, block, z, norm))
+    return weight, res, kept
+
+
 def _sector_modes(
     state: StateVector, M: int, params: ModelParams, deg_tol_rel: float
 ) -> tuple[SpectralSupport, float, float]:
@@ -113,23 +135,12 @@ def _sector_modes(
     imaginary parts, orthonormalized within the cluster; a part whose
     remainder is at most EVOLVE_FLOOR adds no column.
     """
-    psi, weight = _normalized_sector_state(state, M)
-    res = diagonalize_sector(M, params, deg_tol_rel)
-    first, overlap, energies = [], [], []
+    weight, res, kept = _cluster_overlaps(state, M, params, deg_tol_rel)
     cols: list[np.ndarray] = []
     col_cluster: list[int] = []
     coef: list[complex] = []
-    parts = (np.real, np.imag) if np.iscomplexobj(psi) else (np.real,)
-    for cluster in res.clusters:
-        block = res.eigenvectors[:, cluster.indices]
-        z = block.T @ psi
-        norm = float(np.linalg.norm(z))
-        if norm <= EVOLVE_FLOOR:
-            continue
-        k = len(first)
-        first.append(int(cluster.indices[0]))
-        overlap.append(norm)
-        energies.append(cluster.energy)
+    parts = (np.real, np.imag) if np.iscomplexobj(state.amps) else (np.real,)
+    for k, (_, block, z, _) in enumerate(kept):
         proj = block @ z  # P_cluster psi, complex iff psi is
         own = len(cols)
         for part in parts:
@@ -145,9 +156,9 @@ def _sector_modes(
             coef.append(complex(w @ proj))
     return SpectralSupport(
         M=M,
-        first=np.array(first, dtype=int),
-        overlap=np.array(overlap),
-        energies=np.array(energies),
+        first=np.array([int(c.indices[0]) for c, *_ in kept], dtype=int),
+        overlap=np.array([norm for *_, norm in kept]),
+        energies=np.array([c.energy for c, *_ in kept]),
         basis=np.stack(cols, axis=1) if cols else np.zeros((res.dim, 0)),
         col_cluster=np.array(col_cluster, dtype=int),
         coef=np.array(coef, dtype=complex),
@@ -231,7 +242,10 @@ class Trajectory:
     M: int
     params: ModelParams
     times: np.ndarray          # units of h/J
-    probs: np.ndarray          # (d, T) rescaled within the sector
+    probs: np.ndarray          # (d, T) rescaled within the sector, class_probs[row_class]
+    class_probs: np.ndarray    # (N_e, T) one evolved row per class of the evolved modes
+    row_class: np.ndarray      # (d,) index into class_probs of each configuration
+    broadcast_bound: float     # bound on what giving members their class's row changes
     sector_weight: float       # squared norm of the sector component
     support: SpectralSupport
     classes: tuple[np.ndarray, ...]
@@ -252,23 +266,43 @@ def evolve_probabilities(
 ) -> Trajectory:
     """Rescaled probability of every sector configuration along a time grid.
 
-    Every mode above EVOLVE_FLOOR is evolved; ``support_tol`` only selects
-    the support the statistics are read from, the same one spectral_support
-    reports.
+    Every mode above EVOLVE_FLOOR is evolved, one row per equiprobability
+    class of those modes: p_rep(t) = |r_rep . (coef * phase(t))|^2 for the
+    class representative's basis row r_rep, given to every member, so the
+    members of a class are bitwise equal.  Since |r . a(t)| <= 1 and
+    ||a(t)||_1 = ||coef||_1, a member with r_f = +-r_rep + e differs from
+    its class's row by at most 2 ||e||_inf ||coef||_1 in exact arithmetic;
+    the largest such value is ``broadcast_bound``.  ``support_tol`` only
+    selects the support the statistics and reported classes are read from,
+    the same one spectral_support reports; when it drops no mode column the
+    reported classes are the evolved ones.
     """
     _check_times(times)
     modes, weight, deg_tol = _sector_modes(state, M, params, deg_tol_rel)
+    evolved = equiprobability_classes(modes)
+    reps = np.array([members[0] for members in evolved])
+    row_class = np.empty(len(modes.basis), dtype=int)
+    for k, members in enumerate(evolved):
+        row_class[members] = k
+    rep_rows = modes.basis[reps][row_class]
+    row_dev = np.minimum(np.abs(modes.basis - rep_rows).max(axis=1, initial=0.0),
+                         np.abs(modes.basis + rep_rows).max(axis=1, initial=0.0))
     phase = np.exp(-2j * np.pi * np.outer(modes.col_energy, times))
-    amps = modes.basis @ (modes.coef[:, None] * phase)
+    amps = modes.basis[reps] @ (modes.coef[:, None] * phase)
+    class_probs = amps.real**2 + amps.imag**2
     support = modes.restrict(support_tol)
+    same_modes = support.basis.shape == modes.basis.shape
     return Trajectory(
         M=M,
         params=params,
         times=times,
-        probs=amps.real**2 + amps.imag**2,
+        probs=class_probs[row_class],
+        class_probs=class_probs,
+        row_class=row_class,
+        broadcast_bound=2.0 * float(row_dev.max()) * float(np.abs(modes.coef).sum()),
         sector_weight=weight,
         support=support,
-        classes=equiprobability_classes(support),
+        classes=evolved if same_modes else equiprobability_classes(support),
         freq=frequency_count(support, deg_tol),
     )
 
@@ -280,11 +314,17 @@ def return_probability(
     times: np.ndarray,
     deg_tol_rel: float = DEG_TOL_RELATIVE,
 ) -> np.ndarray:
-    """|<psi0|psi(t)>|^2 for the normalized sector component of the state."""
+    """|<psi0|psi(t)>|^2 for the normalized sector component of the state.
+
+    Needs only each cluster's energy and projection norm, the first stage
+    of the mode decomposition.
+    """
     _check_times(times)
-    modes = _sector_modes(state, M, params, deg_tol_rel)[0]
-    phase = np.exp(-2j * np.pi * np.outer(modes.energies, times))
-    amp = modes.overlap**2 @ phase
+    kept = _cluster_overlaps(state, M, params, deg_tol_rel)[2]
+    energies = np.array([c.energy for c, *_ in kept])
+    overlap = np.array([norm for *_, norm in kept])
+    phase = np.exp(-2j * np.pi * np.outer(energies, times))
+    amp = overlap**2 @ phase
     return amp.real**2 + amp.imag**2
 
 

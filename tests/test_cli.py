@@ -6,11 +6,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hexstar
 from hexstar import cli, spectrum
 from hexstar.cli import main
+from hexstar.dynamics import evolve_probabilities
 from hexstar.hamiltonian import ModelParams, total_coupling
 
 
@@ -378,3 +382,113 @@ def test_negative_sectors_are_only_mirrored(monkeypatch, capsys):
                  "--t-steps", "11"]) == 0
     capsys.readouterr()
     assert {M for _, M in calls} == set(range(0, 7))
+
+
+def _stdlib_json(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("geometry",),
+    ("symmetry-tables",),
+    ("spectrum",),
+    ("degeneracy", "--jz-over-j", "-3"),
+    ("ground-scan", "--jz-min", "-0.6", "--jz-max", "-0.4", "--jz-points", "3"),
+    ("return-prob", "--state", "zeta:1,0.3,2,1.1", "--sector", "1", "--t-steps", "51"),
+    ("schmidt", "--state", "config:63"),
+    ("analytic-m5", "--jz-over-j", "-3", "--t-steps", "51"),
+    ("ising", "--jz-sign", "1"),
+], ids=lambda argv: argv[0])
+def test_json_writer_matches_the_stdlib(argv):
+    args = cli.build_parser().parse_args([*argv, "--format", "json"])
+    out = args.func(args)
+    doc = {"config": {"command": argv[0]}} | out.doc() | {"stats": out.stats}
+    assert "".join(cli._json_chunks(doc)) == _stdlib_json(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--state", "chi", "--sector", "0", "--t-steps", "41"),
+    ("--state", "zeta:1,0.3,2,1.1", "--sector", "1", "--t-steps", "41"),
+    ("--state", "config:3930", "--sector", "-2", "--jz-over-j", "-3", "--t-steps", "41"),
+], ids=["chi", "zeta", "config"])
+def test_dynamics_cells_are_those_of_every_row(capsys, argv):
+    """Gathered class cells equal formatting every configuration's own value."""
+    args = cli.build_parser().parse_args(["dynamics", *argv])
+    times = np.linspace(0.0, args.t_max, args.t_steps)
+    traj = evolve_probabilities(cli._resolve_state(args), args.sector, cli._params(args), times)
+
+    code, out, _ = run_cli(capsys, "dynamics", *argv)
+    assert code == 0
+    _, _, rows, stats = parse_csv(out)
+    assert [row[1:] for row in rows] == [[format(p, ".17g") for p in dist]
+                                         for dist in traj.probs.T.tolist()]
+    assert stats["class_broadcast_bound"] == traj.broadcast_bound
+
+    code, out, _ = run_cli(capsys, "dynamics", *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    doc["probabilities"] = traj.probs.T.tolist()
+    assert out == _stdlib_json(doc)
+
+
+def test_json_blocks_stay_bounded_on_a_full_grid():
+    args = cli.build_parser().parse_args(
+        ["dynamics", "--state", "chi", "--sector", "0", "--t-steps", "201", "--format", "json"])
+    blocks = list(cli._json_chunks(args.func(args).doc()))
+    # a block closes once it reaches _BLOCK characters; one time point adds about 30 kB
+    assert len(blocks) > 10
+    assert max(map(len, blocks)) < 2 * cli._BLOCK
+
+
+_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
+            | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+            | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan])
+            | st.text())
+_runs = (st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=2, max_size=30)
+         | st.lists(st.integers(), min_size=2, max_size=30)
+         | st.lists(st.text(max_size=8), min_size=2, max_size=30))
+_docs = st.recursive(
+    _scalars | _runs,
+    lambda children: (st.lists(children) | st.tuples(children, children)
+                      | st.dictionaries(st.text(), children)
+                      | st.dictionaries(st.integers() | st.floats(allow_nan=False), children)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=st.dictionaries(st.text(), _docs, max_size=4))
+@example(doc={"runs": [[0.0, -0.0, 0.0], [-0.0, 0.0], [5e-324, -5e-324, 1.0],
+                       [math.nan, 1.0, math.inf, -math.inf], [True, 1, 1.0], []],
+              "numbers": {1: "a", -0.0: "b", 2.5: {}, math.inf: None},
+              "\u00e9\u4e2d": {"\u00ff": ["\ud83d\ude00", ""], "": {}}})
+def test_json_writer_matches_the_stdlib_on_any_document(doc):
+    assert "".join(cli._json_chunks(doc)) == _stdlib_json(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(st.floats(allow_nan=True, allow_infinity=True))),
+       key=st.text())
+def test_encoded_rows_match_the_stdlib(rows, key):
+    encoded = cli._Encoded([[cli._json_float(x) for x in row] for row in rows])
+    assert "".join(cli._json_chunks({key: encoded, "~": [rows]})) == \
+        _stdlib_json({key: rows, "~": [rows]})
+
+
+def test_json_writer_rejects_what_the_stdlib_rejects():
+    for doc in ({"a": object()}, {"a": [1, {2j: 0}]}, {"a": {1: 0, "b": 0}}):
+        with pytest.raises(TypeError):
+            _stdlib_json(doc)
+        with pytest.raises(TypeError):
+            "".join(cli._json_chunks(doc))
+
+
+def test_spectrum_of_all_sectors_builds_no_mirror(monkeypatch, capsys):
+    calls = []
+    original = spectrum._mirror_result
+    monkeypatch.setattr(spectrum, "_mirror_result",
+                        lambda res: calls.append(res.M) or original(res))
+    assert main(["spectrum"]) == 0
+    assert main(["spectrum", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls == []

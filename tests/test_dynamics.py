@@ -10,9 +10,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hexstar import dynamics
 from hexstar.analytic import gap
 from hexstar.dynamics import (
     CLASS_TOL,
+    EVOLVE_FLOOR,
     SpectralSupport,
     collapse_metrics,
     equiprobability_classes,
@@ -32,7 +34,7 @@ from hexstar.hilbert import (
     sector_basis,
     spin_flip,
 )
-from hexstar.spectrum import _diagonalize_sector
+from hexstar.spectrum import SUPPORT_TOL, _diagonalize_sector
 
 # Spectral support dimensions per sector, M = 6 down to 0.  The in-plane
 # state is evolved under the anisotropic model, the mixed-ring state under
@@ -344,3 +346,71 @@ def test_evolution_properties_at_random_couplings(
     assert support.entries == traj.support.entries
     for field in ("energies", "basis", "col_energy", "coef"):
         assert np.array_equal(getattr(support, field), getattr(traj.support, field)), field
+
+
+def _per_row_probabilities(state, M, params, times):
+    """Oracle: every configuration's own row of the evolved modes, basis @ (coef * phase)."""
+    modes = spectral_support(state, M, params, support_tol=EVOLVE_FLOOR)
+    phase = np.exp(-2j * np.pi * np.outer(modes.col_energy, times))
+    amps = modes.basis @ (modes.coef[:, None] * phase)
+    return amps.real**2 + amps.imag**2
+
+
+@pytest.mark.parametrize("spec, M, params, support_tol", [
+    ("chi", 0, HEISENBERG, SUPPORT_TOL),
+    ("xi", 0, XXZ_FERRO, SUPPORT_TOL),
+    ("zeta:1,0.3,2,1.1", 1, HEISENBERG, SUPPORT_TOL),
+    ("config:3930", -2, XXZ_FERRO, SUPPORT_TOL),
+    ("chi", 0, HEISENBERG, 0.05),
+], ids=["chi-0", "xi-0", "zeta-1", "config-m2", "chi-0-tol"])
+def test_class_rows_match_the_per_row_evolution(spec, M, params, support_tol,
+                                                xxz_spectra, heisenberg_spectra):
+    state = build_initial_state(parse_state_spec(spec))
+    times = np.linspace(0.0, 1.0, 201)
+    traj = evolve_probabilities(state, M, params, times, support_tol=support_tol)
+    oracle = _per_row_probabilities(state, M, params, times)
+    deviation = float(np.abs(traj.probs - oracle).max())
+    assert deviation < 1e-12
+    assert deviation <= traj.broadcast_bound
+    # one evolved row per class, shared bit for bit by its members
+    assert traj.class_probs.shape == (traj.row_class.max() + 1, len(times))
+    assert np.array_equal(traj.probs, traj.class_probs[traj.row_class])
+    for k in range(len(traj.class_probs)):
+        members = traj.probs[traj.row_class == k]
+        assert (members == members[0]).all()
+    # the reported classes are those of the support at support_tol
+    support = spectral_support(state, M, params, support_tol=support_tol)
+    assert [c.tolist() for c in traj.classes] == \
+        [c.tolist() for c in equiprobability_classes(support)]
+
+
+@pytest.mark.parametrize("class_tol", [0.1, 0.3])
+def test_broadcast_bound_holds_when_classes_merge_unequal_rows(chi, monkeypatch, class_tol,
+                                                               heisenberg_spectra):
+    # a coarse class tolerance merges rows that differ, so the broadcast changes them
+    monkeypatch.setattr(dynamics, "CLASS_TOL", class_tol)
+    times = np.linspace(0.0, 1.0, 201)
+    traj = evolve_probabilities(chi, 0, HEISENBERG, times)
+    deviation = float(np.abs(traj.probs - _per_row_probabilities(chi, 0, HEISENBERG, times)).max())
+    assert 1e-3 < deviation <= traj.broadcast_bound
+
+
+def test_coarse_support_keeps_the_evolved_classes(chi, heisenberg_spectra):
+    times = np.linspace(0.0, 1.0, 11)
+    loose = evolve_probabilities(chi, 0, HEISENBERG, times, support_tol=0.05)
+    tight = evolve_probabilities(chi, 0, HEISENBERG, times)
+    # 0.05 drops modes, yet the evolution still tells their rows apart
+    assert loose.support.basis.shape[1] < tight.support.basis.shape[1]
+    assert np.array_equal(loose.row_class, tight.row_class)
+    assert np.array_equal(loose.probs, tight.probs)
+
+
+def test_return_probability_needs_no_mode_basis(chi, monkeypatch):
+    times = np.linspace(0.0, 1.0, 11)
+    expected = return_probability(chi, 4, HEISENBERG, times)
+
+    def no_modes(*args, **kwargs):
+        raise AssertionError("return_probability built the mode basis")
+
+    monkeypatch.setattr(dynamics, "_sector_modes", no_modes)
+    assert np.array_equal(return_probability(chi, 4, HEISENBERG, times), expected)
