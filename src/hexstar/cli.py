@@ -77,9 +77,12 @@ def _times(args: argparse.Namespace) -> np.ndarray:
 
 
 def _check_inputs(args: argparse.Namespace) -> None:
-    """Reject non-finite times and negative or non-finite tolerances up front."""
-    if not math.isfinite(getattr(args, "t_max", 0.0)):
-        raise ValueError("--t-max must be finite")
+    """Reject non-finite times, grids and tolerances and negative tolerances up front."""
+    for name in ("t_max", "jz_min", "jz_max"):
+        if not math.isfinite(getattr(args, name, 0.0)):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite")
+    if not math.isfinite(getattr(args, "jz_max", 0.0) - getattr(args, "jz_min", 0.0)):
+        raise ValueError("--jz-max minus --jz-min overflows: the Jz/J grid must be finite")
     for name in ("tol_deg", "tol_support", "tol_svd"):
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value >= 0.0):
@@ -376,7 +379,8 @@ def cmd_ground_scan(args: argparse.Namespace) -> _Output:
             for p in scan.points
         ]},
         {"crossover": scan.crossover,
-         "crossover_bracket": list(scan.crossover_bracket) if scan.crossover_bracket else None},
+         "crossover_bracket": list(scan.crossover_bracket) if scan.crossover_bracket else None,
+         "crossover_excess": list(scan.crossover_excess) if scan.crossover_excess else None},
     )
 
 

@@ -7,7 +7,8 @@ In units of the transverse coupling J,
 with Pauli matrices s and distances in units of the nearest-neighbour
 spacing.  Squared distances are exact integers, so for even alpha every
 matrix element is a rational number; the exact assembly keeps them as
-Fractions.  The float matrix, the exact entries and the Casimir S^2 all
+Fractions.  The float matrix, its split into the flip-flop part and the
+z-z diagonal that Jz/J scales, the exact entries and the Casimir S^2 all
 weight one per-sector table of flip-flop bonds and z-z signs.
 """
 
@@ -125,12 +126,31 @@ def _bond_table(M: int) -> _BondTable:
     return table
 
 
+class AnisotropySplit(NamedTuple):
+    """Sector M of H/J as X + (Jz/J) diag(zz): both parts are free of the anisotropy."""
+    rows: np.ndarray  # flip-flop entries of X, both orders listed
+    cols: np.ndarray
+    flip: np.ndarray  # X[rows, cols] = 2 d^-alpha of the exchanged pair
+    zz: np.ndarray    # (d,) diagonal of sum_k d_k^-alpha sz sz
+
+
+def _split(M: int, weights: np.ndarray) -> AnisotropySplit:
+    table = _bond_table(M)
+    return AnisotropySplit(rows=table.a, cols=table.b, flip=2.0 * weights[table.pair],
+                           zz=table.zz @ weights)
+
+
+def anisotropy_split(M: int, alpha: float) -> AnisotropySplit:
+    """The two parts of sector M at interaction range alpha that every Jz/J weights."""
+    return _split(M, np.array(_pair_couplings(_pair_distance_sq(), alpha)))
+
+
 def _assemble(M: int, weights: np.ndarray, jz_over_j: float) -> np.ndarray:
     """Dense sum_k weights[k] [(sx sx + sy sy) + jz_over_j sz sz] over the pairs."""
-    table = _bond_table(M)
-    matrix = np.zeros((len(table.zz),) * 2)
-    np.fill_diagonal(matrix, jz_over_j * (table.zz @ weights))
-    matrix[table.a, table.b] = 2.0 * weights[table.pair]
+    split = _split(M, weights)
+    matrix = np.zeros((len(split.zz),) * 2)
+    np.fill_diagonal(matrix, jz_over_j * split.zz)
+    matrix[split.rows, split.cols] = split.flip
     return matrix
 
 

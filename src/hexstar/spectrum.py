@@ -19,6 +19,7 @@ from .hilbert import StateVector, sector_basis, spin_flip
 from .hamiltonian import (
     DEG_TOL_RELATIVE,
     ModelParams,
+    anisotropy_split,
     build_sector_hamiltonian,
     heisenberg_casimir,
     total_coupling,
@@ -232,6 +233,32 @@ class GroundScan:
     points: tuple[GroundPoint, ...]
     crossover: float | None          # Jz/J where the ferromagnet stops winning
     crossover_bracket: tuple[float, float] | None
+    crossover_excess: tuple[float, float] | None  # ferro excess at the two bracket ends
+
+
+@lru_cache(maxsize=1)
+def _block_pairs(alpha: float) -> dict[int, tuple[tuple[str, np.ndarray, np.ndarray], ...]]:
+    """(irrep, B X B^T, diagonal of B diag(zz) B^T) per C2'(0)-even block of each M >= 0.
+
+    Sector M is X + (Jz/J) diag(zz) at every anisotropy, so the pair gives
+    each block along the whole Jz/J axis of this alpha.  X is projected as
+    a sparse matrix.  Each row of B lives on one orbit of configurations
+    under the point group, which preserves distances and so leaves zz
+    constant on the orbit: B diag(zz) B^T is diagonal, each row's squared
+    entries weighting zz.
+    """
+    import scipy.sparse  # deferred: `import hexstar` does not load scipy.sparse
+
+    pairs = {}
+    for M in range(0, 7):
+        split = anisotropy_split(M, alpha)
+        d = len(split.zz)
+        x = scipy.sparse.csr_array((split.flip, (split.rows, split.cols)), shape=(d, d))
+        pairs[M] = tuple(
+            (b.irrep, (b.basis @ x @ b.basis.T).toarray(), (b.basis * b.basis) @ split.zz)
+            for b in irrep_blocks(M) if b.partner > 0
+        )
+    return pairs
 
 
 def _sector_levels(params: ModelParams) -> dict[int, dict[str, np.ndarray]]:
@@ -240,25 +267,14 @@ def _sector_levels(params: ModelParams) -> dict[int, dict[str, np.ndarray]]:
     Sector -M repeats the levels of M; a level of a two-dimensional irrep
     stands for two states of its sector.
     """
-    levels = {}
-    for M in range(0, 7):
-        h = build_sector_hamiltonian(M, params).matrix
-        levels[M] = {
-            b.irrep: np.linalg.eigvalsh(b.basis @ (b.basis @ h).T)
-            for b in irrep_blocks(M) if b.partner > 0
-        }
-    return levels
+    jz = params.jz_over_j
+    return {M: {r: np.linalg.eigvalsh(x + np.diag(jz * z)) for r, x, z in blocks}
+            for M, blocks in _block_pairs(params.alpha).items()}
 
 
-def ground_state_point(
-    params: ModelParams, deg_tol_rel: float = DEG_TOL_RELATIVE
+def _ground_point(
+    jz_over_j: float, levels: dict[int, dict[str, np.ndarray]], deg_tol_rel: float
 ) -> GroundPoint:
-    """Global ground level at one parameter point, from irrep-block eigenvalues only.
-
-    A unique ground level lies in M = 0: every level of M > 0 has its
-    spin-flip copy at -M.
-    """
-    levels = _sector_levels(params)
     merged = np.concatenate([v for blocks in levels.values() for v in blocks.values()])
     deg_tol = deg_tol_rel * float(merged.max() - merged.min())
     e0 = float(merged.min())
@@ -277,7 +293,7 @@ def ground_state_point(
         if holders is None:
             holders = [r for r, n in hits.items() if n]
     return GroundPoint(
-        jz_over_j=params.jz_over_j,
+        jz_over_j=jz_over_j,
         energy=e0,
         sectors=tuple(sorted(sectors)),
         degeneracy=degeneracy,
@@ -285,53 +301,87 @@ def ground_state_point(
     )
 
 
+def ground_state_point(
+    params: ModelParams, deg_tol_rel: float = DEG_TOL_RELATIVE
+) -> GroundPoint:
+    """Global ground level at one parameter point, from irrep-block eigenvalues only.
+
+    A unique ground level lies in M = 0: every level of M > 0 has its
+    spin-flip copy at -M.
+    """
+    return _ground_point(params.jz_over_j, _sector_levels(params), deg_tol_rel)
+
+
+def _ferro_excess(jz: float, w: float, levels: dict[int, dict[str, np.ndarray]]) -> float:
+    """Ferromagnet energy (Jz/J) w minus the lowest level of the sectors M = 0..5."""
+    return jz * w - float(min(v[0] for M in range(0, 6) for v in levels[M].values()))
+
+
+def _refine_crossing(
+    alpha: float, w: float, lo: float, f_lo: float, hi: float, f_hi: float
+) -> tuple[float, tuple[float, float], tuple[float, float]]:
+    """Illinois regula falsi on the ferro excess: crossover, bracket and true excess at its ends."""
+    if (f_lo < 0) == (f_hi < 0):  # no sign change: a grid point ties the crossing
+        x, f_x = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+        return x, (x, x), (f_x, f_x)
+    s_lo, s_hi = f_lo, f_hi  # the excess the secant uses, halved by the Illinois rule
+    kept = 0                 # -1 after lo moved, +1 after hi moved
+    while hi - lo > REFINE_TOL:
+        x = lo - s_lo * (hi - lo) / (s_hi - s_lo)  # s_lo and s_hi differ in sign
+        x = min(max(x, lo + 0.5 * REFINE_TOL), hi - 0.5 * REFINE_TOL)
+        f_x = _ferro_excess(x, w, _sector_levels(ModelParams(alpha=alpha, jz_over_j=x)))
+        if (f_x < 0) == (f_lo < 0):
+            lo, f_lo, s_lo = x, f_x, f_x
+            if kept < 0:
+                s_hi *= 0.5
+            kept = -1
+        else:
+            hi, f_hi, s_hi = x, f_x, f_x
+            if kept > 0:
+                s_lo *= 0.5
+            kept = 1
+    crossover = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    return min(max(crossover, lo), hi), (lo, hi), (f_lo, f_hi)
+
+
 def ground_state_scan(
     alpha: float,
     jz_values: tuple[float, ...] | list[float] | np.ndarray,
     deg_tol_rel: float = DEG_TOL_RELATIVE,
 ) -> GroundScan:
-    """Ground level along a Jz/J grid, with the level crossing refined by bisection.
+    """Ground level along a Jz/J grid, with the level crossing refined by regula falsi.
 
-    The ferromagnetic branch is exactly linear, E = (Jz/J) * sum of
-    couplings, so the crossing against the lowest level of the sectors
-    M = 0..5 is a clean one-dimensional root find.  The grid may run in
-    either direction; the bisection works between the ordered endpoints
-    of the first grid step where the ferromagnet starts or stops winning,
-    down to a bracket of REFINE_TOL.
+    The ferromagnetic branch is exactly linear, E = (Jz/J) w with w the sum
+    of couplings, and the lowest level of the sectors M = 0..5 is concave in
+    Jz/J (a minimum over affine functions), so the ferro excess
+    f = (Jz/J) w - rival is convex and has one root in any bracket across
+    which it changes sign.  The bracket is the first grid step, its ends
+    ordered, where the ferromagnet starts or stops winning; the grid may run
+    in either direction.  The Illinois variant of regula falsi (Dowell &
+    Jarratt 1971) refines the root with no derivative: each step is the
+    secant root of the bracket, kept at least REFINE_TOL/2 inside it, and an
+    end that survives two steps in a row has its stored excess halved.  It
+    stops at a bracket of REFINE_TOL.  The crossover is the secant root of
+    the true excess at the bracket's ends, and both values are reported.  A
+    grid point within the clustering tolerance of the crossing can leave
+    one sign of f at both ends; the crossing is then the end of smaller |f|,
+    with a bracket of zero width.
     """
-    points = tuple(
-        ground_state_point(ModelParams(alpha=alpha, jz_over_j=float(jz)), deg_tol_rel)
-        for jz in jz_values
-    )
-
-    crossover = None
-    bracket = None
     w = total_coupling(build_geometry(), alpha)
-
-    def ferro_excess(jz: float) -> float:
+    points = []
+    excess = []
+    for jz in map(float, jz_values):
         levels = _sector_levels(ModelParams(alpha=alpha, jz_over_j=jz))
-        rival = min(v[0] for M in range(0, 6) for v in levels[M].values())
-        return jz * w - rival
+        points.append(_ground_point(jz, levels, deg_tol_rel))
+        excess.append(_ferro_excess(jz, w, levels))
 
-    for a, b in zip(points[:-1], points[1:]):
-        ferro_a = 6 in a.sectors or -6 in a.sectors
-        ferro_b = 6 in b.sectors or -6 in b.sectors
-        if ferro_a == ferro_b:
-            continue
-        lo, hi = sorted((a.jz_over_j, b.jz_over_j))
-        f_lo = ferro_excess(lo)
-        while hi - lo > REFINE_TOL:
-            mid = 0.5 * (lo + hi)
-            f_mid = ferro_excess(mid)
-            if (f_mid < 0) == (f_lo < 0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        crossover = 0.5 * (lo + hi)
-        bracket = (lo, hi)
-        break
-    return GroundScan(alpha=alpha, points=points, crossover=crossover,
-                      crossover_bracket=bracket)
+    for k in range(len(points) - 1):
+        if (6 in points[k].sectors) != (6 in points[k + 1].sectors):
+            (lo, f_lo), (hi, f_hi) = sorted([(points[k].jz_over_j, excess[k]),
+                                             (points[k + 1].jz_over_j, excess[k + 1])])
+            return GroundScan(alpha, tuple(points),
+                              *_refine_crossing(alpha, w, lo, f_lo, hi, f_hi))
+    return GroundScan(alpha, tuple(points), None, None, None)
 
 
 @dataclass(frozen=True)

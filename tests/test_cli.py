@@ -187,6 +187,40 @@ def test_descending_ground_scan_grid_is_refined(capsys):
     assert -0.49 < stats[1]["crossover"] < -0.48
 
 
+def test_ground_scan_reports_the_excess_at_both_bracket_ends(capsys):
+    for fmt in ("csv", "json"):
+        code, out, _ = run_cli(capsys, "ground-scan", "--jz-min", "-0.6", "--jz-max", "-0.4",
+                               "--jz-points", "3", "--format", fmt)
+        assert code == 0
+        stats = parse_csv(out)[3] if fmt == "csv" else json.loads(out)["stats"]
+        f_lo, f_hi = stats["crossover_excess"]
+        assert f_lo < 0 < f_hi  # the ferromagnet wins below the crossover
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--jz-max", "inf"), "--jz-max must be finite"),
+    (("--jz-min", "nan"), "--jz-min must be finite"),
+    (("--jz-min=-inf", "--jz-max", "0"), "--jz-min must be finite"),
+    (("--jz-min=-1e308", "--jz-max", "1e308"), "--jz-max minus --jz-min overflows"),
+])
+@pytest.mark.filterwarnings("error")
+def test_non_finite_jz_grid_exits_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, "ground-scan", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_overflowing_jz_grid_prints_nothing_from_numpy():
+    proc = subprocess.run([sys.executable, "-m", "hexstar", "ground-scan",
+                           "--jz-min=-1e308", "--jz-max", "1e308"],
+                          capture_output=True, text=True, timeout=120, env=_child_env())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: --jz-max minus --jz-min overflows: "
+                           "the Jz/J grid must be finite\n")
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "dynamics", "--state", "bogus", "--sector", "0")[0] == 2
     assert run_cli(capsys, "dynamics", "--state", "chi", "--sector", "-2")[0] == 2

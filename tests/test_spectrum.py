@@ -27,9 +27,10 @@ from hexstar.hilbert import (
     parse_state_spec,
     sector_basis,
 )
-from hexstar.lattice import IRREP_LABELS, N_SITES
+from hexstar.lattice import IRREP_LABELS, N_SITES, build_geometry
 from hexstar import spectrum
 from hexstar.spectrum import (
+    REFINE_TOL,
     RESIDUAL_TOL,
     EigenCluster,
     _diagonalize_sector,
@@ -43,7 +44,7 @@ from hexstar.spectrum import (
     split_into_clusters,
     thread_budget,
 )
-from hexstar.symmetry import irrep_weights, label_eigenvector
+from hexstar.symmetry import irrep_blocks, irrep_weights, label_eigenvector
 
 # Eigenvalue multiplicities over all 4096 states, counted once at the
 # default clustering tolerance and frozen.
@@ -358,6 +359,182 @@ def test_descending_grid_is_refined_like_the_ascending_one():
     lo, hi = down.crossover_bracket
     assert lo < hi and hi - lo <= 1e-6
     assert -0.49 < down.crossover < -0.48
+
+
+def _bisection_bracket(alpha, lo, hi):
+    """The bisection that refined the crossover before regula falsi, kept as the oracle.
+
+    Returns the final bracket and the number of ferro-excess evaluations.
+    """
+    w = total_coupling(build_geometry(), alpha)
+
+    def ferro_excess(jz):
+        levels = spectrum._sector_levels(ModelParams(alpha=alpha, jz_over_j=jz))
+        rival = min(v[0] for M in range(0, 6) for v in levels[M].values())
+        return jz * w - rival
+
+    f_lo = ferro_excess(lo)
+    calls = 1
+    while hi - lo > REFINE_TOL:
+        mid = 0.5 * (lo + hi)
+        f_mid = ferro_excess(mid)
+        calls += 1
+        if (f_mid < 0) == (f_lo < 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return (lo, hi), calls
+
+
+def _check_against_bisection(monkeypatch, alpha, grid):
+    """Refine at alpha; returns the scan's and the bisection's ferro-excess evaluations."""
+    seen = []
+    levels = spectrum._sector_levels
+    monkeypatch.setattr(spectrum, "_sector_levels", lambda p: seen.append(p) or levels(p))
+    scan = ground_state_scan(alpha, grid)
+    refinement_calls = len(seen) - len(grid)
+    step = sorted(next((a.jz_over_j, b.jz_over_j) for a, b in zip(scan.points, scan.points[1:])
+                       if (6 in a.sectors) != (6 in b.sectors)))
+    (lo, hi), oracle_calls = _bisection_bracket(alpha, *step)
+    assert lo <= scan.crossover <= hi
+
+    a, b = scan.crossover_bracket
+    assert step[0] <= a <= scan.crossover <= b <= step[1]
+    assert 0 < b - a <= REFINE_TOL
+    w = total_coupling(build_geometry(), alpha)
+    excess = [jz * w - min(v[0] for M in range(0, 6) for v in levels(
+        ModelParams(alpha, jz))[M].values()) for jz in (a, b)]
+    # the true excess at both ends, not the values the Illinois rule halved
+    assert list(scan.crossover_excess) == excess
+    assert excess[0] < 0 <= excess[1]
+    return refinement_calls, oracle_calls
+
+
+@pytest.mark.parametrize("alpha, grid", [
+    (alpha, (-1.0, 0.0, 11)) for alpha in (3.0, 5.3, 6.0, 7.1, 8.0)
+] + [(6.0, (-3.0, 3.0, 25))])
+def test_crossover_lies_in_the_bisection_bracket(monkeypatch, alpha, grid):
+    calls, oracle_calls = _check_against_bisection(monkeypatch, alpha, np.linspace(*grid))
+    assert 2 * calls <= oracle_calls
+
+
+@settings(max_examples=6, deadline=None)
+@given(alpha=st.floats(3.0, 8.0))
+def test_crossover_lies_in_the_bisection_bracket_at_any_range(alpha):
+    # one grid step of width 1: the kinks of the excess near its root cost
+    # regula falsi more steps here than on the grids above
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls, oracle_calls = _check_against_bisection(monkeypatch, alpha, [-1.0, 0.0])
+    assert calls < oracle_calls
+
+
+def test_scan_assembles_no_sector_hamiltonian(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan assembled a dense sector Hamiltonian")
+
+    monkeypatch.setattr("hexstar.spectrum.build_sector_hamiltonian", refuse)
+    monkeypatch.setattr("hexstar.hamiltonian.build_sector_hamiltonian", refuse)
+    scan = ground_state_scan(5.77, [-1.0, 0.0])  # an alpha no other test splits
+    assert scan.crossover is not None
+
+
+def _projected_levels(params):
+    """Reference: the dense sector H projected onto each C2'(0)-even block, per point."""
+    return {M: {b.irrep: np.linalg.eigvalsh(b.basis @ (b.basis @ h).T)
+                for b in irrep_blocks(M) if b.partner > 0}
+            for M, h in ((M, build_sector_hamiltonian(M, params).matrix) for M in range(7))}
+
+
+@pytest.mark.parametrize("alpha", [3.0, 5.3, 6.0, 7.1, 8.0])
+def test_ground_points_match_the_projected_hamiltonian(monkeypatch, alpha):
+    for jz in (-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0):
+        params = ModelParams(alpha, jz)
+        point = ground_state_point(params)
+        with monkeypatch.context() as m:
+            m.setattr(spectrum, "_sector_levels", _projected_levels)
+            reference = ground_state_point(params)
+        assert (point.sectors, point.degeneracy, point.irrep) == (
+            reference.sectors, reference.degeneracy, reference.irrep)
+        merged = np.concatenate([v for blocks in _projected_levels(params).values()
+                                 for v in blocks.values()])
+        spread = merged.max() - merged.min()
+        assert abs(point.energy - reference.energy) <= 1e-12 * max(spread, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 6.0])
+def test_block_pairs_are_the_projected_split(alpha):
+    import scipy.sparse
+
+    for M, blocks in spectrum._block_pairs(alpha).items():
+        x = build_sector_hamiltonian(M, ModelParams(alpha, 0.0)).matrix
+        zz = np.diag(build_sector_hamiltonian(M, ModelParams(alpha, 1.0)).matrix)
+        even = [b for b in irrep_blocks(M) if b.partner > 0]
+        assert [r for r, _, _ in blocks] == [b.irrep for b in even]
+        for (_, xr, zr), b in zip(blocks, even):
+            assert np.abs(xr - b.basis @ (b.basis @ x).T).max() <= 1e-13
+            # diag(zz) is constant on each row's orbit, so its block is diagonal
+            dense = (b.basis @ scipy.sparse.diags_array(zz) @ b.basis.T).toarray()
+            assert np.abs(dense - np.diag(zr)).max() <= 1e-13
+
+
+def test_crossover_excess_is_the_true_excess_at_the_bracket_ends(monkeypatch):
+    # a convex excess that is steep right of its root: the right grid point,
+    # 4e-7 above the root, is kept (and halved) while the left end walks in
+    w = total_coupling(build_geometry(), 6.0)
+    root = -0.5
+
+    def excess(jz):
+        return (jz - root) * (1e6 if jz > root else 1.0)
+
+    def synthetic(params):
+        jz = params.jz_over_j
+        levels = {M: {} for M in range(7)}
+        levels[0]["A1g"] = np.array([jz * w - excess(jz), jz * w + 1.0])
+        levels[6]["A2g"] = np.array([jz * w])
+        return levels
+
+    monkeypatch.setattr(spectrum, "_sector_levels", synthetic)
+    scan = ground_state_scan(6.0, [-0.6, root + 4e-7])
+    lo, hi = scan.crossover_bracket
+    assert -0.6 < lo < root < hi == root + 4e-7 and hi - lo <= REFINE_TOL
+    assert scan.crossover_excess == pytest.approx((excess(lo), excess(hi)), rel=1e-6)
+    assert lo <= scan.crossover <= hi
+
+
+@pytest.mark.parametrize("f_lo, f_hi, top_lo, top_hi, at", [
+    (1e-7, 1.0, 1e3, 1.0, "lo"),   # lo ties the crossing: f > 0 at both ends
+    (1e-7, 1e-7, 1e3, 1.0, "lo"),  # equal excess at both ends
+    (0.0, 1.0, 1.0, 1.0, "lo"),    # lo sits exactly on the crossing
+    (1.0, 1e-7, 1.0, 1e3, "hi"),   # the ferromagnet wins on the right
+])
+@pytest.mark.filterwarnings("error")
+def test_a_grid_point_on_the_crossing_stays_in_its_step(monkeypatch, f_lo, f_hi,
+                                                        top_lo, top_hi, at):
+    lo, hi = -0.6, -0.4
+    w = total_coupling(build_geometry(), 6.0)
+
+    def synthetic(params):
+        # rival level = ferro level - excess, linear in Jz/J; `top` sets the
+        # spread and with it the clustering tolerance of the grid points
+        jz = params.jz_over_j
+        t = (jz - lo) / (hi - lo)
+        excess = (1 - t) * f_lo + t * f_hi
+        top = top_lo if jz == lo else top_hi
+        levels = {M: {} for M in range(7)}
+        levels[0]["A1g"] = np.array([jz * w - excess, jz * w + top])
+        levels[6]["A2g"] = np.array([jz * w])
+        return levels
+
+    monkeypatch.setattr(spectrum, "_sector_levels", synthetic)
+    with np.errstate(all="raise"):
+        for grid in ([lo, hi], [hi, lo]):
+            scan = ground_state_scan(6.0, grid)
+            assert [6 in p.sectors for p in scan.points] == (
+                [at == "lo", at == "hi"] if grid[0] == lo else [at == "hi", at == "lo"])
+            end, f_end = (lo, f_lo) if at == "lo" else (hi, f_hi)
+            assert scan.crossover == end
+            assert scan.crossover_bracket == (end, end)
+            assert scan.crossover_excess == pytest.approx((f_end, f_end), abs=1e-12)
 
 
 @pytest.mark.parametrize("degenerate_jz", [1.0, 2.0])
