@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .dynamics import phase_factors
 from .hamiltonian import ModelParams, build_sector_hamiltonian, exact_capable
 from .hilbert import StateVector, sector_basis
 
@@ -76,9 +77,14 @@ def kappa(alpha: float) -> tuple[float, float]:
         + 128 * r7
         + 16 * 9.0 ** (-alpha)
     )
-    k1 = 4.0 ** (1 - alpha) * 9.0 ** (-alpha) * (
-        2.0 ** (1 + alpha) + 3.0 ** (alpha / 2) - 3.0**alpha * (1 + 2.0 ** (1 + alpha))
-    ) ** 2
+    try:
+        k1 = 4.0 ** (1 - alpha) * 9.0 ** (-alpha) * (
+            2.0 ** (1 + alpha) + 3.0 ** (alpha / 2) - 3.0**alpha * (1 + 2.0 ** (1 + alpha))
+        ) ** 2
+    except OverflowError:  # the squared bracket, past alpha ~ 197
+        k1 = math.nan
+    if not math.isfinite(k1):  # past alpha ~ 395 the bracket is inf and k1 is 0 * inf
+        raise RuntimeError(f"the kappa gap formula overflows a float at alpha={alpha:g}")
     return k0, k1
 
 
@@ -179,7 +185,7 @@ def m5_probabilities(
     block = m5_block(alpha, jz_over_j)
     evals, evecs = np.linalg.eigh(block.matrix)
     coef = evecs.T @ start
-    phase = np.exp(-2j * np.pi * np.outer(evals, times))
+    phase = phase_factors(evals, times)
     amp = evecs @ (coef[:, None] * phase)
     p_outer = (amp[0].real**2 + amp[0].imag**2) / _RING
     p_inner = (amp[1].real**2 + amp[1].imag**2) / _RING

@@ -6,14 +6,15 @@ commands, summary statistics.  ``main`` hands that result to the one
 emitter, which writes CSV (default) or JSON to stdout or --output.  CSV
 starts with a "# config:" comment recording the exact run parameters and
 is streamed row by row; floats are printed with 17 significant digits, so
-reruns are byte identical.  JSON is streamed in blocks by a small writer
-whose bytes equal json.dumps(doc, sort_keys=True, indent=2); dynamics hands
-it the cells it formatted once per equiprobability class.  Statistics
-close stdout CSV as a "# stats:" comment, go to a FILE.stats.json sidecar
-next to a CSV file, and sit under "stats" in JSON.  File output is
-streamed into a temporary sibling that is renamed into place only once
-complete.  Exit codes: 0 success, 2 usage, 3 numerical failure, 4 I/O,
-141 (128 + SIGPIPE) when the reader of stdout closes it early.
+reruns are byte identical.  JSON is json.dumps(doc, sort_keys=True,
+indent=2), written one top-level value at a time, except that the dynamics
+probabilities stream one time point at a time from the cells formatted
+once per equiprobability class.  Statistics close stdout CSV as a
+"# stats:" comment, go to a FILE.stats.json sidecar next to a CSV file,
+and sit under "stats" in JSON.  File output is streamed into a temporary
+sibling that is renamed into place only once complete.  Exit codes:
+0 success, 2 usage, 3 numerical failure, 4 I/O, 141 (128 + SIGPIPE) when
+the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import sys
 import tempfile
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -109,11 +109,8 @@ def _resolve_state(args: argparse.Namespace) -> StateVector:
 
 @dataclass(frozen=True)
 class _Encoded:
-    """A JSON list of number lists whose cells are already encoded, made while writing."""
+    """A top-level JSON list of number lists, its cells encoded row by row while writing."""
     rows: Iterable[list[str]]
-
-
-_BLOCK = 1 << 16  # characters per streamed JSON block; the output is ASCII
 
 
 def _json_float(x: float) -> str:
@@ -123,124 +120,32 @@ def _json_float(x: float) -> str:
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-def _json_scalar(o) -> str | None:
-    """JSON text of a string, number, bool or None; None for anything else."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _json_float(o)
-    return None
-
-
-_JSON_REPR = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
-
-
-def _json_run(values) -> list[str] | None:
-    """JSON text of values that share one exact type: str, int or finite float."""
-    kinds = set(map(type, values))
-    fast = _JSON_REPR.get(kinds.pop()) if len(kinds) == 1 else None
-    if fast is None or (fast is float.__repr__ and not all(map(math.isfinite, values))):
-        return None
-    return list(map(fast, values))
-
-
-def _json_members(o, indent: str) -> tuple[str, str, list[str] | None, list]:
-    """Opening, closing, key heads (None for a list) and values of a list or dict.
-
-    The members start their lines at indent + 2 spaces; dict keys are sorted.
-    """
-    inner = indent + "  "
-    if isinstance(o, dict):
-        items = sorted(o.items())
-        # non-string keys are written as their JSON text, as the stdlib does
-        names = [key if isinstance(key, str) else _json_scalar(key) for key, _ in items]
-        if None in names:
-            raise TypeError("keys must be str, int, float, bool or None")
-        return ("{\n" + inner, "\n" + indent + "}",
-                [encode_basestring_ascii(name) + ": " for name in names],
-                [value for _, value in items])
-    if isinstance(o, (list, tuple)):
-        return "[\n" + inner, "\n" + indent + "]", None, o
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _json_text(o, indent: str) -> str:
-    """json.dumps(o, sort_keys=True, indent=2) of o, which starts a line at indent."""
-    if not isinstance(o, (dict, list, tuple)):
-        text = _json_scalar(o)
-        if text is None:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        return text
-    if not o:
-        return "{}" if isinstance(o, dict) else "[]"
-    open_, close, heads, values = _json_members(o, indent)
-    inner = indent + "  "
-    cells = _json_run(values) or [_json_text(value, inner) for value in values]
-    return _json_join(open_, close, heads, cells, inner)
-
-
-def _json_join(open_: str, close: str, heads: list[str] | None, cells: list[str],
-               inner: str) -> str:
-    if heads is not None:
-        cells = [head + cell for head, cell in zip(heads, cells)]
-    return open_ + (",\n" + inner).join(cells) + close
-
-
-def _json_parts(o, indent: str, depth: int = 2) -> Iterable[str]:
-    """_json_text(o, indent) in pieces.
-
-    An _Encoded list is written row by row.  The members of lists and dicts
-    down to ``depth`` levels are written one by one, unless they are scalars
-    of one type; anything deeper is one piece.
-    """
-    inner = indent + "  "
-    if isinstance(o, _Encoded):
-        cell_sep = ",\n" + inner + "  "
-        opened = False
-        for cells in o.rows:
-            row = "[\n" + inner + "  " + cell_sep.join(cells) + "\n" + inner + "]" if cells else "[]"
-            yield (",\n" if opened else "[\n") + inner + row
-            opened = True
-        yield "\n" + indent + "]" if opened else "[]"
-        return
-    if not isinstance(o, (dict, list, tuple)) or not o:
-        yield _json_text(o, indent)
-        return
-    open_, close, heads, values = _json_members(o, indent)
-    cells = _json_run(values)
-    if cells is not None:
-        yield _json_join(open_, close, heads, cells, inner)
-        return
-    for i, value in enumerate(values):
-        head = (",\n" + inner if i else open_) + ("" if heads is None else heads[i])
-        if isinstance(value, _Encoded) or (depth > 1 and isinstance(value, (dict, list, tuple))):
-            yield head
-            yield from _json_parts(value, inner, depth - 1)
-        else:
-            yield head + _json_text(value, inner)
-    yield close
+def _encoded_rows(rows: Iterable[list[str]]) -> Iterable[str]:
+    # a top-level value's list of number lists as the stdlib indents it, one row a chunk
+    head = "[\n    "
+    for cells in rows:
+        yield head + ("[\n      " + ",\n      ".join(cells) + "\n    ]" if cells else "[]")
+        head = ",\n    "
+    yield "[]" if head == "[\n    " else "\n  ]"
 
 
 def _json_chunks(doc: dict) -> Iterable[str]:
-    # json.dumps(doc, sort_keys=True, indent=2) + "\n" in blocks of about _BLOCK characters
-    block: list[str] = []
-    size = 0
-    for part in _json_parts(doc, ""):
-        block.append(part)
-        size += len(part)
-        if size >= _BLOCK:
-            yield "".join(block)
-            block, size = [], 0
-    block.append("\n")
-    yield "".join(block)
+    """The text of json.dumps(doc, sort_keys=True, indent=2) and a newline, in pieces.
+
+    The keys of doc are strings.  Each top-level value is one piece, but an
+    _Encoded value is written one row at a time.  Any other value is the
+    stdlib's own text, indented one level at its newlines: JSON text holds
+    no raw newline, so each of them starts a line.
+    """
+    head = "{\n  "
+    for key, value in sorted(doc.items()):
+        yield head + json.dumps(key) + ": "
+        head = ",\n  "
+        if isinstance(value, _Encoded):
+            yield from _encoded_rows(value.rows)
+        else:
+            yield json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+    yield "{}\n" if head == "{\n  " else "\n}\n"
 
 
 def _csv_lines(config: dict, out: _Output, stats: dict | None) -> Iterable[str]:
@@ -588,12 +493,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_inputs(args)
         _emit(args, args.func(args))
+    except (RuntimeError, np.linalg.LinAlgError) as exc:  # before ValueError, its base
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except BrokenPipeError:
         # the reader closed stdout early: stop quietly, as SIGPIPE would
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

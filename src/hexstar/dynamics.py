@@ -97,9 +97,18 @@ def _normalized_sector_state(
     return state.amps / n, n * n
 
 
-def _check_times(times: np.ndarray) -> None:
-    if not np.all(np.isfinite(times)):
-        raise ValueError("times must be finite")
+def phase_factors(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-2 pi i E t), one row per energy and one column per time.
+
+    Raises ValueError when a phase 2 pi E t is not finite: a non-finite
+    time, or a finite one so large that the phase overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = -2j * np.pi * np.outer(energies, times)
+    if not np.isfinite(arg).all():
+        raise ValueError("times must be finite and small enough that every phase "
+                         "2 pi E t is finite")
+    return np.exp(arg)
 
 
 def _cluster_overlaps(
@@ -277,7 +286,6 @@ def evolve_probabilities(
     the same one spectral_support reports; when it drops no mode column the
     reported classes are the evolved ones.
     """
-    _check_times(times)
     modes, weight, deg_tol = _sector_modes(state, M, params, deg_tol_rel)
     evolved = equiprobability_classes(modes)
     reps = np.array([members[0] for members in evolved])
@@ -287,7 +295,7 @@ def evolve_probabilities(
     rep_rows = modes.basis[reps][row_class]
     row_dev = np.minimum(np.abs(modes.basis - rep_rows).max(axis=1, initial=0.0),
                          np.abs(modes.basis + rep_rows).max(axis=1, initial=0.0))
-    phase = np.exp(-2j * np.pi * np.outer(modes.col_energy, times))
+    phase = phase_factors(modes.col_energy, times)
     amps = modes.basis[reps] @ (modes.coef[:, None] * phase)
     class_probs = amps.real**2 + amps.imag**2
     support = modes.restrict(support_tol)
@@ -319,11 +327,10 @@ def return_probability(
     Needs only each cluster's energy and projection norm, the first stage
     of the mode decomposition.
     """
-    _check_times(times)
     kept = _cluster_overlaps(state, M, params, deg_tol_rel)[2]
     energies = np.array([c.energy for c, *_ in kept])
     overlap = np.array([norm for *_, norm in kept])
-    phase = np.exp(-2j * np.pi * np.outer(energies, times))
+    phase = phase_factors(energies, times)
     amp = overlap**2 @ phase
     return amp.real**2 + amp.imag**2
 

@@ -265,11 +265,20 @@ def _sector_levels(params: ModelParams) -> dict[int, dict[str, np.ndarray]]:
     """Eigenvalues of the C2'(0)-even irrep blocks of every sector M >= 0, keyed by irrep.
 
     Sector -M repeats the levels of M; a level of a two-dimensional irrep
-    stands for two states of its sector.
+    stands for two states of its sector.  A Jz/J so large that a level
+    overflows raises RuntimeError.
     """
     jz = params.jz_over_j
-    return {M: {r: np.linalg.eigvalsh(x + np.diag(jz * z)) for r, x, z in blocks}
-            for M, blocks in _block_pairs(params.alpha).items()}
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            levels = {M: {r: np.linalg.eigvalsh(x + np.diag(jz * z)) for r, x, z in blocks}
+                      for M, blocks in _block_pairs(params.alpha).items()}
+        if all(np.isfinite(v).all() for blocks in levels.values() for v in blocks.values()):
+            return levels
+    except np.linalg.LinAlgError:  # LAPACK gives up on some infinite entries
+        pass
+    raise RuntimeError(f"a block level is not finite at alpha={params.alpha:g}, "
+                       f"Jz/J={jz:g}: the energies overflow a float")
 
 
 def _ground_point(

@@ -145,3 +145,19 @@ def test_heisenberg_point_gap_agrees_with_spectrum(heisenberg_spectra):
     e_sym = sym.amps @ h @ sym.amps
     e_anti = anti.amps @ h @ anti.amps
     assert abs(e_anti - e_sym) == pytest.approx(gap(6.0, 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [197.7, 198.0, 395.0, 646.0, 647.0, 1000.0])
+def test_kappa_refuses_an_alpha_that_overflows_it(alpha):
+    # past alpha ~ 197 the squared bracket overflows; past ~ 395 it is inf and k1 is 0 * inf
+    with pytest.raises(RuntimeError, match=f"overflows a float at alpha={alpha:g}"):
+        kappa(alpha)
+    with pytest.raises(RuntimeError, match="kappa"):
+        m5_block(alpha, 1.0)
+
+
+def test_kappa_is_finite_up_to_its_overflow():
+    for alpha in (100.0, 197.0, 197.6):
+        k0, k1 = kappa(alpha)
+        assert (k0, k1) == (pytest.approx(80.0), pytest.approx(16.0))
+        assert gap(alpha, 3.0) == pytest.approx(math.sqrt(80.0 + 16.0 * 3.0))

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -219,6 +220,57 @@ def test_overflowing_jz_grid_prints_nothing_from_numpy():
     assert proc.stdout == ""
     assert proc.stderr == ("error: --jz-max minus --jz-min overflows: "
                            "the Jz/J grid must be finite\n")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("ground-scan", "--jz-min=-1e307", "--jz-max", "1e307", "--jz-points", "3"), 3,
+     "numerical failure: a block level is not finite at alpha=6, Jz/J=-1e+307"),
+    (("analytic-m5", "--alpha", "198", "--t-steps", "2"), 3,
+     "numerical failure: the kappa gap formula overflows a float at alpha=198"),
+    (("analytic-m5", "--alpha", "646", "--t-steps", "2"), 3,
+     "numerical failure: the kappa gap formula overflows a float at alpha=646"),
+    (("analytic-m5", "--alpha", "647", "--t-steps", "2"), 3,
+     "numerical failure: the kappa gap formula overflows a float at alpha=647"),
+    (("return-prob", "--state", "config:0", "--sector", "6", "--t-steps", "2",
+      "--t-max", "1e308"), 2, "error: times must be finite and small enough"),
+    (("dynamics", "--state", "xi", "--sector", "5", "--t-steps", "3", "--t-max", "1e308"), 2,
+     "error: times must be finite and small enough"),
+    (("analytic-m5", "--t-steps", "2", "--t-max", "1e308"), 2,
+     "error: times must be finite and small enough"),
+], ids=["ground-scan", "analytic-198", "analytic-646", "analytic-647", "return-prob",
+        "dynamics", "analytic-time"])
+@pytest.mark.filterwarnings("error")
+def test_overflowing_inputs_fail_in_one_line(capsys, argv, code, message):
+    for fmt in ("csv", "json"):
+        exit_code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (exit_code, out) == (code, "")
+        assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("ground-scan", "--jz-min=-1e306", "--jz-max=-1e305", "--jz-points", "2"),
+    ("ground-scan", "--jz-min", "1e305", "--jz-max", "1e306", "--jz-points", "2"),
+    ("analytic-m5", "--alpha", "197", "--t-steps", "3"),
+    ("return-prob", "--state", "config:0", "--sector", "6", "--t-steps", "2", "--t-max", "1e306"),
+    ("dynamics", "--state", "xi", "--sector", "5", "--t-steps", "3", "--t-max", "1e306"),
+    ("analytic-m5", "--t-steps", "2", "--t-max", "1e306"),
+], ids=["ferro-1e306", "antiferro-1e306", "analytic-197", "return-prob", "dynamics",
+        "analytic-time"])
+@pytest.mark.filterwarnings("error")
+def test_inputs_just_inside_the_float_range_still_work(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert not re.search(r"\bnan\b", out, re.IGNORECASE)
+
+
+def test_an_eigensolver_failure_is_a_numerical_failure(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "diagonalize_sector", fail)
+    code, out, err = run_cli(capsys, "spectrum", "--sector", "6")
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: Eigenvalues did not converge\n"
 
 
 def test_usage_errors_exit_two(capsys):
@@ -465,13 +517,22 @@ def test_dynamics_cells_are_those_of_every_row(capsys, argv):
     assert out == _stdlib_json(doc)
 
 
-def test_json_blocks_stay_bounded_on_a_full_grid():
+def test_json_rows_stream_one_time_point_per_chunk():
     args = cli.build_parser().parse_args(
         ["dynamics", "--state", "chi", "--sector", "0", "--t-steps", "201", "--format", "json"])
-    blocks = list(cli._json_chunks(args.func(args).doc()))
-    # a block closes once it reaches _BLOCK characters; one time point adds about 30 kB
-    assert len(blocks) > 10
-    assert max(map(len, blocks)) < 2 * cli._BLOCK
+    out = args.func(args)
+    chunks = list(cli._json_chunks(out.doc()))
+    times = np.linspace(0.0, args.t_max, args.t_steps)
+    traj = evolve_probabilities(cli._resolve_state(args), args.sector, cli._params(args), times)
+    probs = traj.probs.T.tolist()
+
+    start = chunks.index(',\n  "probabilities": ') + 1
+    rows = chunks[start:start + len(probs)]
+    # each row chunk opens with "[" or "," plus a newline and four spaces
+    assert [json.loads(row[6:]) for row in rows] == probs
+    assert chunks[start + len(probs)] == "\n  ]"
+    assert max(map(len, chunks)) <= max(map(len, rows))
+    assert "".join(chunks) == _stdlib_json(out.doc() | {"probabilities": probs})
 
 
 _scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)

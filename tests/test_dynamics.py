@@ -414,3 +414,23 @@ def test_return_probability_needs_no_mode_basis(chi, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_sector_modes", no_modes)
     assert np.array_equal(return_probability(chi, 4, HEISENBERG, times), expected)
+
+
+def test_a_phase_that_overflows_is_rejected(xi, chi):
+    for t_max in (1e308, -1e308):
+        times = np.array([0.0, t_max])
+        with pytest.raises(ValueError, match="every phase 2 pi E t is finite"):
+            return_probability(chi, 5, HEISENBERG, times)
+        with pytest.raises(ValueError, match="every phase 2 pi E t is finite"):
+            evolve_probabilities(xi, 5, HEISENBERG, times)
+
+
+@pytest.mark.filterwarnings("error")
+def test_phase_factors_are_the_plain_exponential_inside_the_float_range(xi):
+    rng = np.random.default_rng(5)
+    energies = np.concatenate([[0.0, -0.0], rng.uniform(-20.0, 20.0, 40)])
+    times = np.concatenate([[0.0, 1e306, -1e306], rng.uniform(-1e3, 1e3, 30)])
+    expected = np.exp(-2j * np.pi * np.outer(energies, times))
+    assert np.array_equal(dynamics.phase_factors(energies, times), expected)
+    traj = evolve_probabilities(xi, 5, HEISENBERG, np.array([0.0, 1e306]))
+    assert np.isfinite(traj.probs).all()

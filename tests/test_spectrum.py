@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -614,3 +615,17 @@ def test_thread_budget_env(monkeypatch):
 def test_diagonalize_rejects_bad_sector():
     with pytest.raises(ValueError):
         diagonalize_sector(8, HEISENBERG)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_anisotropy_that_overflows_the_levels_is_a_numerical_failure(geometry):
+    for jz in (1e307, -1e307, 1.7e308, -1.7e308):
+        with pytest.raises(RuntimeError, match=re.escape(f"alpha=6, Jz/J={jz:g}")):
+            ground_state_point(ModelParams(6.0, jz))
+    with pytest.raises(RuntimeError, match="not finite"):
+        ground_state_scan(6.0, [-1e307, 0.0, 1e307])
+    # just inside the float range the ferromagnet still wins below the crossover
+    w = total_coupling(geometry, 6.0)
+    ferro = ground_state_point(ModelParams(6.0, -1e306))
+    assert ferro.sectors == (-6, 6) and ferro.energy == pytest.approx(-1e306 * w, rel=1e-12)
+    assert 0 in ground_state_point(ModelParams(6.0, 1e306)).sectors
