@@ -18,9 +18,7 @@ from .hilbert import (
     StateVector,
     StateSpec,
     sector_basis,
-    magnetization,
     basis_state,
-    act_permutation,
     spin_flip,
     project_sector,
     parse_state_spec,
@@ -32,9 +30,7 @@ from .hamiltonian import (
     SectorHamiltonian,
     HEISENBERG,
     XXZ_FERRO,
-    coupling,
     exact_capable,
-    exact_coupling,
     total_coupling,
     build_sector_hamiltonian,
     heisenberg_casimir,
@@ -46,12 +42,8 @@ from .symmetry import (
     sector_character,
     irrep_counts,
     multiplet_counts,
-    irrep_projector,
     irrep_blocks,
     irrep_weights,
-    label_eigenvector,
-    classify_factorized_state,
-    identify_one_dim_irrep,
 )
 from .spectrum import (
     SpectrumResult,
@@ -82,7 +74,7 @@ from .dynamics import (
     collapse_metrics,
     regime_classifier,
 )
-from .entanglement import EntanglementReport, schmidt_number, is_entangled
+from .entanglement import EntanglementReport, is_entangled
 from .analytic import (
     M5Block,
     m5_block,
@@ -90,9 +82,6 @@ from .analytic import (
     exact_block_entries,
     kappa,
     gap,
-    heisenberg_gap,
-    exact_heisenberg_gap,
-    heisenberg_m5_eigenstates,
     m5_probabilities,
     numeric_block,
 )

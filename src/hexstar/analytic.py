@@ -91,16 +91,11 @@ def kappa(alpha: float) -> tuple[float, float]:
 def gap(alpha: float, jz_over_j: float) -> float:
     """|dE|/J between the two symmetric M=5 levels, from the kappa formula."""
     k0, k1 = kappa(alpha)
-    return math.sqrt(k0 + k1 * jz_over_j * (jz_over_j - 2.0))
-
-
-def heisenberg_gap(alpha: float) -> float:
-    """At Jz = J the diagonal entries tie and the gap is twice the off-diagonal."""
-    return 2 * block_entries(alpha)[1]
-
-
-def exact_heisenberg_gap(alpha: float) -> Fraction:
-    return 2 * exact_block_entries(alpha)[1]
+    value = math.sqrt(k0 + k1 * jz_over_j * (jz_over_j - 2.0))
+    if not math.isfinite(value):  # k1 x (x - 2) overflows past |Jz/J| ~ 3e153
+        raise RuntimeError(f"the kappa gap formula overflows a float at alpha={alpha:g}, "
+                           f"Jz/J={jz_over_j:g}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,19 +146,6 @@ def numeric_block(alpha: float, jz_over_j: float) -> np.ndarray:
         axis=1,
     )
     return s.T @ ham.matrix @ s
-
-
-def heisenberg_m5_eigenstates() -> tuple[StateVector, StateVector]:
-    """Eigenstates at the Heisenberg point: total spin 6 and 5 combinations.
-
-    The symmetric sum (outer + inner)/sqrt(2) belongs to the S=6
-    ferromagnetic multiplet; the antisymmetric partner carries S=5.
-    """
-    outer = _sym_ring_state(outer=True).amps
-    inner = _sym_ring_state(outer=False).amps
-    s6 = StateVector(amps=(outer + inner) / math.sqrt(2.0), sector=_M)
-    s5 = StateVector(amps=(-outer + inner) / math.sqrt(2.0), sector=_M)
-    return s6, s5
 
 
 def m5_probabilities(

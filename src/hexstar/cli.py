@@ -77,7 +77,7 @@ def _times(args: argparse.Namespace) -> np.ndarray:
 
 
 def _check_inputs(args: argparse.Namespace) -> None:
-    """Reject non-finite times, grids and tolerances and negative tolerances up front."""
+    """Reject non-finite times, grids and tolerances, negative tolerances and --tol-deg > 1."""
     for name in ("t_max", "jz_min", "jz_max"):
         if not math.isfinite(getattr(args, name, 0.0)):
             raise ValueError(f"--{name.replace('_', '-')} must be finite")
@@ -87,6 +87,9 @@ def _check_inputs(args: argparse.Namespace) -> None:
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"--{name.replace('_', '-')} must be finite and non-negative")
+    if getattr(args, "tol_deg", 0.0) > 1.0:
+        raise ValueError("--tol-deg must be at most 1, the relative tolerance that merges "
+                         "every level")
 
 
 def _resolve_state(args: argparse.Namespace) -> StateVector:

@@ -26,7 +26,7 @@ from itertools import groupby
 import numpy as np
 
 from .lattice import N_SITES
-from .hilbert import N_CONFIGS, StateVector
+from .hilbert import StateVector
 
 SVD_TOL = 1e-10  # relative threshold on singular values
 
@@ -51,16 +51,6 @@ def _cut_matrix(tensor: np.ndarray, mask: int) -> np.ndarray:
 def _ranks(sv: np.ndarray, tol: float) -> np.ndarray:
     """Schmidt rank of each row of descending singular values."""
     return np.count_nonzero(sv > tol * sv[..., :1], axis=-1)
-
-
-def schmidt_number(state: StateVector, mask: int, tol: float = SVD_TOL) -> int:
-    """Schmidt rank of a full-space state across the bipartition ``mask``."""
-    if state.sector is not None:
-        raise ValueError("schmidt_number expects a full-space state")
-    if not 0 < mask < N_CONFIGS - 1:
-        raise ValueError("mask must put at least one site on each side")
-    matrix = _cut_matrix(state.amps.reshape((2,) * N_SITES), mask)
-    return int(_ranks(np.linalg.svd(matrix, compute_uv=False), tol))
 
 
 @dataclass(frozen=True)

@@ -54,13 +54,6 @@ def _pair_distance_sq() -> tuple[int, ...]:
     return tuple(build_geometry().distance_sq[_PAIR_I, _PAIR_J].tolist())
 
 
-def coupling(geometry: Geometry, i: int, j: int, alpha: float) -> float:
-    """Distance-power coupling d_ij^-alpha in units of J."""
-    if i == j:
-        raise ValueError("coupling needs two distinct sites")
-    return float(geometry.distance_sq[i, j]) ** (-alpha / 2.0)
-
-
 def exact_capable(alpha: float) -> bool:
     """True for an even integer alpha, the powers at which every d^-alpha is rational."""
     return float(alpha).is_integer() and int(alpha) % 2 == 0
@@ -72,12 +65,8 @@ def _exact_weight(d2: int, alpha: float) -> Fraction:
     return Fraction(1, d2 ** (int(alpha) // 2))
 
 
-def exact_coupling(geometry: Geometry, i: int, j: int, alpha: float) -> Fraction:
-    return _exact_weight(int(geometry.distance_sq[i, j]), alpha)
-
-
 def _pair_couplings(distance_sq: tuple[int, ...], alpha: float) -> list[float]:
-    """d^-alpha per pair, as ``coupling`` computes it: Python's scalar float power."""
+    """d^-alpha per pair, as Python's scalar float power of the squared distance."""
     return [float(d2) ** (-alpha / 2.0) for d2 in distance_sq]
 
 

@@ -15,18 +15,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import N_SITES, GroupElement
+from .lattice import N_SITES
 
 N_CONFIGS = 1 << N_SITES
 FULL_MASK = N_CONFIGS - 1
 
 _ALL_CONFIGS = np.arange(N_CONFIGS, dtype=np.int64)
 _POPCOUNT = np.array([bin(f).count("1") for f in range(N_CONFIGS)], dtype=np.int64)
-
-
-def magnetization(f: int) -> int:
-    """Total magnetization quantum number M of configuration f."""
-    return N_SITES // 2 - int(_POPCOUNT[f])
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,20 +83,6 @@ def _config_map(perm: tuple[int, ...]) -> np.ndarray:
         out |= ((_ALL_CONFIGS >> i) & 1) << j
     out.flags.writeable = False
     return out
-
-
-def act_permutation(g: GroupElement, state: StateVector) -> StateVector:
-    """Apply g: amplitude of f moves to the permuted configuration, times parity."""
-    cmap = _config_map(g.perm)
-    if state.sector is None:
-        new = np.empty_like(state.amps)
-        new[cmap] = g.parity * state.amps
-        return StateVector(amps=new, sector=None)
-    basis = sector_basis(state.sector)
-    rows = basis.index_of[cmap[basis.configs]]
-    new = np.empty_like(state.amps)
-    new[rows] = g.parity * state.amps
-    return StateVector(amps=new, sector=state.sector)
 
 
 def spin_flip(state: StateVector) -> StateVector:

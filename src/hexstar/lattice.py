@@ -22,8 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 N_SITES = 12
-OUTER_SITES = tuple(range(6))
-INNER_SITES = tuple(range(6, 12))
 
 # Squared distances (units of a^2) occurring between distinct sites.
 ALLOWED_DISTANCE_SQ = (1, 3, 4, 7, 9, 12)
@@ -218,37 +216,6 @@ def build_group(geometry: Geometry) -> tuple[GroupElement, ...]:
     if len({(e.inverted, e.rot, e.flip) for e in elements}) != 24:
         raise RuntimeError("expected 24 distinct group elements")
     return tuple(elements)
-
-
-def compose(a: GroupElement, b: GroupElement, group: tuple[GroupElement, ...]) -> GroupElement:
-    """Group product a.b, looked up among the 24 elements."""
-    inverted = a.inverted ^ b.inverted
-    rot = (a.rot - b.rot) % 6 if a.flip else (a.rot + b.rot) % 6
-    flip = a.flip ^ b.flip
-    for e in group:
-        if (e.inverted, e.rot, e.flip) == (inverted, rot, flip):
-            return e
-    raise RuntimeError("composition left the group")
-
-
-def inverse(a: GroupElement, group: tuple[GroupElement, ...]) -> GroupElement:
-    identity = next(e for e in group if not e.inverted and e.rot == 0 and not e.flip)
-    for e in group:
-        if compose(a, e, group) is identity:
-            return e
-    raise RuntimeError("element has no inverse in the group")
-
-
-def conjugacy_classes(group: tuple[GroupElement, ...]) -> list[set[GroupElement]]:
-    """Conjugacy classes computed from the multiplication table alone."""
-    remaining = list(group)
-    classes = []
-    while remaining:
-        a = remaining[0]
-        orbit = {compose(compose(g, a, group), inverse(g, group), group) for g in group}
-        classes.append(orbit)
-        remaining = [e for e in remaining if e not in orbit]
-    return classes
 
 
 def character_table() -> CharacterTable:

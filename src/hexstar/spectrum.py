@@ -8,7 +8,6 @@ clusters resolved at a relative tolerance of the spectral spread.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -32,18 +31,11 @@ REFINE_TOL = 1e-6     # Jz/J width of the bracket the ground-state crossover is 
 
 
 def thread_budget() -> int:
-    """Worker cap once used for a sector fan-out, overridable via HEXSTAR_THREADS.
+    """Workers that solve sectors: 1, since sectors are diagonalized one after another.
 
-    The library no longer reads it: sectors are diagonalized one after
-    another.  perfbench still records it as ``sector_pool_workers``.
+    perfbench records it as ``sector_pool_workers``.
     """
-    env = os.environ.get("HEXSTAR_THREADS")
-    if env is not None:
-        n = int(env)
-        if n < 1:
-            raise ValueError("HEXSTAR_THREADS must be a positive integer")
-        return n
-    return min(7, os.cpu_count() or 1)
+    return 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,10 @@
 """Point-group bookkeeping on the sector bases.
 
 Characters of the signed permutation action, irrep multiplicities per
-magnetization sector, total-spin multiplet counts, projectors onto the six
-irreps that survive the trivial horizontal mirror, and the symmetry-adapted
+magnetization sector, total-spin multiplet counts, and the symmetry-adapted
 bases that split each sector Hamiltonian into one block per irrep and
-C2'(0) partner.
+C2'(0) partner, for the six irreps that survive the trivial horizontal
+mirror.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ import numpy as np
 
 from . import lattice
 from .lattice import CharacterTable, GroupElement
-from .hilbert import StateVector, _config_map, act_permutation, sector_basis
+from .hilbert import _config_map, sector_basis
 
 if TYPE_CHECKING:
     import scipy.sparse
 
-INT_TOL = 1e-9   # multiplicities and projector traces must be integers to this
-PURE_TOL = 0.999  # amplitude of one irrep that labels an eigenvector as pure
+INT_TOL = 1e-9  # multiplicities must be integers to this
 
 
 @lru_cache(maxsize=1)
@@ -101,27 +100,6 @@ def multiplet_counts() -> MultipletTable:
                 raise RuntimeError(f"negative multiplet count for {r}, S={S}")
             multiplets[r][S] = n
     return MultipletTable(multiplets=multiplets)
-
-
-@lru_cache(maxsize=64)
-def irrep_projector(irrep: str, M: int) -> np.ndarray:
-    """Dense projector onto the irrep component of the sector."""
-    group = _group()
-    ct = _chartable()
-    basis = sector_basis(M)
-    d = basis.dim
-    proj = np.zeros((d, d))
-    scale = ct.dims[irrep] / len(group)
-    cols = np.arange(d)
-    for g in group:
-        rows = basis.index_of[_config_map(g.perm)[basis.configs]]
-        proj[rows, cols] += scale * ct.chi(irrep, g.class_label) * g.parity
-    trace = float(np.trace(proj))
-    expected = ct.dims[irrep] * irrep_counts().counts[irrep][M]
-    if abs(trace - expected) > 1e-8:
-        raise RuntimeError(f"projector trace {trace} != {expected} for {irrep}, M={M}")
-    proj.flags.writeable = False
-    return proj
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,49 +214,3 @@ def irrep_weights(vectors: np.ndarray, M: int) -> dict[str, np.ndarray]:
         acc = sum(ct.chi(r, g.class_label) * overlaps[g] for g in group)
         out[r] = (ct.dims[r] / len(group)) * acc
     return out
-
-
-def label_eigenvector(vector: np.ndarray, M: int) -> str | None:
-    """Irrep of an eigenvector, or None when no single irrep dominates."""
-    weights = irrep_weights(vector[:, None], M)
-    for r, w in weights.items():
-        if w[0] > PURE_TOL**2:
-            return r
-    return None
-
-
-def classify_factorized_state(state: StateVector) -> dict[str, float]:
-    """Eigenvalue of each group element class on a (normalized) state.
-
-    A two-ring product state is mapped to itself up to a sign by every
-    element; the pattern of signs over the twelve classes identifies the
-    one-dimensional irrep it carries.  Raises if some element fails to
-    reproduce the state up to a scalar.
-    """
-    amps = state.amps / np.linalg.norm(state.amps)
-    normalized = StateVector(amps=amps, sector=state.sector)
-    signature: dict[str, float] = {}
-    for g in _group():
-        moved = act_permutation(g, normalized)
-        lam = complex(np.vdot(amps, moved.amps))
-        residual = float(np.linalg.norm(moved.amps - lam * amps))
-        if residual > 1e-10:
-            raise ValueError(f"state is not symmetry-adapted: element {g.name} "
-                             f"moves it (residual {residual:.2e})")
-        value = float(lam.real)
-        prev = signature.get(g.class_label)
-        if prev is not None and abs(prev - value) > 1e-10:
-            raise ValueError(f"inconsistent eigenvalues within class {g.class_label}")
-        signature[g.class_label] = value
-    return signature
-
-
-def identify_one_dim_irrep(signature: dict[str, float]) -> str:
-    """Match a class-eigenvalue signature against the 1D irrep characters."""
-    ct = _chartable()
-    for r in ct.irreps:
-        if ct.dims[r] != 1:
-            continue
-        if all(abs(signature[c] - ct.chi(r, c)) < 1e-8 for c in ct.classes):
-            return r
-    raise ValueError("signature does not match any retained one-dimensional irrep")

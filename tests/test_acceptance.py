@@ -30,12 +30,11 @@ from hexstar.hamiltonian import (
 )
 from hexstar.hilbert import (
     StateVector,
-    act_permutation,
     build_initial_state,
     parse_state_spec,
     sector_basis,
 )
-from hexstar.lattice import IRREP_DIMS, IRREP_LABELS, compose, inverse
+from hexstar.lattice import IRREP_DIMS, IRREP_LABELS
 from hexstar.spectrum import (
     degeneracy_histogram,
     diagonalize_sector,
@@ -44,6 +43,7 @@ from hexstar.spectrum import (
     ising_degeneracy_check,
 )
 from hexstar.symmetry import irrep_counts, multiplet_counts
+from reference import act_permutation, compose, inverse
 
 IRREP_CENSUS = {
     "A1g": (0, 0, 3, 14, 35, 56, 70),

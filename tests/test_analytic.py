@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 
 from hexstar.analytic import (
+    _sym_ring_state,
     block_entries,
     exact_block_entries,
-    exact_heisenberg_gap,
     gap,
-    heisenberg_gap,
-    heisenberg_m5_eigenstates,
     kappa,
     m5_block,
     m5_probabilities,
@@ -29,6 +27,19 @@ from hexstar.hilbert import StateVector, sector_basis
 
 ALPHAS = (3.0, 6.0)
 ANISOTROPIES = (-3.0, -1.0, 0.0, 1.0, 3.0)
+
+
+def _heisenberg_m5_eigenstates() -> tuple[StateVector, StateVector]:
+    """Eigenstates at the Heisenberg point: total spin 6 and 5 combinations.
+
+    The symmetric sum (outer + inner)/sqrt(2) belongs to the S=6
+    ferromagnetic multiplet; the antisymmetric partner carries S=5.
+    """
+    outer = _sym_ring_state(outer=True).amps
+    inner = _sym_ring_state(outer=False).amps
+    s6 = StateVector(amps=(outer + inner) / math.sqrt(2.0), sector=5)
+    s5 = StateVector(amps=(-outer + inner) / math.sqrt(2.0), sector=5)
+    return s6, s5
 
 
 def test_block_matches_engine_on_the_grid():
@@ -60,17 +71,18 @@ def test_exact_rational_entries():
 
 
 def test_exact_isotropic_gap():
-    assert exact_heisenberg_gap(6.0) == Fraction(22359, 2744)
+    # at Jz = J the diagonal entries tie and the gap is twice the off-diagonal
+    assert 2 * exact_block_entries(6.0)[1] == Fraction(22359, 2744)
     assert gap(6.0, 1.0) == pytest.approx(22359 / 2744, rel=1e-12)
     for alpha in ALPHAS:
-        assert gap(alpha, 1.0) == pytest.approx(heisenberg_gap(alpha), rel=1e-13)
+        assert gap(alpha, 1.0) == pytest.approx(2 * block_entries(alpha)[1], rel=1e-13)
 
 
 def test_exact_entries_require_even_power():
     with pytest.raises(ValueError):
         exact_block_entries(3.0)
     with pytest.raises(ValueError):
-        exact_heisenberg_gap(5.0)
+        exact_block_entries(5.0)
     assert m5_block(3.0, 1.0).exact is None
 
 
@@ -87,7 +99,7 @@ def test_kappa_consistency_with_entries():
 
 
 def test_isotropic_eigenstates():
-    sym, anti = heisenberg_m5_eigenstates()
+    sym, anti = _heisenberg_m5_eigenstates()
     assert abs(float(sym.amps @ anti.amps)) < 1e-14
     casimir = heisenberg_casimir(5)
     assert sym.amps @ casimir @ sym.amps == pytest.approx(42.0, abs=1e-10)
@@ -140,7 +152,7 @@ def test_unknown_initial_vector_rejected():
 
 def test_heisenberg_point_gap_agrees_with_spectrum(heisenberg_spectra):
     # the one-flip spectrum must contain two levels split by the closed form
-    sym, anti = heisenberg_m5_eigenstates()
+    sym, anti = _heisenberg_m5_eigenstates()
     h = build_sector_hamiltonian(5, HEISENBERG).matrix
     e_sym = sym.amps @ h @ sym.amps
     e_anti = anti.amps @ h @ anti.amps

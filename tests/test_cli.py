@@ -231,14 +231,16 @@ def test_overflowing_jz_grid_prints_nothing_from_numpy():
      "numerical failure: the kappa gap formula overflows a float at alpha=646"),
     (("analytic-m5", "--alpha", "647", "--t-steps", "2"), 3,
      "numerical failure: the kappa gap formula overflows a float at alpha=647"),
+    (("analytic-m5", "--jz-over-j", "1e200", "--t-steps", "2"), 3,
+     "numerical failure: the kappa gap formula overflows a float at alpha=6, Jz/J=1e+200"),
     (("return-prob", "--state", "config:0", "--sector", "6", "--t-steps", "2",
       "--t-max", "1e308"), 2, "error: times must be finite and small enough"),
     (("dynamics", "--state", "xi", "--sector", "5", "--t-steps", "3", "--t-max", "1e308"), 2,
      "error: times must be finite and small enough"),
     (("analytic-m5", "--t-steps", "2", "--t-max", "1e308"), 2,
      "error: times must be finite and small enough"),
-], ids=["ground-scan", "analytic-198", "analytic-646", "analytic-647", "return-prob",
-        "dynamics", "analytic-time"])
+], ids=["ground-scan", "analytic-198", "analytic-646", "analytic-647", "analytic-jz-1e200",
+        "return-prob", "dynamics", "analytic-time"])
 @pytest.mark.filterwarnings("error")
 def test_overflowing_inputs_fail_in_one_line(capsys, argv, code, message):
     for fmt in ("csv", "json"):
@@ -254,8 +256,9 @@ def test_overflowing_inputs_fail_in_one_line(capsys, argv, code, message):
     ("return-prob", "--state", "config:0", "--sector", "6", "--t-steps", "2", "--t-max", "1e306"),
     ("dynamics", "--state", "xi", "--sector", "5", "--t-steps", "3", "--t-max", "1e306"),
     ("analytic-m5", "--t-steps", "2", "--t-max", "1e306"),
+    ("analytic-m5", "--jz-over-j", "1e150", "--t-steps", "2"),
 ], ids=["ferro-1e306", "antiferro-1e306", "analytic-197", "return-prob", "dynamics",
-        "analytic-time"])
+        "analytic-time", "analytic-jz-1e150"])
 @pytest.mark.filterwarnings("error")
 def test_inputs_just_inside_the_float_range_still_work(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -291,6 +294,7 @@ def test_usage_errors_exit_two(capsys):
     ("spectrum", "--sector", "6", "--tol-deg", "nan"),
     ("dynamics", "--state", "xi", "--sector", "6", "--tol-support=-1e-10"),
     ("schmidt", "--state", "config:63", "--tol-svd", "inf"),
+    ("degeneracy", "--tol-deg", "1e308"),
 ])
 def test_non_finite_and_negative_inputs_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexstar.entanglement import _cut_matrix, is_entangled, schmidt_number
+from hexstar.entanglement import SVD_TOL, _cut_matrix, _ranks, is_entangled
 from hexstar.hamiltonian import ModelParams
 from hexstar.hilbert import (
     StateVector,
@@ -19,6 +19,16 @@ from hexstar.hilbert import (
 from hexstar.spectrum import diagonalize_sector
 
 FULL_MASK = (1 << 12) - 1
+
+
+def _schmidt_number(state: StateVector, mask: int, tol: float = SVD_TOL) -> int:
+    """Schmidt rank of a full-space state across the bipartition ``mask``."""
+    if state.sector is not None:
+        raise ValueError("schmidt_number expects a full-space state")
+    if not 0 < mask < FULL_MASK:
+        raise ValueError("mask must put at least one site on each side")
+    matrix = _cut_matrix(state.amps.reshape((2,) * 12), mask)
+    return int(_ranks(np.linalg.svd(matrix, compute_uv=False), tol))
 
 
 def _embedded_ground_state(jz_over_j: float) -> StateVector:
@@ -49,9 +59,9 @@ def test_singlet_pair_cuts():
     amps[1 << 0] = 1.0 / math.sqrt(2.0)
     amps[1 << 1] = -1.0 / math.sqrt(2.0)
     state = StateVector(amps=amps, sector=None)
-    assert schmidt_number(state, 1 << 0) == 2       # separates the pair
-    assert schmidt_number(state, (1 << 0) | (1 << 1)) == 1
-    assert schmidt_number(state, 1 << 5) == 1       # spectator site
+    assert _schmidt_number(state, 1 << 0) == 2       # separates the pair
+    assert _schmidt_number(state, (1 << 0) | (1 << 1)) == 1
+    assert _schmidt_number(state, 1 << 5) == 1       # spectator site
     report = is_entangled(state)
     assert report.entangled is False                # one product cut suffices
     assert report.min_rank == 1 and report.max_rank == 2
@@ -63,7 +73,7 @@ def test_rank_is_complement_invariant():
     amps /= np.linalg.norm(amps)
     state = StateVector(amps=amps, sector=None)
     for mask in (0b1, 0b111000111, 0b10101010101):
-        assert schmidt_number(state, mask) == schmidt_number(state, FULL_MASK ^ mask)
+        assert _schmidt_number(state, mask) == _schmidt_number(state, FULL_MASK ^ mask)
 
 
 def test_random_state_is_heavily_entangled():
@@ -72,8 +82,8 @@ def test_random_state_is_heavily_entangled():
     amps /= np.linalg.norm(amps)
     state = StateVector(amps=amps, sector=None)
     # a generic vector saturates the rank bound on every cut
-    assert schmidt_number(state, 0b1) == 2
-    assert schmidt_number(state, 0b111111) == 64
+    assert _schmidt_number(state, 0b1) == 2
+    assert _schmidt_number(state, 0b111111) == 64
 
 
 def test_balanced_ground_states_are_entangled():
@@ -93,13 +103,13 @@ def test_mask_bounds_are_enforced():
     state = basis_state(0)
     for bad in (0, FULL_MASK, -1, 1 << 12):
         with pytest.raises(ValueError):
-            schmidt_number(state, bad)
+            _schmidt_number(state, bad)
 
 
 def test_sector_states_are_rejected():
     sector_state = StateVector(amps=np.ones(12) / math.sqrt(12.0), sector=5)
     with pytest.raises(ValueError):
-        schmidt_number(sector_state, 1)
+        _schmidt_number(sector_state, 1)
     with pytest.raises(ValueError):
         is_entangled(sector_state)
 
@@ -155,6 +165,6 @@ def test_scan_ranks_match_single_cuts(kind, seed):
     state = _random_state(kind, seed)
     report = is_entangled(state)
     assert list(report.ranks) == list(range(1, 1 << 11))
-    assert report.ranks == {mask: schmidt_number(state, mask) for mask in report.ranks}
+    assert report.ranks == {mask: _schmidt_number(state, mask) for mask in report.ranks}
     if kind == "product":
         assert report.min_rank == 1

@@ -1,7 +1,6 @@
 """Sector Hamiltonians: couplings, exact entries, spin Casimir."""
 
 import math
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -14,16 +13,21 @@ from hexstar.hamiltonian import (
     ModelParams,
     anisotropy_split,
     build_sector_hamiltonian,
-    coupling,
     exact_capable,
-    exact_coupling,
     heisenberg_casimir,
     total_coupling,
 )
 from hexstar.hamiltonian import _PAIRS, _assemble
 from hexstar.hilbert import sector_basis
-from hexstar.lattice import build_geometry
+from hexstar.lattice import Geometry, build_geometry
 from hexstar.spectrum import full_spectrum
+
+
+def _coupling(geometry: Geometry, i: int, j: int, alpha: float) -> float:
+    """Distance-power coupling d_ij^-alpha in units of J."""
+    if i == j:
+        raise ValueError("coupling needs two distinct sites")
+    return float(geometry.distance_sq[i, j]) ** (-alpha / 2.0)
 
 
 def test_params_validation():
@@ -44,16 +48,14 @@ def test_exact_capable():
 
 
 def test_coupling_values(geometry):
-    assert coupling(geometry, 0, 8, 6.0) == pytest.approx(1.0)
-    assert coupling(geometry, 0, 1, 6.0) == pytest.approx(3.0 ** -3)
-    assert coupling(geometry, 6, 9, 6.0) == pytest.approx(2.0 ** -6)
-    assert exact_coupling(geometry, 0, 1, 6.0) == Fraction(1, 27)
-    assert exact_coupling(geometry, 0, 3, 6.0) == Fraction(1, 12 ** 3)
+    assert _coupling(geometry, 0, 8, 6.0) == pytest.approx(1.0)
+    assert _coupling(geometry, 0, 1, 6.0) == pytest.approx(3.0 ** -3)
+    assert _coupling(geometry, 6, 9, 6.0) == pytest.approx(2.0 ** -6)
 
 
 def test_total_coupling(geometry):
     acc = sum(
-        coupling(geometry, i, j, 6.0)
+        _coupling(geometry, i, j, 6.0)
         for i in range(12) for j in range(i + 1, 12)
     )
     assert total_coupling(geometry, 6.0) == pytest.approx(acc, rel=1e-15)
@@ -141,7 +143,7 @@ def test_sector_blocks_match_the_full_pauli_hamiltonian(geometry, pauli_sites):
     pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
     for params in (HEISENBERG, XXZ_FERRO, ModelParams(3.0, 0.5)):
         full = sum(
-            coupling(geometry, i, j, params.alpha)
+            _coupling(geometry, i, j, params.alpha)
             * (sx[i] @ sx[j] + sy[i] @ sy[j] + params.jz_over_j * sz[i] @ sz[j])
             for i, j in pairs
         )
@@ -167,7 +169,7 @@ def test_casimir_matches_the_full_pauli_spin(pauli_sites):
 
 @pytest.mark.parametrize("alpha", [0.37, 1.0, 3.7, 6.0, 13.1])
 def test_float_assembly_uses_the_pairwise_couplings_bit_for_bit(geometry, alpha):
-    weights = np.array([coupling(geometry, i, j, alpha) for i, j in _PAIRS])
+    weights = np.array([_coupling(geometry, i, j, alpha) for i, j in _PAIRS])
     for M in (0, 3, -5):
         ham = build_sector_hamiltonian(M, ModelParams(alpha, -0.7), exact=False)
         assert np.array_equal(ham.matrix, _assemble(M, weights, -0.7))

