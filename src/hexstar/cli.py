@@ -77,7 +77,7 @@ def _times(args: argparse.Namespace) -> np.ndarray:
 
 
 def _check_inputs(args: argparse.Namespace) -> None:
-    """Reject non-finite times, grids and tolerances, negative tolerances and --tol-deg > 1."""
+    """Reject non-finite or negative inputs, --tol-deg above 1 and --tol-svd of 1 or more."""
     for name in ("t_max", "jz_min", "jz_max"):
         if not math.isfinite(getattr(args, name, 0.0)):
             raise ValueError(f"--{name.replace('_', '-')} must be finite")
@@ -88,8 +88,9 @@ def _check_inputs(args: argparse.Namespace) -> None:
         if value is not None and not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"--{name.replace('_', '-')} must be finite and non-negative")
     if getattr(args, "tol_deg", 0.0) > 1.0:
-        raise ValueError("--tol-deg must be at most 1, the relative tolerance that merges "
-                         "every level")
+        raise ValueError("--tol-deg must be at most 1, where every level is one cluster")
+    if getattr(args, "tol_svd", 0.0) >= 1.0:
+        raise ValueError("--tol-svd must be below 1, where no singular value counts")
 
 
 def _resolve_state(args: argparse.Namespace) -> StateVector:

@@ -43,7 +43,6 @@ class SpectralSupport:
     """
 
     M: int
-    first: np.ndarray          # (K,) first eigenindex of each cluster
     overlap: np.ndarray        # (K,) projection norm ||P_cluster psi0||
     energies: np.ndarray       # (K,) units of J
     basis: np.ndarray          # (d, ncols) real orthonormal
@@ -52,26 +51,23 @@ class SpectralSupport:
     support_tol: float
 
     @property
-    def entries(self) -> tuple[tuple[int, float], ...]:
-        """One (first eigenindex, projection norm) pair per cluster."""
-        return tuple(zip(self.first.tolist(), self.overlap.tolist()))
-
-    @property
     def col_energy(self) -> np.ndarray:
         return self.energies[self.col_cluster]
 
     @property
     def dim(self) -> int:
         """The support dimension delta_0."""
-        return len(self.first)
+        return len(self.overlap)
 
     def restrict(self, support_tol: float) -> SpectralSupport:
-        """The clusters above support_tol, with their columns."""
+        """The clusters above support_tol, with their columns; ValueError if none is."""
         keep = self.overlap > support_tol
+        if not keep.any():
+            raise ValueError(f"no cluster overlap exceeds support_tol={support_tol:g}; "
+                             f"the largest is {self.overlap.max(initial=0.0):g}")
         cols = keep[self.col_cluster]
         return SpectralSupport(
             M=self.M,
-            first=self.first[keep],
             overlap=self.overlap[keep],
             energies=self.energies[keep],
             basis=self.basis.compress(cols, axis=1),  # C order, like the full basis
@@ -165,7 +161,6 @@ def _sector_modes(
             coef.append(complex(w @ proj))
     return SpectralSupport(
         M=M,
-        first=np.array([int(c.indices[0]) for c, *_ in kept], dtype=int),
         overlap=np.array([norm for *_, norm in kept]),
         energies=np.array([c.energy for c, *_ in kept]),
         basis=np.stack(cols, axis=1) if cols else np.zeros((res.dim, 0)),

@@ -1,9 +1,9 @@
-"""Sector diagonalization and spectral bookkeeping.
+"""Sector diagonalization and spectral bookkeeping on irrep-block operators.
 
-Everything downstream (degeneracy tables, ground-state scans, quench
-dynamics) consumes the SpectrumResult produced here: eigenvalues in units
-of J, eigenvectors as columns over the sector basis, and eigenvalue
-clusters resolved at a relative tolerance of the spectral spread.
+Labelled spectra and ground-state scans both solve the irrep blocks of
+X + (Jz/J) diag(zz), projected once per (M, alpha).  Downstream code reads
+the SpectrumResult: eigenvalues in units of J, eigenvectors as columns over
+the sector basis, and eigenvalue clusters at a relative tolerance of the spread.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .hamiltonian import (
     heisenberg_casimir,
     total_coupling,
 )
-from .symmetry import irrep_blocks
+from .symmetry import IrrepBlock, irrep_blocks
 
 SUPPORT_TOL = 1e-10   # default overlap threshold for spectral support
 RESIDUAL_TOL = 1e-10  # per-eigenpair residual bound, relative to the spread
@@ -88,17 +88,49 @@ def diagonalize_sector(
     return _mirror_result(_diagonalize_sector(-M, params, deg_tol_rel))
 
 
+_Entry = tuple[IrrepBlock, np.ndarray, np.ndarray]  # (block, B X B^T, diagonal of B diag(zz) B^T)
+
+
+@lru_cache(maxsize=7)  # the sectors of one alpha
+def _block_operators(M: int, alpha: float) -> tuple[_Entry, ...]:
+    """Both parts of every irrep block of sector M, of both C2'(0) partners, for any Jz/J.
+
+    A row of B lives on one configuration orbit of the point group, which keeps
+    distances and so zz: B diag(zz) B^T is diagonal, zz weighted by squared rows.
+    """
+    import scipy.sparse  # deferred: `import hexstar` does not load scipy.sparse
+
+    split = anisotropy_split(M, alpha)
+    d = len(split.zz)
+    x = scipy.sparse.csr_array((split.flip, (split.rows, split.cols)), shape=(d, d))
+    return tuple((b, (b.basis @ x @ b.basis.T).toarray(), (b.basis * b.basis) @ split.zz)
+                 for b in irrep_blocks(M))
+
+
+def _solve_blocks(params: ModelParams, entries: tuple[_Entry, ...], solve=np.linalg.eigvalsh):
+    """eigvalsh (or eigh) of each X_r + (Jz/J) diag(z_r); RuntimeError if a level overflows."""
+    jz = params.jz_over_j
+    with np.errstate(over="ignore"):
+        diagonals = [jz * z for _, _, z in entries]
+    if all(np.isfinite(z).all() for z in diagonals):
+        solved = [solve(x + np.diag(z)) for (_, x, _), z in zip(entries, diagonals)]
+        # eigh gives a (values, vectors) tuple, eigvalsh the values alone
+        if all(np.isfinite(s[0] if isinstance(s, tuple) else s).all() for s in solved):
+            return solved
+    raise RuntimeError(f"a block level is not finite at alpha={params.alpha:g}, "
+                       f"Jz/J={jz:g}: the energies overflow a float")
+
+
 @lru_cache(maxsize=26)  # M >= 0 only: three parameter sets of 7 sectors, plus 5 entries
 def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> SpectrumResult:
-    """Eigenpairs from the irrep blocks of both partners, one row per state.
+    """Eigenpairs from eigh of every block operator, both partners, one row per state.
 
-    Every eigenvector is a block eigenvector mapped back through its
-    block's rows, so it carries exactly one irrep, and a cluster's irrep
-    slots count the levels each irrep contributes to it.
+    Each eigenvector is a block eigenvector mapped back through its block's rows,
+    so it carries one irrep and a cluster's irrep slots count its block levels.
+    A residual against the dense sector H above RESIDUAL_TOL (or NaN) raises RuntimeError.
     """
-    h = build_sector_hamiltonian(M, params).matrix
-    blocks = irrep_blocks(M)
-    solved = [np.linalg.eigh(b.basis @ (b.basis @ h).T) for b in blocks]
+    entries = _block_operators(M, params.alpha)
+    solved = _solve_blocks(params, entries, np.linalg.eigh)
     merged = np.concatenate([values for values, _ in solved])
     order = np.argsort(merged, kind="stable")
     eigenvalues = merged[order]
@@ -107,15 +139,16 @@ def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> Spec
     eigenvectors = np.empty((len(order), len(order)), order="F")  # columns contiguous
     irrep_of = np.empty(len(order), dtype=np.int64)  # index into IRREP_LABELS per column
     start = 0
-    for b, (values, u) in zip(blocks, solved):
+    for (b, _, _), (values, u) in zip(entries, solved):
         cols = column[start:start + len(values)]
         eigenvectors[:, cols] = b.basis.T @ u
         irrep_of[cols] = IRREP_LABELS.index(b.irrep)
         start += len(values)
 
     spread = float(eigenvalues[-1] - eigenvalues[0])
+    h = build_sector_hamiltonian(M, params).matrix
     residual = np.abs(h @ eigenvectors - eigenvectors * eigenvalues).max()
-    if residual > RESIDUAL_TOL * max(spread, 1.0):
+    if not residual <= RESIDUAL_TOL * max(spread, 1.0):
         raise RuntimeError(f"eigenpair residual {residual:.2e} too large in sector {M}")
 
     deg_tol = deg_tol_rel * spread
@@ -228,31 +261,6 @@ class GroundScan:
     crossover_excess: tuple[float, float] | None  # ferro excess at the two bracket ends
 
 
-@lru_cache(maxsize=1)
-def _block_pairs(alpha: float) -> dict[int, tuple[tuple[str, np.ndarray, np.ndarray], ...]]:
-    """(irrep, B X B^T, diagonal of B diag(zz) B^T) per C2'(0)-even block of each M >= 0.
-
-    Sector M is X + (Jz/J) diag(zz) at every anisotropy, so the pair gives
-    each block along the whole Jz/J axis of this alpha.  X is projected as
-    a sparse matrix.  Each row of B lives on one orbit of configurations
-    under the point group, which preserves distances and so leaves zz
-    constant on the orbit: B diag(zz) B^T is diagonal, each row's squared
-    entries weighting zz.
-    """
-    import scipy.sparse  # deferred: `import hexstar` does not load scipy.sparse
-
-    pairs = {}
-    for M in range(0, 7):
-        split = anisotropy_split(M, alpha)
-        d = len(split.zz)
-        x = scipy.sparse.csr_array((split.flip, (split.rows, split.cols)), shape=(d, d))
-        pairs[M] = tuple(
-            (b.irrep, (b.basis @ x @ b.basis.T).toarray(), (b.basis * b.basis) @ split.zz)
-            for b in irrep_blocks(M) if b.partner > 0
-        )
-    return pairs
-
-
 def _sector_levels(params: ModelParams) -> dict[int, dict[str, np.ndarray]]:
     """Eigenvalues of the C2'(0)-even irrep blocks of every sector M >= 0, keyed by irrep.
 
@@ -260,17 +268,10 @@ def _sector_levels(params: ModelParams) -> dict[int, dict[str, np.ndarray]]:
     stands for two states of its sector.  A Jz/J so large that a level
     overflows raises RuntimeError.
     """
-    jz = params.jz_over_j
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            levels = {M: {r: np.linalg.eigvalsh(x + np.diag(jz * z)) for r, x, z in blocks}
-                      for M, blocks in _block_pairs(params.alpha).items()}
-        if all(np.isfinite(v).all() for blocks in levels.values() for v in blocks.values()):
-            return levels
-    except np.linalg.LinAlgError:  # LAPACK gives up on some infinite entries
-        pass
-    raise RuntimeError(f"a block level is not finite at alpha={params.alpha:g}, "
-                       f"Jz/J={jz:g}: the energies overflow a float")
+    even = {M: [e for e in _block_operators(M, params.alpha) if e[0].partner > 0]
+            for M in range(0, 7)}
+    return {M: {b.irrep: v for (b, _, _), v in zip(entries, _solve_blocks(params, entries))}
+            for M, entries in even.items()}
 
 
 def _ground_point(

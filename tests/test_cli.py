@@ -239,8 +239,16 @@ def test_overflowing_jz_grid_prints_nothing_from_numpy():
      "error: times must be finite and small enough"),
     (("analytic-m5", "--t-steps", "2", "--t-max", "1e308"), 2,
      "error: times must be finite and small enough"),
+    (("spectrum", "--sector", "0", "--jz-over-j", "1e308"), 3,
+     "numerical failure: a block level is not finite at alpha=6, Jz/J=1e+308"),
+    (("spectrum", "--sector", "5", "--jz-over-j", "1e308"), 3,
+     "numerical failure: a block level is not finite at alpha=6, Jz/J=1e+308"),
+    (("return-prob", "--state", "chi", "--sector", "5", "--jz-over-j", "1e308",
+      "--t-steps", "3"), 3,
+     "numerical failure: a block level is not finite at alpha=6, Jz/J=1e+308"),
 ], ids=["ground-scan", "analytic-198", "analytic-646", "analytic-647", "analytic-jz-1e200",
-        "return-prob", "dynamics", "analytic-time"])
+        "return-prob", "dynamics", "analytic-time", "spectrum-0-jz-1e308",
+        "spectrum-5-jz-1e308", "return-prob-jz-1e308"])
 @pytest.mark.filterwarnings("error")
 def test_overflowing_inputs_fail_in_one_line(capsys, argv, code, message):
     for fmt in ("csv", "json"):
@@ -257,13 +265,32 @@ def test_overflowing_inputs_fail_in_one_line(capsys, argv, code, message):
     ("dynamics", "--state", "xi", "--sector", "5", "--t-steps", "3", "--t-max", "1e306"),
     ("analytic-m5", "--t-steps", "2", "--t-max", "1e306"),
     ("analytic-m5", "--jz-over-j", "1e150", "--t-steps", "2"),
+    ("spectrum", "--sector", "5", "--jz-over-j", "1e307"),
 ], ids=["ferro-1e306", "antiferro-1e306", "analytic-197", "return-prob", "dynamics",
-        "analytic-time", "analytic-jz-1e150"])
+        "analytic-time", "analytic-jz-1e150", "spectrum-5-jz-1e307"])
 @pytest.mark.filterwarnings("error")
 def test_inputs_just_inside_the_float_range_still_work(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert not re.search(r"\bnan\b", out, re.IGNORECASE)
+
+
+@pytest.mark.parametrize("argv, largest", [
+    (("dynamics", "--state", "xi", "--sector", "5", "--tol-support", "2"), "1"),
+    (("dynamics", "--state", "chi", "--sector", "0", "--tol-support", "0.9"), "0.279197"),
+    (("dynamics", "--state", "xi", "--sector", "6", "--tol-support", "1e308"), "1"),
+])
+def test_a_support_tolerance_no_cluster_clears_is_a_usage_error(capsys, argv, largest):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: no cluster overlap exceeds support_tol={float(argv[-1]):g}; "
+                   f"the largest is {largest}\n")
+
+
+def test_a_singular_value_tolerance_just_below_one_still_counts_the_largest(capsys):
+    code, out, err = run_cli(capsys, "schmidt", "--state", "ground", "--tol-svd", "0.999")
+    assert (code, err) == (0, "")
+    assert parse_csv(out)[3]["min_rank"] == 1
 
 
 def test_an_eigensolver_failure_is_a_numerical_failure(monkeypatch, capsys):
@@ -295,6 +322,8 @@ def test_usage_errors_exit_two(capsys):
     ("dynamics", "--state", "xi", "--sector", "6", "--tol-support=-1e-10"),
     ("schmidt", "--state", "config:63", "--tol-svd", "inf"),
     ("degeneracy", "--tol-deg", "1e308"),
+    ("schmidt", "--state", "ground", "--tol-svd", "2"),
+    ("schmidt", "--state", "config:63", "--tol-svd", "1"),
 ])
 def test_non_finite_and_negative_inputs_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

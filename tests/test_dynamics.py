@@ -74,7 +74,7 @@ def test_support_is_mirror_symmetric(xi):
 
 def test_support_weights_resolve_unity(chi):
     support = spectral_support(chi, 3, HEISENBERG)
-    total = sum(w**2 for _, w in support.entries)
+    total = sum(support.overlap**2)
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -292,8 +292,7 @@ def test_classes_match_first_fit_at_the_tolerance_edge(seed):
     signs = rng.choice([-1.0, 1.0], size=(80, 1))
     shifts = CLASS_TOL * rng.choice([0.0, 0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0], size=(80, 1))
     rows = signs * base[picks] + shifts * rng.choice([-1.0, 1.0], size=(80, n))
-    support = SpectralSupport(M=0, first=np.zeros(1, dtype=int), overlap=np.ones(1),
-                              energies=np.zeros(1), basis=rows,
+    support = SpectralSupport(M=0, overlap=np.ones(1), energies=np.zeros(1), basis=rows,
                               col_cluster=np.zeros(n, dtype=int),
                               coef=np.zeros(n, dtype=complex), support_tol=0.0)
     assert [c.tolist() for c in equiprobability_classes(support)] == _first_fit_classes(rows)
@@ -343,8 +342,7 @@ def test_evolution_properties_at_random_couplings(
     reference = plain_evolution(state, params, times, sectors=(M,))[M]
     assert np.abs(reference - traj.probs).max() < 1e-12
 
-    assert support.entries == traj.support.entries
-    for field in ("energies", "basis", "col_energy", "coef"):
+    for field in ("overlap", "energies", "basis", "col_energy", "coef"):
         assert np.array_equal(getattr(support, field), getattr(traj.support, field)), field
 
 

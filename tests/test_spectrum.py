@@ -462,19 +462,58 @@ def test_ground_points_match_the_projected_hamiltonian(monkeypatch, alpha):
 
 
 @pytest.mark.parametrize("alpha", [1.5, 6.0])
-def test_block_pairs_are_the_projected_split(alpha):
-    import scipy.sparse
+def test_block_operators_are_the_projected_sector_hamiltonian(alpha):
+    # the reference is the per-point projection of the dense sector H, both partners
+    for M in range(-6, 7):
+        entries = spectrum._block_operators(M, alpha)
+        assert [b for b, _, _ in entries] == list(irrep_blocks(M))
+        for jz in (0.0, 1.0, -2.5):
+            h = build_sector_hamiltonian(M, ModelParams(alpha, jz)).matrix
+            for b, xr, zr in entries:
+                assert np.abs(xr + np.diag(jz * zr) - b.basis @ (b.basis @ h).T).max() <= 1e-13
 
-    for M, blocks in spectrum._block_pairs(alpha).items():
-        x = build_sector_hamiltonian(M, ModelParams(alpha, 0.0)).matrix
-        zz = np.diag(build_sector_hamiltonian(M, ModelParams(alpha, 1.0)).matrix)
-        even = [b for b in irrep_blocks(M) if b.partner > 0]
-        assert [r for r, _, _ in blocks] == [b.irrep for b in even]
-        for (_, xr, zr), b in zip(blocks, even):
-            assert np.abs(xr - b.basis @ (b.basis @ x).T).max() <= 1e-13
-            # diag(zz) is constant on each row's orbit, so its block is diagonal
-            dense = (b.basis @ scipy.sparse.diags_array(zz) @ b.basis.T).toarray()
-            assert np.abs(dense - np.diag(zr)).max() <= 1e-13
+
+def test_a_second_anisotropy_builds_no_block_operators(monkeypatch):
+    built = []
+    split = spectrum.anisotropy_split
+    monkeypatch.setattr(spectrum, "anisotropy_split",
+                        lambda M, alpha: built.append(M) or split(M, alpha))
+    monkeypatch.setattr(spectrum, "_diagonalize_sector", _uncached)  # keep the shared spectra
+    for solve, alpha in ((full_spectrum, 4.37), (ground_state_point, 4.63)):  # fresh ranges
+        solve(ModelParams(alpha, 0.3))
+        assert sorted(built) == list(range(7))
+        built.clear()
+        solve(ModelParams(alpha, -1.7))
+        assert built == []
+
+
+def test_a_perturbed_block_operator_fails_the_residual_check(monkeypatch):
+    entries = list(spectrum._block_operators(3, 6.0))
+    b, xr, zr = entries[0]
+    xr = xr.copy()
+    xr[0, 0] += 1e-6
+    entries[0] = (b, xr, zr)
+    monkeypatch.setattr(spectrum, "_block_operators", lambda M, alpha: tuple(entries))
+    with pytest.raises(RuntimeError, match="eigenpair residual"):
+        _uncached(3, ModelParams(6.0, 0.5), DEG_TOL_RELATIVE)
+
+
+def test_block_solves_accept_a_plain_eigenpair_tuple():
+    # numpy before 2.0 returns eigh's eigenpairs as a plain (values, vectors) tuple
+    entries = spectrum._block_operators(2, 6.0)
+    solved = spectrum._solve_blocks(ModelParams(6.0, 0.5), entries,
+                                    lambda a: tuple(np.linalg.eigh(a)))
+    levels = spectrum._solve_blocks(ModelParams(6.0, 0.5), entries)
+    for (values, _), expected in zip(solved, levels):
+        assert values == pytest.approx(expected, abs=1e-12)
+
+
+def test_a_solver_failure_at_finite_levels_keeps_its_own_error():
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        spectrum._solve_blocks(ModelParams(6.0, 0.5), spectrum._block_operators(2, 6.0), fail)
 
 
 def test_crossover_excess_is_the_true_excess_at_the_bracket_ends(monkeypatch):
