@@ -39,11 +39,13 @@ from .symmetry import (
     IrrepBlock,
     IrrepCountTable,
     MultipletTable,
+    Stabilizer,
     sector_character,
     irrep_counts,
     multiplet_counts,
     irrep_blocks,
     irrep_weights,
+    stabilizer,
 )
 from .spectrum import (
     SpectrumResult,

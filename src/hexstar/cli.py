@@ -362,7 +362,10 @@ def cmd_schmidt(args: argparse.Namespace) -> _Output:
         ["mask", "sites_a", "sites_b", "rank"], rows,
         lambda: {"ranks": {str(m): r for m, r in report.ranks.items()}},
         {"entangled": report.entangled, "min_rank": report.min_rank,
-         "max_rank": report.max_rank},
+         "max_rank": report.max_rank, "stabilizer_order": report.stabilizer_order,
+         "cut_orbits": report.cut_orbits,
+         "stabilizer_kept_margin": report.stabilizer_kept_margin,
+         "stabilizer_rejected_margin": report.stabilizer_rejected_margin},
     )
 
 

@@ -15,6 +15,21 @@ column ``sum_k bit(b_k) << k``, with a_k and b_k the sites of each part
 in ascending order.  The scan groups its cuts by |B|, so every group has
 one matrix shape, and takes the singular values of a fixed number of
 stacked matrices per LAPACK call.
+
+Cuts related by a symmetry of the state share their rank.  When a site
+permutation g fixes psi up to a phase, the cut matrix of g(A)|g(B) is
+a row and column permutation of that of A|B, times the phase, and a cut
+and its complement have transposed matrices.  The scan finds the
+stabilizer of psi among the 12 site permutations (``symmetry.stabilizer``,
+to STABILIZER_TOL relative to max|psi|), maps every cut to the smallest
+mask of its orbit under the stabilizer and complement, and takes the
+singular values of those representatives only; every other cut copies
+its representative's rank.  A state fixed by all 12 permutations has 209
+cut orbits among the 2047 cuts; a trivial stabilizer makes every cut its
+own orbit.  A kept permutation moves a singular value by at most the
+Frobenius norm of its deviation, 64 STABILIZER_TOL max|psi|, so only a
+singular value that close to the SVD_TOL threshold could count
+differently on the two cuts.
 """
 
 from __future__ import annotations
@@ -26,7 +41,8 @@ from itertools import groupby
 import numpy as np
 
 from .lattice import N_SITES
-from .hilbert import StateVector
+from .hilbert import FULL_MASK, StateVector, _config_map
+from .symmetry import STABILIZER_TOL, stabilizer
 
 SVD_TOL = 1e-10  # relative threshold on singular values
 
@@ -48,6 +64,22 @@ def _cut_matrix(tensor: np.ndarray, mask: int) -> np.ndarray:
     return tensor.transpose(_cut_axes(mask)).reshape(1 << (N_SITES - n_b), 1 << n_b)
 
 
+@lru_cache(maxsize=None)  # one entry per stabilizer; D6 has few subgroups
+def _cut_orbits(perms: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Orbit representative of every mask 1 .. 2^11 - 1, and the representatives by |B|.
+
+    A mask's orbit runs over its images under perms and their complements;
+    each is taken with site 11 in part A, and the smallest is the representative.
+    """
+    masks = np.arange(1, 1 << (N_SITES - 1))
+    rep = masks
+    for perm in perms:
+        image = _config_map(perm)[masks]
+        rep = np.minimum(rep, np.where(image >> (N_SITES - 1), image ^ FULL_MASK, image))
+    rep_of = tuple(rep.tolist())
+    return rep_of, tuple(sorted(set(rep_of), key=lambda mask: (mask.bit_count(), mask)))
+
+
 def _ranks(sv: np.ndarray, tol: float) -> np.ndarray:
     """Schmidt rank of each row of descending singular values."""
     return np.count_nonzero(sv > tol * sv[..., :1], axis=-1)
@@ -59,27 +91,36 @@ class EntanglementReport:
     min_rank: int
     max_rank: int
     ranks: dict[int, int]  # mask -> Schmidt rank, site 11 always in part A
+    stabilizer_order: int  # site permutations that fix the state up to a phase
+    cut_orbits: int        # cuts whose singular values were taken
+    stabilizer_kept_margin: float             # see symmetry.Stabilizer
+    stabilizer_rejected_margin: float | None
 
 
 def is_entangled(state: StateVector, tol: float = SVD_TOL) -> EntanglementReport:
-    """Scan the 2^11 - 1 distinct bipartitions (complement cuts coincide)."""
+    """Scan the 2^11 - 1 distinct bipartitions (complement cuts coincide), one SVD per orbit."""
     if state.sector is not None:
         raise ValueError("is_entangled expects a full-space state")
+    stab = stabilizer(state)
+    rep_of, representatives = _cut_orbits(stab.perms)
     tensor = state.amps.reshape((2,) * N_SITES)
-    masks = range(1, 1 << (N_SITES - 1))
     found: dict[int, int] = {}
-    for _, group in groupby(sorted(masks, key=int.bit_count), key=int.bit_count):
+    for _, group in groupby(representatives, key=int.bit_count):
         group = list(group)
         for start in range(0, len(group), SVD_CHUNK):
             chunk = group[start:start + SVD_CHUNK]
             stack = np.stack([_cut_matrix(tensor, mask) for mask in chunk])
             sv = np.linalg.svd(stack, compute_uv=False)
             found.update(zip(chunk, _ranks(sv, tol).tolist()))
-    ranks = {mask: found[mask] for mask in masks}
+    ranks = {mask: found[rep] for mask, rep in enumerate(rep_of, start=1)}
     values = ranks.values()
     return EntanglementReport(
         entangled=min(values) >= 2,
         min_rank=min(values),
         max_rank=max(values),
         ranks=ranks,
+        stabilizer_order=len(stab.perms),
+        cut_orbits=len(representatives),
+        stabilizer_kept_margin=stab.kept_margin,
+        stabilizer_rejected_margin=stab.rejected_margin,
     )

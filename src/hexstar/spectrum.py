@@ -1,7 +1,8 @@
 """Sector diagonalization and spectral bookkeeping on irrep-block operators.
 
 Labelled spectra and ground-state scans both solve the irrep blocks of
-X + (Jz/J) diag(zz), projected once per (M, alpha).  Downstream code reads
+X + (Jz/J) diag(zz), projected once per (M, alpha) and C2'(0) partner; the
+scans read the even partners only.  Downstream code reads
 the SpectrumResult: eigenvalues in units of J, eigenvectors as columns over
 the sector basis, and eigenvalue clusters at a relative tolerance of the spread.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,9 +27,13 @@ from .hamiltonian import (
 )
 from .symmetry import IrrepBlock, irrep_blocks
 
+if TYPE_CHECKING:
+    import scipy.sparse
+
 SUPPORT_TOL = 1e-10   # default overlap threshold for spectral support
 RESIDUAL_TOL = 1e-10  # per-eigenpair residual bound, relative to the spread
 REFINE_TOL = 1e-6     # Jz/J width of the bracket the ground-state crossover is refined to
+REFINE_SLACK = 5      # crossover refinement steps allowed beyond bisection's
 
 
 def thread_budget() -> int:
@@ -91,20 +97,33 @@ def diagonalize_sector(
 _Entry = tuple[IrrepBlock, np.ndarray, np.ndarray]  # (block, B X B^T, diagonal of B diag(zz) B^T)
 
 
-@lru_cache(maxsize=7)  # the sectors of one alpha
-def _block_operators(M: int, alpha: float) -> tuple[_Entry, ...]:
-    """Both parts of every irrep block of sector M, of both C2'(0) partners, for any Jz/J.
-
-    A row of B lives on one configuration orbit of the point group, which keeps
-    distances and so zz: B diag(zz) B^T is diagonal, zz weighted by squared rows.
-    """
+@lru_cache(maxsize=1)  # a labelled solve projects both partners of a sector back to back
+def _flip_operator(M: int, alpha: float) -> tuple[scipy.sparse.csr_array, np.ndarray]:
+    """The flip-flop part X of sector M at alpha, sparse, and the zz diagonal."""
     import scipy.sparse  # deferred: `import hexstar` does not load scipy.sparse
 
     split = anisotropy_split(M, alpha)
     d = len(split.zz)
-    x = scipy.sparse.csr_array((split.flip, (split.rows, split.cols)), shape=(d, d))
-    return tuple((b, (b.basis @ x @ b.basis.T).toarray(), (b.basis * b.basis) @ split.zz)
-                 for b in irrep_blocks(M))
+    return scipy.sparse.csr_array((split.flip, (split.rows, split.cols)), shape=(d, d)), split.zz
+
+
+@lru_cache(maxsize=14)  # both partners of the sectors of one alpha
+def _partner_operators(M: int, alpha: float, partner: int) -> tuple[_Entry, ...]:
+    """Both parts of every irrep block of one C2'(0) partner of sector M, for any Jz/J.
+
+    A row of B lives on one configuration orbit of the point group, which keeps
+    distances and so zz: B diag(zz) B^T is diagonal, zz weighted by squared rows.
+    The scan reads the even partners only, so the odd ones are projected
+    when a labelled solve first needs them.
+    """
+    x, zz = _flip_operator(M, alpha)
+    return tuple((b, (b.basis @ x @ b.basis.T).toarray(), (b.basis * b.basis) @ zz)
+                 for b in irrep_blocks(M) if b.partner == partner)
+
+
+def _block_operators(M: int, alpha: float) -> tuple[_Entry, ...]:
+    """The block operators of both partners, in the order of irrep_blocks(M)."""
+    return _partner_operators(M, alpha, 1) + _partner_operators(M, alpha, -1)
 
 
 def _solve_blocks(params: ModelParams, entries: tuple[_Entry, ...], solve=np.linalg.eigvalsh):
@@ -268,8 +287,7 @@ def _sector_levels(params: ModelParams) -> dict[int, dict[str, np.ndarray]]:
     stands for two states of its sector.  A Jz/J so large that a level
     overflows raises RuntimeError.
     """
-    even = {M: [e for e in _block_operators(M, params.alpha) if e[0].partner > 0]
-            for M in range(0, 7)}
+    even = {M: _partner_operators(M, params.alpha, 1) for M in range(0, 7)}
     return {M: {b.irrep: v for (b, _, _), v in zip(entries, _solve_blocks(params, entries))}
             for M, entries in even.items()}
 
@@ -322,15 +340,22 @@ def _ferro_excess(jz: float, w: float, levels: dict[int, dict[str, np.ndarray]])
 def _refine_crossing(
     alpha: float, w: float, lo: float, f_lo: float, hi: float, f_hi: float
 ) -> tuple[float, tuple[float, float], tuple[float, float]]:
-    """Illinois regula falsi on the ferro excess: crossover, bracket and true excess at its ends."""
+    """Safeguarded Illinois regula falsi on the ferro excess.
+
+    Returns the crossover, the final bracket and the true excess at its ends.
+    """
     if (f_lo < 0) == (f_hi < 0):  # no sign change: a grid point ties the crossing
         x, f_x = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
         return x, (x, x), (f_x, f_x)
     s_lo, s_hi = f_lo, f_hi  # the excess the secant uses, halved by the Illinois rule
     kept = 0                 # -1 after lo moved, +1 after hi moved
+    width, step = hi - lo, 0  # a step leaves at most width * 2^(REFINE_SLACK - 1 - step)
     while hi - lo > REFINE_TOL:
+        mid = lo + 0.5 * (hi - lo)
+        reach = width * 2.0 ** (REFINE_SLACK - 1 - step) - 0.5 * (hi - lo)
+        step += 1
         x = lo - s_lo * (hi - lo) / (s_hi - s_lo)  # s_lo and s_hi differ in sign
-        x = min(max(x, lo + 0.5 * REFINE_TOL), hi - 0.5 * REFINE_TOL)
+        x = min(max(x, mid - reach, lo + 0.5 * REFINE_TOL), mid + reach, hi - 0.5 * REFINE_TOL)
         f_x = _ferro_excess(x, w, _sector_levels(ModelParams(alpha=alpha, jz_over_j=x)))
         if (f_x < 0) == (f_lo < 0):
             lo, f_lo, s_lo = x, f_x, f_x
@@ -362,8 +387,12 @@ def ground_state_scan(
     in either direction.  The Illinois variant of regula falsi (Dowell &
     Jarratt 1971) refines the root with no derivative: each step is the
     secant root of the bracket, kept at least REFINE_TOL/2 inside it, and an
-    end that survives two steps in a row has its stored excess halved.  It
-    stops at a bracket of REFINE_TOL.  The crossover is the secant root of
+    end that survives two steps in a row has its stored excess halved.  As
+    in ITP (Oliveira & Takahashi 2020), step k is also kept within reach of
+    the midpoint, so that it leaves a bracket no wider than the first one
+    times 2^(REFINE_SLACK - 1 - k): the refinement takes at most
+    REFINE_SLACK steps more than bisection, however far the secant stalls.
+    It stops at a bracket of REFINE_TOL.  The crossover is the secant root of
     the true excess at the bracket's ends, and both values are reported.  A
     grid point within the clustering tolerance of the crossing can leave
     one sign of f at both ends; the crossing is then the end of smaller |f|,

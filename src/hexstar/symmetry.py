@@ -1,10 +1,11 @@
 """Point-group bookkeeping on the sector bases.
 
 Characters of the signed permutation action, irrep multiplicities per
-magnetization sector, total-spin multiplet counts, and the symmetry-adapted
+magnetization sector, total-spin multiplet counts, the symmetry-adapted
 bases that split each sector Hamiltonian into one block per irrep and
 C2'(0) partner, for the six irreps that survive the trivial horizontal
-mirror.
+mirror, and the stabilizer of a full-space state among the site
+permutations.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import numpy as np
 
 from . import lattice
 from .lattice import CharacterTable, GroupElement
-from .hilbert import _config_map, sector_basis
+from .hilbert import StateVector, _config_map, sector_basis
 
 if TYPE_CHECKING:
     import scipy.sparse
 
 INT_TOL = 1e-9  # multiplicities must be integers to this
+STABILIZER_TOL = 1e-12  # largest deviation from a phase of a kept permutation, relative to max|psi|
 
 
 @lru_cache(maxsize=1)
@@ -214,3 +216,42 @@ def irrep_weights(vectors: np.ndarray, M: int) -> dict[str, np.ndarray]:
         acc = sum(ct.chi(r, g.class_label) * overlaps[g] for g in group)
         out[r] = (ct.dims[r] / len(group)) * acc
     return out
+
+
+@dataclass(frozen=True)
+class Stabilizer:
+    """Site permutations of the point group that fix a state up to a phase."""
+
+    perms: tuple[tuple[int, ...], ...]  # in group order, the identity first
+    kept_margin: float             # largest kept deviation / STABILIZER_TOL
+    rejected_margin: float | None  # smallest rejected deviation / STABILIZER_TOL; None if none
+
+
+def stabilizer(state: StateVector) -> Stabilizer:
+    """The distinct site permutations g that fix a full-space state psi up to a phase.
+
+    U_g moves the amplitude of f to the permuted configuration; the sign of
+    the signed action is itself a phase, so the 12 site permutations stand
+    for all 24 elements.  g is kept when max|U_g psi - c psi| is at most
+    STABILIZER_TOL max|psi|, with c = <psi|U_g psi> / <psi|psi>.
+    """
+    if state.sector is not None:
+        raise ValueError("stabilizer expects a full-space state")
+    amps = state.amps
+    scale = float(np.abs(amps).max())
+    norm_sq = float(np.vdot(amps, amps).real)
+
+    def deviation(perm: tuple[int, ...]) -> float:
+        moved = np.empty_like(amps)
+        moved[_config_map(perm)] = amps
+        phase = np.vdot(amps, moved) / norm_sq if norm_sq else 1.0
+        return float(np.abs(moved - phase * amps).max()) / scale if scale else 0.0
+
+    deviations = {perm: deviation(perm) for perm in dict.fromkeys(g.perm for g in _group())}
+    kept = tuple(perm for perm, d in deviations.items() if d <= STABILIZER_TOL)
+    rejected = [d for perm, d in deviations.items() if perm not in kept]
+    return Stabilizer(
+        perms=kept,
+        kept_margin=max((deviations[perm] for perm in kept), default=0.0) / STABILIZER_TOL,
+        rejected_margin=min(rejected) / STABILIZER_TOL if rejected else None,
+    )

@@ -1,15 +1,19 @@
 """Independent references shared by several test modules.
 
 The group product read off the abstract (inverted, rot, flip) coordinates,
-the signed permutation action on amplitudes, and the dense irrep labeller
-that rounds projection weights.  The library builds none of these: its
-blocks carry their labels by construction, so these only check it.
+the signed permutation action on amplitudes, the dense irrep labeller
+that rounds projection weights, and the Schmidt scan over every cut.  The
+library builds none of these: its blocks carry their labels by
+construction and its scan takes one cut per orbit, so these only check it.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
+from hexstar.entanglement import SVD_CHUNK, SVD_TOL, _cut_matrix, _ranks
 from hexstar.hilbert import StateVector, _config_map, sector_basis
 from hexstar.lattice import GroupElement
 from hexstar.symmetry import irrep_weights
@@ -69,3 +73,18 @@ def label_eigenvector(vector: np.ndarray, M: int) -> str | None:
         if w[0] > PURE_TOL**2:
             return r
     return None
+
+
+def full_scan_ranks(state: StateVector, tol: float = SVD_TOL) -> dict[int, int]:
+    """Schmidt rank of every cut 1 .. 2^11 - 1, one SVD per cut and no symmetry."""
+    tensor = state.amps.reshape((2,) * 12)
+    masks = range(1, 1 << 11)
+    found: dict[int, int] = {}
+    for _, group in groupby(sorted(masks, key=int.bit_count), key=int.bit_count):
+        group = list(group)
+        for start in range(0, len(group), SVD_CHUNK):
+            chunk = group[start:start + SVD_CHUNK]
+            stack = np.stack([_cut_matrix(tensor, mask) for mask in chunk])
+            sv = np.linalg.svd(stack, compute_uv=False)
+            found.update(zip(chunk, _ranks(sv, tol).tolist()))
+    return {mask: found[mask] for mask in masks}

@@ -119,7 +119,10 @@ def test_schmidt_product_state(capsys):
     assert code == 0
     _, header, rows, stats = parse_csv(out)
     assert len(rows) == (1 << 11) - 1
-    assert stats == {"entangled": False, "min_rank": 1, "max_rank": 1}
+    # config:63 (the outer ring down) is fixed by all 12 site permutations
+    assert stats == {"entangled": False, "min_rank": 1, "max_rank": 1,
+                     "stabilizer_order": 12, "cut_orbits": 209,
+                     "stabilizer_kept_margin": 0.0, "stabilizer_rejected_margin": None}
 
 
 def test_schmidt_of_the_unique_heisenberg_ground_state(capsys):

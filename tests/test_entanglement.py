@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexstar.entanglement import SVD_TOL, _cut_matrix, _ranks, is_entangled
+from hexstar.symmetry import STABILIZER_TOL, stabilizer
 from hexstar.hamiltonian import ModelParams
 from hexstar.hilbert import (
     StateVector,
@@ -17,6 +18,8 @@ from hexstar.hilbert import (
     sector_basis,
 )
 from hexstar.spectrum import diagonalize_sector
+
+from reference import full_scan_ranks
 
 FULL_MASK = (1 << 12) - 1
 
@@ -168,3 +171,60 @@ def test_scan_ranks_match_single_cuts(kind, seed):
     assert report.ranks == {mask: _schmidt_number(state, mask) for mask in report.ranks}
     if kind == "product":
         assert report.min_rank == 1
+
+
+def _named_state(spec):
+    """A state spec of the CLI, or ground:<Jz/J> for the embedded M = 0 ground state."""
+    kind, _, rest = spec.partition(":")
+    if kind == "ground":
+        return _embedded_ground_state(float(rest))
+    return build_initial_state(parse_state_spec(spec))
+
+
+@pytest.mark.parametrize("spec, order, orbits", [
+    ("ground:0", 12, 209), ("ground:1", 12, 209), ("ground:3", 12, 209),
+    ("zeta:1,0.3,2,1.1", 12, 209),
+    ("config:1365", 3, 687),   # sites 0 2 4 6 8 10 down: the rotations by 120 degrees
+    ("config:819", 1, 2047),   # a trivial stabilizer: every cut is its own orbit
+])
+def test_orbit_scan_matches_the_full_scan(spec, order, orbits):
+    state = _named_state(spec)
+    report = is_entangled(state)
+    assert (report.stabilizer_order, report.cut_orbits) == (order, orbits)
+    assert list(report.ranks) == list(range(1, 1 << 11))
+    assert report.ranks == full_scan_ranks(state)
+
+
+def test_stabilizer_margins_leave_room_on_both_sides():
+    # kept permutations deviate at rounding level, rejected ones at order one
+    for jz in (0.0, 1.0, 3.0):
+        stab = stabilizer(_embedded_ground_state(jz))
+        assert len(stab.perms) == 12 and stab.rejected_margin is None
+        assert stab.kept_margin < 1e-2
+    for f, order in ((63, 12), (1365, 3), (819, 1)):
+        stab = stabilizer(basis_state(f))
+        assert len(stab.perms) == order and stab.kept_margin == 0.0
+        if order < 12:
+            assert stab.rejected_margin == 1 / STABILIZER_TOL
+    assert stabilizer(basis_state(63)).perms[0] == tuple(range(12))
+
+
+@pytest.mark.parametrize("base, f", [
+    # sites 0-5 down, plus 1e-9 on sites 1-6 down: the rank is 2 exactly on
+    # the cuts that separate sites 0 and 6, a pair no other permutation keeps
+    ("config:63", 0b000001111110),
+    ("ground:1", 0b000111000111),  # sites 0 1 2 6 7 8 down, in the state's sector
+])
+def test_a_near_symmetry_is_not_taken_for_an_exact_one(base, f):
+    amps = _named_state(base).amps.copy()
+    amps[f] += 1e-9
+    near = StateVector(amps=amps, sector=None)
+    report = is_entangled(near)
+    assert report.stabilizer_order < 12
+    assert report.stabilizer_rejected_margin > 5e2  # 1e-9 of max|psi| or more moved
+    assert report.ranks == {mask: _schmidt_number(near, mask) for mask in report.ranks}
+
+
+def test_a_stabilizer_needs_a_full_space_state():
+    with pytest.raises(ValueError):
+        stabilizer(StateVector(amps=np.ones(12) / math.sqrt(12.0), sector=5))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import math
 import re
 
 import numpy as np
@@ -30,6 +31,7 @@ from hexstar.hilbert import (
 from hexstar.lattice import IRREP_LABELS, N_SITES, build_geometry
 from hexstar import spectrum
 from hexstar.spectrum import (
+    REFINE_SLACK,
     REFINE_TOL,
     RESIDUAL_TOL,
     EigenCluster,
@@ -410,12 +412,18 @@ def _check_against_bisection(monkeypatch, alpha, grid):
     return refinement_calls, oracle_calls
 
 
+# refinement steps on these grids, counted before the steps were kept near the midpoint
+_REFINEMENT_STEPS = {(3.0, 11): 5, (5.3, 11): 6, (6.0, 11): 6, (7.1, 11): 7, (8.0, 11): 7,
+                     (6.0, 25): 7}
+
+
 @pytest.mark.parametrize("alpha, grid", [
     (alpha, (-1.0, 0.0, 11)) for alpha in (3.0, 5.3, 6.0, 7.1, 8.0)
 ] + [(6.0, (-3.0, 3.0, 25))])
 def test_crossover_lies_in_the_bisection_bracket(monkeypatch, alpha, grid):
     calls, oracle_calls = _check_against_bisection(monkeypatch, alpha, np.linspace(*grid))
     assert 2 * calls <= oracle_calls
+    assert calls <= _REFINEMENT_STEPS[alpha, grid[2]]
 
 
 @settings(max_examples=6, deadline=None)
@@ -426,6 +434,52 @@ def test_crossover_lies_in_the_bisection_bracket_at_any_range(alpha):
     with pytest.MonkeyPatch.context() as monkeypatch:
         calls, oracle_calls = _check_against_bisection(monkeypatch, alpha, [-1.0, 0.0])
     assert calls < oracle_calls
+
+
+def _stand_in_levels(params):
+    """Block levels whose lowest level below M = 6 is a known concave function of Jz/J.
+
+    The rival is the lower envelope of two lines; the ferro excess it leaves
+    changes sign at Jz/J = -1 and stalls the plain Illinois steps on wide
+    brackets as the true levels do.
+    """
+    jz = params.jz_over_j
+    w = total_coupling(build_geometry(), params.alpha)
+    rival = min(-6.0 - jz, -2.0 + (w - 2.0) * jz)
+    levels = {M: {"A1g": np.array([rival + M])} for M in range(6)}
+    levels[6] = {"A1g": np.array([jz * w])}
+    return levels
+
+
+@pytest.mark.parametrize("reach", [1e12, 1e30, 1e60, 1e100, 1e306])
+def test_refinement_takes_at_most_bisection_plus_the_slack(monkeypatch, reach):
+    # unguarded, the Illinois steps took 52, 290, 905 and 12206 calls on the
+    # last four, where bisection takes 120, 220, 353 and 1037
+    seen = []
+    monkeypatch.setattr(spectrum, "_sector_levels", lambda p: seen.append(p) or _stand_in_levels(p))
+    scan = ground_state_scan(6.0, [-reach, 0.0, reach])
+    lo, hi = scan.crossover_bracket
+    assert lo <= -1.0 <= hi and 0 < hi - lo <= REFINE_TOL
+    assert scan.crossover == pytest.approx(-1.0, abs=REFINE_TOL)
+    bisection = math.ceil(math.log2(reach) - math.log2(REFINE_TOL))
+    assert len(seen) - 3 <= bisection + REFINE_SLACK
+
+
+def test_a_ground_scan_projects_no_odd_partner_block(monkeypatch):
+    alpha = 4.91  # a range no other test solves
+    blocks = spectrum.irrep_blocks
+    with monkeypatch.context() as m:
+        # odd-partner rows that any projection fails on
+        m.setattr(spectrum, "irrep_blocks", lambda M: tuple(
+            b if b.partner > 0 else dataclasses.replace(b, basis=None) for b in blocks(M)))
+        assert ground_state_scan(alpha, [-1.0, 0.0]).crossover is not None
+    # a labelled solve at that range then projects each odd partner once and
+    # finds the even ones the scan projected
+    before = spectrum._partner_operators.cache_info()
+    for M in range(7):
+        _uncached(M, ModelParams(alpha, 0.3), DEG_TOL_RELATIVE)
+    after = spectrum._partner_operators.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (7, 7)
 
 
 def test_scan_assembles_no_sector_hamiltonian(monkeypatch):
