@@ -9,7 +9,9 @@ spacing.  Squared distances are exact integers, so for even alpha every
 matrix element is a rational number; the exact assembly keeps them as
 Fractions.  The float matrix, its split into the flip-flop part and the
 z-z diagonal that Jz/J scales, the exact entries and the Casimir S^2 all
-weight one per-sector table of flip-flop bonds and z-z signs.
+weight one per-sector table of flip-flop bonds and z-z signs.  Only six
+squared distances occur, so H/J = sum_c w_c [X_c + (Jz/J) diag(zz_c)] with
+w_c = d_c^-alpha and integer class parts X_c, zz_c free of both couplings.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import N_SITES, Geometry, build_geometry
+from .lattice import ALLOWED_DISTANCE_SQ, N_SITES, Geometry, build_geometry
 from .hilbert import sector_basis
 
 DEG_TOL_RELATIVE = 1e-8   # default eigenvalue clustering tolerance, times the spread
@@ -94,10 +96,10 @@ def _site_z(configs: np.ndarray) -> np.ndarray:
 
 
 class _BondTable(NamedTuple):
-    a: np.ndarray     # row of each flip-flop element, both orders listed
-    b: np.ndarray     # its column
-    pair: np.ndarray  # index into _PAIRS of the exchanged pair
-    zz: np.ndarray    # (d, 66) sz_i sz_j per configuration and pair
+    a: np.ndarray     # int32 row of each flip-flop element, both orders listed
+    b: np.ndarray     # int32 its column
+    pair: np.ndarray  # int8 index into _PAIRS of the exchanged pair
+    zz: np.ndarray    # (d, 66) int8 sz_i sz_j per configuration and pair
 
 
 @lru_cache(maxsize=16)
@@ -105,11 +107,13 @@ def _bond_table(M: int) -> _BondTable:
     """Pair structure of sector M that H, S^2 and the exact entries all weight."""
     basis = sector_basis(M)
     z = _site_z(basis.configs)
-    zz = np.stack([z[:, i] * z[:, j] for i, j in _PAIRS], axis=1)
+    zz = np.stack([z[:, i] * z[:, j] for i, j in _PAIRS], axis=1).astype(np.int8)
     # sx sx + sy sy exchanges an anti-aligned pair: f couples to f ^ mask.
     a, pair = np.nonzero(zz < 0)
     b = basis.index_of[basis.configs[a] ^ _PAIR_MASKS[pair]]
-    table = _BondTable(a=a, b=b, pair=pair, zz=zz)
+    # narrow integers keep the cached tables small; every product casts them to float64
+    table = _BondTable(a=a.astype(np.int32), b=b.astype(np.int32), pair=pair.astype(np.int8),
+                       zz=zz)
     for arr in table:
         arr.flags.writeable = False
     return table
@@ -134,28 +138,67 @@ def anisotropy_split(M: int, alpha: float) -> AnisotropySplit:
     return _split(M, np.array(_pair_couplings(_pair_distance_sq(), alpha)))
 
 
-def _assemble(M: int, weights: np.ndarray, jz_over_j: float) -> np.ndarray:
-    """Dense sum_k weights[k] [(sx sx + sy sy) + jz_over_j sz sz] over the pairs."""
-    split = _split(M, weights)
+def _dense(split: AnisotropySplit, jz_over_j: float) -> np.ndarray:
+    """X + jz_over_j diag(zz) as a dense matrix."""
     matrix = np.zeros((len(split.zz),) * 2)
     np.fill_diagonal(matrix, jz_over_j * split.zz)
     matrix[split.rows, split.cols] = split.flip
     return matrix
 
 
-def _exact_entries(M: int, params: ModelParams) -> dict[tuple[int, int], Fraction]:
-    """The _assemble sum with Fraction weights, as sparse entries."""
+def _assemble(M: int, weights: np.ndarray, jz_over_j: float) -> np.ndarray:
+    """Dense sum_k weights[k] [(sx sx + sy sy) + jz_over_j sz sz] over the pairs."""
+    return _dense(_split(M, weights), jz_over_j)
+
+
+class CouplingClasses(NamedTuple):
+    """Sector M of H/J as sum_c w_c [X_c + (Jz/J) diag(zz_c)], free of both couplings.
+
+    Class c holds the pairs at squared distance ALLOWED_DISTANCE_SQ[c], and
+    w_c = class_weights(alpha)[c].
+    """
+    rows: np.ndarray    # flip-flop entries of every X_c, both orders listed
+    cols: np.ndarray
+    cls: np.ndarray     # int8 class of each entry; X_c[rows, cols] = 2
+    zz: np.ndarray      # (d, 6) int8 sum of sz sz over the pairs of each class
+    levels: np.ndarray  # the distinct rows of zz
+    level_of: np.ndarray  # index into levels of each row of zz
+
+
+@lru_cache(maxsize=16)
+def coupling_classes(M: int) -> CouplingClasses:
+    """The integer class parts of sector M, read off its bond table."""
     table = _bond_table(M)
-    weights = [_exact_weight(d2, params.alpha) for d2 in _pair_distance_sq()]
-    # Diagonal sums run over integers on a common denominator.
-    denom = math.lcm(*(w.denominator for w in weights))
-    numer = np.array([int(w * denom) for w in weights], dtype=object)
+    pair_class = np.array([ALLOWED_DISTANCE_SQ.index(d2) for d2 in _pair_distance_sq()])
+    zz = np.stack([table.zz[:, pair_class == c].sum(axis=1)
+                   for c in range(len(ALLOWED_DISTANCE_SQ))], axis=1).astype(np.int8)
+    levels, level_of = np.unique(zz, axis=0, return_inverse=True)
+    classes = CouplingClasses(rows=table.a, cols=table.b,
+                              cls=pair_class[table.pair].astype(np.int8),
+                              zz=zz, levels=levels, level_of=level_of.ravel())
+    for arr in classes:
+        arr.flags.writeable = False
+    return classes
+
+
+def class_weights(alpha: float) -> np.ndarray:
+    """w_c = d_c^-alpha of the six classes, as the pair couplings compute it."""
+    return np.array(_pair_couplings(ALLOWED_DISTANCE_SQ, alpha))
+
+
+def _exact_entries(M: int, params: ModelParams) -> dict[tuple[int, int], Fraction]:
+    """The _assemble sum with Fraction class weights, as sparse entries."""
+    classes = coupling_classes(M)
+    weights = [_exact_weight(d2, params.alpha) for d2 in ALLOWED_DISTANCE_SQ]
     jz = Fraction(params.jz_over_j)
-    entries = {(a, a): jz * Fraction(int(s), denom)
-               for a, s in enumerate(table.zz @ numer)}
+    # one Fraction per distinct diagonal, jz sum_c w_c zz_c
+    diagonal = [jz * sum(n * w for n, w in zip(row, weights)) for row in classes.levels.tolist()]
+    d = len(classes.zz)
+    entries = dict(zip(zip(range(d), range(d)),
+                       map(diagonal.__getitem__, classes.level_of.tolist())))
     flip = [2 * w for w in weights]
-    entries.update(zip(zip(table.a.tolist(), table.b.tolist()),
-                       (flip[k] for k in table.pair.tolist())))
+    entries.update(zip(zip(classes.rows.tolist(), classes.cols.tolist()),
+                       map(flip.__getitem__, classes.cls.tolist())))
     return entries
 
 
@@ -168,11 +211,10 @@ def build_sector_hamiltonian(
     alpha (ValueError otherwise); the default skips them, since the
     floating matrix is all the eigensolvers need.
     """
-    weights = np.array(_pair_couplings(_pair_distance_sq(), params.alpha))
     return SectorHamiltonian(
         M=M,
         params=params,
-        matrix=_assemble(M, weights, params.jz_over_j),
+        matrix=_dense(anisotropy_split(M, params.alpha), params.jz_over_j),
         exact=_exact_entries(M, params) if exact else None,
     )
 

@@ -1,8 +1,11 @@
 """Sector diagonalization and spectral bookkeeping on irrep-block operators.
 
 Labelled spectra and ground-state scans both solve the irrep blocks of
-X + (Jz/J) diag(zz), projected once per (M, alpha) and C2'(0) partner; the
-scans read the even partners only.  Downstream code reads
+X + (Jz/J) diag(zz).  Both parts are sums over the six distance classes,
+w_c B X_c B^T and w_c B diag(zz_c) B^T, whose class parts are projected once
+per sector and C2'(0) partner; any alpha is then a six-term sum, and the
+scans read the even partners only.  Spin labels read B S^2 B^T from the same
+class parts at unit weights.  Downstream code reads
 the SpectrumResult: eigenvalues in units of J, eigenvectors as columns over
 the sector basis, and eigenvalue clusters at a relative tolerance of the spread.
 """
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,15 +23,12 @@ from .hilbert import StateVector, sector_basis, spin_flip
 from .hamiltonian import (
     DEG_TOL_RELATIVE,
     ModelParams,
-    anisotropy_split,
     build_sector_hamiltonian,
-    heisenberg_casimir,
+    class_weights,
+    coupling_classes,
     total_coupling,
 )
 from .symmetry import IrrepBlock, irrep_blocks
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 SUPPORT_TOL = 1e-10   # default overlap threshold for spectral support
 RESIDUAL_TOL = 1e-10  # per-eigenpair residual bound, relative to the spread
@@ -97,33 +97,100 @@ def diagonalize_sector(
 _Entry = tuple[IrrepBlock, np.ndarray, np.ndarray]  # (block, B X B^T, diagonal of B diag(zz) B^T)
 
 
-@lru_cache(maxsize=1)  # a labelled solve projects both partners of a sector back to back
-def _flip_operator(M: int, alpha: float) -> tuple[scipy.sparse.csr_array, np.ndarray]:
-    """The flip-flop part X of sector M at alpha, sparse, and the zz diagonal."""
+class _ClassBlock(NamedTuple):
+    """One irrep block's class operators: B X_c B^T as entries over the six classes."""
+    block: IrrepBlock
+    flat: np.ndarray  # int32 row * n + column of each entry
+    cls: np.ndarray   # int8 class c of each entry
+    x: np.ndarray     # its value in B X_c B^T
+    z: np.ndarray     # (6, n) diagonal of B diag(zz_c) B^T per class
+
+
+@lru_cache(maxsize=None)  # every (M, partner) of M = 0..6, built once per process
+def _class_table(M: int, partner: int) -> tuple[_ClassBlock, ...]:
+    """The class parts of every irrep block of one C2'(0) partner of sector M.
+
+    The point group keeps distances, so it commutes with each X_c, and a row
+    of B lives on one configuration orbit, which keeps each zz_c: every
+    B diag(zz_c) B^T is diagonal, zz_c weighted by squared rows.  One stacked
+    product B [X_0 ... X_5] diag(B^T, ..., B^T) projects all six classes.
+    """
     import scipy.sparse  # deferred: `import hexstar` does not load scipy.sparse
 
-    split = anisotropy_split(M, alpha)
-    d = len(split.zz)
-    return scipy.sparse.csr_array((split.flip, (split.rows, split.cols)), shape=(d, d)), split.zz
+    classes = coupling_classes(M)
+    d, k = classes.zz.shape
+    copy = np.arange(k)[:, None]
+    stacked = scipy.sparse.csr_array(  # X_c in columns c d .. (c + 1) d - 1
+        (np.full(len(classes.rows), 2.0),
+         (classes.rows, classes.cls.astype(np.int64) * d + classes.cols)),
+        shape=(d, k * d))
+    table = []
+    for b in irrep_blocks(M):
+        if b.partner != partner:
+            continue
+        n = b.basis.shape[0]
+        bt = b.basis.T.tocsr()
+        spread = scipy.sparse.csr_array(  # diag(B^T, ..., B^T), one copy per class
+            (np.tile(bt.data, k), (bt.indices + n * copy).ravel(),
+             np.append((bt.indptr[:-1] + bt.nnz * copy).ravel(), k * bt.nnz)),
+            shape=(k * d, k * n))
+        projected = (b.basis @ stacked @ spread).tocoo()
+        cls, col = np.divmod(projected.col, n)
+        table.append(_ClassBlock(block=b, flat=(projected.row * n + col).astype(np.int32),
+                                 cls=cls.astype(np.int8), x=projected.data,
+                                 z=((b.basis * b.basis) @ classes.zz).T))
+        for arr in table[-1][1:]:
+            arr.flags.writeable = False
+    return tuple(table)
+
+
+def _class_sum(t: _ClassBlock, w: np.ndarray) -> np.ndarray:
+    """sum_c w_c B X_c B^T, dense."""
+    n = t.z.shape[1]
+    return np.bincount(t.flat, w[t.cls] * t.x, minlength=n * n).reshape(n, n)
 
 
 @lru_cache(maxsize=14)  # both partners of the sectors of one alpha
 def _partner_operators(M: int, alpha: float, partner: int) -> tuple[_Entry, ...]:
     """Both parts of every irrep block of one C2'(0) partner of sector M, for any Jz/J.
 
-    A row of B lives on one configuration orbit of the point group, which keeps
-    distances and so zz: B diag(zz) B^T is diagonal, zz weighted by squared rows.
-    The scan reads the even partners only, so the odd ones are projected
-    when a labelled solve first needs them.
+    Six-term sums over the class table: nothing is projected at a fresh alpha.
+    The scan reads the even partners only, so the odd ones are built when a
+    labelled solve first needs them.
     """
-    x, zz = _flip_operator(M, alpha)
-    return tuple((b, (b.basis @ x @ b.basis.T).toarray(), (b.basis * b.basis) @ zz)
-                 for b in irrep_blocks(M) if b.partner == partner)
+    w = class_weights(alpha)
+    return tuple((t.block, _class_sum(t, w), w @ t.z) for t in _class_table(M, partner))
 
 
 def _block_operators(M: int, alpha: float) -> tuple[_Entry, ...]:
     """The block operators of both partners, in the order of irrep_blocks(M)."""
     return _partner_operators(M, alpha, 1) + _partner_operators(M, alpha, -1)
+
+
+def _casimir_block(t: _ClassBlock) -> np.ndarray:
+    """B S^2 B^T = 3N/4 + (sum_c B [X_c + diag(zz_c)] B^T) / 2: the pair terms at unit weights."""
+    ones = np.ones(len(t.z))
+    return 0.5 * (_class_sum(t, ones) + np.diag(ones @ t.z)) + 0.75 * N_SITES * np.eye(t.z.shape[1])
+
+
+def _cluster_spins(M: int, firsts: np.ndarray, solved: list) -> list[int]:
+    """Total spin of the levels at merged positions firsts: S(S+1) = u^T B S^2 B^T u.
+
+    u is the level's block eigenvector, one column of its block's eigh.
+    """
+    tables = _class_table(M, 1) + _class_table(M, -1)
+    bounds = np.cumsum([0] + [len(values) for values, _ in solved])
+    block = np.searchsorted(bounds, firsts, side="right") - 1
+    s_sq = np.empty(len(firsts))
+    for k in np.unique(block).tolist():
+        hit = block == k
+        u = solved[k][1][:, firsts[hit] - bounds[k]]
+        s_sq[hit] = np.einsum("ij,ij->j", u, _casimir_block(tables[k]) @ u)
+    s_val = 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * s_sq))
+    off = np.abs(s_val - np.rint(s_val))
+    if off.max() > 1e-6:
+        raise RuntimeError(f"non-integer total spin {s_val[off.argmax()]} in sector {M}")
+    return np.rint(s_val).astype(int).tolist()
 
 
 def _solve_blocks(params: ModelParams, entries: tuple[_Entry, ...], solve=np.linalg.eigvalsh):
@@ -172,25 +239,20 @@ def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> Spec
 
     deg_tol = deg_tol_rel * spread
     raw = split_into_clusters(eigenvalues, deg_tol)
+    firsts = np.array([idx[0] for idx in raw])
     spins = [None] * len(raw)
     if params.jz_over_j == 1.0:
-        # S(S+1) = <v|S^2|v> on each cluster's first eigenvector
-        v = eigenvectors[:, [idx[0] for idx in raw]]
-        s_sq = np.einsum("ij,ij->j", v, heisenberg_casimir(M) @ v)
-        s_val = 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * s_sq))
-        off = np.abs(s_val - np.rint(s_val))
-        if off.max() > 1e-6:
-            raise RuntimeError(f"non-integer total spin {s_val[off.argmax()]} in sector {M}")
-        spins = np.rint(s_val).astype(int).tolist()
+        spins = _cluster_spins(M, order[firsts], solved)
+    # eigenstates per irrep of every cluster, one reduceat over the columns
+    slots = np.add.reduceat(np.eye(len(IRREP_LABELS), dtype=np.int64)[irrep_of], firsts)
     clusters = []
-    for idx, spin in zip(raw, spins):
-        counts = np.bincount(irrep_of[idx], minlength=len(IRREP_LABELS))
-        slots = {r: int(n) for r, n in zip(IRREP_LABELS, counts) if n}
+    for idx, spin, counts in zip(raw, spins, slots.tolist()):
+        held = {r: n for r, n in zip(IRREP_LABELS, counts) if n}
         clusters.append(EigenCluster(
             indices=idx,
             energy=float(eigenvalues[idx[0]]),
-            irrep_slots=slots,
-            irrep=next(iter(slots)) if len(slots) == 1 else None,
+            irrep_slots=held,
+            irrep=next(iter(held)) if len(held) == 1 else None,
             spin=spin,
         ))
     eigenvalues.flags.writeable = False

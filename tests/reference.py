@@ -2,21 +2,34 @@
 
 The group product read off the abstract (inverted, rot, flip) coordinates,
 the signed permutation action on amplitudes, the dense irrep labeller
-that rounds projection weights, and the Schmidt scan over every cut.  The
-library builds none of these: its blocks carry their labels by
-construction and its scan takes one cut per orbit, so these only check it.
+that rounds projection weights, the Schmidt scan over every cut, the exact
+entries summed pair by pair, and cluster labels counted cluster by cluster
+with spins from the dense Casimir.  The library builds none of these: its
+blocks carry their labels by construction, its scan takes one cut per
+orbit, and its exact entries and spins are read from the six distance
+classes, so these only check it.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import groupby
 
 import numpy as np
 
 from hexstar.entanglement import SVD_CHUNK, SVD_TOL, _cut_matrix, _ranks
+from hexstar.hamiltonian import (
+    ModelParams,
+    _bond_table,
+    _exact_weight,
+    _pair_distance_sq,
+    heisenberg_casimir,
+)
 from hexstar.hilbert import StateVector, _config_map, sector_basis
-from hexstar.lattice import GroupElement
-from hexstar.symmetry import irrep_weights
+from hexstar.lattice import IRREP_LABELS, GroupElement
+from hexstar.spectrum import SpectrumResult, split_into_clusters
+from hexstar.symmetry import irrep_blocks, irrep_weights
 
 PURE_TOL = 0.999  # amplitude of one irrep that labels an eigenvector as pure
 
@@ -88,3 +101,51 @@ def full_scan_ranks(state: StateVector, tol: float = SVD_TOL) -> dict[int, int]:
             sv = np.linalg.svd(stack, compute_uv=False)
             found.update(zip(chunk, _ranks(sv, tol).tolist()))
     return {mask: found[mask] for mask in masks}
+
+
+def exact_entries_by_pair(M: int, params: ModelParams) -> dict[tuple[int, int], Fraction]:
+    """Exact sector entries with one Fraction weight per pair, diagonals on a common denominator."""
+    table = _bond_table(M)
+    weights = [_exact_weight(d2, params.alpha) for d2 in _pair_distance_sq()]
+    denom = math.lcm(*(w.denominator for w in weights))
+    numer = np.array([int(w * denom) for w in weights], dtype=object)
+    jz = Fraction(params.jz_over_j)
+    entries = {(a, a): jz * Fraction(int(s), denom)
+               for a, s in enumerate(table.zz @ numer)}
+    flip = [2 * w for w in weights]
+    entries.update(zip(zip(table.a.tolist(), table.b.tolist()),
+                       (flip[k] for k in table.pair.tolist())))
+    return entries
+
+
+def dense_casimir_spins(vectors: np.ndarray, M: int) -> list[int]:
+    """Total spin of each column from <v|S^2|v> with the dense sector Casimir."""
+    s_sq = np.einsum("ij,ij->j", vectors, heisenberg_casimir(M) @ vectors)
+    s_val = 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * s_sq))
+    off = np.abs(s_val - np.rint(s_val))
+    if off.max() > 1e-6:
+        raise RuntimeError(f"non-integer total spin {s_val[off.argmax()]} in sector {M}")
+    return np.rint(s_val).astype(int).tolist()
+
+
+def per_cluster_labels(res: SpectrumResult) -> list[tuple]:
+    """(indices, energy, irrep_slots, irrep, spin) of each cluster, counted one cluster at a time.
+
+    A column's irrep is that of the block holding its eigenvector; spins
+    (Jz/J = 1 only) come from the dense Casimir on each cluster's first column.
+    """
+    blocks = irrep_blocks(res.M)
+    held = np.stack([np.einsum("ij,ij->j", b.basis @ res.eigenvectors, b.basis @ res.eigenvectors)
+                     for b in blocks])
+    irrep_of = np.array([IRREP_LABELS.index(b.irrep) for b in blocks])[held.argmax(axis=0)]
+    clusters = split_into_clusters(res.eigenvalues, res.deg_tol)
+    spins = [None] * len(clusters)
+    if res.params.jz_over_j == 1.0:
+        spins = dense_casimir_spins(res.eigenvectors[:, [idx[0] for idx in clusters]], res.M)
+    out = []
+    for idx, spin in zip(clusters, spins):
+        counts = np.bincount(irrep_of[idx], minlength=len(IRREP_LABELS))
+        slots = {r: int(n) for r, n in zip(IRREP_LABELS, counts) if n}
+        out.append((idx.tolist(), float(res.eigenvalues[idx[0]]), slots,
+                    next(iter(slots)) if len(slots) == 1 else None, spin))
+    return out

@@ -1,6 +1,7 @@
 """Sector Hamiltonians: couplings, exact entries, spin Casimir."""
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -17,10 +18,11 @@ from hexstar.hamiltonian import (
     heisenberg_casimir,
     total_coupling,
 )
-from hexstar.hamiltonian import _PAIRS, _assemble
+from hexstar.hamiltonian import _PAIRS, _assemble, _exact_entries
 from hexstar.hilbert import sector_basis
 from hexstar.lattice import Geometry, build_geometry
 from hexstar.spectrum import full_spectrum
+from reference import exact_entries_by_pair
 
 
 def _coupling(geometry: Geometry, i: int, j: int, alpha: float) -> float:
@@ -92,6 +94,18 @@ def test_exact_entries_match_floats():
     # and the sparse dict covers every nonzero entry up to symmetry
     nz = {(min(k, l), max(k, l)) for k, l in zip(*np.nonzero(ham.matrix))}
     assert nz == {(min(k, l), max(k, l)) for k, l in ham.exact}
+
+
+@pytest.mark.parametrize("alpha", [2.0, 4.0, 6.0, 8.0, 10.0])
+def test_exact_class_entries_equal_the_per_pair_sums_in_key_order(alpha):
+    for jz in (1.0, -3.0, 0.37, -1.23456, 0.0):
+        params = ModelParams(alpha, jz)
+        for M in range(-6, 7):
+            entries = _exact_entries(M, params)
+            reference = exact_entries_by_pair(M, params)
+            assert entries == reference
+            assert list(entries) == list(reference)
+            assert {type(v) for v in entries.values()} == {Fraction}
 
 
 def test_exact_entries_skipped_when_disabled():

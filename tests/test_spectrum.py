@@ -46,7 +46,7 @@ from hexstar.spectrum import (
     split_into_clusters,
 )
 from hexstar.symmetry import irrep_blocks, irrep_weights
-from reference import act_permutation, label_eigenvector
+from reference import act_permutation, label_eigenvector, per_cluster_labels
 
 # Eigenvalue multiplicities over all 4096 states, counted once at the
 # default clustering tolerance and frozen.
@@ -467,19 +467,22 @@ def test_refinement_takes_at_most_bisection_plus_the_slack(monkeypatch, reach):
 
 def test_a_ground_scan_projects_no_odd_partner_block(monkeypatch):
     alpha = 4.91  # a range no other test solves
+    spectrum._class_table.cache_clear()
     blocks = spectrum.irrep_blocks
     with monkeypatch.context() as m:
         # odd-partner rows that any projection fails on
         m.setattr(spectrum, "irrep_blocks", lambda M: tuple(
             b if b.partner > 0 else dataclasses.replace(b, basis=None) for b in blocks(M)))
         assert ground_state_scan(alpha, [-1.0, 0.0]).crossover is not None
-    # a labelled solve at that range then projects each odd partner once and
-    # finds the even ones the scan projected
-    before = spectrum._partner_operators.cache_info()
+    assert spectrum._class_table.cache_info().currsize == 7  # the even partners of M = 0..6
+    # a labelled solve at that range then builds each odd partner's table
+    # once and finds the even block operators the scan summed
+    table, before = spectrum._class_table.cache_info(), spectrum._partner_operators.cache_info()
     for M in range(7):
         _uncached(M, ModelParams(alpha, 0.3), DEG_TOL_RELATIVE)
     after = spectrum._partner_operators.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (7, 7)
+    assert spectrum._class_table.cache_info().misses - table.misses == 7
 
 
 def test_scan_assembles_no_sector_hamiltonian(monkeypatch):
@@ -528,17 +531,24 @@ def test_block_operators_are_the_projected_sector_hamiltonian(alpha):
 
 
 def test_a_second_anisotropy_builds_no_block_operators(monkeypatch):
-    built = []
-    split = spectrum.anisotropy_split
-    monkeypatch.setattr(spectrum, "anisotropy_split",
-                        lambda M, alpha: built.append(M) or split(M, alpha))
+    # the class table is built once per (M, partner) in a process; after
+    # that neither a fresh alpha nor a fresh Jz/J projects anything
     monkeypatch.setattr(spectrum, "_diagonalize_sector", _uncached)  # keep the shared spectra
-    for solve, alpha in ((full_spectrum, 4.37), (ground_state_point, 4.63)):  # fresh ranges
-        solve(ModelParams(alpha, 0.3))
-        assert sorted(built) == list(range(7))
-        built.clear()
-        solve(ModelParams(alpha, -1.7))
-        assert built == []
+    spectrum._class_table.cache_clear()
+    full_spectrum(ModelParams(4.37, 0.3))  # a fresh range
+    info = spectrum._class_table.cache_info()
+    assert (info.misses, info.currsize) == (14, 14)
+
+    def refuse(M):
+        raise AssertionError(f"sector {M} was projected again")
+
+    monkeypatch.setattr(spectrum, "irrep_blocks", refuse)
+    monkeypatch.setattr(spectrum, "coupling_classes", refuse)
+    full_spectrum(ModelParams(4.37, -1.7))
+    full_spectrum(ModelParams(4.63, 0.3))
+    ground_state_point(ModelParams(4.71, 0.3))
+    ground_state_point(ModelParams(4.71, -1.7))
+    assert spectrum._class_table.cache_info().misses == 14
 
 
 def test_a_perturbed_block_operator_fails_the_residual_check(monkeypatch):
@@ -550,6 +560,42 @@ def test_a_perturbed_block_operator_fails_the_residual_check(monkeypatch):
     monkeypatch.setattr(spectrum, "_block_operators", lambda M, alpha: tuple(entries))
     with pytest.raises(RuntimeError, match="eigenpair residual"):
         _uncached(3, ModelParams(6.0, 0.5), DEG_TOL_RELATIVE)
+
+
+def test_a_perturbed_class_table_entry_fails_the_residual_check(monkeypatch):
+    build = spectrum._class_table
+    table = list(build(3, 1))
+    t = table[0]
+    n = t.z.shape[1]
+    # a nearest-neighbour entry on or below the diagonal, which eigh reads
+    k = np.nonzero((t.cls == 0) & (t.flat // n >= t.flat % n))[0][0]
+    x = t.x.copy()
+    x[k] += 1e-6
+    table[0] = t._replace(x=x)
+    monkeypatch.setattr(spectrum, "_class_table", lambda M, partner: (
+        tuple(table) if (M, partner) == (3, 1) else build(M, partner)))
+    monkeypatch.setattr(spectrum, "_partner_operators", spectrum._partner_operators.__wrapped__)
+    with pytest.raises(RuntimeError, match="eigenpair residual"):
+        _uncached(3, ModelParams(6.0, 0.5), DEG_TOL_RELATIVE)
+
+
+def test_a_perturbed_casimir_block_fails_the_spin_check(monkeypatch):
+    casimir = spectrum._casimir_block
+    monkeypatch.setattr(spectrum, "_casimir_block",
+                        lambda t: casimir(t) + 1e-3 * np.eye(t.z.shape[1]))
+    with pytest.raises(RuntimeError, match="non-integer total spin"):
+        _uncached(4, HEISENBERG, DEG_TOL_RELATIVE)
+
+
+@pytest.mark.parametrize("alpha, jz", [(2.0, 1.0), (4.0, 1.0), (6.0, 1.0), (8.0, 1.0),
+                                       (6.0, -3.0), (3.7, 0.37)])
+def test_cluster_labels_match_the_per_cluster_loop(alpha, jz):
+    # spins at Jz/J = 1 against the dense Casimir, irrep slots against one
+    # bincount per cluster
+    for M in range(7):
+        res = _uncached(M, ModelParams(alpha, jz), DEG_TOL_RELATIVE)
+        assert [(c.indices.tolist(), c.energy, c.irrep_slots, c.irrep, c.spin)
+                for c in res.clusters] == per_cluster_labels(res)
 
 
 def test_block_solves_accept_a_plain_eigenpair_tuple():
