@@ -7,8 +7,7 @@ In units of the transverse coupling J,
 with Pauli matrices s and distances in units of the nearest-neighbour
 spacing.  Squared distances are exact integers, so for even alpha every
 matrix element is a rational number; the exact assembly keeps them as
-Fractions.  The float matrix, its split into the flip-flop part and the
-z-z diagonal that Jz/J scales, the exact entries and the Casimir S^2 all
+Fractions.  The float matrix, the exact entries and the Casimir S^2 all
 weight one per-sector table of flip-flop bonds and z-z signs.  Only six
 squared distances occur, so H/J = sum_c w_c [X_c + (Jz/J) diag(zz_c)] with
 w_c = d_c^-alpha and integer class parts X_c, zz_c free of both couplings.
@@ -119,36 +118,12 @@ def _bond_table(M: int) -> _BondTable:
     return table
 
 
-class AnisotropySplit(NamedTuple):
-    """Sector M of H/J as X + (Jz/J) diag(zz): both parts are free of the anisotropy."""
-    rows: np.ndarray  # flip-flop entries of X, both orders listed
-    cols: np.ndarray
-    flip: np.ndarray  # X[rows, cols] = 2 d^-alpha of the exchanged pair
-    zz: np.ndarray    # (d,) diagonal of sum_k d_k^-alpha sz sz
-
-
-def _split(M: int, weights: np.ndarray) -> AnisotropySplit:
-    table = _bond_table(M)
-    return AnisotropySplit(rows=table.a, cols=table.b, flip=2.0 * weights[table.pair],
-                           zz=table.zz @ weights)
-
-
-def anisotropy_split(M: int, alpha: float) -> AnisotropySplit:
-    """The two parts of sector M at interaction range alpha that every Jz/J weights."""
-    return _split(M, np.array(_pair_couplings(_pair_distance_sq(), alpha)))
-
-
-def _dense(split: AnisotropySplit, jz_over_j: float) -> np.ndarray:
-    """X + jz_over_j diag(zz) as a dense matrix."""
-    matrix = np.zeros((len(split.zz),) * 2)
-    np.fill_diagonal(matrix, jz_over_j * split.zz)
-    matrix[split.rows, split.cols] = split.flip
-    return matrix
-
-
 def _assemble(M: int, weights: np.ndarray, jz_over_j: float) -> np.ndarray:
     """Dense sum_k weights[k] [(sx sx + sy sy) + jz_over_j sz sz] over the pairs."""
-    return _dense(_split(M, weights), jz_over_j)
+    table = _bond_table(M)
+    matrix = np.diag(jz_over_j * (table.zz @ weights))
+    matrix[table.a, table.b] = 2.0 * weights[table.pair]
+    return matrix
 
 
 class CouplingClasses(NamedTuple):
@@ -214,16 +189,14 @@ def build_sector_hamiltonian(
     return SectorHamiltonian(
         M=M,
         params=params,
-        matrix=_dense(anisotropy_split(M, params.alpha), params.jz_over_j),
+        matrix=_assemble(M, np.array(_pair_couplings(_pair_distance_sq(), params.alpha)),
+                         params.jz_over_j),
         exact=_exact_entries(M, params) if exact else None,
     )
 
 
-@lru_cache(maxsize=16)
 def heisenberg_casimir(M: int) -> np.ndarray:
     """Total-spin Casimir S^2 in the sector basis; eigenvalues are S(S+1)."""
     # S^2 = 3N/4 + sum_{i<j} 2 S_i.S_j, and 2 S_i.S_j is half a unit-weight pair term.
     h = _assemble(M, np.ones(len(_PAIRS)), 1.0)
-    s2 = 0.5 * h + 0.75 * N_SITES * np.eye(len(h))
-    s2.flags.writeable = False
-    return s2
+    return 0.5 * h + 0.75 * N_SITES * np.eye(len(h))

@@ -112,33 +112,36 @@ def _class_table(M: int, partner: int) -> tuple[_ClassBlock, ...]:
 
     The point group keeps distances, so it commutes with each X_c, and a row
     of B lives on one configuration orbit, which keeps each zz_c: every
-    B diag(zz_c) B^T is diagonal, zz_c weighted by squared rows.  One stacked
-    product B [X_0 ... X_5] diag(B^T, ..., B^T) projects all six classes.
+    B diag(zz_c) B^T is diagonal, zz_c weighted by squared rows.  A flip-flop
+    entry (a, b) of X_c adds 2 B[i, a] B[j, b] to entry (i, j) of B X_c B^T
+    for every row i that a meets and j that b meets, so one bincount over
+    (class, i, j) projects all six classes; X_c is symmetric, so the entries
+    a < b and the transpose of their sum give the rest.
     """
-    import scipy.sparse  # deferred: `import hexstar` does not load scipy.sparse
-
     classes = coupling_classes(M)
-    d, k = classes.zz.shape
-    copy = np.arange(k)[:, None]
-    stacked = scipy.sparse.csr_array(  # X_c in columns c d .. (c + 1) d - 1
-        (np.full(len(classes.rows), 2.0),
-         (classes.rows, classes.cls.astype(np.int64) * d + classes.cols)),
-        shape=(d, k * d))
+    k = classes.zz.shape[1]
+    upper = classes.rows < classes.cols
+    left, right = classes.rows[upper], classes.cols[upper]
+    cls = classes.cls[upper].astype(np.intp)
     table = []
     for b in irrep_blocks(M):
         if b.partner != partner:
             continue
-        n = b.basis.shape[0]
-        bt = b.basis.T.tocsr()
-        spread = scipy.sparse.csr_array(  # diag(B^T, ..., B^T), one copy per class
-            (np.tile(bt.data, k), (bt.indices + n * copy).ravel(),
-             np.append((bt.indptr[:-1] + bt.nnz * copy).ravel(), k * bt.nnz)),
-            shape=(k * d, k * n))
-        projected = (b.basis @ stacked @ spread).tocoo()
-        cls, col = np.divmod(projected.col, n)
-        table.append(_ClassBlock(block=b, flat=(projected.row * n + col).astype(np.int32),
-                                 cls=cls.astype(np.int8), x=projected.data,
-                                 z=((b.basis * b.basis) @ classes.zz).T))
+        n = b.copies
+        i = (cls[:, None] * n + np.take(b.rows, left, axis=0)) * n
+        j = np.take(b.rows, right, axis=0)
+        ci, cj = np.take(b.coef, left, axis=0), np.take(b.coef, right, axis=0)
+        dense = np.bincount((i[:, :, None] + j[:, None, :]).ravel(),
+                            (2.0 * ci[:, :, None] * cj[:, None, :]).ravel(),
+                            minlength=k * n * n).reshape(k, n, n)
+        dense = (dense + dense.transpose(0, 2, 1)).ravel()
+        cell = np.flatnonzero(dense)
+        z = np.bincount((b.rows[:, :, None] + n * np.arange(k)).ravel(),
+                        ((b.coef ** 2)[:, :, None] * classes.zz[:, None, :]).ravel(),
+                        minlength=k * n)
+        table.append(_ClassBlock(block=b, flat=(cell % (n * n)).astype(np.int32),
+                                 cls=(cell // (n * n)).astype(np.int8), x=dense[cell],
+                                 z=z.reshape(k, n)))
         for arr in table[-1][1:]:
             arr.flags.writeable = False
     return tuple(table)
@@ -227,7 +230,7 @@ def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> Spec
     start = 0
     for (b, _, _), (values, u) in zip(entries, solved):
         cols = column[start:start + len(values)]
-        eigenvectors[:, cols] = b.basis.T @ u
+        eigenvectors[:, cols] = np.einsum("st,stk->sk", b.coef, u[b.rows])  # B^T u
         irrep_of[cols] = IRREP_LABELS.index(b.irrep)
         start += len(values)
 

@@ -4,24 +4,20 @@ Characters of the signed permutation action, irrep multiplicities per
 magnetization sector, total-spin multiplet counts, the symmetry-adapted
 bases that split each sector Hamiltonian into one block per irrep and
 C2'(0) partner, for the six irreps that survive the trivial horizontal
-mirror, and the stabilizer of a full-space state among the site
-permutations.
+mirror, each block held as the rows that every sector state meets, and the
+stabilizer of a full-space state among the site permutations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import lattice
 from .lattice import CharacterTable, GroupElement
 from .hilbert import StateVector, _config_map, sector_basis
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 INT_TOL = 1e-9  # multiplicities must be integers to this
 STABILIZER_TOL = 1e-12  # largest deviation from a phase of a kept permutation, relative to max|psi|
@@ -106,19 +102,24 @@ def multiplet_counts() -> MultipletTable:
 
 @dataclass(frozen=True, eq=False)
 class IrrepBlock:
-    """Symmetry-adapted rows of one irrep in one sector.
+    """Symmetry-adapted rows of one irrep in one sector, seen from the sector states.
 
     Each row is one copy of the irrep.  For E1u and E2g it is one partner
     of the copy, even (``partner`` +1) or odd (-1) under the two-fold
     rotation C2'(0); U_h and H commute, so both partner blocks of an irrep
-    have the same levels, and a level of the even block
-    H_r = basis @ H @ basis.T stands for ``dim`` states of the sector.
+    have the same levels, and a level of the even block stands for ``dim``
+    states of the sector.  The rows B are kept per state: state s meets row
+    rows[s, j] with coefficient B[rows[s, j], s] = coef[s, j].  A row lives
+    on one configuration orbit, so a state meets at most t rows (t is 1, or
+    2 for E1u and E2g), and coefficient 0 pads the rest.
     """
 
     irrep: str
-    dim: int                        # dimension of the irrep
-    partner: int                    # -1 for the C2'(0)-odd rows of E1u and E2g, else +1
-    basis: scipy.sparse.csr_array  # (copies, sector dim), orthonormal rows
+    dim: int            # dimension of the irrep
+    partner: int        # -1 for the C2'(0)-odd rows of E1u and E2g, else +1
+    copies: int         # number of rows; they are orthonormal
+    rows: np.ndarray    # (sector dim, t) int, the rows each state meets
+    coef: np.ndarray    # (sector dim, t) float, the state's coefficient in each
 
 
 @lru_cache(maxsize=None)
@@ -134,10 +135,8 @@ def irrep_blocks(M: int) -> tuple[IrrepBlock, ...]:
     partner; it is again an orthogonal projector, because P_r is central
     and so commutes with U_h.  Every projector maps each configuration
     orbit to itself, so each orbit's restricted projector is diagonalized
-    on its own and its unit eigenvectors become rows.
+    on its own and its unit eigenvectors become rows, kept per state.
     """
-    import scipy.sparse  # deferred: `import hexstar` does not load scipy.sparse
-
     ct = _chartable()
     proper = [g for g in _group() if not g.inverted]
     by_perm = {g.perm: g for g in proper}
@@ -163,7 +162,7 @@ def irrep_blocks(M: int) -> tuple[IrrepBlock, ...]:
         chi = np.array([ct.chi(r, g.class_label) for g in proper])
         if ct.dims[r] == 2:
             chi = chi + partner * np.array([ct.chi(r, g.class_label) for g in times_h])
-        coef = (chi * parity)[:, None] / 12.0  # U_g weight in the projector
+        weight = (chi * parity)[:, None] / 12.0  # U_g weight in the projector
         data, indices, lengths = [], [], []
         for n in np.unique(sizes):
             picked = np.nonzero(sizes == n)[0]
@@ -171,9 +170,9 @@ def irrep_blocks(M: int) -> tuple[IrrepBlock, ...]:
             local = np.empty(len(sizes), dtype=np.int64)
             local[picked] = np.arange(len(picked))
             src = members.ravel()
-            # Q[o, pos(g f), pos(f)] += coef(g) for every member f and element g
+            # Q[o, pos(g f), pos(f)] += weight(g) for every member f and element g
             flat = (local[orbit[src]] * n + pos[images[:, src]]) * n + pos[src]
-            q = np.bincount(flat.ravel(), np.broadcast_to(coef, flat.shape).ravel(),
+            q = np.bincount(flat.ravel(), np.broadcast_to(weight, flat.shape).ravel(),
                             minlength=len(picked) * n * n).reshape(-1, n, n)
             evals, evecs = np.linalg.eigh(q)
             o, k = np.nonzero(evals > 0.5)
@@ -181,18 +180,24 @@ def irrep_blocks(M: int) -> tuple[IrrepBlock, ...]:
             indices.append(members[o].ravel())
             lengths.append(np.full(len(o), n))
         lengths = np.concatenate(lengths)
-        if len(lengths) != expected[r][M]:
-            raise RuntimeError(
-                f"{len(lengths)} rows for {r} in sector {M}, expected {expected[r][M]}")
-        if not len(lengths):
+        copies = len(lengths)
+        if copies != expected[r][M]:
+            raise RuntimeError(f"{copies} rows for {r} in sector {M}, expected {expected[r][M]}")
+        if not copies:
             continue
-        indptr = np.concatenate(([0], np.cumsum(lengths)))
-        rows = scipy.sparse.csr_array(
-            (np.concatenate(data), np.concatenate(indices), indptr), shape=(len(lengths), d))
-        for a in (rows.data, rows.indices, rows.indptr):
+        state = np.concatenate(indices)
+        by_state = np.argsort(state, kind="stable")  # each state's rows stay ascending
+        met = np.bincount(state, minlength=d)
+        at = (state[by_state], np.arange(len(state)) - np.repeat(np.cumsum(met) - met, met))
+        rows = np.zeros((d, met.max()), dtype=np.intp)
+        coef = np.zeros(rows.shape)
+        rows[at] = np.repeat(np.arange(copies), lengths)[by_state]
+        coef[at] = np.concatenate(data)[by_state]
+        for a in (rows, coef):
             a.flags.writeable = False
-        blocks.append(IrrepBlock(irrep=r, dim=ct.dims[r], partner=partner, basis=rows))
-    if sum(b.basis.shape[0] for b in blocks) != d:
+        blocks.append(IrrepBlock(irrep=r, dim=ct.dims[r], partner=partner, copies=copies,
+                                 rows=rows, coef=coef))
+    if sum(b.copies for b in blocks) != d:
         raise RuntimeError(f"irrep rows of both partners do not fill sector {M} of "
                            f"dimension {d}")
     return tuple(blocks)

@@ -1,8 +1,8 @@
 """Independent references shared by several test modules.
 
 The group product read off the abstract (inverted, rot, flip) coordinates,
-the signed permutation action on amplitudes, the dense irrep labeller
-that rounds projection weights, the Schmidt scan over every cut, the exact
+the signed permutation action on amplitudes, the dense rows of an irrep
+block, the dense irrep labeller that rounds projection weights, the Schmidt scan over every cut, the exact
 entries summed pair by pair, and cluster labels counted cluster by cluster
 with spins from the dense Casimir.  The library builds none of these: its
 blocks carry their labels by construction, its scan takes one cut per
@@ -29,7 +29,7 @@ from hexstar.hamiltonian import (
 from hexstar.hilbert import StateVector, _config_map, sector_basis
 from hexstar.lattice import IRREP_LABELS, GroupElement
 from hexstar.spectrum import SpectrumResult, split_into_clusters
-from hexstar.symmetry import irrep_blocks, irrep_weights
+from hexstar.symmetry import IrrepBlock, irrep_blocks, irrep_weights
 
 PURE_TOL = 0.999  # amplitude of one irrep that labels an eigenvector as pure
 
@@ -118,6 +118,13 @@ def exact_entries_by_pair(M: int, params: ModelParams) -> dict[tuple[int, int], 
     return entries
 
 
+def dense_rows(block: IrrepBlock) -> np.ndarray:
+    """The (copies, sector dim) rows of an irrep block, filled in from its per-state view."""
+    rows = np.zeros((block.copies, len(block.rows)))
+    np.add.at(rows, (block.rows, np.arange(len(block.rows))[:, None]), block.coef)
+    return rows
+
+
 def dense_casimir_spins(vectors: np.ndarray, M: int) -> list[int]:
     """Total spin of each column from <v|S^2|v> with the dense sector Casimir."""
     s_sq = np.einsum("ij,ij->j", vectors, heisenberg_casimir(M) @ vectors)
@@ -135,8 +142,8 @@ def per_cluster_labels(res: SpectrumResult) -> list[tuple]:
     (Jz/J = 1 only) come from the dense Casimir on each cluster's first column.
     """
     blocks = irrep_blocks(res.M)
-    held = np.stack([np.einsum("ij,ij->j", b.basis @ res.eigenvectors, b.basis @ res.eigenvectors)
-                     for b in blocks])
+    projected = [dense_rows(b) @ res.eigenvectors for b in blocks]
+    held = np.stack([np.einsum("ij,ij->j", p, p) for p in projected])
     irrep_of = np.array([IRREP_LABELS.index(b.irrep) for b in blocks])[held.argmax(axis=0)]
     clusters = split_into_clusters(res.eigenvalues, res.deg_tol)
     spins = [None] * len(clusters)

@@ -491,6 +491,22 @@ def test_import_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
+def test_the_solving_commands_load_no_scipy():
+    code = ("import contextlib, io, sys\n"
+            "from hexstar.cli import main\n"
+            "for line in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(line.split()) == 0, line\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    lines = ["spectrum --sector 5", "degeneracy", "ground-scan --jz-points 3",
+             "dynamics --state xi --sector 5 --t-steps 11",
+             "return-prob --state chi --sector 5 --t-steps 11", "schmidt --state ground"]
+    proc = subprocess.run([sys.executable, "-c", code, *lines], capture_output=True,
+                          text=True, timeout=300, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_negative_sectors_are_only_mirrored(monkeypatch, capsys):
     calls = []
     for name in ("build_sector_hamiltonian", "irrep_blocks", "_partner_operators"):

@@ -12,7 +12,6 @@ from hexstar.hamiltonian import (
     HEISENBERG,
     XXZ_FERRO,
     ModelParams,
-    anisotropy_split,
     build_sector_hamiltonian,
     exact_capable,
     heisenberg_casimir,
@@ -188,16 +187,6 @@ def test_float_assembly_uses_the_pairwise_couplings_bit_for_bit(geometry, alpha)
         ham = build_sector_hamiltonian(M, ModelParams(alpha, -0.7), exact=False)
         assert np.array_equal(ham.matrix, _assemble(M, weights, -0.7))
     assert total_coupling(geometry, alpha) == sum(weights.tolist())
-
-
-@pytest.mark.parametrize("alpha", [0.37, 6.0, 13.1])
-def test_anisotropy_split_reassembles_the_sector_hamiltonian_bit_for_bit(alpha):
-    for M in (0, 3, 5, 6):
-        split = anisotropy_split(M, alpha)
-        for jz in (-0.7, 0.0, 2.5):
-            matrix = np.diag(jz * split.zz)
-            matrix[split.rows, split.cols] = split.flip
-            assert np.array_equal(matrix, build_sector_hamiltonian(M, ModelParams(alpha, jz)).matrix)
 
 
 def test_spectra_do_not_rebuild_the_geometry():

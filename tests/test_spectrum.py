@@ -46,7 +46,7 @@ from hexstar.spectrum import (
     split_into_clusters,
 )
 from hexstar.symmetry import irrep_blocks, irrep_weights
-from reference import act_permutation, label_eigenvector, per_cluster_labels
+from reference import act_permutation, dense_rows, label_eigenvector, per_cluster_labels
 
 # Eigenvalue multiplicities over all 4096 states, counted once at the
 # default clustering tolerance and frozen.
@@ -472,7 +472,8 @@ def test_a_ground_scan_projects_no_odd_partner_block(monkeypatch):
     with monkeypatch.context() as m:
         # odd-partner rows that any projection fails on
         m.setattr(spectrum, "irrep_blocks", lambda M: tuple(
-            b if b.partner > 0 else dataclasses.replace(b, basis=None) for b in blocks(M)))
+            b if b.partner > 0 else dataclasses.replace(b, rows=None, coef=None)
+            for b in blocks(M)))
         assert ground_state_scan(alpha, [-1.0, 0.0]).crossover is not None
     assert spectrum._class_table.cache_info().currsize == 7  # the even partners of M = 0..6
     # a labelled solve at that range then builds each odd partner's table
@@ -497,8 +498,8 @@ def test_scan_assembles_no_sector_hamiltonian(monkeypatch):
 
 def _projected_levels(params):
     """Reference: the dense sector H projected onto each C2'(0)-even block, per point."""
-    return {M: {b.irrep: np.linalg.eigvalsh(b.basis @ (b.basis @ h).T)
-                for b in irrep_blocks(M) if b.partner > 0}
+    return {M: {b.irrep: np.linalg.eigvalsh(r @ (r @ h).T)
+                for b, r in ((b, dense_rows(b)) for b in irrep_blocks(M)) if b.partner > 0}
             for M, h in ((M, build_sector_hamiltonian(M, params).matrix) for M in range(7))}
 
 
@@ -524,10 +525,11 @@ def test_block_operators_are_the_projected_sector_hamiltonian(alpha):
     for M in range(-6, 7):
         entries = spectrum._block_operators(M, alpha)
         assert [b for b, _, _ in entries] == list(irrep_blocks(M))
+        rows = [dense_rows(b) for b, _, _ in entries]
         for jz in (0.0, 1.0, -2.5):
             h = build_sector_hamiltonian(M, ModelParams(alpha, jz)).matrix
-            for b, xr, zr in entries:
-                assert np.abs(xr + np.diag(jz * zr) - b.basis @ (b.basis @ h).T).max() <= 1e-13
+            for (b, xr, zr), r in zip(entries, rows):
+                assert np.abs(xr + np.diag(jz * zr) - r @ (r @ h).T).max() <= 1e-13
 
 
 def test_a_second_anisotropy_builds_no_block_operators(monkeypatch):

@@ -27,7 +27,7 @@ from hexstar.symmetry import (
     multiplet_counts,
     sector_character,
 )
-from reference import act_permutation, label_eigenvector
+from reference import act_permutation, dense_rows, label_eigenvector
 
 # Multiplicity of each irrep in the sectors M = 6 down to 0, counted once
 # by the character sum and frozen here.  Negative M mirrors positive M.
@@ -198,10 +198,10 @@ def test_projectors_commute_with_hamiltonian():
 def test_irrep_block_sizes_match_the_census():
     table = irrep_counts().counts
     for M in range(0, 7):
-        sizes = {b.irrep: b.basis.shape for b in irrep_blocks(M) if b.partner > 0}
+        sizes = {b.irrep: (b.copies, len(b.rows)) for b in irrep_blocks(M) if b.partner > 0}
         d = sector_basis(M).dim
         assert sizes == {r: (table[r][M], d) for r in IRREP_LABELS if table[r][M]}
-    even = [b.basis.shape[0] for b in irrep_blocks(0) if b.partner > 0]
+    even = [b.copies for b in irrep_blocks(0) if b.partner > 0]
     assert even == [70, 90, 156, 76, 76, 150]
 
 
@@ -212,15 +212,15 @@ def test_odd_partner_rows_complete_the_sector(group, M):
     even = [b for b in blocks if b.partner > 0]
     odd = [b for b in blocks if b.partner < 0]
     assert blocks == even + odd
-    assert {b.irrep: b.basis.shape[0] for b in odd} == {
+    assert {b.irrep: b.copies for b in odd} == {
         r: table[r][M] for r in ("E2g", "E1u") if table[r][M]}
-    rows = np.vstack([b.basis.toarray() for b in blocks])
+    rows = np.vstack([dense_rows(b) for b in blocks])
     assert rows.shape == (sector_basis(M).dim,) * 2
     assert np.abs(rows @ rows.T - np.eye(len(rows))).max() < 1e-12
 
     h = next(g for g in group if g.name == "C2'(0)")
     for b in blocks:
-        bt = b.basis.toarray().T
+        bt = dense_rows(b).T
         assert np.abs(_irrep_projector(b.irrep, M) @ bt - bt).max() < 1e-12
         if b.dim == 2:  # the partners are the two eigenspaces of U_h
             moved = act_permutation(h, StateVector(amps=bt, sector=M)).amps
@@ -240,15 +240,16 @@ def test_irrep_blocks_split_the_sector_hamiltonian(alpha, jz_over_j, M):
     spread = dense[-1] - dense[0]
     assert np.abs(merged - dense).max() <= 1e-12 * max(spread, 1.0)
 
-    rows = np.vstack([b.basis.toarray() for b in blocks])
+    dense = {b: dense_rows(b) for b in blocks}
+    rows = np.vstack(list(dense.values()))
     assert np.abs(rows @ rows.T - np.eye(len(rows))).max() < 1e-12
     for b in blocks:
-        bt = b.basis.toarray()
+        bt = dense[b]
         assert np.abs(_irrep_projector(b.irrep, M) @ bt.T - bt.T).max() < 1e-12
         for other in blocks:
             if other is not b:
                 # group commutation: H never couples two irreps
-                assert np.abs(bt @ h @ other.basis.toarray().T).max() < 1e-12
+                assert np.abs(bt @ h @ dense[other].T).max() < 1e-12
 
 
 def test_every_configuration_meets_the_a2g_block():
