@@ -56,7 +56,7 @@ def block_entries(alpha: float) -> tuple[float, float, float, float, float]:
 
 def exact_block_entries(alpha: float) -> tuple[Fraction, ...]:
     if not exact_capable(alpha):
-        raise ValueError("exact entries need an even integer alpha")
+        raise ValueError("exact entries need a positive even integer alpha")
     a = int(alpha)
     return _closed_form(Fraction(1, 2**a), Fraction(1, 3**a), Fraction(1, 3 ** (a // 2)),
                         Fraction(1, 7 ** (a // 2)))
@@ -111,6 +111,7 @@ class M5Block:
 
 
 def m5_block(alpha: float, jz_over_j: float) -> M5Block:
+    ModelParams(alpha, jz_over_j)  # the couplings' own checks: ValueError on a bad one
     h11_0, h12_0, h22_0, h11_1, h22_1 = block_entries(alpha)
     x = jz_over_j
     matrix = np.array([

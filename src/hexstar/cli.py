@@ -12,7 +12,9 @@ probabilities stream one time point at a time from the cells formatted
 once per equiprobability class.  Statistics close stdout CSV as a
 "# stats:" comment, go to a FILE.stats.json sidecar next to a CSV file,
 and sit under "stats" in JSON.  File output is streamed into a temporary
-sibling that is renamed into place only once complete.  Exit codes:
+sibling that is renamed into place only once complete; a symlink keeps
+pointing at the replaced target.  An existing FIFO or device node is
+written in place, as stdout is, with the stats comment.  Exit codes:
 0 success, 2 usage, 3 numerical failure, 4 I/O, 141 (128 + SIGPIPE) when
 the reader of stdout closes it early.
 """
@@ -23,6 +25,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from collections.abc import Callable, Iterable
@@ -167,8 +170,8 @@ def _emit(args: argparse.Namespace, out: _Output) -> None:
     stats = {} if out.stats is None else {"stats": out.stats}
     if args.format == "json":
         _write(args.output, _json_chunks({"config": config} | out.doc() | stats))
-    elif args.output == "-":
-        _write("-", _csv_lines(config, out, out.stats))
+    elif _in_place(args.output):
+        _write(args.output, _csv_lines(config, out, out.stats))
     else:
         # file output: stats go to a JSON sidecar instead of a trailing comment
         _write(args.output, _csv_lines(config, out, None))
@@ -176,12 +179,27 @@ def _emit(args: argparse.Namespace, out: _Output) -> None:
             _write(args.output + ".stats.json", _json_chunks({"config": config} | stats))
 
 
+def _in_place(path: str) -> bool:
+    """True for stdout and for an existing target that is neither a regular file nor a directory."""
+    if path == "-":
+        return True
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        return False
+    return not (stat.S_ISREG(mode) or stat.S_ISDIR(mode))
+
+
 def _write(path: str, chunks: Iterable[str]) -> None:
     if path == "-":
         sys.stdout.writelines(chunks)
         sys.stdout.flush()  # a closed pipe raises here, inside main, not at exit
         return
-    target = Path(path)
+    if _in_place(path):
+        with open(path, "w") as fh:  # a FIFO or a device is written to, never replaced
+            fh.writelines(chunks)
+        return
+    target = Path(path).resolve()  # a symlink stays, and its target is replaced
     fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
     try:
         with os.fdopen(fd, "w") as fh:

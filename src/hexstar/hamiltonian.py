@@ -7,10 +7,11 @@ In units of the transverse coupling J,
 with Pauli matrices s and distances in units of the nearest-neighbour
 spacing.  Squared distances are exact integers, so for even alpha every
 matrix element is a rational number; the exact assembly keeps them as
-Fractions.  The float matrix, the exact entries and the Casimir S^2 all
-weight one per-sector table of flip-flop bonds and z-z signs.  Only six
-squared distances occur, so H/J = sum_c w_c [X_c + (Jz/J) diag(zz_c)] with
-w_c = d_c^-alpha and integer class parts X_c, zz_c free of both couplings.
+Fractions.  Only six squared distances occur, so
+H/J = sum_c w_c [X_c + (Jz/J) diag(zz_c)] with w_c = d_c^-alpha and integer
+class parts X_c, zz_c free of both couplings.  One per-sector class table
+holds them; the float matrix, the exact entries, the Casimir S^2 (unit
+weights) and the irrep-block operators all weight it.
 """
 
 from __future__ import annotations
@@ -45,24 +46,16 @@ HEISENBERG = ModelParams(alpha=6.0, jz_over_j=1.0)
 XXZ_FERRO = ModelParams(alpha=6.0, jz_over_j=-3.0)
 
 _PAIRS = tuple((i, j) for i in range(N_SITES) for j in range(i + 1, N_SITES))
-_PAIR_I, _PAIR_J = np.array(_PAIRS).T
-_PAIR_MASKS = np.array([(1 << i) | (1 << j) for i, j in _PAIRS])
-
-
-@lru_cache(maxsize=1)
-def _pair_distance_sq() -> tuple[int, ...]:
-    """Squared distance of each pair in _PAIRS, read from the geometry once."""
-    return tuple(build_geometry().distance_sq[_PAIR_I, _PAIR_J].tolist())
 
 
 def exact_capable(alpha: float) -> bool:
-    """True for an even integer alpha, the powers at which every d^-alpha is rational."""
-    return float(alpha).is_integer() and int(alpha) % 2 == 0
+    """True for a positive even integer alpha, the powers at which every d^-alpha is rational."""
+    return float(alpha).is_integer() and alpha > 0 and int(alpha) % 2 == 0
 
 
 def _exact_weight(d2: int, alpha: float) -> Fraction:
     if not exact_capable(alpha):
-        raise ValueError("exact couplings need an even integer alpha")
+        raise ValueError("exact couplings need a positive even integer alpha")
     return Fraction(1, d2 ** (int(alpha) // 2))
 
 
@@ -73,7 +66,7 @@ def _pair_couplings(distance_sq: tuple[int, ...], alpha: float) -> list[float]:
 
 def total_coupling(geometry: Geometry, alpha: float) -> float:
     """Sum of couplings over all pairs; the ferromagnet energy is (Jz/J) times this."""
-    return sum(_pair_couplings(geometry.distance_sq[_PAIR_I, _PAIR_J].tolist(), alpha))
+    return sum(_pair_couplings([geometry.distance_sq[i, j] for i, j in _PAIRS], alpha))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,44 +81,6 @@ class SectorHamiltonian:
         return self.matrix.shape[0]
 
 
-def _site_z(configs: np.ndarray) -> np.ndarray:
-    """(d, 12) array of sz eigenvalues +-1 per configuration."""
-    bits = (configs[:, None] >> np.arange(N_SITES)[None, :]) & 1
-    return 1 - 2 * bits
-
-
-class _BondTable(NamedTuple):
-    a: np.ndarray     # int32 row of each flip-flop element, both orders listed
-    b: np.ndarray     # int32 its column
-    pair: np.ndarray  # int8 index into _PAIRS of the exchanged pair
-    zz: np.ndarray    # (d, 66) int8 sz_i sz_j per configuration and pair
-
-
-@lru_cache(maxsize=16)
-def _bond_table(M: int) -> _BondTable:
-    """Pair structure of sector M that H, S^2 and the exact entries all weight."""
-    basis = sector_basis(M)
-    z = _site_z(basis.configs)
-    zz = np.stack([z[:, i] * z[:, j] for i, j in _PAIRS], axis=1).astype(np.int8)
-    # sx sx + sy sy exchanges an anti-aligned pair: f couples to f ^ mask.
-    a, pair = np.nonzero(zz < 0)
-    b = basis.index_of[basis.configs[a] ^ _PAIR_MASKS[pair]]
-    # narrow integers keep the cached tables small; every product casts them to float64
-    table = _BondTable(a=a.astype(np.int32), b=b.astype(np.int32), pair=pair.astype(np.int8),
-                       zz=zz)
-    for arr in table:
-        arr.flags.writeable = False
-    return table
-
-
-def _assemble(M: int, weights: np.ndarray, jz_over_j: float) -> np.ndarray:
-    """Dense sum_k weights[k] [(sx sx + sy sy) + jz_over_j sz sz] over the pairs."""
-    table = _bond_table(M)
-    matrix = np.diag(jz_over_j * (table.zz @ weights))
-    matrix[table.a, table.b] = 2.0 * weights[table.pair]
-    return matrix
-
-
 class CouplingClasses(NamedTuple):
     """Sector M of H/J as sum_c w_c [X_c + (Jz/J) diag(zz_c)], free of both couplings.
 
@@ -136,24 +91,34 @@ class CouplingClasses(NamedTuple):
     cols: np.ndarray
     cls: np.ndarray     # int8 class of each entry; X_c[rows, cols] = 2
     zz: np.ndarray      # (d, 6) int8 sum of sz sz over the pairs of each class
-    levels: np.ndarray  # the distinct rows of zz
-    level_of: np.ndarray  # index into levels of each row of zz
 
 
 @lru_cache(maxsize=16)
 def coupling_classes(M: int) -> CouplingClasses:
-    """The integer class parts of sector M, read off its bond table."""
-    table = _bond_table(M)
-    pair_class = np.array([ALLOWED_DISTANCE_SQ.index(d2) for d2 in _pair_distance_sq()])
-    zz = np.stack([table.zz[:, pair_class == c].sum(axis=1)
-                   for c in range(len(ALLOWED_DISTANCE_SQ))], axis=1).astype(np.int8)
-    levels, level_of = np.unique(zz, axis=0, return_inverse=True)
-    classes = CouplingClasses(rows=table.a, cols=table.b,
-                              cls=pair_class[table.pair].astype(np.int8),
-                              zz=zz, levels=levels, level_of=level_of.ravel())
+    """The integer class parts of sector M, read off its basis and the pair distances."""
+    basis = sector_basis(M)
+    i, j = np.array(_PAIRS).T
+    pair_class = np.searchsorted(ALLOWED_DISTANCE_SQ, build_geometry().distance_sq[i, j])
+    z = 1 - 2 * ((basis.configs[:, None] >> np.arange(N_SITES)) & 1)  # sz = +-1 per site
+    zz_pair = z[:, i] * z[:, j]
+    # sx sx + sy sy exchanges an anti-aligned pair: f couples to f ^ mask, by row then pair
+    rows, pair = np.nonzero(zz_pair < 0)
+    cols = basis.index_of[basis.configs[rows] ^ ((1 << i) | (1 << j))[pair]]
+    zz = (zz_pair @ (pair_class[:, None] == np.arange(len(ALLOWED_DISTANCE_SQ)))).astype(np.int8)
+    # narrow integers keep the cached table small; every product casts them to float64
+    classes = CouplingClasses(rows=rows.astype(np.int32), cols=cols.astype(np.int32),
+                              cls=pair_class[pair].astype(np.int8), zz=zz)
     for arr in classes:
         arr.flags.writeable = False
     return classes
+
+
+def _assemble(M: int, weights: np.ndarray, jz_over_j: float) -> np.ndarray:
+    """Dense sum_c weights[c] [X_c + jz_over_j diag(zz_c)] over the six classes."""
+    classes = coupling_classes(M)
+    matrix = np.diag(jz_over_j * (classes.zz @ weights))
+    matrix[classes.rows, classes.cols] = 2.0 * weights[classes.cls]
+    return matrix
 
 
 def class_weights(alpha: float) -> np.ndarray:
@@ -167,10 +132,11 @@ def _exact_entries(M: int, params: ModelParams) -> dict[tuple[int, int], Fractio
     weights = [_exact_weight(d2, params.alpha) for d2 in ALLOWED_DISTANCE_SQ]
     jz = Fraction(params.jz_over_j)
     # one Fraction per distinct diagonal, jz sum_c w_c zz_c
-    diagonal = [jz * sum(n * w for n, w in zip(row, weights)) for row in classes.levels.tolist()]
+    levels, level_of = np.unique(classes.zz, axis=0, return_inverse=True)
+    diagonal = [jz * sum(n * w for n, w in zip(row, weights)) for row in levels.tolist()]
     d = len(classes.zz)
     entries = dict(zip(zip(range(d), range(d)),
-                       map(diagonal.__getitem__, classes.level_of.tolist())))
+                       map(diagonal.__getitem__, level_of.ravel().tolist())))
     flip = [2 * w for w in weights]
     entries.update(zip(zip(classes.rows.tolist(), classes.cols.tolist()),
                        map(flip.__getitem__, classes.cls.tolist())))
@@ -189,8 +155,7 @@ def build_sector_hamiltonian(
     return SectorHamiltonian(
         M=M,
         params=params,
-        matrix=_assemble(M, np.array(_pair_couplings(_pair_distance_sq(), params.alpha)),
-                         params.jz_over_j),
+        matrix=_assemble(M, class_weights(params.alpha), params.jz_over_j),
         exact=_exact_entries(M, params) if exact else None,
     )
 
@@ -198,5 +163,5 @@ def build_sector_hamiltonian(
 def heisenberg_casimir(M: int) -> np.ndarray:
     """Total-spin Casimir S^2 in the sector basis; eigenvalues are S(S+1)."""
     # S^2 = 3N/4 + sum_{i<j} 2 S_i.S_j, and 2 S_i.S_j is half a unit-weight pair term.
-    h = _assemble(M, np.ones(len(_PAIRS)), 1.0)
+    h = _assemble(M, np.ones(len(ALLOWED_DISTANCE_SQ)), 1.0)
     return 0.5 * h + 0.75 * N_SITES * np.eye(len(h))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,6 +92,7 @@ class CharacterTable:
         return self.table[irrep][class_label]
 
 
+@lru_cache(maxsize=1)  # read-only arrays: every caller shares one geometry
 def build_geometry() -> Geometry:
     pos = np.empty((N_SITES, 2))
     for k in range(6):

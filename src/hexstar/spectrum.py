@@ -535,25 +535,17 @@ def ising_degeneracy_check(jz_sign: int) -> IsingCheck:
     """Exact ground degeneracy of the nearest-neighbour Ising limit (J=0).
 
     Counts, over all 4096 configurations, the minimizers of
-    sign(Jz) * sum_{<ij>} z_i z_j restricted to distance-1 bonds.
+    sign(Jz) * sum_{<ij>} z_i z_j restricted to distance-1 bonds: the
+    nearest-neighbour class column of coupling_classes(M) for M = 0..6, with
+    M > 0 counted twice, since the spin flip keeps every z_i z_j.
     """
     if jz_sign not in (-1, 1):
         raise ValueError("jz_sign must be +1 or -1")
-    geometry = build_geometry()
-    bonds = [
-        (i, j)
-        for i in range(N_SITES) for j in range(i + 1, N_SITES)
-        if geometry.distance_sq[i, j] == 1
-    ]
-    f = np.arange(1 << N_SITES)
-    z = 1 - 2 * ((f[:, None] >> np.arange(N_SITES)[None, :]) & 1)
-    s = np.zeros(len(f), dtype=np.int64)
-    for i, j in bonds:
-        s += z[:, i] * z[:, j]
-    energies = jz_sign * s
-    e0 = int(energies.min())
+    energies = [jz_sign * coupling_classes(M).zz[:, 0] for M in range(7)]
+    e0 = min(int(e.min()) for e in energies)
     return IsingCheck(
         jz_sign=jz_sign,
         ground_energy=e0,
-        degeneracy=int(np.count_nonzero(energies == e0)),
+        degeneracy=sum((1 if M == 0 else 2) * int(np.count_nonzero(e == e0))
+                       for M, e in enumerate(energies)),
     )

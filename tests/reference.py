@@ -2,32 +2,30 @@
 
 The group product read off the abstract (inverted, rot, flip) coordinates,
 the signed permutation action on amplitudes, the dense rows of an irrep
-block, the dense irrep labeller that rounds projection weights, the Schmidt scan over every cut, the exact
-entries summed pair by pair, and cluster labels counted cluster by cluster
-with spins from the dense Casimir.  The library builds none of these: its
-blocks carry their labels by construction, its scan takes one cut per
-orbit, and its exact entries and spins are read from the six distance
-classes, so these only check it.
+block, the dense irrep labeller that rounds projection weights, the Schmidt
+scan over every cut, the exact entries summed pair by pair over a pair
+table built here from the geometry and the sector basis, and cluster
+labels counted cluster by cluster with spins from the dense Casimir.  The
+library builds none of these: its blocks carry their labels by
+construction, its scan takes one cut per orbit, and its matrices, exact
+entries and spins are all read from the six distance classes, so these
+only check it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
 
 from hexstar.entanglement import SVD_CHUNK, SVD_TOL, _cut_matrix, _ranks
-from hexstar.hamiltonian import (
-    ModelParams,
-    _bond_table,
-    _exact_weight,
-    _pair_distance_sq,
-    heisenberg_casimir,
-)
+from hexstar.hamiltonian import ModelParams, heisenberg_casimir
 from hexstar.hilbert import StateVector, _config_map, sector_basis
-from hexstar.lattice import IRREP_LABELS, GroupElement
+from hexstar.lattice import IRREP_LABELS, N_SITES, GroupElement, build_geometry
 from hexstar.spectrum import SpectrumResult, split_into_clusters
 from hexstar.symmetry import IrrepBlock, irrep_blocks, irrep_weights
 
@@ -103,18 +101,32 @@ def full_scan_ranks(state: StateVector, tol: float = SVD_TOL) -> dict[int, int]:
     return {mask: found[mask] for mask in masks}
 
 
+@lru_cache(maxsize=None)
+def pair_table(M: int):
+    """Per pair: squared distance; per state: z_i z_j; flip-flops (row, column, pair) by row, then pair."""
+    pairs = [(i, j) for i in range(N_SITES) for j in range(i + 1, N_SITES)]
+    distance_sq = build_geometry().distance_sq
+    basis = sector_basis(M)
+    zz, flips = [], []
+    for a, f in enumerate(basis.configs.tolist()):
+        z = [1 - 2 * (f >> site & 1) for site in range(N_SITES)]
+        zz.append([z[i] * z[j] for i, j in pairs])
+        flips += [(a, int(basis.index_of[f ^ (1 << i) ^ (1 << j)]), k)
+                  for k, (i, j) in enumerate(pairs) if z[i] != z[j]]
+    return [int(distance_sq[i, j]) for i, j in pairs], zz, flips
+
+
 def exact_entries_by_pair(M: int, params: ModelParams) -> dict[tuple[int, int], Fraction]:
     """Exact sector entries with one Fraction weight per pair, diagonals on a common denominator."""
-    table = _bond_table(M)
-    weights = [_exact_weight(d2, params.alpha) for d2 in _pair_distance_sq()]
+    distance_sq, zz, flips = pair_table(M)
+    weights = [Fraction(1, d2 ** (int(params.alpha) // 2)) for d2 in distance_sq]
     denom = math.lcm(*(w.denominator for w in weights))
-    numer = np.array([int(w * denom) for w in weights], dtype=object)
+    numer = [int(w * denom) for w in weights]
     jz = Fraction(params.jz_over_j)
-    entries = {(a, a): jz * Fraction(int(s), denom)
-               for a, s in enumerate(table.zz @ numer)}
+    entries = {(a, a): jz * Fraction(sum(map(operator.mul, row, numer)), denom)
+               for a, row in enumerate(zz)}
     flip = [2 * w for w in weights]
-    entries.update(zip(zip(table.a.tolist(), table.b.tolist()),
-                       (flip[k] for k in table.pair.tolist())))
+    entries.update(((a, b), flip[k]) for a, b, k in flips)
     return entries
 
 

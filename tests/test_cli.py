@@ -4,8 +4,10 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -327,6 +329,11 @@ def test_usage_errors_exit_two(capsys):
     ("degeneracy", "--tol-deg", "1e308"),
     ("schmidt", "--state", "ground", "--tol-svd", "2"),
     ("schmidt", "--state", "config:63", "--tol-svd", "1"),
+    ("analytic-m5", "--alpha", "-2", "--t-steps", "3"),
+    ("analytic-m5", "--jz-over-j", "inf", "--t-steps", "3"),
+    ("analytic-m5", "--alpha", "nan", "--t-steps", "3"),
+    ("analytic-m5", "--alpha", "inf", "--t-steps", "3"),
+    ("analytic-m5", "--jz-over-j", "nan", "--t-steps", "3"),
 ])
 def test_non_finite_and_negative_inputs_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -387,6 +394,35 @@ def test_failed_output_leaves_no_temp_file(capsys, tmp_path):
     assert code == 4
     assert "i/o failure" in err
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_output_through_a_symlink_replaces_its_target(capsys, tmp_path):
+    real = tmp_path / "real.csv"
+    real.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to("real.csv")
+    out = run_cli(capsys, "ising")[1]
+    assert run_cli(capsys, "ising", "--output", str(link)) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == "real.csv"
+    assert real.read_text() == out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+def test_output_to_a_fifo_is_written_in_place_with_the_stats_comment(capsys, tmp_path):
+    argv = ("analytic-m5", "--jz-over-j", "-3", "--t-steps", "3")
+    out = run_cli(capsys, *argv)[1]
+    assert out.splitlines()[-1].startswith("# stats: ")
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    got = []
+    # a daemon reader with a timeout: a writer that replaces the FIFO leaves it blocked
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run_cli(capsys, *argv, "--output", str(fifo)) == (0, "", "")
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got == [out]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe.csv"]
 
 
 @pytest.mark.parametrize("argv", [

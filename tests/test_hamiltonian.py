@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from hexstar.analytic import exact_block_entries
 from hexstar.hamiltonian import (
     HEISENBERG,
     XXZ_FERRO,
@@ -17,11 +18,11 @@ from hexstar.hamiltonian import (
     heisenberg_casimir,
     total_coupling,
 )
-from hexstar.hamiltonian import _PAIRS, _assemble, _exact_entries
+from hexstar.hamiltonian import _assemble, _exact_entries, class_weights
 from hexstar.hilbert import sector_basis
 from hexstar.lattice import Geometry, build_geometry
 from hexstar.spectrum import full_spectrum
-from reference import exact_entries_by_pair
+from reference import exact_entries_by_pair, pair_table
 
 
 def _coupling(geometry: Geometry, i: int, j: int, alpha: float) -> float:
@@ -46,6 +47,10 @@ def test_exact_capable():
     assert exact_capable(2.0)
     assert not exact_capable(3.0)
     assert not exact_capable(6.5)
+    for alpha in (-2.0, -6.0, 0.0, math.inf, math.nan):
+        assert not exact_capable(alpha)
+    with pytest.raises(ValueError):
+        exact_block_entries(-2.0)
 
 
 def test_coupling_values(geometry):
@@ -180,13 +185,32 @@ def test_casimir_matches_the_full_pauli_spin(pauli_sites):
         assert np.abs(block - heisenberg_casimir(M)).max() < 1e-12
 
 
-@pytest.mark.parametrize("alpha", [0.37, 1.0, 3.7, 6.0, 13.1])
-def test_float_assembly_uses_the_pairwise_couplings_bit_for_bit(geometry, alpha):
-    weights = np.array([_coupling(geometry, i, j, alpha) for i, j in _PAIRS])
+FLOAT_ALPHAS = [0.37, 1.0, 3.7, 6.0, 13.1]
+
+
+@pytest.mark.parametrize("alpha", FLOAT_ALPHAS)
+def test_float_assembly_is_the_six_class_sum_bit_for_bit(alpha):
     for M in (0, 3, -5):
         ham = build_sector_hamiltonian(M, ModelParams(alpha, -0.7), exact=False)
-        assert np.array_equal(ham.matrix, _assemble(M, weights, -0.7))
-    assert total_coupling(geometry, alpha) == sum(weights.tolist())
+        assert np.array_equal(ham.matrix, _assemble(M, class_weights(alpha), -0.7))
+
+
+@pytest.mark.parametrize("alpha", FLOAT_ALPHAS)
+def test_float_assembly_matches_the_per_pair_sum(alpha):
+    for M in (0, 3, -5):
+        distance_sq, zz, flips = pair_table(M)
+        weights = np.array([float(d2) ** (-alpha / 2.0) for d2 in distance_sq])
+        by_pair = np.diag(-0.7 * (np.array(zz) @ weights))
+        a, b, k = np.array(flips).T
+        by_pair[a, b] = 2.0 * weights[k]
+        ham = build_sector_hamiltonian(M, ModelParams(alpha, -0.7), exact=False)
+        assert np.abs(ham.matrix - by_pair).max() <= 1e-13 * np.abs(by_pair).max()
+
+
+@pytest.mark.parametrize("alpha", FLOAT_ALPHAS)
+def test_total_coupling_is_the_pairwise_sum_bit_for_bit(geometry, alpha):
+    weights = [_coupling(geometry, i, j, alpha) for i in range(12) for j in range(i + 1, 12)]
+    assert total_coupling(geometry, alpha) == sum(weights)
 
 
 def test_spectra_do_not_rebuild_the_geometry():

@@ -72,3 +72,10 @@ def test_every_public_name_has_a_caller():
             if not (in_src or bench[name] or name in library):
                 unused.append(f"{module}: {name}")
     assert unused == []
+
+
+def test_only_the_geometry_and_the_coupling_classes_read_pair_distances():
+    # the class table is the one reader of the pair structure; the CLI lists the geometry
+    readers = {path.name for path in sorted(SRC.glob("*.py"))
+               if _reads(ast.parse(path.read_text()))["distance_sq"]}
+    assert readers <= {"lattice.py", "hamiltonian.py", "cli.py"}
