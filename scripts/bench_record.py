@@ -1,11 +1,16 @@
-"""Record one BENCH_<n>.json: perfbench on fixed seeds plus the size and time of the test gate.
+"""Record one BENCH_<n>.json: perfbench on fixed seeds, the README command lines, the test gate.
 
     python3 scripts/bench_record.py --out BENCH_1.json --seeds 1 2
 
-Run from the root of a checkout.  For each seed it runs
+Run from the root of a checkout, on Linux.  For each seed it runs
 ``perfbench/run.py --workload all`` (every workload untraced and traced)
 and keeps the end-to-end summary together with the per-layer metrics of
-the traced runs, read from their records in ``perfbench/out/``.  It then
+the traced runs, read from their records in ``perfbench/out/``.  It runs
+each ``hexstar ...`` line of the README's command-line block as
+``python -m hexstar``, three times with stdout discarded, and keeps the
+best wall time and the smallest peak RSS of each line; a child's peak is
+read from the rusage that ``os.wait4`` returns for it alone, since
+RUSAGE_CHILDREN holds the largest peak of all children so far.  It then
 counts the lines of ``src/`` and runs the Tier-1 suite once, recording its
 test count and wall time.  A claimed speedup is the difference between two
 such files made on the same machine.
@@ -36,9 +41,40 @@ def perfbench(seed: int) -> dict:
     return summary
 
 
-def tier1() -> dict:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def _env() -> dict:
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+
+
+def readme_lines() -> list[str]:
+    """The arguments of each ``hexstar`` line in the README's command-line block."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = re.search(r"^```\n(.*?)^```", section, re.M | re.S).group(1)
+    return [line.split(None, 1)[1] for line in block.splitlines() if line.startswith("hexstar ")]
+
+
+def cli_lines(repeats: int = 3) -> dict:
+    """Best wall time and smallest peak RSS of each README line over `repeats` runs."""
+    out = {}
+    for line in readme_lines():
+        walls, peaks = [], []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            proc = subprocess.Popen([sys.executable, "-m", "hexstar", *line.split()],
+                                    cwd=ROOT, env=_env(), stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
+            walls.append(time.perf_counter() - start)
+            proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+            if proc.returncode:
+                raise SystemExit(f"hexstar {line} exited with {proc.returncode}")
+            peaks.append(usage.ru_maxrss / 1024)  # ru_maxrss is in KiB on Linux
+        out[f"hexstar {line}"] = {"wall_s": round(min(walls), 3),
+                                  "peak_rss_mb": round(min(peaks), 1)}
+    return out
+
+
+def tier1() -> dict:
+    env = _env()
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                            "--continue-on-collection-errors"],
@@ -63,6 +99,7 @@ def main() -> None:
         "src_lines": sum(len(path.read_text().splitlines()) for path in sources),
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version()},
         "perfbench": {str(seed): perfbench(seed) for seed in args.seeds},
+        "readme_cli": cli_lines(),
         "tier1": tier1(),
     }
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

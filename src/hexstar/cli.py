@@ -39,6 +39,7 @@ from .hilbert import StateVector, build_initial_state, parse_state_spec, sector_
 from .hamiltonian import DEG_TOL_RELATIVE, ModelParams
 from .spectrum import (
     SUPPORT_TOL,
+    _ground_vector,
     degeneracy_histogram,
     diagonalize_sector,
     ground_state_point,
@@ -97,7 +98,7 @@ def _check_inputs(args: argparse.Namespace) -> None:
 
 
 def _resolve_state(args: argparse.Namespace) -> StateVector:
-    if args.state not in ("ground", "groundstate"):
+    if args.state != "ground":
         return build_initial_state(parse_state_spec(args.state))
     params = _params(args)
     point = ground_state_point(params, args.tol_deg)
@@ -108,9 +109,8 @@ def _resolve_state(args: argparse.Namespace) -> StateVector:
             f"degenerate (sectors {sectors}); --state ground needs a unique ground state"
         )
     # unique, so in M = 0: every level of M != 0 has its spin-flip copy at -M
-    vector = diagonalize_sector(0, params, args.tol_deg).eigenvectors[:, 0]
     amps = np.zeros(1 << N_SITES)
-    amps[sector_basis(0).configs] = vector
+    amps[sector_basis(0).configs] = _ground_vector(params, args.tol_deg)
     return StateVector(amps=amps, sector=None)
 
 

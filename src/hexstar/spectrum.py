@@ -210,6 +210,14 @@ def _solve_blocks(params: ModelParams, entries: tuple[_Entry, ...], solve=np.lin
                        f"Jz/J={jz:g}: the energies overflow a float")
 
 
+def _check_residual(M: int, params: ModelParams, vectors: np.ndarray, values, spread: float):
+    """RuntimeError unless max|H v - E v| on the dense sector H <= RESIDUAL_TOL max(spread, 1)."""
+    h = build_sector_hamiltonian(M, params).matrix
+    residual = np.abs(h @ vectors - vectors * values).max()
+    if not residual <= RESIDUAL_TOL * max(spread, 1.0):
+        raise RuntimeError(f"eigenpair residual {residual:.2e} too large in sector {M}")
+
+
 @lru_cache(maxsize=26)  # M >= 0 only: three parameter sets of 7 sectors, plus 5 entries
 def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> SpectrumResult:
     """Eigenpairs from eigh of every block operator, both partners, one row per state.
@@ -235,10 +243,7 @@ def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> Spec
         start += len(values)
 
     spread = float(eigenvalues[-1] - eigenvalues[0])
-    h = build_sector_hamiltonian(M, params).matrix
-    residual = np.abs(h @ eigenvectors - eigenvectors * eigenvalues).max()
-    if not residual <= RESIDUAL_TOL * max(spread, 1.0):
-        raise RuntimeError(f"eigenpair residual {residual:.2e} too large in sector {M}")
+    _check_residual(M, params, eigenvectors, eigenvalues, spread)
 
     deg_tol = deg_tol_rel * spread
     raw = split_into_clusters(eigenvalues, deg_tol)
@@ -367,8 +372,8 @@ def _ground_point(
     degeneracy = 0
     sectors = []
     holders = None  # irreps at the ground level in its lowest |M|
-    for M in range(0, 7):
-        hits = {r: int(np.count_nonzero(v <= e0 + deg_tol)) for r, v in levels[M].items()}
+    for M, blocks in levels.items():  # ascending M
+        hits = {r: int(np.count_nonzero(v - e0 <= deg_tol)) for r, v in blocks.items()}
         states = sum(IRREP_DIMS[r] * n for r, n in hits.items())
         if not states:
             continue
@@ -391,10 +396,30 @@ def ground_state_point(
 ) -> GroundPoint:
     """Global ground level at one parameter point, from irrep-block eigenvalues only.
 
-    A unique ground level lies in M = 0: every level of M > 0 has its
-    spin-flip copy at -M.
+    It holds every level v with v - e0 <= deg_tol_rel * spread, the one degeneracy rule.
+    A unique ground level lies in M = 0: every level of M > 0 has its spin-flip copy at -M.
     """
     return _ground_point(params.jz_over_j, _sector_levels(params), deg_tol_rel)
+
+
+def _ground_vector(params: ModelParams, deg_tol_rel: float) -> np.ndarray:
+    """The M = 0 ground vector: B^T u, u the lowest eigenvector of the one block that holds it.
+
+    _ground_point on the C2'(0)-even M = 0 levels decides uniqueness (ValueError if not
+    unique); a unique level lies in a one-dimensional irrep, whose rows each state meets once.
+    """
+    entries = _partner_operators(0, params.alpha, 1)
+    solved = _solve_blocks(params, entries, np.linalg.eigh)
+    levels = {b.irrep: values for (b, _, _), (values, _) in zip(entries, solved)}
+    point = _ground_point(params.jz_over_j, {0: levels}, deg_tol_rel)
+    if point.degeneracy > 1:
+        raise ValueError(f"M=0 ground level at Jz/J={params.jz_over_j:g}, alpha={params.alpha:g} "
+                         f"is {point.degeneracy}-fold degenerate: no single ground vector")
+    (b, _, _), (_, u) = next(e for e in zip(entries, solved) if e[0][0].irrep == point.irrep)
+    vector = np.einsum("st,st->s", b.coef, u[b.rows, 0])
+    spread = max(v[-1] for v in levels.values()) - point.energy
+    _check_residual(0, params, vector, point.energy, spread)
+    return vector
 
 
 def _ferro_excess(jz: float, w: float, levels: dict[int, dict[str, np.ndarray]]) -> float:
@@ -493,32 +518,22 @@ def heisenberg_overlap_scan(
 ) -> tuple[OverlapPoint, ...]:
     """Overlap of the M=0 ground state with its Heisenberg-point counterpart.
 
-    The spin weights of a point are its squared overlaps with the
-    Heisenberg-point M=0 eigenvectors, summed per total-spin label over
-    whole clusters, so no vector of a degenerate level is singled out.
-    Raises ValueError when the lowest M=0 level of the reference or of any
-    point is degenerate: no single vector of that level is the ground state.
+    Each ground vector, the reference's too, is solved from the one irrep block
+    that holds it; a degenerate lowest M=0 level raises ValueError.  The spin
+    weights of a point are its squared overlaps with the labelled Heisenberg-point
+    M=0 eigenvectors, summed per total-spin label over whole clusters.
     """
-    def ground(jz: float) -> SpectrumResult:
-        res = diagonalize_sector(0, ModelParams(alpha=alpha, jz_over_j=jz))
-        size = res.clusters[0].size
-        if size > 1:
-            raise ValueError(
-                f"M=0 ground level at Jz/J={jz:g}, alpha={alpha:g} is {size}-fold "
-                "degenerate; the overlap scan needs a unique ground state"
-            )
-        return res
-
-    ref = ground(1.0)
+    ref_vector = _ground_vector(ModelParams(alpha=alpha, jz_over_j=1.0), DEG_TOL_RELATIVE)
+    ref = diagonalize_sector(0, ModelParams(alpha=alpha, jz_over_j=1.0))
     # clusters are contiguous runs of columns, so this is the spin of each column
     spin_of = np.repeat([c.spin for c in ref.clusters], [c.size for c in ref.clusters])
     out = []
     for jz in jz_values:
-        v = ground(float(jz)).eigenvectors[:, 0]
+        v = _ground_vector(ModelParams(alpha=alpha, jz_over_j=float(jz)), DEG_TOL_RELATIVE)
         weights = np.bincount(spin_of, (ref.eigenvectors.T @ v) ** 2)
         out.append(OverlapPoint(
             jz_over_j=float(jz),
-            overlap_sq=float(np.dot(ref.eigenvectors[:, 0], v) ** 2),
+            overlap_sq=float(np.dot(ref_vector, v) ** 2),
             spin_weights={S: float(w) for S, w in enumerate(weights) if w > 1e-12},
         ))
     return tuple(out)

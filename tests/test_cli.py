@@ -143,6 +143,27 @@ def test_degenerate_ground_state_is_refused(capsys):
     assert "2-fold" in err and "-6|6" in err
 
 
+@pytest.mark.parametrize("jz", ["1", "-3"])
+def test_a_tolerance_of_the_whole_spread_refuses_every_state(capsys, jz):
+    # every level v has v - e0 <= spread; e0 + spread can round below the top level
+    code, _, err = run_cli(capsys, "schmidt", "--state", "ground", "--jz-over-j", jz,
+                           "--tol-deg", "1")
+    assert code == 2
+    assert "4096-fold" in err
+
+
+def test_the_ground_vector_takes_no_labelled_solve(capsys):
+    # the vector comes from its one irrep block; the overlap scan solves one
+    # labelled sector, its Jz/J = 1 reference, for the spin labels only
+    misses = spectrum._diagonalize_sector.cache_info().misses
+    code, _, _ = run_cli(capsys, "schmidt", "--state", "ground", "--alpha", "4.4",
+                         "--jz-over-j", "0.5")
+    assert code == 0
+    assert spectrum._diagonalize_sector.cache_info().misses == misses
+    spectrum.heisenberg_overlap_scan(np.linspace(-1.0, 3.0, 11), 4.4)
+    assert spectrum._diagonalize_sector.cache_info().misses == misses + 1
+
+
 def test_analytic_block_agrees_with_engine(capsys):
     code, out, _ = run_cli(capsys, "analytic-m5", "--jz-over-j", "-3",
                            "--t-steps", "3")
@@ -310,6 +331,7 @@ def test_an_eigensolver_failure_is_a_numerical_failure(monkeypatch, capsys):
 
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "dynamics", "--state", "bogus", "--sector", "0")[0] == 2
+    assert run_cli(capsys, "schmidt", "--state", "groundstate")[0] == 2  # no alias of ground
     assert run_cli(capsys, "dynamics", "--state", "chi", "--sector", "-2")[0] == 2
     code, _, err = run_cli(capsys, "dynamics", "--state", "xi", "--sector", "5",
                            "--t-steps", "0")

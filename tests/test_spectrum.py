@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hexstar.hamiltonian import (
@@ -29,12 +29,11 @@ from hexstar.hilbert import (
     sector_basis,
 )
 from hexstar.lattice import IRREP_LABELS, N_SITES, build_geometry
-from hexstar import spectrum
+from hexstar import cli, spectrum
 from hexstar.spectrum import (
     REFINE_SLACK,
     REFINE_TOL,
     RESIDUAL_TOL,
-    EigenCluster,
     _diagonalize_sector,
     degeneracy_histogram,
     diagonalize_sector,
@@ -115,6 +114,16 @@ def test_block_labels_match_the_dense_reference(alpha, jz_over_j, M):
     for c in res.clusters:
         names, counts = np.unique(own[c.indices], return_counts=True)
         assert dict(zip(names.tolist(), counts.tolist())) == c.irrep_slots
+
+
+@settings(max_examples=12, deadline=None)
+@given(**_couplings)
+def test_the_ground_route_is_the_labelled_ground_column(alpha, jz_over_j):
+    params = ModelParams(alpha, jz_over_j)
+    res = _uncached(0, params, DEG_TOL_RELATIVE)
+    assume(res.clusters[0].size == 1)
+    assert np.array_equal(spectrum._ground_vector(params, DEG_TOL_RELATIVE),
+                          res.eigenvectors[:, 0])
 
 
 @settings(max_examples=12, deadline=None)
@@ -553,15 +562,25 @@ def test_a_second_anisotropy_builds_no_block_operators(monkeypatch):
     assert spectrum._class_table.cache_info().misses == 14
 
 
-def test_a_perturbed_block_operator_fails_the_residual_check(monkeypatch):
-    entries = list(spectrum._block_operators(3, 6.0))
-    b, xr, zr = entries[0]
-    xr = xr.copy()
-    xr[0, 0] += 1e-6
-    entries[0] = (b, xr, zr)
-    monkeypatch.setattr(spectrum, "_block_operators", lambda M, alpha: tuple(entries))
-    with pytest.raises(RuntimeError, match="eigenpair residual"):
-        _uncached(3, ModelParams(6.0, 0.5), DEG_TOL_RELATIVE)
+def test_a_perturbed_block_operator_fails_the_residual_check(monkeypatch, capsys):
+    # the first even block of sector 3, and of M = 0: A1g, the ground block at Jz/J = 0.5
+    params = ModelParams(6.0, 0.5)
+    build = spectrum._partner_operators
+    for M, solve in ((3, lambda: _uncached(3, params, DEG_TOL_RELATIVE)),
+                     (0, lambda: spectrum._ground_vector(params, DEG_TOL_RELATIVE))):
+        entries = list(build(M, 6.0, 1))
+        b, xr, zr = entries[0]
+        xr = xr.copy()
+        xr[0, 0] += 1e-6
+        entries[0] = (b, xr, zr)
+        with monkeypatch.context() as m:
+            m.setattr(spectrum, "_partner_operators", lambda k, alpha, partner: (
+                tuple(entries) if (k, partner) == (M, 1) else build(k, alpha, partner)))
+            with pytest.raises(RuntimeError, match="eigenpair residual"):
+                solve()
+            if M == 0:
+                assert cli.main(["schmidt", "--state", "ground", "--jz-over-j", "0.5"]) == 3
+                assert "eigenpair residual" in capsys.readouterr().err
 
 
 def test_a_perturbed_class_table_entry_fails_the_residual_check(monkeypatch):
@@ -680,17 +699,21 @@ def test_a_grid_point_on_the_crossing_stays_in_its_step(monkeypatch, f_lo, f_hi,
 
 @pytest.mark.parametrize("degenerate_jz", [1.0, 2.0])
 def test_overlap_scan_refuses_a_degenerate_ground_level(monkeypatch, degenerate_jz):
-    # no coupling on a coarse grid has one, so merge the two lowest M=0 clusters
-    def fake(M, params, deg_tol_rel=DEG_TOL_RELATIVE):
-        res = diagonalize_sector(M, params, deg_tol_rel)
-        if params.jz_over_j != degenerate_jz:
-            return res
-        first, second = res.clusters[:2]
-        merged = EigenCluster(indices=np.concatenate([first.indices, second.indices]),
-                              energy=first.energy)
-        return dataclasses.replace(res, clusters=(merged,) + res.clusters[2:])
+    # no coupling on a coarse grid has one, so merge the two lowest M=0
+    # levels where the ground route reads them: the even M = 0 blocks
+    solve_blocks = spectrum._solve_blocks
 
-    monkeypatch.setattr("hexstar.spectrum.diagonalize_sector", fake)
+    def merged(params, entries, solve=np.linalg.eigvalsh):
+        solved = solve_blocks(params, entries, solve)
+        if (params.jz_over_j == degenerate_jz
+                and entries is spectrum._partner_operators(0, params.alpha, 1)):
+            values = [v for v, _ in solved]
+            e0, e1 = np.sort(np.concatenate(values))[:2]
+            for v in values:
+                v[v == e1] = e0
+        return solved
+
+    monkeypatch.setattr(spectrum, "_solve_blocks", merged)
     with pytest.raises(ValueError, match=f"Jz/J={degenerate_jz:g}, alpha=6 is 2-fold"):
         heisenberg_overlap_scan([0.0, 2.0])
 
@@ -710,7 +733,8 @@ def _spin_component(vector, M, S):
 
 @pytest.mark.parametrize("alpha", [6.0, 3.0])
 def test_overlap_scan_spin_weights_match_the_casimir_projection(monkeypatch, alpha):
-    # solves of this test's own, so the scan does not evict the shared spectra
+    # the test's own labelled solves are the oracle for v; the scan's one
+    # labelled solve, the Jz/J = 1 spin labels, goes through them as well
     solve = functools.lru_cache(lambda M, params: _uncached(M, params, DEG_TOL_RELATIVE))
     monkeypatch.setattr("hexstar.spectrum.diagonalize_sector", solve)
     grid = np.linspace(-1.0, 3.0, 11)
