@@ -305,7 +305,8 @@ def cmd_ground_scan(args: argparse.Namespace) -> _Output:
              "sectors": list(p.sectors), "irrep": p.irrep}
             for p in scan.points
         ]},
-        {"crossover": scan.crossover,
+        {"block_solves": scan.block_solves,
+         "crossover": scan.crossover,
          "crossover_bracket": list(scan.crossover_bracket) if scan.crossover_bracket else None,
          "crossover_excess": list(scan.crossover_excess) if scan.crossover_excess else None},
     )

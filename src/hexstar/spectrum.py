@@ -4,15 +4,17 @@ Labelled spectra and ground-state scans both solve the irrep blocks of
 X + (Jz/J) diag(zz).  Both parts are sums over the six distance classes,
 w_c B X_c B^T and w_c B diag(zz_c) B^T, whose class parts are projected once
 per sector and C2'(0) partner; any alpha is then a six-term sum, and the
-scans read the even partners only.  Spin labels read B S^2 B^T from the same
-class parts at unit weights.  Downstream code reads
+scans read the even partners only.  A ground-state scan remembers where it
+last solved each block and skips the blocks whose Weyl bounds prove that
+they cannot hold a level its verdict reads.  Spin labels read B S^2 B^T from
+the same class parts at unit weights.  Downstream code reads
 the SpectrumResult: eigenvalues in units of J, eigenvectors as columns over
 the sector basis, and eigenvalue clusters at a relative tolerance of the spread.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -348,18 +350,97 @@ class GroundScan:
     crossover: float | None          # Jz/J where the ferromagnet stops winning
     crossover_bracket: tuple[float, float] | None
     crossover_excess: tuple[float, float] | None  # ferro excess at the two bracket ends
+    block_solves: int = field(compare=False)  # block eigvalsh calls, refinement included
 
 
-def _sector_levels(params: ModelParams) -> dict[int, dict[str, np.ndarray]]:
-    """Eigenvalues of the C2'(0)-even irrep blocks of every sector M >= 0, keyed by irrep.
+class _LevelMemory:
+    """A scan's memory of the C2'(0)-even blocks at one alpha: the range of z_r, the last solve.
+
+    From its last solve at Jz, block r = X_r + (Jz/J) diag(z_r) moves by
+    (Jz' - Jz) diag(z_r), so by Weyl's inequality (Horn & Johnson, Matrix
+    Analysis, section 4.3) each of its levels moves by no less than the
+    shift at one end of [min z_r, max z_r] and no more than at the other.
+    """
+
+    def __init__(self, alpha: float, deg_tol_rel: float = DEG_TOL_RELATIVE):
+        self.alpha, self.deg_tol_rel = alpha, deg_tol_rel
+        self.blocks = [(M, e) for M in range(0, 7) for e in _partner_operators(M, alpha, 1)]
+        self.rival = np.array([M < 6 for M, _ in self.blocks])  # the sectors M = 0..5
+        self.z_lo, self.z_hi = np.array([(z.min(), z.max()) for _, (_, _, z) in self.blocks]).T
+        self.jz, self.low, self.top = np.full((3, len(self.blocks)), np.nan)  # the last solve
+        self.solves = 0  # block eigvalsh calls
+
+    def bounds(self, jz: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per block, bounds below its lowest level and above its highest at jz.
+
+        Each is widened by 1e-9 of the magnitudes that enter it, so that it also
+        bounds what eigvalsh returns.  It is NaN for a block never solved, and
+        infinite where a diagonal jz z_r overflows.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the solved diagonals differ by jz z - Jz z, extreme at min z_r or max z_r
+            lo, hi = jz * self.z_lo - self.jz * self.z_lo, jz * self.z_hi - self.jz * self.z_hi
+            slack = 1e-9 * (1.0 + np.abs(self.low) + np.abs(self.top) + (abs(jz) + np.abs(self.jz))
+                            * np.maximum(np.abs(self.z_lo), np.abs(self.z_hi)))
+            return self.low + np.minimum(lo, hi) - slack, self.top + np.maximum(lo, hi) + slack
+
+    def solve(self, params: ModelParams, pick: np.ndarray) -> dict[int, np.ndarray]:
+        """eigvalsh of the picked blocks, remembered; their levels by block index."""
+        index = np.flatnonzero(pick)
+        values = _solve_blocks(params, tuple(self.blocks[k][1] for k in index))
+        self.jz[index] = params.jz_over_j
+        self.low[index], self.top[index] = [v[0] for v in values], [v[-1] for v in values]
+        self.solves += len(index)
+        return dict(zip(index.tolist(), values))
+
+
+def _sector_levels(
+    params: ModelParams, memory: _LevelMemory | None = None, minimum_only: bool = False
+) -> dict[int, dict[str, np.ndarray]]:
+    """Eigenvalues of the C2'(0)-even irrep blocks of the sectors M >= 0, keyed by irrep.
 
     Sector -M repeats the levels of M; a level of a two-dimensional irrep
     stands for two states of its sector.  A Jz/J so large that a level
     overflows raises RuntimeError.
+
+    With no memory every block is solved.  A scan's memory leaves out each
+    block (and each sector left empty) whose bounds prove that it holds none
+    of what a ground point reads: the lowest level e0, a level within deg_tol
+    of it, the highest level, and the lowest level of M = 0..5, which is all
+    that minimum_only asks for.  Pass 1 solves the blocks never solved, the
+    block of the smallest lower bound (over all blocks, and over M <= 5) and
+    that of the largest upper bound; pass 2 every block that the exact pass-1
+    levels cannot rule out.  Three guards keep the result exact:
+    - deg_tol is bounded above with the caller's deg_tol_rel, kept in the
+      memory, and the widest spread the bounds allow;
+    - a NaN or infinite bound never skips a block, so an overflow still raises;
+    - a slack of 1e-9 (1 + |e0| + |top|), besides each bound's own widening,
+      absorbs the rounding of eigvalsh and of the comparisons.
     """
-    even = {M: _partner_operators(M, params.alpha, 1) for M in range(0, 7)}
-    return {M: {b.irrep: v for (b, _, _), v in zip(entries, _solve_blocks(params, entries))}
-            for M, entries in even.items()}
+    memory = _LevelMemory(params.alpha) if memory is None else memory
+    lower, upper = memory.bounds(params.jz_over_j)
+    pick = ~(np.isfinite(lower) & np.isfinite(upper))
+    known = np.where(pick, np.inf, lower)
+    pick[np.argmin(np.where(memory.rival, known, np.inf))] = True
+    if not minimum_only:
+        pick[np.argmin(known)] = True
+        pick[np.argmax(np.where(np.isfinite(upper), upper, -np.inf))] = True
+    levels = memory.solve(params, pick)
+
+    e0, top = memory.low[pick].min(), memory.top[pick].max()
+    slack = 1e-9 * (1.0 + abs(e0) + abs(top))
+    clear = ~memory.rival | (lower > memory.low[pick & memory.rival].min() + slack)
+    if not minimum_only:
+        spread = (max(top, upper[~pick].max(initial=-np.inf))
+                  - min(e0, lower[~pick].min(initial=np.inf)))
+        clear &= (lower > e0 + memory.deg_tol_rel * spread + slack) & (upper < top - slack)
+    levels.update(memory.solve(params, ~pick & ~clear))
+
+    out: dict[int, dict[str, np.ndarray]] = {}
+    for k in sorted(levels):
+        M, (b, _, _) = memory.blocks[k]
+        out.setdefault(M, {})[b.irrep] = levels[k]
+    return out
 
 
 def _ground_point(
@@ -405,32 +486,34 @@ def ground_state_point(
 def _ground_vector(params: ModelParams, deg_tol_rel: float) -> np.ndarray:
     """The M = 0 ground vector: B^T u, u the lowest eigenvector of the one block that holds it.
 
-    _ground_point on the C2'(0)-even M = 0 levels decides uniqueness (ValueError if not
-    unique); a unique level lies in a one-dimensional irrep, whose rows each state meets once.
+    _ground_point on the C2'(0)-even M = 0 levels (eigvalsh) decides uniqueness (ValueError
+    if not unique); a unique level lies in a one-dimensional irrep, whose rows each state
+    meets once, and eigh solves that block alone.
     """
     entries = _partner_operators(0, params.alpha, 1)
-    solved = _solve_blocks(params, entries, np.linalg.eigh)
-    levels = {b.irrep: values for (b, _, _), (values, _) in zip(entries, solved)}
+    levels = {b.irrep: values for (b, _, _), values in zip(entries, _solve_blocks(params, entries))}
     point = _ground_point(params.jz_over_j, {0: levels}, deg_tol_rel)
     if point.degeneracy > 1:
         raise ValueError(f"M=0 ground level at Jz/J={params.jz_over_j:g}, alpha={params.alpha:g} "
                          f"is {point.degeneracy}-fold degenerate: no single ground vector")
-    (b, _, _), (_, u) = next(e for e in zip(entries, solved) if e[0][0].irrep == point.irrep)
+    entry = next(e for e in entries if e[0].irrep == point.irrep)
+    ((values, u),) = _solve_blocks(params, (entry,), np.linalg.eigh)
+    b = entry[0]
     vector = np.einsum("st,st->s", b.coef, u[b.rows, 0])
     spread = max(v[-1] for v in levels.values()) - point.energy
-    _check_residual(0, params, vector, point.energy, spread)
+    _check_residual(0, params, vector, values[0], spread)
     return vector
 
 
 def _ferro_excess(jz: float, w: float, levels: dict[int, dict[str, np.ndarray]]) -> float:
-    """Ferromagnet energy (Jz/J) w minus the lowest level of the sectors M = 0..5."""
-    return jz * w - float(min(v[0] for M in range(0, 6) for v in levels[M].values()))
+    """Ferromagnet energy (Jz/J) w minus the lowest level of the sectors M = 0..5 it holds."""
+    return jz * w - float(min(v[0] for M in range(0, 6) for v in levels.get(M, {}).values()))
 
 
 def _refine_crossing(
-    alpha: float, w: float, lo: float, f_lo: float, hi: float, f_hi: float
+    memory: _LevelMemory, w: float, lo: float, f_lo: float, hi: float, f_hi: float
 ) -> tuple[float, tuple[float, float], tuple[float, float]]:
-    """Safeguarded Illinois regula falsi on the ferro excess.
+    """Safeguarded Illinois regula falsi on the ferro excess, at the memory's alpha.
 
     Returns the crossover, the final bracket and the true excess at its ends.
     """
@@ -446,7 +529,8 @@ def _refine_crossing(
         step += 1
         x = lo - s_lo * (hi - lo) / (s_hi - s_lo)  # s_lo and s_hi differ in sign
         x = min(max(x, mid - reach, lo + 0.5 * REFINE_TOL), mid + reach, hi - 0.5 * REFINE_TOL)
-        f_x = _ferro_excess(x, w, _sector_levels(ModelParams(alpha=alpha, jz_over_j=x)))
+        f_x = _ferro_excess(x, w, _sector_levels(ModelParams(alpha=memory.alpha, jz_over_j=x),
+                                                 memory, True))
         if (f_x < 0) == (f_lo < 0):
             lo, f_lo, s_lo = x, f_x, f_x
             if kept < 0:
@@ -487,12 +571,18 @@ def ground_state_scan(
     grid point within the clustering tolerance of the crossing can leave
     one sign of f at both ends; the crossing is then the end of smaller |f|,
     with a bracket of zero width.
+
+    The points and steps share one _LevelMemory, so each solves only the
+    blocks that Weyl bounds from their last solve cannot rule out (see
+    _sector_levels); the result equals that of solving every block, and
+    block_solves counts the blocks solved.
     """
     w = total_coupling(build_geometry(), alpha)
+    memory = _LevelMemory(alpha, deg_tol_rel)
     points = []
     excess = []
     for jz in map(float, jz_values):
-        levels = _sector_levels(ModelParams(alpha=alpha, jz_over_j=jz))
+        levels = _sector_levels(ModelParams(alpha=alpha, jz_over_j=jz), memory)
         points.append(_ground_point(jz, levels, deg_tol_rel))
         excess.append(_ferro_excess(jz, w, levels))
 
@@ -501,8 +591,8 @@ def ground_state_scan(
             (lo, f_lo), (hi, f_hi) = sorted([(points[k].jz_over_j, excess[k]),
                                              (points[k + 1].jz_over_j, excess[k + 1])])
             return GroundScan(alpha, tuple(points),
-                              *_refine_crossing(alpha, w, lo, f_lo, hi, f_hi))
-    return GroundScan(alpha, tuple(points), None, None, None)
+                              *_refine_crossing(memory, w, lo, f_lo, hi, f_hi), memory.solves)
+    return GroundScan(alpha, tuple(points), None, None, None, memory.solves)
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,9 @@ def test_descending_ground_scan_grid_is_refined(capsys):
                                "--jz-points", "2")
         assert code == 0
         stats.append(parse_csv(out)[3])
+    # the verdict is the same; the count of solved blocks depends on the order
+    # of the points, and the first point solves all 36 even blocks
+    assert min(s.pop("block_solves") for s in stats) >= 36
     assert stats[1] == stats[0]
     assert -0.49 < stats[1]["crossover"] < -0.48
 

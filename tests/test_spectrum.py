@@ -401,7 +401,8 @@ def _check_against_bisection(monkeypatch, alpha, grid):
     """Refine at alpha; returns the scan's and the bisection's ferro-excess evaluations."""
     seen = []
     levels = spectrum._sector_levels
-    monkeypatch.setattr(spectrum, "_sector_levels", lambda p: seen.append(p) or levels(p))
+    monkeypatch.setattr(spectrum, "_sector_levels",
+                        lambda p, *memory: seen.append(p) or levels(p, *memory))
     scan = ground_state_scan(alpha, grid)
     refinement_calls = len(seen) - len(grid)
     step = sorted(next((a.jz_over_j, b.jz_over_j) for a, b in zip(scan.points, scan.points[1:])
@@ -465,13 +466,62 @@ def test_refinement_takes_at_most_bisection_plus_the_slack(monkeypatch, reach):
     # unguarded, the Illinois steps took 52, 290, 905 and 12206 calls on the
     # last four, where bisection takes 120, 220, 353 and 1037
     seen = []
-    monkeypatch.setattr(spectrum, "_sector_levels", lambda p: seen.append(p) or _stand_in_levels(p))
+    monkeypatch.setattr(spectrum, "_sector_levels",
+                        lambda p, *memory: seen.append(p) or _stand_in_levels(p))
     scan = ground_state_scan(6.0, [-reach, 0.0, reach])
     lo, hi = scan.crossover_bracket
     assert lo <= -1.0 <= hi and 0 < hi - lo <= REFINE_TOL
     assert scan.crossover == pytest.approx(-1.0, abs=REFINE_TOL)
     bisection = math.ceil(math.log2(reach) - math.log2(REFINE_TOL))
     assert len(seen) - 3 <= bisection + REFINE_SLACK
+
+
+@settings(max_examples=10, deadline=None)
+@given(alpha=st.floats(1.0, 10.0), points=st.integers(2, 13), descending=st.booleans(),
+       deg_tol_rel=st.sampled_from([1e-8, 1e-3, 0.3]))
+def test_a_scan_that_skips_blocks_equals_one_that_solves_them_all(alpha, points, descending,
+                                                                  deg_tol_rel):
+    grid = np.linspace(-3.0, 3.0, points)[::-1 if descending else 1]
+    scan = ground_state_scan(alpha, grid, deg_tol_rel)
+    levels = spectrum._sector_levels
+    with pytest.MonkeyPatch.context() as m:
+        # the memory withheld: every point and step solves all 36 even blocks
+        m.setattr(spectrum, "_sector_levels", lambda p, *memory: levels(p))
+        full = ground_state_scan(alpha, grid, deg_tol_rel)
+    assert scan.points == full.points
+    assert scan.crossover == full.crossover
+    assert scan.crossover_bracket == full.crossover_bracket
+    assert scan.crossover_excess == full.crossover_excess
+
+
+def _count_block_solves(monkeypatch, solver=np.linalg.eigvalsh):
+    """Blocks that _solve_blocks is asked to solve with solver, appended to a list."""
+    counts = []
+    solve_blocks = spectrum._solve_blocks
+
+    def count(params, entries, solve=np.linalg.eigvalsh):
+        if solve is solver:
+            counts.append(len(entries))
+        return solve_blocks(params, entries, solve)
+
+    monkeypatch.setattr(spectrum, "_solve_blocks", count)
+    return counts
+
+
+def test_the_block_solve_counter_counts_every_eigvalsh(monkeypatch):
+    counts = _count_block_solves(monkeypatch)
+    scan = ground_state_scan(6.0, np.linspace(-1.0, 0.0, 11))  # the README grid
+    assert scan.block_solves == sum(counts)
+    assert scan.block_solves <= 230  # 612 when every point and step solves all 36 blocks
+    counts.clear()
+    ground_state_point(ModelParams(6.0, -0.3))
+    assert sum(counts) == 36  # no memory: every even block of M = 0..6
+
+
+def test_the_ground_route_solves_one_block_for_its_vector(monkeypatch):
+    counts = _count_block_solves(monkeypatch, np.linalg.eigh)
+    spectrum._ground_vector(ModelParams(4.4, 0.3), DEG_TOL_RELATIVE)
+    assert counts == [1]
 
 
 def test_a_ground_scan_projects_no_odd_partner_block(monkeypatch):
@@ -646,7 +696,7 @@ def test_crossover_excess_is_the_true_excess_at_the_bracket_ends(monkeypatch):
     def excess(jz):
         return (jz - root) * (1e6 if jz > root else 1.0)
 
-    def synthetic(params):
+    def synthetic(params, *memory):
         jz = params.jz_over_j
         levels = {M: {} for M in range(7)}
         levels[0]["A1g"] = np.array([jz * w - excess(jz), jz * w + 1.0])
@@ -673,7 +723,7 @@ def test_a_grid_point_on_the_crossing_stays_in_its_step(monkeypatch, f_lo, f_hi,
     lo, hi = -0.6, -0.4
     w = total_coupling(build_geometry(), 6.0)
 
-    def synthetic(params):
+    def synthetic(params, *memory):
         # rival level = ferro level - excess, linear in Jz/J; `top` sets the
         # spread and with it the clustering tolerance of the grid points
         jz = params.jz_over_j
@@ -700,16 +750,15 @@ def test_a_grid_point_on_the_crossing_stays_in_its_step(monkeypatch, f_lo, f_hi,
 @pytest.mark.parametrize("degenerate_jz", [1.0, 2.0])
 def test_overlap_scan_refuses_a_degenerate_ground_level(monkeypatch, degenerate_jz):
     # no coupling on a coarse grid has one, so merge the two lowest M=0
-    # levels where the ground route reads them: the even M = 0 blocks
+    # levels where the ground route reads them: eigvalsh of the even M = 0 blocks
     solve_blocks = spectrum._solve_blocks
 
     def merged(params, entries, solve=np.linalg.eigvalsh):
         solved = solve_blocks(params, entries, solve)
         if (params.jz_over_j == degenerate_jz
                 and entries is spectrum._partner_operators(0, params.alpha, 1)):
-            values = [v for v, _ in solved]
-            e0, e1 = np.sort(np.concatenate(values))[:2]
-            for v in values:
+            e0, e1 = np.sort(np.concatenate(solved))[:2]
+            for v in solved:
                 v[v == e1] = e0
         return solved
 
@@ -779,8 +828,11 @@ def test_an_anisotropy_that_overflows_the_levels_is_a_numerical_failure(geometry
     for jz in (1e307, -1e307, 1.7e308, -1.7e308):
         with pytest.raises(RuntimeError, match=re.escape(f"alpha=6, Jz/J={jz:g}")):
             ground_state_point(ModelParams(6.0, jz))
-    with pytest.raises(RuntimeError, match="not finite"):
-        ground_state_scan(6.0, [-1e307, 0.0, 1e307])
+    # the second grid overflows only at a point bounded from solved ones: an
+    # infinite bound never skips the block that overflows
+    for grid in ([-1e307, 0.0, 1e307], [-1.0, 0.0, 1e307]):
+        with pytest.raises(RuntimeError, match="not finite"):
+            ground_state_scan(6.0, grid)
     # just inside the float range the ferromagnet still wins below the crossover
     w = total_coupling(geometry, 6.0)
     ferro = ground_state_point(ModelParams(6.0, -1e306))
