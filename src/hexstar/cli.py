@@ -110,7 +110,7 @@ def _resolve_state(args: argparse.Namespace) -> StateVector:
         )
     # unique, so in M = 0: every level of M != 0 has its spin-flip copy at -M
     amps = np.zeros(1 << N_SITES)
-    amps[sector_basis(0).configs] = _ground_vector(params, args.tol_deg)
+    amps[sector_basis(0).configs], _, _ = _ground_vector(params, args.tol_deg)
     return StateVector(amps=amps, sector=None)
 
 

@@ -6,7 +6,9 @@ w_c B X_c B^T and w_c B diag(zz_c) B^T, whose class parts are projected once
 per sector and C2'(0) partner; any alpha is then a six-term sum, and the
 scans read the even partners only.  A ground-state scan remembers where it
 last solved each block and skips the blocks whose Weyl bounds prove that
-they cannot hold a level its verdict reads.  Spin labels read B S^2 B^T from
+they cannot hold a level its verdict reads; its ferro/antiferro crossover
+is the smallest lowest eigenvalue of one alpha-only matrix per block, in
+closed form.  Spin labels read B S^2 B^T from
 the same class parts at unit weights.  Downstream code reads
 the SpectrumResult: eigenvalues in units of J, eigenvectors as columns over
 the sector basis, and eigenvalue clusters at a relative tolerance of the spread.
@@ -34,8 +36,6 @@ from .symmetry import IrrepBlock, irrep_blocks
 
 SUPPORT_TOL = 1e-10   # default overlap threshold for spectral support
 RESIDUAL_TOL = 1e-10  # per-eigenpair residual bound, relative to the spread
-REFINE_TOL = 1e-6     # Jz/J width of the bracket the ground-state crossover is refined to
-REFINE_SLACK = 5      # crossover refinement steps allowed beyond bisection's
 
 
 def thread_budget() -> int:
@@ -191,11 +191,16 @@ def _cluster_spins(M: int, firsts: np.ndarray, solved: list) -> list[int]:
         hit = block == k
         u = solved[k][1][:, firsts[hit] - bounds[k]]
         s_sq[hit] = np.einsum("ij,ij->j", u, _casimir_block(tables[k]) @ u)
+    return _spins(M, s_sq).tolist()
+
+
+def _spins(M: int, s_sq: np.ndarray) -> np.ndarray:
+    """Integer S from values S(S+1) of sector M; RuntimeError if one is off by more than 1e-6."""
     s_val = 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * s_sq))
     off = np.abs(s_val - np.rint(s_val))
     if off.max() > 1e-6:
         raise RuntimeError(f"non-integer total spin {s_val[off.argmax()]} in sector {M}")
-    return np.rint(s_val).astype(int).tolist()
+    return np.rint(s_val).astype(int)
 
 
 def _solve_blocks(params: ModelParams, entries: tuple[_Entry, ...], solve=np.linalg.eigvalsh):
@@ -348,9 +353,9 @@ class GroundScan:
     alpha: float
     points: tuple[GroundPoint, ...]
     crossover: float | None          # Jz/J where the ferromagnet stops winning
-    crossover_bracket: tuple[float, float] | None
-    crossover_excess: tuple[float, float] | None  # ferro excess at the two bracket ends
-    block_solves: int = field(compare=False)  # block eigvalsh calls, refinement included
+    crossover_bracket: tuple[float, float] | None  # (crossover, crossover)
+    crossover_excess: tuple[float, float] | None  # ferro excess at the crossover, twice
+    block_solves: int = field(compare=False)  # block eigvalsh calls, the crossover's included
 
 
 class _LevelMemory:
@@ -360,12 +365,12 @@ class _LevelMemory:
     (Jz' - Jz) diag(z_r), so by Weyl's inequality (Horn & Johnson, Matrix
     Analysis, section 4.3) each of its levels moves by no less than the
     shift at one end of [min z_r, max z_r] and no more than at the other.
+    The crossover reads the blocks of M = 0..5 from the same list.
     """
 
     def __init__(self, alpha: float, deg_tol_rel: float = DEG_TOL_RELATIVE):
         self.alpha, self.deg_tol_rel = alpha, deg_tol_rel
         self.blocks = [(M, e) for M in range(0, 7) for e in _partner_operators(M, alpha, 1)]
-        self.rival = np.array([M < 6 for M, _ in self.blocks])  # the sectors M = 0..5
         self.z_lo, self.z_hi = np.array([(z.min(), z.max()) for _, (_, _, z) in self.blocks]).T
         self.jz, self.low, self.top = np.full((3, len(self.blocks)), np.nan)  # the last solve
         self.solves = 0  # block eigvalsh calls
@@ -395,7 +400,7 @@ class _LevelMemory:
 
 
 def _sector_levels(
-    params: ModelParams, memory: _LevelMemory | None = None, minimum_only: bool = False
+    params: ModelParams, memory: _LevelMemory | None = None
 ) -> dict[int, dict[str, np.ndarray]]:
     """Eigenvalues of the C2'(0)-even irrep blocks of the sectors M >= 0, keyed by irrep.
 
@@ -406,11 +411,10 @@ def _sector_levels(
     With no memory every block is solved.  A scan's memory leaves out each
     block (and each sector left empty) whose bounds prove that it holds none
     of what a ground point reads: the lowest level e0, a level within deg_tol
-    of it, the highest level, and the lowest level of M = 0..5, which is all
-    that minimum_only asks for.  Pass 1 solves the blocks never solved, the
-    block of the smallest lower bound (over all blocks, and over M <= 5) and
-    that of the largest upper bound; pass 2 every block that the exact pass-1
-    levels cannot rule out.  Three guards keep the result exact:
+    of it, and the highest level.  Pass 1 solves the blocks never solved, the
+    block of the smallest lower bound and that of the largest upper bound;
+    pass 2 every block that the exact pass-1 levels cannot rule out.  Three
+    guards keep the result exact:
     - deg_tol is bounded above with the caller's deg_tol_rel, kept in the
       memory, and the widest spread the bounds allow;
     - a NaN or infinite bound never skips a block, so an overflow still raises;
@@ -420,20 +424,15 @@ def _sector_levels(
     memory = _LevelMemory(params.alpha) if memory is None else memory
     lower, upper = memory.bounds(params.jz_over_j)
     pick = ~(np.isfinite(lower) & np.isfinite(upper))
-    known = np.where(pick, np.inf, lower)
-    pick[np.argmin(np.where(memory.rival, known, np.inf))] = True
-    if not minimum_only:
-        pick[np.argmin(known)] = True
-        pick[np.argmax(np.where(np.isfinite(upper), upper, -np.inf))] = True
+    pick[np.argmin(np.where(pick, np.inf, lower))] = True
+    pick[np.argmax(np.where(np.isfinite(upper), upper, -np.inf))] = True
     levels = memory.solve(params, pick)
 
     e0, top = memory.low[pick].min(), memory.top[pick].max()
     slack = 1e-9 * (1.0 + abs(e0) + abs(top))
-    clear = ~memory.rival | (lower > memory.low[pick & memory.rival].min() + slack)
-    if not minimum_only:
-        spread = (max(top, upper[~pick].max(initial=-np.inf))
-                  - min(e0, lower[~pick].min(initial=np.inf)))
-        clear &= (lower > e0 + memory.deg_tol_rel * spread + slack) & (upper < top - slack)
+    spread = (max(top, upper[~pick].max(initial=-np.inf))
+              - min(e0, lower[~pick].min(initial=np.inf)))
+    clear = (lower > e0 + memory.deg_tol_rel * spread + slack) & (upper < top - slack)
     levels.update(memory.solve(params, ~pick & ~clear))
 
     out: dict[int, dict[str, np.ndarray]] = {}
@@ -483,9 +482,10 @@ def ground_state_point(
     return _ground_point(params.jz_over_j, _sector_levels(params), deg_tol_rel)
 
 
-def _ground_vector(params: ModelParams, deg_tol_rel: float) -> np.ndarray:
-    """The M = 0 ground vector: B^T u, u the lowest eigenvector of the one block that holds it.
+def _ground_vector(params: ModelParams, deg_tol_rel: float) -> tuple[np.ndarray, int, np.ndarray]:
+    """The M = 0 ground vector B^T u; k, the index of its block in _class_table(0, 1); and u.
 
+    u is the lowest eigenvector of the one block that holds the ground level.
     _ground_point on the C2'(0)-even M = 0 levels (eigvalsh) decides uniqueness (ValueError
     if not unique); a unique level lies in a one-dimensional irrep, whose rows each state
     meets once, and eigh solves that block alone.
@@ -496,53 +496,38 @@ def _ground_vector(params: ModelParams, deg_tol_rel: float) -> np.ndarray:
     if point.degeneracy > 1:
         raise ValueError(f"M=0 ground level at Jz/J={params.jz_over_j:g}, alpha={params.alpha:g} "
                          f"is {point.degeneracy}-fold degenerate: no single ground vector")
-    entry = next(e for e in entries if e[0].irrep == point.irrep)
-    ((values, u),) = _solve_blocks(params, (entry,), np.linalg.eigh)
-    b = entry[0]
+    k = next(k for k, (b, _, _) in enumerate(entries) if b.irrep == point.irrep)
+    ((values, u),) = _solve_blocks(params, entries[k:k + 1], np.linalg.eigh)
+    b = entries[k][0]
     vector = np.einsum("st,st->s", b.coef, u[b.rows, 0])
     spread = max(v[-1] for v in levels.values()) - point.energy
     _check_residual(0, params, vector, values[0], spread)
-    return vector
+    return vector, k, u[:, 0]
 
 
-def _ferro_excess(jz: float, w: float, levels: dict[int, dict[str, np.ndarray]]) -> float:
-    """Ferromagnet energy (Jz/J) w minus the lowest level of the sectors M = 0..5 it holds."""
-    return jz * w - float(min(v[0] for M in range(0, 6) for v in levels.get(M, {}).values()))
+def _crossover(memory: _LevelMemory, w: float) -> tuple[float, float]:
+    """The Jz/J where the ferromagnet stops winning, and its excess there.
 
-
-def _refine_crossing(
-    memory: _LevelMemory, w: float, lo: float, f_lo: float, hi: float, f_hi: float
-) -> tuple[float, tuple[float, float], tuple[float, float]]:
-    """Safeguarded Illinois regula falsi on the ferro excess, at the memory's alpha.
-
-    Returns the crossover, the final bracket and the true excess at its ends.
+    The ferromagnet has energy (Jz/J) w.  Against it, even block r of
+    M = 0..5 is X_r + (Jz/J) diag(z_r) - (Jz/J) w = D^1/2 (K_r - Jz/J) D^1/2,
+    with D = w - z_r a positive diagonal (each of its states has an
+    anti-aligned pair) and K_r = D^-1/2 X_r D^-1/2.  By Sylvester's law of
+    inertia the ferromagnet lies below every level of block r exactly when
+    Jz/J < min eig K_r, so the crossover J* is the smallest of these.  The
+    excess J* w minus the lowest level of the block that attains J* is a
+    check: above RESIDUAL_TOL max(1, |J*| w) it raises RuntimeError.
     """
-    if (f_lo < 0) == (f_hi < 0):  # no sign change: a grid point ties the crossing
-        x, f_x = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
-        return x, (x, x), (f_x, f_x)
-    s_lo, s_hi = f_lo, f_hi  # the excess the secant uses, halved by the Illinois rule
-    kept = 0                 # -1 after lo moved, +1 after hi moved
-    width, step = hi - lo, 0  # a step leaves at most width * 2^(REFINE_SLACK - 1 - step)
-    while hi - lo > REFINE_TOL:
-        mid = lo + 0.5 * (hi - lo)
-        reach = width * 2.0 ** (REFINE_SLACK - 1 - step) - 0.5 * (hi - lo)
-        step += 1
-        x = lo - s_lo * (hi - lo) / (s_hi - s_lo)  # s_lo and s_hi differ in sign
-        x = min(max(x, mid - reach, lo + 0.5 * REFINE_TOL), mid + reach, hi - 0.5 * REFINE_TOL)
-        f_x = _ferro_excess(x, w, _sector_levels(ModelParams(alpha=memory.alpha, jz_over_j=x),
-                                                 memory, True))
-        if (f_x < 0) == (f_lo < 0):
-            lo, f_lo, s_lo = x, f_x, f_x
-            if kept < 0:
-                s_hi *= 0.5
-            kept = -1
-        else:
-            hi, f_hi, s_hi = x, f_x, f_x
-            if kept > 0:
-                s_lo *= 0.5
-            kept = 1
-    crossover = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    return min(max(crossover, lo), hi), (lo, hi), (f_lo, f_hi)
+    blocks = [e for M, e in memory.blocks if M < 6]
+    roots = [np.linalg.eigvalsh(x / np.sqrt(np.outer(w - z, w - z)))[0] for _, x, z in blocks]
+    k = int(np.argmin(roots))
+    jz = float(roots[k])
+    (levels,) = _solve_blocks(ModelParams(alpha=memory.alpha, jz_over_j=jz), (blocks[k],))
+    memory.solves += len(blocks) + 1
+    excess = jz * w - float(levels[0])
+    if not abs(excess) <= RESIDUAL_TOL * max(1.0, abs(jz) * w):
+        raise RuntimeError(f"ferro excess {excess:.2e} at the crossover Jz/J={jz:g}, "
+                           f"alpha={memory.alpha:g}, is not zero")
+    return jz, excess
 
 
 def ground_state_scan(
@@ -550,49 +535,25 @@ def ground_state_scan(
     jz_values: tuple[float, ...] | list[float] | np.ndarray,
     deg_tol_rel: float = DEG_TOL_RELATIVE,
 ) -> GroundScan:
-    """Ground level along a Jz/J grid, with the level crossing refined by regula falsi.
+    """Ground level along a Jz/J grid, with the ferro/antiferro crossover in closed form.
 
-    The ferromagnetic branch is exactly linear, E = (Jz/J) w with w the sum
-    of couplings, and the lowest level of the sectors M = 0..5 is concave in
-    Jz/J (a minimum over affine functions), so the ferro excess
-    f = (Jz/J) w - rival is convex and has one root in any bracket across
-    which it changes sign.  The bracket is the first grid step, its ends
-    ordered, where the ferromagnet starts or stops winning; the grid may run
-    in either direction.  The Illinois variant of regula falsi (Dowell &
-    Jarratt 1971) refines the root with no derivative: each step is the
-    secant root of the bracket, kept at least REFINE_TOL/2 inside it, and an
-    end that survives two steps in a row has its stored excess halved.  As
-    in ITP (Oliveira & Takahashi 2020), step k is also kept within reach of
-    the midpoint, so that it leaves a bracket no wider than the first one
-    times 2^(REFINE_SLACK - 1 - k): the refinement takes at most
-    REFINE_SLACK steps more than bisection, however far the secant stalls.
-    It stops at a bracket of REFINE_TOL.  The crossover is the secant root of
-    the true excess at the bracket's ends, and both values are reported.  A
-    grid point within the clustering tolerance of the crossing can leave
-    one sign of f at both ends; the crossing is then the end of smaller |f|,
-    with a bracket of zero width.
-
-    The points and steps share one _LevelMemory, so each solves only the
-    blocks that Weyl bounds from their last solve cannot rule out (see
-    _sector_levels); the result equals that of solving every block, and
-    block_solves counts the blocks solved.
+    The points share one _LevelMemory, so each solves only the blocks that
+    Weyl bounds from their last solve cannot rule out (see _sector_levels);
+    the points equal those of solving every block.  Where the grid's verdict
+    "M = 6 holds the ground level" changes, in either direction of the grid,
+    the crossover is _crossover's J*, whatever the grid step or the
+    clustering tolerance; its bracket is (J*, J*) and its excess the check
+    value, twice.  Otherwise all three are None.  block_solves counts the
+    block eigvalsh calls, the crossover's 35 and its check included.
     """
-    w = total_coupling(build_geometry(), alpha)
     memory = _LevelMemory(alpha, deg_tol_rel)
-    points = []
-    excess = []
-    for jz in map(float, jz_values):
-        levels = _sector_levels(ModelParams(alpha=alpha, jz_over_j=jz), memory)
-        points.append(_ground_point(jz, levels, deg_tol_rel))
-        excess.append(_ferro_excess(jz, w, levels))
-
-    for k in range(len(points) - 1):
-        if (6 in points[k].sectors) != (6 in points[k + 1].sectors):
-            (lo, f_lo), (hi, f_hi) = sorted([(points[k].jz_over_j, excess[k]),
-                                             (points[k + 1].jz_over_j, excess[k + 1])])
-            return GroundScan(alpha, tuple(points),
-                              *_refine_crossing(memory, w, lo, f_lo, hi, f_hi), memory.solves)
-    return GroundScan(alpha, tuple(points), None, None, None, memory.solves)
+    points = tuple(_ground_point(jz, _sector_levels(ModelParams(alpha=alpha, jz_over_j=jz),
+                                                    memory), deg_tol_rel)
+                   for jz in map(float, jz_values))
+    if any((6 in a.sectors) != (6 in b.sectors) for a, b in zip(points, points[1:])):
+        jz, excess = _crossover(memory, total_coupling(build_geometry(), alpha))
+        return GroundScan(alpha, points, jz, (jz, jz), (excess, excess), memory.solves)
+    return GroundScan(alpha, points, None, None, None, memory.solves)
 
 
 @dataclass(frozen=True)
@@ -609,18 +570,21 @@ def heisenberg_overlap_scan(
     """Overlap of the M=0 ground state with its Heisenberg-point counterpart.
 
     Each ground vector, the reference's too, is solved from the one irrep block
-    that holds it; a degenerate lowest M=0 level raises ValueError.  The spin
-    weights of a point are its squared overlaps with the labelled Heisenberg-point
-    M=0 eigenvectors, summed per total-spin label over whole clusters.
+    that holds it; a degenerate lowest M=0 level raises ValueError.  S^2 keeps
+    that block, and B S^2 B^T is free of alpha and Jz/J: the spin weight of S
+    is the sum of (q^T u)^2 over its eigenvectors q of spin S, u the point's
+    block eigenvector.
     """
-    ref_vector = _ground_vector(ModelParams(alpha=alpha, jz_over_j=1.0), DEG_TOL_RELATIVE)
-    ref = diagonalize_sector(0, ModelParams(alpha=alpha, jz_over_j=1.0))
-    # clusters are contiguous runs of columns, so this is the spin of each column
-    spin_of = np.repeat([c.spin for c in ref.clusters], [c.size for c in ref.clusters])
+    ref_vector, _, _ = _ground_vector(ModelParams(alpha=alpha, jz_over_j=1.0), DEG_TOL_RELATIVE)
+    casimir = {}  # per ground block: the spins and eigenvectors of its B S^2 B^T
     out = []
     for jz in jz_values:
-        v = _ground_vector(ModelParams(alpha=alpha, jz_over_j=float(jz)), DEG_TOL_RELATIVE)
-        weights = np.bincount(spin_of, (ref.eigenvectors.T @ v) ** 2)
+        v, k, u = _ground_vector(ModelParams(alpha=alpha, jz_over_j=float(jz)), DEG_TOL_RELATIVE)
+        if k not in casimir:
+            s_sq, q = np.linalg.eigh(_casimir_block(_class_table(0, 1)[k]))
+            casimir[k] = _spins(0, s_sq), q
+        spins, q = casimir[k]
+        weights = np.bincount(spins, (q.T @ u) ** 2)
         out.append(OverlapPoint(
             jz_over_j=float(jz),
             overlap_sq=float(np.dot(ref_vector, v) ** 2),

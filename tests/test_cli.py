@@ -19,6 +19,7 @@ from hexstar import cli, spectrum
 from hexstar.cli import main
 from hexstar.dynamics import evolve_probabilities
 from hexstar.hamiltonian import ModelParams, total_coupling
+from hexstar.lattice import build_geometry
 
 
 def run_cli(capsys, *argv):
@@ -153,15 +154,15 @@ def test_a_tolerance_of_the_whole_spread_refuses_every_state(capsys, jz):
 
 
 def test_the_ground_vector_takes_no_labelled_solve(capsys):
-    # the vector comes from its one irrep block; the overlap scan solves one
-    # labelled sector, its Jz/J = 1 reference, for the spin labels only
+    # the vector comes from its one irrep block, and the overlap scan's spin
+    # weights from that block's Casimir
     misses = spectrum._diagonalize_sector.cache_info().misses
     code, _, _ = run_cli(capsys, "schmidt", "--state", "ground", "--alpha", "4.4",
                          "--jz-over-j", "0.5")
     assert code == 0
     assert spectrum._diagonalize_sector.cache_info().misses == misses
     spectrum.heisenberg_overlap_scan(np.linspace(-1.0, 3.0, 11), 4.4)
-    assert spectrum._diagonalize_sector.cache_info().misses == misses + 1
+    assert spectrum._diagonalize_sector.cache_info().misses == misses
 
 
 def test_analytic_block_agrees_with_engine(capsys):
@@ -224,7 +225,11 @@ def test_ground_scan_reports_the_excess_at_both_bracket_ends(capsys):
         assert code == 0
         stats = parse_csv(out)[3] if fmt == "csv" else json.loads(out)["stats"]
         f_lo, f_hi = stats["crossover_excess"]
-        assert f_lo < 0 < f_hi  # the ferromagnet wins below the crossover
+        # the excess at the closed-form crossover is the check value, at both ends
+        w = total_coupling(build_geometry(), 6.0)
+        assert -0.49 < stats["crossover"] < -0.48
+        assert f_lo == f_hi
+        assert abs(f_lo) <= spectrum.RESIDUAL_TOL * max(1.0, abs(stats["crossover"]) * w)
 
 
 @pytest.mark.parametrize("argv, message", [

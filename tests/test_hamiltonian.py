@@ -14,13 +14,14 @@ from hexstar.hamiltonian import (
     XXZ_FERRO,
     ModelParams,
     build_sector_hamiltonian,
+    coupling_classes,
     exact_capable,
     heisenberg_casimir,
     total_coupling,
 )
 from hexstar.hamiltonian import _assemble, _exact_entries, class_weights
 from hexstar.hilbert import sector_basis
-from hexstar.lattice import Geometry, build_geometry
+from hexstar.lattice import ALLOWED_DISTANCE_SQ, Geometry, build_geometry
 from hexstar.spectrum import full_spectrum
 from reference import exact_entries_by_pair, pair_table
 
@@ -102,14 +103,23 @@ def test_exact_entries_match_floats():
 
 @pytest.mark.parametrize("alpha", [2.0, 4.0, 6.0, 8.0, 10.0])
 def test_exact_class_entries_equal_the_per_pair_sums_in_key_order(alpha):
-    for jz in (1.0, -3.0, 0.37, -1.23456, 0.0):
-        params = ModelParams(alpha, jz)
-        for M in range(-6, 7):
-            entries = _exact_entries(M, params)
-            reference = exact_entries_by_pair(M, params)
-            assert entries == reference
-            assert list(entries) == list(reference)
-            assert {type(v) for v in entries.values()} == {Fraction}
+    params = ModelParams(alpha, {2.0: 1.0, 4.0: -3.0, 6.0: 0.37, 8.0: -1.23456, 10.0: 0.0}[alpha])
+    for M in range(-6, 7):
+        # the entries are sum_c w_c [X_c + (Jz/J) diag(zz_c)]: integer class parts
+        # equal to the per-pair sums make them equal at every alpha and Jz/J
+        distance_sq, zz, flips = pair_table(M)
+        pair_class = np.array([ALLOWED_DISTANCE_SQ.index(d2) for d2 in distance_sq])
+        classes = coupling_classes(M)
+        assert np.array_equal(classes.zz, np.array(zz) @ (pair_class[:, None] == np.arange(6)))
+        a, b, k = np.array(flips, dtype=int).reshape(-1, 3).T  # none in M = +-6
+        assert np.array_equal(classes.rows, a) and np.array_equal(classes.cols, b)
+        assert np.array_equal(classes.cls, pair_class[k])
+        # and one exact dict per sector ties them to the Fraction weights, in key order
+        entries = _exact_entries(M, params)
+        reference = exact_entries_by_pair(M, params)
+        assert entries == reference
+        assert list(entries) == list(reference)
+        assert {type(v) for v in entries.values()} == {Fraction}
 
 
 def test_exact_entries_skipped_when_disabled():

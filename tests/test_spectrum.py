@@ -1,8 +1,6 @@
 """Diagonalization, degeneracy structure, and the ground-state scan."""
 
 import dataclasses
-import functools
-import math
 import re
 
 import numpy as np
@@ -31,8 +29,6 @@ from hexstar.hilbert import (
 from hexstar.lattice import IRREP_LABELS, N_SITES, build_geometry
 from hexstar import cli, spectrum
 from hexstar.spectrum import (
-    REFINE_SLACK,
-    REFINE_TOL,
     RESIDUAL_TOL,
     _diagonalize_sector,
     degeneracy_histogram,
@@ -122,7 +118,7 @@ def test_the_ground_route_is_the_labelled_ground_column(alpha, jz_over_j):
     params = ModelParams(alpha, jz_over_j)
     res = _uncached(0, params, DEG_TOL_RELATIVE)
     assume(res.clusters[0].size == 1)
-    assert np.array_equal(spectrum._ground_vector(params, DEG_TOL_RELATIVE),
+    assert np.array_equal(spectrum._ground_vector(params, DEG_TOL_RELATIVE)[0],
                           res.eigenvectors[:, 0])
 
 
@@ -318,8 +314,7 @@ def test_ground_scan_finds_the_crossover(geometry):
     assert scan.crossover is not None
     assert -0.49 < scan.crossover < -0.48
     assert scan.crossover == pytest.approx(-0.486058, abs=1e-5)
-    lo, hi = scan.crossover_bracket
-    assert hi - lo <= 2.5e-6
+    assert scan.crossover_bracket == (scan.crossover, scan.crossover)
 
     w = total_coupling(geometry, 6.0)
     for point in scan.points:
@@ -368,112 +363,106 @@ def test_descending_grid_is_refined_like_the_ascending_one():
     assert down.crossover_bracket == up.crossover_bracket
     assert down.points == up.points[::-1]
     lo, hi = down.crossover_bracket
-    assert lo < hi and hi - lo <= 1e-6
+    assert lo == hi == down.crossover
     assert -0.49 < down.crossover < -0.48
 
 
-def _bisection_bracket(alpha, lo, hi):
-    """The bisection that refined the crossover before regula falsi, kept as the oracle.
+def _ferro_excess(alpha, jz):
+    """Ferromagnet energy (Jz/J) w minus the lowest level of M = 0..5, every even block solved."""
+    levels = spectrum._sector_levels(ModelParams(alpha=alpha, jz_over_j=jz))
+    return jz * total_coupling(build_geometry(), alpha) - min(
+        v[0] for M in range(0, 6) for v in levels[M].values())
 
-    Returns the final bracket and the number of ferro-excess evaluations.
-    """
-    w = total_coupling(build_geometry(), alpha)
 
-    def ferro_excess(jz):
-        levels = spectrum._sector_levels(ModelParams(alpha=alpha, jz_over_j=jz))
-        rival = min(v[0] for M in range(0, 6) for v in levels[M].values())
-        return jz * w - rival
-
-    f_lo = ferro_excess(lo)
-    calls = 1
-    while hi - lo > REFINE_TOL:
+def _bisection_bracket(alpha, lo, hi, width=1e-6):
+    """Bisection on the ferro excess of the true levels down to width, kept as the oracle."""
+    f_lo = _ferro_excess(alpha, lo)
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        f_mid = ferro_excess(mid)
-        calls += 1
+        f_mid = _ferro_excess(alpha, mid)
         if (f_mid < 0) == (f_lo < 0):
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-    return (lo, hi), calls
+    return lo, hi
 
 
-def _check_against_bisection(monkeypatch, alpha, grid):
-    """Refine at alpha; returns the scan's and the bisection's ferro-excess evaluations."""
-    seen = []
-    levels = spectrum._sector_levels
-    monkeypatch.setattr(spectrum, "_sector_levels",
-                        lambda p, *memory: seen.append(p) or levels(p, *memory))
+def _check_against_bisection(alpha, grid):
+    """The crossover at alpha lies in the bisection bracket of its grid step."""
     scan = ground_state_scan(alpha, grid)
-    refinement_calls = len(seen) - len(grid)
     step = sorted(next((a.jz_over_j, b.jz_over_j) for a, b in zip(scan.points, scan.points[1:])
                        if (6 in a.sectors) != (6 in b.sectors)))
-    (lo, hi), oracle_calls = _bisection_bracket(alpha, *step)
+    lo, hi = _bisection_bracket(alpha, *step)
     assert lo <= scan.crossover <= hi
-
-    a, b = scan.crossover_bracket
-    assert step[0] <= a <= scan.crossover <= b <= step[1]
-    assert 0 < b - a <= REFINE_TOL
+    assert scan.crossover_bracket == (scan.crossover, scan.crossover)
+    f, f_again = scan.crossover_excess
     w = total_coupling(build_geometry(), alpha)
-    excess = [jz * w - min(v[0] for M in range(0, 6) for v in levels(
-        ModelParams(alpha, jz))[M].values()) for jz in (a, b)]
-    # the true excess at both ends, not the values the Illinois rule halved
-    assert list(scan.crossover_excess) == excess
-    assert excess[0] < 0 <= excess[1]
-    return refinement_calls, oracle_calls
-
-
-# refinement steps on these grids, counted before the steps were kept near the midpoint
-_REFINEMENT_STEPS = {(3.0, 11): 5, (5.3, 11): 6, (6.0, 11): 6, (7.1, 11): 7, (8.0, 11): 7,
-                     (6.0, 25): 7}
+    assert f == f_again and abs(f) <= RESIDUAL_TOL * max(1.0, abs(scan.crossover) * w)
 
 
 @pytest.mark.parametrize("alpha, grid", [
     (alpha, (-1.0, 0.0, 11)) for alpha in (3.0, 5.3, 6.0, 7.1, 8.0)
 ] + [(6.0, (-3.0, 3.0, 25))])
-def test_crossover_lies_in_the_bisection_bracket(monkeypatch, alpha, grid):
-    calls, oracle_calls = _check_against_bisection(monkeypatch, alpha, np.linspace(*grid))
-    assert 2 * calls <= oracle_calls
-    assert calls <= _REFINEMENT_STEPS[alpha, grid[2]]
+def test_crossover_lies_in_the_bisection_bracket(alpha, grid):
+    _check_against_bisection(alpha, np.linspace(*grid))
 
 
 @settings(max_examples=6, deadline=None)
 @given(alpha=st.floats(3.0, 8.0))
 def test_crossover_lies_in_the_bisection_bracket_at_any_range(alpha):
-    # one grid step of width 1: the kinks of the excess near its root cost
-    # regula falsi more steps here than on the grids above
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        calls, oracle_calls = _check_against_bisection(monkeypatch, alpha, [-1.0, 0.0])
-    assert calls < oracle_calls
+    # one grid step of width 1, where the lowest levels of M = 5, 4, ..., 0
+    # trade places near the crossing
+    _check_against_bisection(alpha, [-1.0, 0.0])
 
 
-def _stand_in_levels(params):
-    """Block levels whose lowest level below M = 6 is a known concave function of Jz/J.
-
-    The rival is the lower envelope of two lines; the ferro excess it leaves
-    changes sign at Jz/J = -1 and stalls the plain Illinois steps on wide
-    brackets as the true levels do.
-    """
-    jz = params.jz_over_j
-    w = total_coupling(build_geometry(), params.alpha)
-    rival = min(-6.0 - jz, -2.0 + (w - 2.0) * jz)
-    levels = {M: {"A1g": np.array([rival + M])} for M in range(6)}
-    levels[6] = {"A1g": np.array([jz * w])}
-    return levels
+@pytest.mark.parametrize("alpha", [0.5, 3.0, 6.0, 8.5, 14.0, 60.0, 400.0])
+def test_the_ferro_excess_of_every_block_changes_sign_at_the_crossover(alpha):
+    crossover = ground_state_scan(alpha, [-1.0, 0.0]).crossover
+    delta = 1e-9 * max(1.0, abs(crossover))
+    assert _ferro_excess(alpha, crossover - delta) < 0 < _ferro_excess(alpha, crossover + delta)
 
 
 @pytest.mark.parametrize("reach", [1e12, 1e30, 1e60, 1e100, 1e306])
-def test_refinement_takes_at_most_bisection_plus_the_slack(monkeypatch, reach):
-    # unguarded, the Illinois steps took 52, 290, 905 and 12206 calls on the
-    # last four, where bisection takes 120, 220, 353 and 1037
-    seen = []
-    monkeypatch.setattr(spectrum, "_sector_levels",
-                        lambda p, *memory: seen.append(p) or _stand_in_levels(p))
-    scan = ground_state_scan(6.0, [-reach, 0.0, reach])
-    lo, hi = scan.crossover_bracket
-    assert lo <= -1.0 <= hi and 0 < hi - lo <= REFINE_TOL
-    assert scan.crossover == pytest.approx(-1.0, abs=REFINE_TOL)
-    bisection = math.ceil(math.log2(reach) - math.log2(REFINE_TOL))
-    assert len(seen) - 3 <= bisection + REFINE_SLACK
+def test_the_crossover_does_not_depend_on_the_grid_range(reach):
+    crossover = ground_state_scan(6.0, [-1.0, 0.0]).crossover
+    assert ground_state_scan(6.0, [-reach, 0.0, reach]).crossover == crossover
+    assert -0.49 < crossover < -0.48
+
+
+def test_the_crossover_does_not_depend_on_the_clustering_tolerance():
+    grid = np.linspace(-1.0, 0.0, 11)  # the README grid
+    crossover = ground_state_scan(6.0, grid).crossover
+    assert ground_state_scan(6.0, grid, 0.3).crossover == crossover
+    assert -0.49 < crossover < -0.48
+
+
+def test_a_grid_point_on_the_crossing_reads_the_closed_form():
+    crossover = ground_state_scan(6.0, [-1.0, 0.0]).crossover
+    for grid in ([crossover, 0.0], [0.0, crossover]):
+        scan = ground_state_scan(6.0, grid)
+        # the ferromagnet ties the M = 0 level there, within the clustering tolerance
+        assert scan.points[grid.index(crossover)].sectors == (-6, 0, 6)
+        assert scan.crossover == crossover
+        assert scan.crossover_bracket == (crossover, crossover)
+
+
+def test_a_lowered_crossover_fails_the_excess_check(monkeypatch, capsys):
+    # every K_r eigenvalue 1e-6 low, the smallest too, moves the crossover off the
+    # level crossing; the block solves of the grid points bind eigvalsh early
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def lowered(a):
+        calls.append(len(a))
+        return eigvalsh(a) - 1e-6
+
+    assert -0.49 < ground_state_scan(6.0, [-1.0, 0.0]).crossover < -0.48
+    monkeypatch.setattr(np.linalg, "eigvalsh", lowered)
+    with pytest.raises(RuntimeError, match="ferro excess .* is not zero"):
+        ground_state_scan(6.0, [-1.0, 0.0])
+    assert len(calls) == 35  # the even blocks of M = 0..5
+    assert cli.main(["ground-scan", "--jz-min", "-1", "--jz-max", "0", "--jz-points", "2"]) == 3
+    assert "ferro excess" in capsys.readouterr().err
 
 
 @settings(max_examples=10, deadline=None)
@@ -510,9 +499,14 @@ def _count_block_solves(monkeypatch, solver=np.linalg.eigvalsh):
 
 def test_the_block_solve_counter_counts_every_eigvalsh(monkeypatch):
     counts = _count_block_solves(monkeypatch)
+    # the crossover's K_r solves call eigvalsh itself, not through _solve_blocks
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: counts.append(1) or eigvalsh(a))
     scan = ground_state_scan(6.0, np.linspace(-1.0, 0.0, 11))  # the README grid
+    assert -0.49 < scan.crossover < -0.48
     assert scan.block_solves == sum(counts)
-    assert scan.block_solves <= 230  # 612 when every point and step solves all 36 blocks
+    # 11 x 36 = 396 when every point solves all 36 blocks, plus the crossover's 36
+    assert scan.block_solves <= 180
     counts.clear()
     ground_state_point(ModelParams(6.0, -0.3))
     assert sum(counts) == 36  # no memory: every even block of M = 0..6
@@ -687,30 +681,6 @@ def test_a_solver_failure_at_finite_levels_keeps_its_own_error():
         spectrum._solve_blocks(ModelParams(6.0, 0.5), spectrum._block_operators(2, 6.0), fail)
 
 
-def test_crossover_excess_is_the_true_excess_at_the_bracket_ends(monkeypatch):
-    # a convex excess that is steep right of its root: the right grid point,
-    # 4e-7 above the root, is kept (and halved) while the left end walks in
-    w = total_coupling(build_geometry(), 6.0)
-    root = -0.5
-
-    def excess(jz):
-        return (jz - root) * (1e6 if jz > root else 1.0)
-
-    def synthetic(params, *memory):
-        jz = params.jz_over_j
-        levels = {M: {} for M in range(7)}
-        levels[0]["A1g"] = np.array([jz * w - excess(jz), jz * w + 1.0])
-        levels[6]["A2g"] = np.array([jz * w])
-        return levels
-
-    monkeypatch.setattr(spectrum, "_sector_levels", synthetic)
-    scan = ground_state_scan(6.0, [-0.6, root + 4e-7])
-    lo, hi = scan.crossover_bracket
-    assert -0.6 < lo < root < hi == root + 4e-7 and hi - lo <= REFINE_TOL
-    assert scan.crossover_excess == pytest.approx((excess(lo), excess(hi)), rel=1e-6)
-    assert lo <= scan.crossover <= hi
-
-
 @pytest.mark.parametrize("f_lo, f_hi, top_lo, top_hi, at", [
     (1e-7, 1.0, 1e3, 1.0, "lo"),   # lo ties the crossing: f > 0 at both ends
     (1e-7, 1e-7, 1e3, 1.0, "lo"),  # equal excess at both ends
@@ -720,7 +690,11 @@ def test_crossover_excess_is_the_true_excess_at_the_bracket_ends(monkeypatch):
 @pytest.mark.filterwarnings("error")
 def test_a_grid_point_on_the_crossing_stays_in_its_step(monkeypatch, f_lo, f_hi,
                                                         top_lo, top_hi, at):
+    # the grid points read synthetic levels, the crossover the real block operators:
+    # a tie at a grid point flips the verdict but does not move the crossover to it
+    crossover = ground_state_scan(6.0, [-1.0, 0.0]).crossover
     lo, hi = -0.6, -0.4
+    assert lo < crossover < hi
     w = total_coupling(build_geometry(), 6.0)
 
     def synthetic(params, *memory):
@@ -741,10 +715,11 @@ def test_a_grid_point_on_the_crossing_stays_in_its_step(monkeypatch, f_lo, f_hi,
             scan = ground_state_scan(6.0, grid)
             assert [6 in p.sectors for p in scan.points] == (
                 [at == "lo", at == "hi"] if grid[0] == lo else [at == "hi", at == "lo"])
-            end, f_end = (lo, f_lo) if at == "lo" else (hi, f_hi)
-            assert scan.crossover == end
-            assert scan.crossover_bracket == (end, end)
-            assert scan.crossover_excess == pytest.approx((f_end, f_end), abs=1e-12)
+            assert scan.crossover == crossover
+            assert scan.crossover == pytest.approx(-0.486058, abs=1e-5)
+            assert scan.crossover_bracket == (crossover, crossover)
+            f, f_again = scan.crossover_excess
+            assert f == f_again and abs(f) <= RESIDUAL_TOL * max(1.0, abs(crossover) * w)
 
 
 @pytest.mark.parametrize("degenerate_jz", [1.0, 2.0])
@@ -781,14 +756,11 @@ def _spin_component(vector, M, S):
 
 
 @pytest.mark.parametrize("alpha", [6.0, 3.0])
-def test_overlap_scan_spin_weights_match_the_casimir_projection(monkeypatch, alpha):
-    # the test's own labelled solves are the oracle for v; the scan's one
-    # labelled solve, the Jz/J = 1 spin labels, goes through them as well
-    solve = functools.lru_cache(lambda M, params: _uncached(M, params, DEG_TOL_RELATIVE))
-    monkeypatch.setattr("hexstar.spectrum.diagonalize_sector", solve)
+def test_overlap_scan_spin_weights_match_the_casimir_projection(alpha):
+    # the test's own labelled solves are the oracle for v, the dense S^2 for its weights
     grid = np.linspace(-1.0, 3.0, 11)
     for point, jz in zip(heisenberg_overlap_scan(grid, alpha), grid):
-        v = solve(0, ModelParams(alpha, float(jz))).eigenvectors[:, 0]
+        v = _uncached(0, ModelParams(alpha, float(jz)), DEG_TOL_RELATIVE).eigenvectors[:, 0]
         reference = {}
         for S in range(0, 7):
             comp = _spin_component(v, 0, S)
