@@ -17,6 +17,7 @@ weights) and the irrep-block operators all weight it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -126,21 +127,39 @@ def class_weights(alpha: float) -> np.ndarray:
     return np.array(_pair_couplings(ALLOWED_DISTANCE_SQ, alpha))
 
 
-def _exact_entries(M: int, params: ModelParams) -> dict[tuple[int, int], Fraction]:
-    """The _assemble sum with Fraction class weights, as sparse entries."""
+@lru_cache(maxsize=16)
+def _exact_layout(M: int) -> tuple[list[tuple[int, int]], list[int], list[list[int]]]:
+    """The keys of sector M's exact entries, each key's slot, and the distinct rows of zz.
+
+    Keys run over the diagonal, then the flip-flop entries in coupling_classes order.
+    A diagonal key's slot is its distinct zz row; a flip-flop key's is the
+    number of distinct rows plus its class.
+    """
     classes = coupling_classes(M)
-    weights = [_exact_weight(d2, params.alpha) for d2 in ALLOWED_DISTANCE_SQ]
-    jz = Fraction(params.jz_over_j)
-    # one Fraction per distinct diagonal, jz sum_c w_c zz_c
     levels, level_of = np.unique(classes.zz, axis=0, return_inverse=True)
-    diagonal = [jz * sum(n * w for n, w in zip(row, weights)) for row in levels.tolist()]
     d = len(classes.zz)
-    entries = dict(zip(zip(range(d), range(d)),
-                       map(diagonal.__getitem__, level_of.ravel().tolist())))
-    flip = [2 * w for w in weights]
-    entries.update(zip(zip(classes.rows.tolist(), classes.cols.tolist()),
-                       map(flip.__getitem__, classes.cls.tolist())))
-    return entries
+    keys = list(zip(range(d), range(d)))
+    keys += zip(classes.rows.tolist(), classes.cols.tolist())
+    slots = level_of.ravel().tolist() + (len(levels) + classes.cls.astype(np.int64)).tolist()
+    return keys, slots, levels.tolist()
+
+
+def _exact_entries(M: int, params: ModelParams) -> dict[tuple[int, int], Fraction]:
+    """The _assemble sum with Fraction class weights, as sparse entries in _exact_layout order.
+
+    Each distinct diagonal jz sum_c w_c zz_c is one integer numerator over the
+    lcm of the six weight denominators, so a call makes one Fraction per
+    distinct diagonal and per class, then one dict over the cached keys.
+    """
+    keys, slots, levels = _exact_layout(M)
+    weights = [_exact_weight(d2, params.alpha) for d2 in ALLOWED_DISTANCE_SQ]
+    denominator = math.lcm(*(w.denominator for w in weights))
+    numerators = [w.numerator * (denominator // w.denominator) for w in weights]
+    jz = Fraction(params.jz_over_j)
+    values = [jz * Fraction(sum(map(operator.mul, row, numerators)), denominator)
+              for row in levels]
+    values += [2 * w for w in weights]
+    return dict(zip(keys, map(values.__getitem__, slots)))
 
 
 def build_sector_hamiltonian(

@@ -9,9 +9,13 @@ last solved each block and skips the blocks whose Weyl bounds prove that
 they cannot hold a level its verdict reads; its ferro/antiferro crossover
 is the smallest lowest eigenvalue of one alpha-only matrix per block, in
 closed form.  Spin labels read B S^2 B^T from
-the same class parts at unit weights.  Downstream code reads
+the same class parts at unit weights.  A labelled solve checks every stored
+eigenpair against the dense sector H without forming H V: B is block-diagonal
+over the configuration orbits, so B H is one k x k product per orbit, and
+each block's residual is U_r^T (B H)[rows of r] - E V_r^T.  Downstream code reads
 the SpectrumResult: eigenvalues in units of J, eigenvectors as columns over
-the sector basis, and eigenvalue clusters at a relative tolerance of the spread.
+the sector basis, eigenvalue clusters at a relative tolerance of the spread,
+and the residual over its bound.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .hamiltonian import (
     coupling_classes,
     total_coupling,
 )
-from .symmetry import IrrepBlock, irrep_blocks
+from .symmetry import IrrepBlock, irrep_blocks, orbit_layout
 
 SUPPORT_TOL = 1e-10   # default overlap threshold for spectral support
 RESIDUAL_TOL = 1e-10  # per-eigenpair residual bound, relative to the spread
@@ -67,6 +71,7 @@ class SpectrumResult:
     eigenvectors: np.ndarray  # column k belongs to eigenvalues[k]
     clusters: tuple[EigenCluster, ...]
     deg_tol: float            # absolute clustering tolerance used
+    residual_margin: float    # max|H v - E v| over its bound RESIDUAL_TOL max(spread, 1)
 
     @property
     def dim(self) -> int:
@@ -217,12 +222,43 @@ def _solve_blocks(params: ModelParams, entries: tuple[_Entry, ...], solve=np.lin
                        f"Jz/J={jz:g}: the energies overflow a float")
 
 
-def _check_residual(M: int, params: ModelParams, vectors: np.ndarray, values, spread: float):
-    """RuntimeError unless max|H v - E v| on the dense sector H <= RESIDUAL_TOL max(spread, 1)."""
-    h = build_sector_hamiltonian(M, params).matrix
-    residual = np.abs(h @ vectors - vectors * values).max()
-    if not residual <= RESIDUAL_TOL * max(spread, 1.0):
+def _check_residual(M: int, residual: float, spread: float) -> float:
+    """residual / (RESIDUAL_TOL max(spread, 1)); RuntimeError above that bound, or at NaN."""
+    bound = RESIDUAL_TOL * max(spread, 1.0)
+    if not residual <= bound:
         raise RuntimeError(f"eigenpair residual {residual:.2e} too large in sector {M}")
+    return residual / bound
+
+
+def _orbit_residual(M: int, params: ModelParams, vectors: np.ndarray, values: np.ndarray,
+                    blocks: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """max|H v - E v| over the columns of vectors, on the dense sector H, without H V.
+
+    blocks holds, per irrep block in the order of irrep_blocks(M), its eigh
+    vectors U_r and the columns that hold B_r^T U_r.  H is symmetric, so
+    (H V_r)^T = U_r^T (B H)[rows of r], and B H is one k x k product per
+    configuration orbit (symmetry.orbit_layout).  V_r and E are read from
+    the stored columns, so a misplaced column still fails.
+    """
+    h = build_sector_hamiltonian(M, params).matrix
+    # C_O H[O] reads only the rows of orbit O, so the rows of B H overwrite them
+    # in this call's own h, 8 orbits at a time: no d x d temporaries, which
+    # cost several times their arithmetic inside a labelled solve
+    at = np.empty(len(h), dtype=np.intp)  # the row of h that holds each row of B H
+    for g in orbit_layout(M):
+        at[g.rows] = g.members
+        for o in range(0, len(g.members), 8):
+            members = g.members[o:o + 8]
+            h[members] = g.coef[o:o + 8] @ h[members]
+    worst, start = [], 0
+    for u, cols in blocks:
+        r = u.T @ h[at[start:start + len(cols)]]  # (H V_r)^T
+        v = vectors[:, cols].T
+        v *= values[cols, None]
+        r -= v
+        worst.append(np.abs(r, out=r).max())
+        start += len(cols)
+    return float(np.max(worst))  # NaN if any is
 
 
 @lru_cache(maxsize=26)  # M >= 0 only: three parameter sets of 7 sectors, plus 5 entries
@@ -231,7 +267,9 @@ def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> Spec
 
     Each eigenvector is a block eigenvector mapped back through its block's rows,
     so it carries one irrep and a cluster's irrep slots count its block levels.
-    A residual against the dense sector H above RESIDUAL_TOL (or NaN) raises RuntimeError.
+    max|H v - E v| over the stored columns, on the dense sector H, comes from
+    _orbit_residual; above RESIDUAL_TOL max(spread, 1), or NaN, it raises
+    RuntimeError, and otherwise its ratio to that bound is residual_margin.
     """
     entries = _block_operators(M, params.alpha)
     solved = _solve_blocks(params, entries, np.linalg.eigh)
@@ -242,15 +280,17 @@ def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> Spec
     column[order] = np.arange(len(order))
     eigenvectors = np.empty((len(order), len(order)), order="F")  # columns contiguous
     irrep_of = np.empty(len(order), dtype=np.int64)  # index into IRREP_LABELS per column
-    start = 0
+    blocks, start = [], 0
     for (b, _, _), (values, u) in zip(entries, solved):
         cols = column[start:start + len(values)]
         eigenvectors[:, cols] = np.einsum("st,stk->sk", b.coef, u[b.rows])  # B^T u
         irrep_of[cols] = IRREP_LABELS.index(b.irrep)
+        blocks.append((u, cols))
         start += len(values)
 
     spread = float(eigenvalues[-1] - eigenvalues[0])
-    _check_residual(M, params, eigenvectors, eigenvalues, spread)
+    margin = _check_residual(
+        M, _orbit_residual(M, params, eigenvectors, eigenvalues, blocks), spread)
 
     deg_tol = deg_tol_rel * spread
     raw = split_into_clusters(eigenvalues, deg_tol)
@@ -279,6 +319,7 @@ def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> Spec
         eigenvectors=eigenvectors,
         clusters=tuple(clusters),
         deg_tol=deg_tol,
+        residual_margin=margin,
     )
 
 
@@ -318,24 +359,28 @@ def degeneracy_histogram(
     """Histogram of eigenvalue multiplicities across the full 4096 states.
 
     Sector -M has the levels of M, so only the cached sectors M >= 0 are read.
+    The groups are split_into_clusters' runs, counted from their break
+    positions.  A gap between the mean levels of two neighbouring groups is
+    never below the gap at their edges, up to the rounding of the two means
+    (at most a few ulps per level of the larger group), so only neighbours
+    whose edge gap falls below 10 deg_tol plus that slack need their means.
     """
     merged = np.sort(np.concatenate([
         diagonalize_sector(abs(M), params, deg_tol_rel).eigenvalues for M in range(-6, 7)]))
     deg_tol = deg_tol_rel * float(merged[-1] - merged[0])
-    groups = split_into_clusters(merged, deg_tol)
+    breaks = np.flatnonzero(np.diff(merged) > deg_tol) + 1
+    bounds = np.concatenate(([0], breaks, [len(merged)]))
+    sizes, counts = np.unique(np.diff(bounds), return_counts=True)
 
-    counts: dict[int, int] = {}
-    for idx in groups:
-        counts[len(idx)] = counts.get(len(idx), 0) + 1
-
-    centers = np.array([merged[idx].mean() for idx in groups])
-    gaps = np.diff(centers)
-    ambiguous = tuple(float(g) for g in gaps if g < 10.0 * deg_tol)
+    slack = 4 * int(sizes[-1]) * np.spacing(np.abs(merged).max())
+    near = np.flatnonzero(merged[breaks] - merged[breaks - 1] < 10.0 * deg_tol + slack)
+    gaps = [merged[b:c].mean() - merged[a:b].mean()  # upper mean minus lower
+            for a, b, c in zip(bounds[near], bounds[near + 1], bounds[near + 2])]
     return DegeneracyHistogram(
         params=params,
-        counts=dict(sorted(counts.items())),
+        counts=dict(zip(sizes.tolist(), counts.tolist())),
         deg_tol=deg_tol,
-        ambiguous_gaps=ambiguous,
+        ambiguous_gaps=tuple(float(g) for g in gaps if g < 10.0 * deg_tol),
     )
 
 
@@ -501,7 +546,8 @@ def _ground_vector(params: ModelParams, deg_tol_rel: float) -> tuple[np.ndarray,
     b = entries[k][0]
     vector = np.einsum("st,st->s", b.coef, u[b.rows, 0])
     spread = max(v[-1] for v in levels.values()) - point.energy
-    _check_residual(0, params, vector, values[0], spread)
+    h = build_sector_hamiltonian(0, params).matrix
+    _check_residual(0, np.abs(h @ vector - vector * values[0]).max(), spread)
     return vector, k, u[:, 0]
 
 

@@ -4,14 +4,16 @@ Characters of the signed permutation action, irrep multiplicities per
 magnetization sector, total-spin multiplet counts, the symmetry-adapted
 bases that split each sector Hamiltonian into one block per irrep and
 C2'(0) partner, for the six irreps that survive the trivial horizontal
-mirror, each block held as the rows that every sector state meets, and the
-stabilizer of a full-space state among the site permutations.
+mirror, each block held as the rows that every sector state meets (and
+all blocks' rows once more, orbit by orbit), and the stabilizer of a
+full-space state among the site permutations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,7 +124,13 @@ class IrrepBlock:
     coef: np.ndarray    # (sector dim, t) float, the state's coefficient in each
 
 
-@lru_cache(maxsize=None)
+class OrbitGroup(NamedTuple):
+    """The rows of B on the configuration orbits of one size k, stacked over those orbits."""
+    members: np.ndarray  # (orbits, k) the states of each orbit, ascending
+    rows: np.ndarray     # (orbits, k) the rows of B that live on it, ascending
+    coef: np.ndarray     # (orbits, k, k) B[rows[o, i], members[o, j]]
+
+
 def irrep_blocks(M: int) -> tuple[IrrepBlock, ...]:
     """Orthonormal symmetry-adapted basis of sector M, one row per state.
 
@@ -137,6 +145,22 @@ def irrep_blocks(M: int) -> tuple[IrrepBlock, ...]:
     orbit to itself, so each orbit's restricted projector is diagonalized
     on its own and its unit eigenvectors become rows, kept per state.
     """
+    return _adapted_basis(M)[0]
+
+
+def orbit_layout(M: int) -> tuple[OrbitGroup, ...]:
+    """B, the rows of every block of irrep_blocks(M) stacked in that order, orbit by orbit.
+
+    Each row of B lives on one configuration orbit and B is orthogonal, so
+    an orbit of size k carries exactly k rows and B is block-diagonal over
+    the orbits: B H is one batched k x k product per orbit size.
+    """
+    return _adapted_basis(M)[1]
+
+
+@lru_cache(maxsize=None)
+def _adapted_basis(M: int) -> tuple[tuple[IrrepBlock, ...], tuple[OrbitGroup, ...]]:
+    """irrep_blocks(M) and orbit_layout(M), built together from the same orbits."""
     ct = _chartable()
     proper = [g for g in _group() if not g.inverted]
     by_perm = {g.perm: g for g in proper}
@@ -154,6 +178,8 @@ def irrep_blocks(M: int) -> tuple[IrrepBlock, ...]:
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     pos = np.empty(d, dtype=np.int64)
     pos[order] = np.arange(d) - starts[orbit[order]]
+    spans = {n: starts[sizes == n][:, None] + np.arange(n) for n in np.unique(sizes).tolist()}
+    placed = {n: [] for n in spans}  # per orbit size: the orbit, row of B and coefficients
 
     expected = irrep_counts().counts
     partners = [(r, 1) for r in ct.irreps] + [(r, -1) for r in ct.irreps if ct.dims[r] == 2]
@@ -164,18 +190,18 @@ def irrep_blocks(M: int) -> tuple[IrrepBlock, ...]:
             chi = chi + partner * np.array([ct.chi(r, g.class_label) for g in times_h])
         weight = (chi * parity)[:, None] / 12.0  # U_g weight in the projector
         data, indices, lengths = [], [], []
-        for n in np.unique(sizes):
-            picked = np.nonzero(sizes == n)[0]
-            members = order[starts[picked][:, None] + np.arange(n)]  # (orbits, n)
-            local = np.empty(len(sizes), dtype=np.int64)
-            local[picked] = np.arange(len(picked))
+        taken = sum(b.copies for b in blocks)  # rows of B in the blocks before this one
+        for n, span in spans.items():
+            members = order[span]  # (orbits, n)
             src = members.ravel()
             # Q[o, pos(g f), pos(f)] += weight(g) for every member f and element g
-            flat = (local[orbit[src]] * n + pos[images[:, src]]) * n + pos[src]
+            flat = (np.repeat(np.arange(len(span)), n) * n + pos[images[:, src]]) * n + pos[src]
             q = np.bincount(flat.ravel(), np.broadcast_to(weight, flat.shape).ravel(),
-                            minlength=len(picked) * n * n).reshape(-1, n, n)
+                            minlength=len(span) * n * n).reshape(-1, n, n)
             evals, evecs = np.linalg.eigh(q)
             o, k = np.nonzero(evals > 0.5)
+            placed[n].append((o, taken + np.arange(len(o)), evecs[o, :, k]))
+            taken += len(o)
             data.append(evecs[o, :, k].ravel())
             indices.append(members[o].ravel())
             lengths.append(np.full(len(o), n))
@@ -200,7 +226,17 @@ def irrep_blocks(M: int) -> tuple[IrrepBlock, ...]:
     if sum(b.copies for b in blocks) != d:
         raise RuntimeError(f"irrep rows of both partners do not fill sector {M} of "
                            f"dimension {d}")
-    return tuple(blocks)
+    layout = []
+    for n, span in spans.items():
+        o, rows, coef = (np.concatenate(a) for a in zip(*placed[n]))
+        by = np.lexsort((rows, o))  # by orbit, rows ascending
+        if not np.array_equal(o[by], np.repeat(np.arange(len(span)), n)):
+            raise RuntimeError(f"irrep rows of sector {M} do not fill each orbit once")
+        layout.append(OrbitGroup(members=order[span], rows=rows[by].reshape(-1, n),
+                                 coef=coef[by].reshape(-1, n, n)))
+        for a in layout[-1]:
+            a.flags.writeable = False
+    return tuple(blocks), tuple(layout)
 
 
 def irrep_weights(vectors: np.ndarray, M: int) -> dict[str, np.ndarray]:

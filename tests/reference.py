@@ -130,6 +130,16 @@ def exact_entries_by_pair(M: int, params: ModelParams) -> dict[tuple[int, int], 
     return entries
 
 
+def histogram_by_group_means(merged: np.ndarray, deg_tol: float) -> tuple[dict, tuple]:
+    """Degeneracy counts and ambiguous gaps of sorted levels: every group's mean, then their gaps."""
+    counts: dict[int, int] = {}
+    groups = split_into_clusters(merged, deg_tol)
+    for idx in groups:
+        counts[len(idx)] = counts.get(len(idx), 0) + 1
+    gaps = np.diff(np.array([merged[idx].mean() for idx in groups]))
+    return dict(sorted(counts.items())), tuple(float(g) for g in gaps if g < 10.0 * deg_tol)
+
+
 def dense_rows(block: IrrepBlock) -> np.ndarray:
     """The (copies, sector dim) rows of an irrep block, filled in from its per-state view."""
     rows = np.zeros((block.copies, len(block.rows)))

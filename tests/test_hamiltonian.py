@@ -101,9 +101,11 @@ def test_exact_entries_match_floats():
     assert nz == {(min(k, l), max(k, l)) for k, l in ham.exact}
 
 
-@pytest.mark.parametrize("alpha", [2.0, 4.0, 6.0, 8.0, 10.0])
+# alpha 40 with Jz/J 3.5e12 puts integer numerators far beyond 64 bits on the diagonal
+@pytest.mark.parametrize("alpha", [2.0, 4.0, 6.0, 8.0, 10.0, 40.0])
 def test_exact_class_entries_equal_the_per_pair_sums_in_key_order(alpha):
-    params = ModelParams(alpha, {2.0: 1.0, 4.0: -3.0, 6.0: 0.37, 8.0: -1.23456, 10.0: 0.0}[alpha])
+    params = ModelParams(alpha, {2.0: 1.0, 4.0: -3.0, 6.0: 0.37, 8.0: -1.23456, 10.0: 0.0,
+                                 40.0: 3.5e12}[alpha])
     for M in range(-6, 7):
         # the entries are sum_c w_c [X_c + (Jz/J) diag(zz_c)]: integer class parts
         # equal to the per-pair sums make them equal at every alpha and Jz/J

@@ -41,7 +41,13 @@ from hexstar.spectrum import (
     split_into_clusters,
 )
 from hexstar.symmetry import irrep_blocks, irrep_weights
-from reference import act_permutation, dense_rows, label_eigenvector, per_cluster_labels
+from reference import (
+    act_permutation,
+    dense_rows,
+    histogram_by_group_means,
+    label_eigenvector,
+    per_cluster_labels,
+)
 
 # Eigenvalue multiplicities over all 4096 states, counted once at the
 # default clustering tolerance and frozen.
@@ -246,6 +252,25 @@ def test_histogram_builds_no_mirrored_eigenvectors(monkeypatch, heisenberg_spect
                         lambda res: calls.append(res.M) or original(res))
     assert degeneracy_histogram(HEISENBERG).counts == HEISENBERG_HISTOGRAM
     assert calls == []
+
+
+@pytest.mark.parametrize("alpha, jz", [(6.0, 1.0), (6.0, -3.0), (3.7, 0.37), (2.0, 1.0)])
+def test_histogram_counts_and_gaps_equal_the_per_group_means(monkeypatch, alpha, jz):
+    # the levels do not depend on the clustering tolerance, so one solve serves all five
+    params = ModelParams(alpha, jz)
+    solved = {M: _uncached(M, params, DEG_TOL_RELATIVE) for M in range(7)}
+    monkeypatch.setattr(spectrum, "diagonalize_sector", lambda M, p, tol: solved[M])
+    merged = np.sort(np.concatenate([solved[abs(M)].eigenvalues for M in range(-6, 7)]))
+    found = []
+    for tol in (1e-8, 1e-5, 1e-4, 1e-3, 1e-2):
+        hist = degeneracy_histogram(params, tol)
+        deg_tol = tol * float(merged[-1] - merged[0])
+        counts, gaps = histogram_by_group_means(merged, deg_tol)
+        assert hist.deg_tol == deg_tol
+        assert hist.counts == counts and list(hist.counts) == list(counts)
+        assert hist.ambiguous_gaps == gaps
+        found.append(len(gaps))
+    assert max(found) > 0
 
 
 def _cluster_margins(values, clusters):
@@ -642,6 +667,43 @@ def test_a_perturbed_class_table_entry_fails_the_residual_check(monkeypatch):
     monkeypatch.setattr(spectrum, "_partner_operators", spectrum._partner_operators.__wrapped__)
     with pytest.raises(RuntimeError, match="eigenpair residual"):
         _uncached(3, ModelParams(6.0, 0.5), DEG_TOL_RELATIVE)
+
+
+@settings(max_examples=20, deadline=None)
+@given(**_couplings, M=st.integers(0, 6))
+def test_the_orbit_residual_is_the_dense_residual(alpha, jz_over_j, M):
+    # the dense H V - V E stays the oracle; both are rounding-sized, and agree
+    # to within a thousandth of RESIDUAL_TOL
+    params = ModelParams(alpha, jz_over_j)
+    res = _uncached(M, params, DEG_TOL_RELATIVE)
+    h = build_sector_hamiltonian(M, params).matrix
+    dense = np.abs(h @ res.eigenvectors - res.eigenvectors * res.eigenvalues).max()
+    scale = max(res.eigenvalues[-1] - res.eigenvalues[0], 1.0)
+    assert 0.0 <= res.residual_margin <= 1.0
+    assert abs(res.residual_margin * RESIDUAL_TOL * scale - dense) <= 1e-13 * scale
+
+
+def test_a_swapped_pair_of_stored_columns_fails_the_residual_check(monkeypatch):
+    # the residual reads the stored columns, not the block eigenvectors they came from
+    check = spectrum._orbit_residual
+
+    def swapped(M, params, vectors, values, blocks):
+        a, b = blocks[0][1][:2]  # two columns of the first block
+        vectors = vectors.copy()
+        vectors[:, [a, b]] = vectors[:, [b, a]]
+        return check(M, params, vectors, values, blocks)
+
+    monkeypatch.setattr(spectrum, "_orbit_residual", swapped)
+    with pytest.raises(RuntimeError, match="eigenpair residual"):
+        _uncached(3, ModelParams(6.0, 0.5), DEG_TOL_RELATIVE)
+
+
+@pytest.mark.parametrize("params", [HEISENBERG, XXZ_FERRO], ids=["heisenberg", "xxz"])
+def test_mirrored_sectors_carry_the_residual_margin(params):
+    for M in range(1, 7):
+        up = diagonalize_sector(M, params)
+        assert 0.0 <= up.residual_margin <= 1.0
+        assert diagonalize_sector(-M, params).residual_margin == up.residual_margin
 
 
 def test_a_perturbed_casimir_block_fails_the_spin_check(monkeypatch):

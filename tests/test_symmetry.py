@@ -25,6 +25,7 @@ from hexstar.symmetry import (
     irrep_counts,
     irrep_weights,
     multiplet_counts,
+    orbit_layout,
     sector_character,
 )
 from reference import act_permutation, dense_rows, label_eigenvector
@@ -225,6 +226,26 @@ def test_odd_partner_rows_complete_the_sector(group, M):
         if b.dim == 2:  # the partners are the two eigenspaces of U_h
             moved = act_permutation(h, StateVector(amps=bt, sector=M)).amps
             assert np.abs(moved - b.partner * bt).max() < 1e-12
+
+
+@pytest.mark.parametrize("M", range(7))
+def test_the_orbit_layout_scatters_back_to_every_block(group, M):
+    blocks = irrep_blocks(M)
+    basis = sector_basis(M)
+    stacked = np.zeros((basis.dim, basis.dim))
+    for g in orbit_layout(M):
+        k = g.members.shape[1]
+        assert g.rows.shape == g.members.shape and g.coef.shape == (len(g.rows), k, k)
+        # each orbit is one configuration orbit of the group, members ascending
+        for m in g.members:
+            images = {int(basis.index_of[_config_map(e.perm)[basis.configs[m[0]]]]) for e in group}
+            assert sorted(images) == m.tolist()
+        stacked[g.rows[:, :, None], g.members[:, None, :]] = g.coef
+    for part in ("rows", "members"):
+        placed = np.concatenate([getattr(g, part).ravel() for g in orbit_layout(M)])
+        assert np.array_equal(np.sort(placed), np.arange(basis.dim))
+    # the rows of irrep_blocks(M) in order, entry for entry
+    assert np.array_equal(stacked, np.vstack([dense_rows(b) for b in blocks]))
 
 
 @settings(max_examples=12, deadline=None)
