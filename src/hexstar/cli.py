@@ -384,7 +384,8 @@ def cmd_schmidt(args: argparse.Namespace) -> _Output:
          "max_rank": report.max_rank, "stabilizer_order": report.stabilizer_order,
          "cut_orbits": report.cut_orbits,
          "stabilizer_kept_margin": report.stabilizer_kept_margin,
-         "stabilizer_rejected_margin": report.stabilizer_rejected_margin},
+         "stabilizer_rejected_margin": report.stabilizer_rejected_margin,
+         "product_margin": report.product_margin},
     )
 
 

@@ -30,10 +30,26 @@ own orbit.  A kept permutation moves a singular value by at most the
 Frobenius norm of its deviation, 64 STABILIZER_TOL max|psi|, so only a
 singular value that close to the SVD_TOL threshold could count
 differently on the two cuts.
+
+A product state needs no cut SVD.  Truncating each of the twelve
+one-site unfoldings (2 x 2^11, singular values s1(k) >= s2(k)) to its
+leading singular vector gives a product state within sqrt(sum_k s2(k)^2)
+of psi (truncated HOSVD: De Lathauwer, De Moor & Vandewalle, SIAM J.
+Matrix Anal. Appl. 21, 1253 (2000), Property 10).  Its cut matrices have
+rank one, so by Weyl's inequality (Horn & Johnson, Matrix Analysis,
+section 7.3) every cut of psi has s2 <= eps and s1 >= |psi| - 2 eps, eps
+being that distance plus PRODUCT_ROUNDING |psi| for LAPACK's rounding of
+the unfoldings.  If 2 eps < tol (|psi| - 2 eps), every exact s2 is below
+tol s1 / 2, which leaves the other half (over 64 eps_mach |psi|) for
+the scan's own rounding: the scan would read rank one on every cut, and
+is skipped.  The strict inequality leaves the all-zero state to the
+scan (rank 0); the allowance keeps the shortcut off tolerances below
+about 3e-14, where the scan counts rounding noise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -48,6 +64,9 @@ SVD_TOL = 1e-10  # relative threshold on singular values
 
 # Cut matrices per stacked SVD call; bounds the stack at 32 x 4096 amplitudes.
 SVD_CHUNK = 32
+
+# Rounding allowance of the unfolding SVDs, relative to |psi|.
+PRODUCT_ROUNDING = 64 * np.finfo(float).eps
 
 
 @lru_cache(maxsize=None)
@@ -85,25 +104,17 @@ def _ranks(sv: np.ndarray, tol: float) -> np.ndarray:
     return np.count_nonzero(sv > tol * sv[..., :1], axis=-1)
 
 
-@dataclass(frozen=True)
-class EntanglementReport:
-    entangled: bool       # rank >= 2 across every cut
-    min_rank: int
-    max_rank: int
-    ranks: dict[int, int]  # mask -> Schmidt rank, site 11 always in part A
-    stabilizer_order: int  # site permutations that fix the state up to a phase
-    cut_orbits: int        # cuts whose singular values were taken
-    stabilizer_kept_margin: float             # see symmetry.Stabilizer
-    stabilizer_rejected_margin: float | None
+def _product_distance(tensor: np.ndarray) -> tuple[float, float]:
+    """|psi| and a bound on s2 of every cut: the truncated-HOSVD distance plus rounding."""
+    unfoldings = np.stack([np.moveaxis(tensor, k, 0).reshape(2, -1) for k in range(N_SITES)])
+    sv = np.linalg.svd(unfoldings, compute_uv=False).tolist()
+    norm = math.hypot(*sv[0])
+    return norm, math.hypot(*(s2 for _, s2 in sv)) + PRODUCT_ROUNDING * norm
 
 
-def is_entangled(state: StateVector, tol: float = SVD_TOL) -> EntanglementReport:
-    """Scan the 2^11 - 1 distinct bipartitions (complement cuts coincide), one SVD per orbit."""
-    if state.sector is not None:
-        raise ValueError("is_entangled expects a full-space state")
-    stab = stabilizer(state)
-    rep_of, representatives = _cut_orbits(stab.perms)
-    tensor = state.amps.reshape((2,) * N_SITES)
+def _orbit_scan(tensor: np.ndarray, perms: tuple[tuple[int, ...], ...], tol: float) -> dict[int, int]:
+    """Schmidt rank of every cut, from one SVD per orbit representative."""
+    rep_of, representatives = _cut_orbits(perms)
     found: dict[int, int] = {}
     for _, group in groupby(representatives, key=int.bit_count):
         group = list(group)
@@ -112,7 +123,46 @@ def is_entangled(state: StateVector, tol: float = SVD_TOL) -> EntanglementReport
             stack = np.stack([_cut_matrix(tensor, mask) for mask in chunk])
             sv = np.linalg.svd(stack, compute_uv=False)
             found.update(zip(chunk, _ranks(sv, tol).tolist()))
-    ranks = {mask: found[rep] for mask, rep in enumerate(rep_of, start=1)}
+    return {mask: found[rep] for mask, rep in enumerate(rep_of, start=1)}
+
+
+@dataclass(frozen=True)
+class EntanglementReport:
+    entangled: bool       # rank >= 2 across every cut
+    min_rank: int
+    max_rank: int
+    ranks: dict[int, int]  # mask -> Schmidt rank, site 11 always in part A
+    stabilizer_order: int  # site permutations that fix the state up to a phase
+    cut_orbits: int        # orbits of cuts, whether or not their SVDs were needed
+    stabilizer_kept_margin: float             # see symmetry.Stabilizer
+    stabilizer_rejected_margin: float | None
+    # 2 eps / (tol (|psi| - 2 eps)): below 1 exactly when the product bound
+    # settled every cut; None when |psi| <= 2 eps
+    product_margin: float | None
+
+
+def is_entangled(state: StateVector, tol: float = SVD_TOL) -> EntanglementReport:
+    """Scan the 2^11 - 1 distinct bipartitions (complement cuts coincide), one SVD per orbit.
+
+    A state the product bound certifies takes no cut SVD.  tol must lie in
+    [0, 1) and every amplitude must be finite.
+    """
+    if state.sector is not None:
+        raise ValueError("is_entangled expects a full-space state")
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tol must lie in [0, 1), not {tol}")
+    amps = state.amps
+    bad = np.flatnonzero(~np.isfinite(amps))
+    if bad.size:
+        raise ValueError(f"amplitude {bad[0]} is {amps[bad[0]]}, not finite")
+    stab = stabilizer(state)
+    tensor = amps.reshape((2,) * N_SITES)
+    norm, eps = _product_distance(tensor)
+    bound = tol * (norm - 2 * eps)
+    if 2 * eps < bound:
+        ranks = dict.fromkeys(range(1, 1 << (N_SITES - 1)), 1)
+    else:
+        ranks = _orbit_scan(tensor, stab.perms, tol)
     values = ranks.values()
     return EntanglementReport(
         entangled=min(values) >= 2,
@@ -120,7 +170,8 @@ def is_entangled(state: StateVector, tol: float = SVD_TOL) -> EntanglementReport
         max_rank=max(values),
         ranks=ranks,
         stabilizer_order=len(stab.perms),
-        cut_orbits=len(representatives),
+        cut_orbits=len(_cut_orbits(stab.perms)[1]),
         stabilizer_kept_margin=stab.kept_margin,
         stabilizer_rejected_margin=stab.rejected_margin,
+        product_margin=None if norm <= 2 * eps else 2 * eps / bound if bound else math.inf,
     )

@@ -82,8 +82,9 @@ def split_into_clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
     """Group ascending values into runs separated by gaps larger than tol."""
     if len(values) == 0:
         return []
-    breaks = np.nonzero(np.diff(values) > tol)[0]
-    return np.split(np.arange(len(values)), breaks + 1)
+    bounds = [0, *(np.flatnonzero(np.diff(values) > tol) + 1).tolist(), len(values)]
+    indices = np.arange(len(values))
+    return [indices[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 def diagonalize_sector(

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hexstar
-from hexstar import cli, spectrum
+from hexstar import cli, entanglement, spectrum
 from hexstar.cli import main
 from hexstar.dynamics import evolve_probabilities
 from hexstar.hamiltonian import ModelParams, total_coupling
@@ -122,10 +122,14 @@ def test_schmidt_product_state(capsys):
     assert code == 0
     _, header, rows, stats = parse_csv(out)
     assert len(rows) == (1 << 11) - 1
-    # config:63 (the outer ring down) is fixed by all 12 site permutations
+    # config:63 (the outer ring down) is fixed by all 12 site permutations;
+    # its unfoldings have s2 = 0, so the product bound is the rounding allowance
+    rounding = entanglement.PRODUCT_ROUNDING
     assert stats == {"entangled": False, "min_rank": 1, "max_rank": 1,
                      "stabilizer_order": 12, "cut_orbits": 209,
-                     "stabilizer_kept_margin": 0.0, "stabilizer_rejected_margin": None}
+                     "stabilizer_kept_margin": 0.0, "stabilizer_rejected_margin": None,
+                     "product_margin": pytest.approx(
+                         2 * rounding / (entanglement.SVD_TOL * (1 - 2 * rounding)))}
 
 
 def test_schmidt_of_the_unique_heisenberg_ground_state(capsys):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexstar.entanglement import SVD_TOL, _cut_matrix, _ranks, is_entangled
+from hexstar.entanglement import (
+    SVD_CHUNK, SVD_TOL, _cut_matrix, _orbit_scan, _product_distance, _ranks, is_entangled,
+)
 from hexstar.symmetry import STABILIZER_TOL, stabilizer
 from hexstar.hamiltonian import ModelParams
 from hexstar.hilbert import (
@@ -228,3 +230,125 @@ def test_a_near_symmetry_is_not_taken_for_an_exact_one(base, f):
 def test_a_stabilizer_needs_a_full_space_state():
     with pytest.raises(ValueError):
         stabilizer(StateVector(amps=np.ones(12) / math.sqrt(12.0), sector=5))
+
+
+def _spinor_product(spinors) -> np.ndarray:
+    """Amplitudes of the product of one spinor per site, site 0 the lowest bit."""
+    amps = np.ones(1)
+    for spinor in reversed(spinors):
+        amps = np.kron(amps, spinor)
+    return amps
+
+
+def _svd_spy(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the shape of the stack of every np.linalg.svd call."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from(("dense", "single")),
+    st.floats(-15.0, -8.0),
+    st.sampled_from(("zero", "default", "below", "above")),
+)
+def test_the_product_bound_keeps_the_full_scan_ranks(seed, complex_, kind, exponent, tol_kind):
+    # a random product (a trivial stabilizer, so the orbit scan is the
+    # per-cut scan) plus a perturbation of relative size 10^exponent
+    rng = np.random.default_rng(seed)
+    spinors = rng.normal(size=(12, 2)) + (1j * rng.normal(size=(12, 2)) if complex_ else 0.0)
+    amps = _spinor_product(spinors)
+    amps /= np.linalg.norm(amps)
+    if kind == "dense":
+        noise = rng.normal(size=amps.shape) + (1j * rng.normal(size=amps.shape) if complex_ else 0.0)
+        amps = amps + 10.0**exponent * noise / np.linalg.norm(noise)
+    else:
+        amps[int(rng.integers(1 << 12))] += 10.0**exponent
+    state = StateVector(amps=amps, sector=None)
+    # the tolerance at which the product margin reads 1
+    norm, eps = _product_distance(amps.reshape((2,) * 12))
+    threshold = 2 * eps / (norm - 2 * eps)
+    tol = {"zero": 0.0, "default": SVD_TOL,
+           "below": 0.99 * threshold, "above": 1.01 * threshold}[tol_kind]
+    report = is_entangled(state, tol)
+    assert report.ranks == full_scan_ranks(state, tol)
+    if report.product_margin is not None and report.product_margin < 1:
+        assert report.max_rank == 1
+
+
+@pytest.mark.parametrize("spec", ["xi", "zeta:1,0.3,2,1.1", "config:3930"])
+def test_a_certified_product_takes_one_svd(monkeypatch, spec):
+    state = _named_state(spec)
+    shapes = _svd_spy(monkeypatch)
+    report = is_entangled(state)
+    assert shapes == [(12, 2, 1 << 11)]
+    assert report.product_margin < 1 and report.max_rank == 1
+
+
+@pytest.mark.parametrize("spec, f", [("ground:1", None), ("config:63", 0b000001111110)])
+def test_an_uncertified_state_takes_one_svd_per_orbit(monkeypatch, spec, f):
+    state = _named_state(spec)
+    if f is not None:
+        amps = state.amps.copy()
+        amps[f] += 1e-9
+        state = StateVector(amps=amps, sector=None)
+    shapes = _svd_spy(monkeypatch)
+    report = is_entangled(state)
+    assert report.product_margin is None or report.product_margin >= 1
+    assert shapes[0] == (12, 2, 1 << 11)
+    assert all(shape[0] <= SVD_CHUNK for shape in shapes[1:])
+    assert sum(shape[0] for shape in shapes[1:]) == report.cut_orbits
+
+
+def test_the_rounding_allowance_keeps_the_bound_off_noise_level_tolerances(monkeypatch):
+    # config:63 has exactly rank-one unfoldings: its whole bound is the
+    # allowance of 64 ulps, which no tolerance below 128 ulps can clear
+    eps = float(np.finfo(float).eps)
+    state = basis_state(63)
+    for tol in (SVD_TOL, 1e-13):
+        margin = is_entangled(state, tol).product_margin
+        assert margin == pytest.approx(128 * eps / (tol * (1 - 128 * eps)))
+    shapes = _svd_spy(monkeypatch)
+    report = is_entangled(state, 100 * eps)
+    assert report.product_margin > 1 and len(shapes) > 1
+
+
+@pytest.mark.parametrize("spec", ["xi", "chi", "zeta:1,0.3,2,1.1", "zeta:0.7,0.3,2.1,0", "config:3930"])
+def test_the_product_bound_reads_the_ranks_the_orbit_scan_reads(spec):
+    # from the default tolerance down past the rounding floor (3e-14 is about
+    # where the bound starts to settle exact products), where the scan itself
+    # counts noise and the bound must stand aside
+    state = _named_state(spec)
+    for tol in (SVD_TOL, 1e-13, 3e-14, 1e-15, 1e-16):
+        scan = _orbit_scan(state.amps.reshape((2,) * 12), stabilizer(state).perms, tol)
+        assert is_entangled(state, tol).ranks == scan, tol
+
+
+def test_the_zero_state_has_rank_zero_on_every_cut():
+    report = is_entangled(StateVector(amps=np.zeros(1 << 12), sector=None))
+    assert set(report.ranks.values()) == {0}
+    assert report.product_margin is None
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1.0, np.nan)])
+def test_non_finite_amplitudes_are_refused(bad):
+    amps = build_initial_state(parse_state_spec("xi")).amps.astype(complex)
+    amps[700] = bad
+    amps[900] = np.nan
+    with pytest.raises(ValueError, match="amplitude 700 is"):
+        is_entangled(StateVector(amps=amps, sector=None))
+
+
+@pytest.mark.parametrize("tol", [-1e-10, 1.0, 2.0, np.nan])
+def test_a_tolerance_outside_zero_to_one_is_refused(tol):
+    with pytest.raises(ValueError, match="tol"):
+        is_entangled(basis_state(63), tol)
