@@ -10,11 +10,20 @@ with psi0 the sector component of the initial state.  Degenerate levels
 are handled cluster-wise throughout: what counts is the projection of
 psi0 onto each eigenvalue cluster, never individual eigenvectors of a
 degenerate block, so every reported number is basis-choice free.
+
+Every entry point starts from one mode decomposition: psi0's projection
+onto each cluster, then exp(-2 pi i E t) per kept cluster and time.  A
+one-entry memo keeps both under the content they were computed from, so
+an evolve and a return of the same state on the same grid compute them
+once.  Equiprobability classes are first-fit classes, found by walking
+the representatives: each claims its later unclaimed matches at once, so
+a row goes to the earliest representative it matches, first-fit's rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,10 +58,6 @@ class SpectralSupport:
     col_cluster: np.ndarray    # (ncols,) index into the cluster arrays
     coef: np.ndarray           # (ncols,) complex; P0 psi0 = basis @ coef
     support_tol: float
-
-    @property
-    def col_energy(self) -> np.ndarray:
-        return self.energies[self.col_cluster]
 
     @property
     def dim(self) -> int:
@@ -93,6 +98,26 @@ def _normalized_sector_state(
     return state.amps / n, n * n
 
 
+# One entry per slot, (key, value): the last cluster overlaps and the last
+# phase table, each keyed on the content it was computed from.  An entry is
+# replaced whole, so a caller reads either a matching entry or builds its own.
+_MEMO: dict[str, tuple] = {}
+
+
+def _memoized(slot: str, key: tuple, build):
+    entry = _MEMO.get(slot)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    value = build()
+    _MEMO[slot] = (key, value)
+    return value
+
+
+def _content(a: np.ndarray) -> tuple:
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
 def phase_factors(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(-2 pi i E t), one row per energy and one column per time.
 
@@ -109,24 +134,43 @@ def phase_factors(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 def _cluster_overlaps(
     state: StateVector, M: int, params: ModelParams, deg_tol_rel: float
-) -> tuple[float, SpectrumResult, list[tuple[EigenCluster, np.ndarray, np.ndarray, float]]]:
+) -> tuple[float, SpectrumResult, tuple[tuple[EigenCluster, np.ndarray, np.ndarray, float], ...]]:
     """First stage of the mode decomposition: psi's component in each cluster.
 
     Returns the sector weight, the sector spectrum and, for every cluster
     whose projection norm exceeds EVOLVE_FLOOR, the cluster with its
     eigenvector block, the block coefficients z = block^T psi and ||z||.
+    All but the weight come from the memo when the normalized sector
+    component is the last one's, bit for bit, with the same M, params and
+    deg_tol_rel; its arrays are read-only.
     """
     psi, weight = _normalized_sector_state(state, M)
-    res = diagonalize_sector(M, params, deg_tol_rel)
-    kept = []
-    for cluster in res.clusters:
-        # cluster indices are contiguous, so the block is a view, not a copy
-        block = res.eigenvectors[:, cluster.indices[0]:cluster.indices[-1] + 1]
-        z = block.T @ psi
-        norm = float(np.linalg.norm(z))
-        if norm > EVOLVE_FLOOR:
-            kept.append((cluster, block, z, norm))
+
+    def build():
+        res = diagonalize_sector(M, params, deg_tol_rel)
+        kept = []
+        for cluster in res.clusters:
+            # cluster indices are contiguous, so the block is a view, not a copy
+            block = res.eigenvectors[:, cluster.indices[0]:cluster.indices[-1] + 1]
+            z = block.T @ psi
+            norm = float(np.linalg.norm(z))
+            if norm > EVOLVE_FLOOR:
+                block.flags.writeable = z.flags.writeable = False
+                kept.append((cluster, block, z, norm))
+        return res, tuple(kept)
+
+    res, kept = _memoized("overlaps", (M, params, deg_tol_rel, *_content(psi)), build)
     return weight, res, kept
+
+
+def _phase_table(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """phase_factors(energies, times), read-only, from the memo when both match the last."""
+    def build():
+        table = phase_factors(energies, times)
+        table.flags.writeable = False
+        return table
+
+    return _memoized("phases", (*_content(energies), *_content(times)), build)
 
 
 def _sector_modes(
@@ -202,43 +246,48 @@ def equiprobability_classes(support: SpectralSupport) -> tuple[np.ndarray, ...]:
     probability trajectories for every time, so the class count N_p lower-
     bounds the number of distinct curves a measurement can follow.
 
-    Rows are assigned first-fit: each joins the earliest class whose
+    The classes are first-fit's: each row joins the earliest class whose
     representative (first member) matches it to CLASS_TOL entrywise under
-    either sign, else it starts a class.  Only representatives that pass
-    a Gram-matrix prefilter are tested.  With n columns and tol = CLASS_TOL,
+    either sign, else it starts a class.  The loop walks representatives,
+    not rows: a row that no earlier representative has claimed starts a
+    class and at once claims every later unclaimed row it matches.  A row
+    is therefore claimed by the earliest representative that matches it,
+    which is first-fit's rule, so members and their order are first-fit's,
+    and claimed rows are never visited again.  Only rows that pass a
+    Gram-matrix prefilter are tested.  With n columns and tol = CLASS_TOL,
     ||r_f -+ r_g||_inf <= tol implies ||r_f -+ r_g||_2^2 <= n tol^2, and
     ||r_f -+ r_g||_2^2 = |r_f|^2 + |r_g|^2 -+ 2 r_f.r_g.  In floating
     point the computed right side is off by at most
     2 gamma_{n+2} (|r_f|^2 + |r_g|^2), gamma_k = k eps / (1 - k eps), so
     accepting pairs with |r_f|^2 + |r_g|^2 - 2 |r_f.r_g| up to n tol^2
-    plus twice that error keeps every pair the exact test could accept.
-    The candidates are a superset, so the classes, members and order
-    included, are those of testing every representative.
+    plus twice that error keeps every pair the exact test could accept,
+    whichever side of the Gram product the pair is read from.
     """
     rows = support.basis
     d, n = rows.shape
     sq = np.einsum("ij,ij->i", rows, rows)
     rounding = 4.0 * (n + 2) * np.finfo(float).eps
-    rep_class = np.full(d, -1)  # class of each representative row, -1 elsewhere
-    members: list[list[int]] = []
+    claimed = np.zeros(d, dtype=bool)
+    members: list[np.ndarray] = []
     for start in range(0, d, GRAM_BLOCK):
-        stop = min(start + GRAM_BLOCK, d)
-        pair_sq = sq[start:stop, None] + sq[None, :]
-        gram = rows[start:stop] @ rows.T
+        # Gram rows of the block's unclaimed rows, against the rows from start on
+        block = start + np.flatnonzero(~claimed[start:start + GRAM_BLOCK])
+        pair_sq = sq[block, None] + sq[None, start:]
+        gram = rows[block] @ rows[start:].T
         near = pair_sq - 2.0 * np.abs(gram) <= n * CLASS_TOL * CLASS_TOL + rounding * pair_sq
-        for f in range(start, stop):
-            r = rows[f]
-            # rows from f on are no representatives yet, so only earlier ones qualify
-            for g in np.flatnonzero(near[f - start] & (rep_class >= 0)):
-                rep = rows[g]
-                if (np.max(np.abs(r - rep)) <= CLASS_TOL
-                        or np.max(np.abs(r + rep)) <= CLASS_TOL):
-                    members[rep_class[g]].append(f)
-                    break
-            else:
-                rep_class[f] = len(members)
-                members.append([f])
-    return tuple(np.array(m) for m in members)
+        for i, f in enumerate(block):
+            if claimed[f]:  # by a representative earlier in this block
+                continue
+            claimed[f] = True
+            # every unclaimed row from start on comes after f
+            cand = start + np.flatnonzero(near[i] & ~claimed[start:])
+            if len(cand):
+                r, other = rows[f], rows[cand]
+                cand = cand[(np.max(np.abs(other - r), axis=1) <= CLASS_TOL)
+                            | (np.max(np.abs(other + r), axis=1) <= CLASS_TOL)]
+                claimed[cand] = True
+            members.append(np.concatenate(([f], cand)))
+    return tuple(members)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +295,6 @@ class Trajectory:
     M: int
     params: ModelParams
     times: np.ndarray          # units of h/J
-    probs: np.ndarray          # (d, T) rescaled within the sector, class_probs[row_class]
     class_probs: np.ndarray    # (N_e, T) one evolved row per class of the evolved modes
     row_class: np.ndarray      # (d,) index into class_probs of each configuration
     broadcast_bound: float     # bound on what giving members their class's row changes
@@ -258,6 +306,11 @@ class Trajectory:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """(d, T) rescaled within the sector, class_probs[row_class]; built on first read."""
+        return self.class_probs[self.row_class]
 
 
 def evolve_probabilities(
@@ -290,8 +343,13 @@ def evolve_probabilities(
     rep_rows = modes.basis[reps][row_class]
     row_dev = np.minimum(np.abs(modes.basis - rep_rows).max(axis=1, initial=0.0),
                          np.abs(modes.basis + rep_rows).max(axis=1, initial=0.0))
-    phase = phase_factors(modes.col_energy, times)
-    amps = modes.basis[reps] @ (modes.coef[:, None] * phase)
+    # one exp per kept cluster, gathered per column: each entry is the same
+    # np.exp of the same phase.  coef x phase is formed in the gathered copy
+    # and freed as soon as the product has read it.
+    scaled = _phase_table(modes.energies, times)[modes.col_cluster]
+    np.multiply(modes.coef[:, None], scaled, out=scaled)
+    amps = modes.basis[reps] @ scaled
+    del scaled
     class_probs = amps.real**2 + amps.imag**2
     support = modes.restrict(support_tol)
     same_modes = support.basis.shape == modes.basis.shape
@@ -299,7 +357,6 @@ def evolve_probabilities(
         M=M,
         params=params,
         times=times,
-        probs=class_probs[row_class],
         class_probs=class_probs,
         row_class=row_class,
         broadcast_bound=2.0 * float(row_dev.max()) * float(np.abs(modes.coef).sum()),
@@ -320,13 +377,13 @@ def return_probability(
     """|<psi0|psi(t)>|^2 for the normalized sector component of the state.
 
     Needs only each cluster's energy and projection norm, the first stage
-    of the mode decomposition.
+    of the mode decomposition, and reads the phase table that an evolve of
+    the same state on the same grid has built.
     """
     kept = _cluster_overlaps(state, M, params, deg_tol_rel)[2]
     energies = np.array([c.energy for c, *_ in kept])
     overlap = np.array([norm for *_, norm in kept])
-    phase = phase_factors(energies, times)
-    amp = overlap**2 @ phase
+    amp = overlap**2 @ _phase_table(energies, times)
     return amp.real**2 + amp.imag**2
 
 
@@ -347,17 +404,19 @@ def collapse_metrics(traj: Trajectory) -> CollapseMetrics:
     within CLASS_TOL of the maximum, so outcomes tied up to rounding (all
     twelve of xi in M=5, say) resolve the same way on every platform.
     """
-    probs = traj.probs
-    initial = int(np.argmax(probs[:, 0] >= probs[:, 0].max() - CLASS_TOL))
-    p0 = float(probs[initial, 0])
+    # read per class: a configuration's row is its class's row
+    probs, row_class = traj.class_probs, traj.row_class
+    start = probs[row_class, 0]
+    initial = int(np.argmax(start >= start.max() - CLASS_TOL))
+    p0 = float(start[initial])
 
     collapse_time = None
     if p0 >= COLLAPSE_THRESHOLD:
-        below = np.nonzero(probs[initial] < COLLAPSE_THRESHOLD)[0]
+        below = np.nonzero(probs[row_class[initial]] < COLLAPSE_THRESHOLD)[0]
         if len(below):
             collapse_time = float(traj.times[below[0]])
 
-    peaks = probs.max(axis=1)
+    peaks = probs.max(axis=1)[row_class]
     if len(peaks) >= 3:
         third = float(np.sort(peaks)[::-1][2])
         dominant = tuple(int(i) for i in np.nonzero(peaks > 2.0 * third)[0])

@@ -180,10 +180,47 @@ def test_initial_outcome_takes_the_lowest_of_tied_indices(xi):
     assert collapse_metrics(traj).initial_outcome == 0
     probs = np.full((3, 2), 1.0 / 3.0)
     probs[2, 0] += 1e-15
-    tied = dataclasses.replace(traj, probs=probs, times=np.array([0.0, 1.0]))
+    tied = dataclasses.replace(traj, class_probs=probs, row_class=np.arange(3),
+                               times=np.array([0.0, 1.0]))
     metrics = collapse_metrics(tied)
     assert metrics.initial_outcome == 0
     assert metrics.initial_prob == 1.0 / 3.0
+
+
+def _row_grid_collapse_metrics(probs, times):
+    """Oracle: the collapse metrics read row by row from the full (d, T) grid."""
+    threshold = dynamics.COLLAPSE_THRESHOLD
+    initial = int(np.argmax(probs[:, 0] >= probs[:, 0].max() - CLASS_TOL))
+    p0 = float(probs[initial, 0])
+    collapse_time = None
+    if p0 >= threshold:
+        below = np.nonzero(probs[initial] < threshold)[0]
+        if len(below):
+            collapse_time = float(times[below[0]])
+    peaks = probs.max(axis=1)
+    third = float(np.sort(peaks)[::-1][2])
+    dominant = tuple(int(i) for i in np.nonzero(peaks > 2.0 * third)[0])
+    rest = [float(peaks[i]) for i in range(len(peaks)) if i not in dominant]
+    return dynamics.CollapseMetrics(initial_outcome=initial, initial_prob=p0,
+                                    collapse_time=collapse_time, threshold=threshold,
+                                    dominant=dominant, tail_max=max(rest) if rest else 0.0)
+
+
+@pytest.mark.parametrize("spec, M, params", [
+    ("xi", 5, XXZ_FERRO),             # twelve tied outcomes, one class
+    ("chi", 0, HEISENBERG),
+    ("config:3930", -2, XXZ_FERRO),   # the initial row 448 is row 447 of the class table
+    ("config:1365", 0, XXZ_FERRO),    # the initial row 286 is row 160 of the class table
+], ids=["xi-5", "chi-0", "config-m2", "config-0"])
+def test_collapse_metrics_read_per_class_equal_the_row_grid(spec, M, params, xxz_spectra,
+                                                            heisenberg_spectra):
+    state = build_initial_state(parse_state_spec(spec))
+    times = np.linspace(0.0, 1.0, 201)
+    traj = evolve_probabilities(state, M, params, times)
+    assert "probs" not in vars(traj)
+    metrics = collapse_metrics(traj)
+    assert "probs" not in vars(traj)  # the metrics never build the (d, T) grid
+    assert metrics == _row_grid_collapse_metrics(traj.probs, times)
 
 
 def test_trajectories_mirror_under_global_flip(xi):
@@ -292,10 +329,34 @@ def test_classes_match_first_fit_at_the_tolerance_edge(seed):
     signs = rng.choice([-1.0, 1.0], size=(80, 1))
     shifts = CLASS_TOL * rng.choice([0.0, 0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0], size=(80, 1))
     rows = signs * base[picks] + shifts * rng.choice([-1.0, 1.0], size=(80, n))
-    support = SpectralSupport(M=0, overlap=np.ones(1), energies=np.zeros(1), basis=rows,
-                              col_cluster=np.zeros(n, dtype=int),
-                              coef=np.zeros(n, dtype=complex), support_tol=0.0)
-    assert [c.tolist() for c in equiprobability_classes(support)] == _first_fit_classes(rows)
+    assert [c.tolist() for c in equiprobability_classes(_row_support(rows))] == \
+        _first_fit_classes(rows)
+
+
+def _row_support(rows):
+    """A support whose basis is the given rows; only the classes read it."""
+    n = rows.shape[1]
+    return SpectralSupport(M=0, overlap=np.ones(1), energies=np.zeros(1), basis=rows,
+                           col_cluster=np.zeros(n, dtype=int),
+                           coef=np.zeros(n, dtype=complex), support_tol=0.0)
+
+
+@pytest.mark.parametrize("gram_block", [1, 2, 128])
+@pytest.mark.parametrize("entries, expected", [
+    # the third row matches both earlier rows, which do not match each other
+    ((0.0, 1.5, 0.8), [[0, 2], [1]]),
+    # the last row matches only the later representative, once under each sign
+    ((0.0, 1.5, 0.8, 2.3), [[0, 2], [1, 3]]),
+    ((0.0, 1.5, 0.8, -2.3, 3.0), [[0, 2], [1, 3], [4]]),
+    # a row claimed from an earlier Gram block is not visited again
+    ((0.0, 3.0, 1.5, 0.8, 2.3, -0.5), [[0, 3, 5], [1, 4], [2]]),
+], ids=["shared-match", "later-rep", "later-rep-minus", "claimed-across-blocks"])
+def test_a_row_joins_the_earliest_representative_it_matches(monkeypatch, gram_block, entries,
+                                                             expected):
+    monkeypatch.setattr(dynamics, "GRAM_BLOCK", gram_block)
+    rows = CLASS_TOL * np.array(entries)[:, None]
+    classes = equiprobability_classes(_row_support(rows))
+    assert [c.tolist() for c in classes] == expected == _first_fit_classes(rows)
 
 
 def test_non_finite_times_are_rejected(chi):
@@ -342,14 +403,14 @@ def test_evolution_properties_at_random_couplings(
     reference = plain_evolution(state, params, times, sectors=(M,))[M]
     assert np.abs(reference - traj.probs).max() < 1e-12
 
-    for field in ("overlap", "energies", "basis", "col_energy", "coef"):
+    for field in ("overlap", "energies", "basis", "col_cluster", "coef"):
         assert np.array_equal(getattr(support, field), getattr(traj.support, field)), field
 
 
 def _per_row_probabilities(state, M, params, times):
     """Oracle: every configuration's own row of the evolved modes, basis @ (coef * phase)."""
     modes = spectral_support(state, M, params, support_tol=EVOLVE_FLOOR)
-    phase = np.exp(-2j * np.pi * np.outer(modes.col_energy, times))
+    phase = np.exp(-2j * np.pi * np.outer(modes.energies[modes.col_cluster], times))
     amps = modes.basis @ (modes.coef[:, None] * phase)
     return amps.real**2 + amps.imag**2
 
@@ -432,3 +493,96 @@ def test_phase_factors_are_the_plain_exponential_inside_the_float_range(xi):
     assert np.array_equal(dynamics.phase_factors(energies, times), expected)
     traj = evolve_probabilities(xi, 5, HEISENBERG, np.array([0.0, 1e306]))
     assert np.isfinite(traj.probs).all()
+
+
+def _fresh(fn, *args, **kwargs):
+    """fn with the dynamics memo emptied first: the oracle for every memo test."""
+    dynamics._MEMO.clear()
+    return fn(*args, **kwargs)
+
+
+def _assert_same_trajectory(got, expected):
+    for field in ("class_probs", "row_class", "probs", "times"):
+        assert np.array_equal(getattr(got, field), getattr(expected, field)), field
+    assert got.broadcast_bound == expected.broadcast_bound
+    assert got.sector_weight == expected.sector_weight
+    assert [c.tolist() for c in got.classes] == [c.tolist() for c in expected.classes]
+
+
+@pytest.mark.parametrize("evolve_first", [True, False], ids=["evolve-return", "return-evolve"])
+def test_an_evolve_and_a_return_share_one_decomposition(evolve_first, heisenberg_spectra):
+    state = build_initial_state(parse_state_spec("zeta:1,0.3,2,1.1"))
+    times = np.linspace(0.0, 1.0, 201)
+    args = (state, 0, HEISENBERG, times)
+    traj_alone = _fresh(evolve_probabilities, *args)
+    ret_alone = _fresh(return_probability, *args)
+    dynamics._MEMO.clear()
+    with mock.patch.object(dynamics, "phase_factors", wraps=dynamics.phase_factors) as phases, \
+            mock.patch.object(dynamics, "diagonalize_sector",
+                              wraps=dynamics.diagonalize_sector) as spectra:
+        if evolve_first:
+            traj = evolve_probabilities(*args)
+            ret = return_probability(*args)
+        else:
+            ret = return_probability(*args)
+            traj = evolve_probabilities(*args)
+    assert phases.call_count == spectra.call_count == 1
+    _assert_same_trajectory(traj, traj_alone)
+    assert np.array_equal(ret, ret_alone)
+
+
+def test_the_memo_reads_the_amplitudes_not_the_state_object(chi):
+    state = StateVector(amps=chi.amps.copy(), sector=None)
+    times = np.linspace(0.0, 1.0, 51)
+    before = _fresh(evolve_probabilities, state, 3, HEISENBERG, times)
+    state.amps[:] = np.roll(state.amps, 1)
+    traj = evolve_probabilities(state, 3, HEISENBERG, times)
+    ret = return_probability(state, 3, HEISENBERG, times)
+    assert not np.array_equal(traj.probs, before.probs)
+    _assert_same_trajectory(traj, _fresh(evolve_probabilities, state, 3, HEISENBERG, times))
+    assert np.array_equal(ret, _fresh(return_probability, state, 3, HEISENBERG, times))
+
+
+@pytest.mark.parametrize("change", ["t_max", "params", "deg_tol_rel", "sector_sign"])
+def test_the_memo_misses_when_any_input_changes(change, xxz_spectra):
+    # row for row the same amplitudes in M = 3 and M = -3: the two sector
+    # components are the same array bit for bit, and only M tells them apart
+    v = np.random.default_rng(7).normal(size=sector_basis(3).dim)
+    amps = np.zeros(4096)
+    amps[sector_basis(3).configs] = amps[sector_basis(-3).configs] = v
+    state = StateVector(amps=amps, sector=None)
+    base = dict(M=3, params=XXZ_FERRO, times=np.linspace(0.0, 1.0, 51),
+                deg_tol_rel=dynamics.DEG_TOL_RELATIVE)
+    other = dict(base, **{
+        "t_max": {"times": np.linspace(0.0, 2.0, 51)},
+        "params": {"params": ModelParams(alpha=6.0, jz_over_j=-2.0)},
+        "deg_tol_rel": {"deg_tol_rel": 1e-2},
+        "sector_sign": {"M": -3},
+    }[change])
+
+    def run(kw):
+        args = (state, kw["M"], kw["params"], kw["times"])
+        return (evolve_probabilities(*args, deg_tol_rel=kw["deg_tol_rel"]),
+                return_probability(*args, deg_tol_rel=kw["deg_tol_rel"]))
+
+    dynamics._MEMO.clear()
+    first = run(base)
+    traj, ret = run(other)
+    dynamics._MEMO.clear()
+    traj_alone, ret_alone = run(other)
+    assert not (np.array_equal(traj.probs, first[0].probs) and np.array_equal(ret, first[1]))
+    _assert_same_trajectory(traj, traj_alone)
+    assert np.array_equal(ret, ret_alone)
+
+
+def test_the_memo_arrays_are_read_only(chi):
+    times = np.linspace(0.0, 1.0, 11)
+    evolve_probabilities(chi, 2, HEISENBERG, times)
+    phase = dynamics._MEMO["phases"][1]
+    with pytest.raises(ValueError, match="read-only"):
+        phase[0, 0] = 0.0
+    kept = dynamics._cluster_overlaps(chi, 2, HEISENBERG, dynamics.DEG_TOL_RELATIVE)[2]
+    _, block, z, _ = kept[0]
+    for array in (block, z):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
