@@ -1,6 +1,7 @@
 """Record one BENCH_<n>.json: perfbench on fixed seeds, the README command lines, the test gate.
 
     python3 scripts/bench_record.py --out BENCH_1.json --seeds 1 2
+    python3 scripts/bench_record.py --base HEAD~1 --out pairs.json --pairs 10 --seed-start 901
 
 Run from the root of a checkout, on Linux.  For each seed it runs
 ``perfbench/run.py --workload all`` (every workload untraced and traced)
@@ -14,6 +15,17 @@ RUSAGE_CHILDREN holds the largest peak of all children so far.  It then
 counts the lines of ``src/`` and runs the Tier-1 suite once, recording its
 test count and wall time.  A claimed speedup is the difference between two
 such files made on the same machine.
+
+With ``--base REV`` it compares instead: REV is checked out with ``git
+worktree`` into a temporary directory (removed afterwards), and parent (REV)
+and child (this checkout) run ``perfbench/run.py --trace 0`` alternately,
+one seed per pair, the parent first on odd pairs.  For every workload and
+end-to-end metric it keeps both sides' values, their medians, the ratio of
+the medians (child / parent), the pairs the child wins and the parent's
+interquartile range.  Each README line runs LINE_REPEATS times in both
+trees the same alternating way; it keeps each side's best wall time,
+smallest peak RSS and whether stdout and stderr are byte-identical.  The
+BLAS thread variables are recorded as found; nothing is set.
 """
 
 import argparse
@@ -22,13 +34,23 @@ import json
 import os
 import platform
 import re
+import shutil
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path.cwd()
 WORKLOADS = ("classify", "scan", "quench", "cli")
+# end-to-end metrics of BENCHMARK.json, each with True when higher is better
+E2E = {"setup_s": False, "ops_per_s": True, "op_p50_s": False, "cpu_s_per_op": False,
+       "peak_rss_mb": False}
+SECONDS = 5.0     # timed phase of each paired perfbench run, as BENCHMARK.json runs it
+LINE_REPEATS = 4  # runs of each README line per side in a paired comparison
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def perfbench(seed: int) -> dict:
@@ -41,9 +63,9 @@ def perfbench(seed: int) -> dict:
     return summary
 
 
-def _env() -> dict:
+def _env(root: Path = ROOT) -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+        filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))}
 
 
 def readme_lines() -> list[str]:
@@ -53,24 +75,98 @@ def readme_lines() -> list[str]:
     return [line.split(None, 1)[1] for line in block.splitlines() if line.startswith("hexstar ")]
 
 
+def run_line(line: str, root: Path = ROOT) -> tuple[float, float, str]:
+    """Wall time, peak RSS (MB) and a digest of stdout and stderr of one README line in root."""
+    start = time.perf_counter()
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-m", "hexstar", *line.split()],
+                                cwd=root, env=_env(root), stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+        if proc.returncode:
+            raise SystemExit(f"hexstar {line} exited with {proc.returncode} in {root}")
+        out.seek(0)
+        err.seek(0)
+        digest = hashlib.sha256(out.read() + b"\0" + err.read()).hexdigest()
+    return wall, usage.ru_maxrss / 1024, digest  # ru_maxrss is in KiB on Linux
+
+
 def cli_lines(repeats: int = 3) -> dict:
     """Best wall time and smallest peak RSS of each README line over `repeats` runs."""
     out = {}
     for line in readme_lines():
-        walls, peaks = [], []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            proc = subprocess.Popen([sys.executable, "-m", "hexstar", *line.split()],
-                                    cwd=ROOT, env=_env(), stdout=subprocess.DEVNULL)
-            _, status, usage = os.wait4(proc.pid, 0)
-            walls.append(time.perf_counter() - start)
-            proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
-            if proc.returncode:
-                raise SystemExit(f"hexstar {line} exited with {proc.returncode}")
-            peaks.append(usage.ru_maxrss / 1024)  # ru_maxrss is in KiB on Linux
-        out[f"hexstar {line}"] = {"wall_s": round(min(walls), 3),
-                                  "peak_rss_mb": round(min(peaks), 1)}
+        runs = [run_line(line) for _ in range(repeats)]
+        out[f"hexstar {line}"] = {"wall_s": round(min(wall for wall, _, _ in runs), 3),
+                                  "peak_rss_mb": round(min(peak for _, peak, _ in runs), 1)}
     return out
+
+
+def _perfbench_run(root: Path, workload: str, seed: int) -> dict:
+    """The end-to-end metric values and fail count of one untraced perfbench run in root."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(SECONDS), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"failed": result["failed"], "attempted": result["attempted"],
+            **{name: m["value"] for name, m in result["metrics"].items() if name in E2E}}
+
+
+def _summary(parent: list[float], child: list[float], higher_is_better: bool) -> dict:
+    """Both sides, their medians, the median ratio, the child's wins and the parent's IQR."""
+    q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (parent[0],) * 3
+    wins = sum((c > p) if higher_is_better else (c < p) for p, c in zip(parent, child))
+    p50, c50 = statistics.median(parent), statistics.median(child)
+    return {"parent": parent, "child": child, "parent_median": p50, "child_median": c50,
+            "median_ratio": c50 / p50 if p50 else None, "child_wins": wins,
+            "pairs": len(parent), "parent_iqr": q3 - q1}
+
+
+def paired(base: str, pairs: int, seed_start: int) -> dict:
+    """Parent (base) and child (this checkout) run alternately, the parent first on odd pairs."""
+    rev = subprocess.run(["git", "rev-parse", "--verify", base + "^{commit}"], cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout.strip()
+    scratch = Path(tempfile.mkdtemp(prefix="bench-base-"))
+    tree = scratch / "base"
+    subprocess.run(["git", "worktree", "add", "--detach", str(tree), rev], cwd=ROOT,
+                   capture_output=True, check=True)
+    order = (("parent", tree), ("child", ROOT))
+    try:
+        runs = {w: {"parent": [], "child": []} for w in WORKLOADS}
+        for pair in range(1, pairs + 1):
+            seed = seed_start + pair - 1
+            for w in WORKLOADS:
+                for side, root in order if pair % 2 else order[::-1]:
+                    runs[w][side].append(_perfbench_run(root, w, seed))
+        lines = {}
+        for line in readme_lines():
+            sides = {"parent": [], "child": []}
+            for k in range(LINE_REPEATS):
+                for side, root in order if k % 2 == 0 else order[::-1]:
+                    sides[side].append(run_line(line, root))
+            lines[f"hexstar {line}"] = {
+                **{f"{side}_{what}": round(min(r[i] for r in sides[side]), 3 if i == 0 else 1)
+                   for side in sides for i, what in ((0, "wall_s"), (1, "peak_rss_mb"))},
+                "bytes_identical": len({r[2] for rs in sides.values() for r in rs}) == 1}
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT,
+                       capture_output=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+        shutil.rmtree(scratch, ignore_errors=True)
+    return {
+        "base": rev,
+        "seeds": [seed_start, seed_start + pairs - 1],
+        "seconds": SECONDS,
+        "thread_vars": {k: os.environ.get(k) for k in THREAD_VARS},
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version()},
+        "workloads": {w: {"failed": [sum(r["failed"] for r in runs[w][s]) for s in runs[w]],
+                          "attempted": [sum(r["attempted"] for r in runs[w][s]) for s in runs[w]],
+                          **{m: _summary([r[m] for r in runs[w]["parent"]],
+                                         [r[m] for r in runs[w]["child"]], better)
+                             for m, better in E2E.items()}}
+                      for w in WORKLOADS},
+        "readme_cli": lines,
+    }
 
 
 def tier1() -> dict:
@@ -89,7 +185,14 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    parser.add_argument("--base", help="compare against this revision in alternating pairs")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed-start", type=int, default=1001, help="seed of the first pair")
     args = parser.parse_args()
+    if args.base:
+        doc = paired(args.base, args.pairs, args.seed_start)
+        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        return
     sources = sorted((ROOT / "src").rglob("*.py"))
     digest = hashlib.sha256()
     for path in sources:

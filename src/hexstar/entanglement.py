@@ -39,12 +39,12 @@ Matrix Anal. Appl. 21, 1253 (2000), Property 10).  Its cut matrices have
 rank one, so by Weyl's inequality (Horn & Johnson, Matrix Analysis,
 section 7.3) every cut of psi has s2 <= eps and s1 >= |psi| - 2 eps, eps
 being that distance plus PRODUCT_ROUNDING |psi| for LAPACK's rounding of
-the unfoldings.  If 2 eps < tol (|psi| - 2 eps), every exact s2 is below
-tol s1 / 2, which leaves the other half (over 64 eps_mach |psi|) for
-the scan's own rounding: the scan would read rank one on every cut, and
-is skipped.  The strict inequality leaves the all-zero state to the
+the twelve unfoldings.  If 2 eps < tol (|psi| - 2 eps), every exact s2 is
+below tol s1 / 2, which leaves the other half (over 220 eps_mach |psi|)
+for the scan's own rounding: the scan would read rank one on every cut,
+and is skipped.  The strict inequality leaves the all-zero state to the
 scan (rank 0); the allowance keeps the shortcut off tolerances below
-about 3e-14, where the scan counts rounding noise.
+about 1e-13, where the scan counts rounding noise.
 """
 
 from __future__ import annotations
@@ -65,8 +65,9 @@ SVD_TOL = 1e-10  # relative threshold on singular values
 # Cut matrices per stacked SVD call; bounds the stack at 32 x 4096 amplitudes.
 SVD_CHUNK = 32
 
-# Rounding allowance of the unfolding SVDs, relative to |psi|.
-PRODUCT_ROUNDING = 64 * np.finfo(float).eps
+# Rounding allowance of the twelve unfolding SVDs, relative to |psi|: 64 eps_mach
+# per unfolding, and sqrt(N_SITES) of that for the root sum of their squares.
+PRODUCT_ROUNDING = math.sqrt(N_SITES) * 64 * np.finfo(float).eps
 
 
 @lru_cache(maxsize=None)

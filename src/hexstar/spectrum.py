@@ -1,27 +1,25 @@
 """Sector diagonalization and spectral bookkeeping on irrep-block operators.
 
-Labelled spectra and ground-state scans both solve the irrep blocks of
-X + (Jz/J) diag(zz).  Both parts are sums over the six distance classes,
-w_c B X_c B^T and w_c B diag(zz_c) B^T, whose class parts are projected once
-per sector and C2'(0) partner; any alpha is then a six-term sum, and the
-scans read the even partners only.  A ground-state scan remembers where it
-last solved each block and skips the blocks whose Weyl bounds prove that
-they cannot hold a level its verdict reads; its ferro/antiferro crossover
-is the smallest lowest eigenvalue of one alpha-only matrix per block, in
-closed form.  Spin labels read B S^2 B^T from
-the same class parts at unit weights.  A labelled solve checks every stored
-eigenpair against the dense sector H without forming H V: B is block-diagonal
-over the configuration orbits, so B H is one k x k product per orbit, and
-each block's residual is U_r^T (B H)[rows of r] - E V_r^T.  Downstream code reads
-the SpectrumResult: eigenvalues in units of J, eigenvectors as columns over
-the sector basis, eigenvalue clusters at a relative tolerance of the spread,
-and the residual over its bound.
+Labelled spectra and ground-state scans both solve the C2'(0)-even irrep
+blocks of X + (Jz/J) diag(zz); the odd block of E1u or E2g is its even
+block's partner and shares its operator and eigenpairs.  Both parts are
+sums over the six distance classes, w_c B X_c B^T and w_c B diag(zz_c) B^T,
+whose class parts are projected once per sector; any alpha is then a
+six-term sum.  A ground-state scan remembers where it last solved each
+block and skips the blocks whose Weyl bounds prove that they cannot hold a
+level its verdict reads; its ferro/antiferro crossover is the smallest
+lowest eigenvalue of one alpha-only matrix per block, in closed form.  Spin
+labels read B S^2 B^T, cached per sector.  A labelled solve checks every
+eigenpair against the dense sector H without forming H V (_orbit_residual).
+Downstream code reads the SpectrumResult: eigenvalues in units of J,
+eigenvectors as columns over the sector basis (built on first read),
+eigenvalue clusters at a relative tolerance of the spread, and the
+residual over its bound.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +34,7 @@ from .hamiltonian import (
     coupling_classes,
     total_coupling,
 )
-from .symmetry import IrrepBlock, irrep_blocks, orbit_layout
+from .symmetry import IrrepBlock, irrep_blocks, orbit_layout, partner_map
 
 SUPPORT_TOL = 1e-10   # default overlap threshold for spectral support
 RESIDUAL_TOL = 1e-10  # per-eigenpair residual bound, relative to the spread
@@ -63,19 +61,46 @@ class EigenCluster:
         return len(self.indices)
 
 
+_Solved = tuple[IrrepBlock, np.ndarray, np.ndarray]  # (block, its eigh vectors U_r, their columns)
+
+
+def _columns(b: IrrepBlock, u: np.ndarray) -> np.ndarray:
+    """V_r = B_r^T U_r: the block's eigenvectors over the sector basis."""
+    return np.einsum("st,stk->sk", b.coef, u[b.rows])
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
+    """One sector's levels and labels; its eigenvectors stay in block form until first read."""
+
     M: int
     params: ModelParams
     eigenvalues: np.ndarray   # ascending, units of J
-    eigenvectors: np.ndarray  # column k belongs to eigenvalues[k]
     clusters: tuple[EigenCluster, ...]
     deg_tol: float            # absolute clustering tolerance used
     residual_margin: float    # max|H v - E v| over its bound RESIDUAL_TOL max(spread, 1)
+    solved: tuple[_Solved, ...] = field(repr=False)  # per block of irrep_blocks(M); () once read
+    mirror_of: SpectrumResult | None = field(default=None, repr=False)  # sector -M, for M < 0
+    # taken with the levels and filled on first read: taken at the read, amid a
+    # caller's own temporaries, it fragmented the heap (10 MB more peak RSS)
+    storage: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Column k belongs to eigenvalues[k]: F-ordered, read-only; M < 0 flips the rows of -M."""
+        if self.mirror_of is not None:
+            vectors = spin_flip(StateVector(amps=self.mirror_of.eigenvectors, sector=-self.M)).amps
+        else:
+            vectors = self.storage
+            for b, u, cols in self.solved:
+                vectors[:, cols] = _columns(b, u)
+            object.__setattr__(self, "solved", ())  # the columns now hold the same numbers
+        vectors.flags.writeable = False
+        return vectors
 
 
 def split_into_clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -114,18 +139,22 @@ class _ClassBlock(NamedTuple):
     z: np.ndarray     # (6, n) diagonal of B diag(zz_c) B^T per class
 
 
-@lru_cache(maxsize=None)  # every (M, partner) of M = 0..6, built once per process
+@lru_cache(maxsize=None)  # every M = 0..6, built once per process
 def _class_table(M: int, partner: int) -> tuple[_ClassBlock, ...]:
     """The class parts of every irrep block of one C2'(0) partner of sector M.
 
-    The point group keeps distances, so it commutes with each X_c, and a row
-    of B lives on one configuration orbit, which keeps each zz_c: every
-    B diag(zz_c) B^T is diagonal, zz_c weighted by squared rows.  A flip-flop
-    entry (a, b) of X_c adds 2 B[i, a] B[j, b] to entry (i, j) of B X_c B^T
-    for every row i that a meets and j that b meets, so one bincount over
-    (class, i, j) projects all six classes; X_c is symmetric, so the entries
-    a < b and the transpose of their sum give the rest.
+    Only the even partner (+1) has one: an odd block carries its even
+    block's operators, so partner -1 raises ValueError.  The point group
+    keeps distances, so it commutes with each X_c, and a row of B lives on
+    one configuration orbit, which keeps each zz_c: every B diag(zz_c) B^T
+    is diagonal, zz_c weighted by squared rows.  A flip-flop entry (a, b) of
+    X_c adds 2 B[i, a] B[j, b] to entry (i, j) of B X_c B^T for every row i
+    that a meets and j that b meets, so one bincount over (class, i, j)
+    projects all six classes; X_c is symmetric, so the entries a < b and
+    the transpose of their sum give the rest.
     """
+    if partner != 1:
+        raise ValueError("only the C2'(0)-even blocks have a class table")
     classes = coupling_classes(M)
     k = classes.zz.shape[1]
     upper = classes.rows < classes.cols
@@ -161,42 +190,36 @@ def _class_sum(t: _ClassBlock, w: np.ndarray) -> np.ndarray:
     return np.bincount(t.flat, w[t.cls] * t.x, minlength=n * n).reshape(n, n)
 
 
-@lru_cache(maxsize=14)  # both partners of the sectors of one alpha
+@lru_cache(maxsize=7)  # the sectors of one alpha
 def _partner_operators(M: int, alpha: float, partner: int) -> tuple[_Entry, ...]:
     """Both parts of every irrep block of one C2'(0) partner of sector M, for any Jz/J.
 
     Six-term sums over the class table: nothing is projected at a fresh alpha.
-    The scan reads the even partners only, so the odd ones are built when a
-    labelled solve first needs them.
+    Labelled solves and scans read the even partner (+1) only: an odd
+    block's operators are its even partner's.
     """
     w = class_weights(alpha)
     return tuple((t.block, _class_sum(t, w), w @ t.z) for t in _class_table(M, partner))
 
 
-def _block_operators(M: int, alpha: float) -> tuple[_Entry, ...]:
-    """The block operators of both partners, in the order of irrep_blocks(M)."""
-    return _partner_operators(M, alpha, 1) + _partner_operators(M, alpha, -1)
+@lru_cache(maxsize=None)  # every M = 0..6, next to its class table: free of alpha and Jz/J
+def _spin_blocks(M: int) -> tuple[np.ndarray, ...]:
+    """B S^2 B^T = 3N/4 + (sum_c B [X_c + diag(zz_c)] B^T) / 2 of each even block of sector M."""
+    ones = np.ones(6)  # one weight per distance class
+    blocks = tuple(0.5 * (_class_sum(t, ones) + np.diag(ones @ t.z))
+                   + 0.75 * N_SITES * np.eye(t.z.shape[1]) for t in _class_table(M, 1))
+    for a in blocks:
+        a.flags.writeable = False
+    return blocks
 
 
-def _casimir_block(t: _ClassBlock) -> np.ndarray:
-    """B S^2 B^T = 3N/4 + (sum_c B [X_c + diag(zz_c)] B^T) / 2: the pair terms at unit weights."""
-    ones = np.ones(len(t.z))
-    return 0.5 * (_class_sum(t, ones) + np.diag(ones @ t.z)) + 0.75 * N_SITES * np.eye(t.z.shape[1])
-
-
-def _cluster_spins(M: int, firsts: np.ndarray, solved: list) -> list[int]:
-    """Total spin of the levels at merged positions firsts: S(S+1) = u^T B S^2 B^T u.
-
-    u is the level's block eigenvector, one column of its block's eigh.
-    """
-    tables = _class_table(M, 1) + _class_table(M, -1)
-    bounds = np.cumsum([0] + [len(values) for values, _ in solved])
-    block = np.searchsorted(bounds, firsts, side="right") - 1
-    s_sq = np.empty(len(firsts))
+def _cluster_spins(M: int, block: np.ndarray, offset: np.ndarray, pairs: list) -> list[int]:
+    """Spins from S(S+1) = u^T B S^2 B^T u, u = U_r[:, offset], (values, U_r) = pairs[block]."""
+    s_sq = np.empty(len(block))
     for k in np.unique(block).tolist():
         hit = block == k
-        u = solved[k][1][:, firsts[hit] - bounds[k]]
-        s_sq[hit] = np.einsum("ij,ij->j", u, _casimir_block(tables[k]) @ u)
+        u = pairs[k][1][:, offset[hit]]
+        s_sq[hit] = np.einsum("ij,ij->j", u, _spin_blocks(M)[k] @ u)
     return _spins(M, s_sq).tolist()
 
 
@@ -231,75 +254,93 @@ def _check_residual(M: int, residual: float, spread: float) -> float:
     return residual / bound
 
 
-def _orbit_residual(M: int, params: ModelParams, vectors: np.ndarray, values: np.ndarray,
-                    blocks: list[tuple[np.ndarray, np.ndarray]]) -> float:
-    """max|H v - E v| over the columns of vectors, on the dense sector H, without H V.
+def _orbit_residual(M: int, params: ModelParams, values: np.ndarray,
+                    solved: tuple[_Solved, ...]) -> float:
+    """max|H v - E v| over every column v of V_r = B_r^T U_r, on the dense sector H, without H V.
 
-    blocks holds, per irrep block in the order of irrep_blocks(M), its eigh
-    vectors U_r and the columns that hold B_r^T U_r.  H is symmetric, so
-    (H V_r)^T = U_r^T (B H)[rows of r], and B H is one k x k product per
-    configuration orbit (symmetry.orbit_layout).  V_r and E are read from
-    the stored columns, so a misplaced column still fails.
+    solved is per block of irrep_blocks(M), and E is read at each block's
+    columns, so a level at the wrong column still fails.  H is symmetric, so
+    H V_r = (B H)[rows of r]^T U_r; B is block-diagonal over the
+    configuration orbits, so the even rows of B H are one k x k product per
+    orbit (symmetry.orbit_layout).  An odd row of B is (U_C6 e - c e) / s of
+    its even row e and H commutes with U_C6, so an odd block's H V_r is
+    (W moved by C6 - c W) / s, W the even block's: no product of its own.
     """
     h = build_sector_hamiltonian(M, params).matrix
+    even_rows = sum(b.copies for b, _, _ in solved if b.partner > 0)
     # C_O H[O] reads only the rows of orbit O, so the rows of B H overwrite them
     # in this call's own h, 8 orbits at a time: no d x d temporaries, which
-    # cost several times their arithmetic inside a labelled solve
+    # cost several times their arithmetic inside a labelled solve.  An orbit's
+    # rows ascend and the even blocks come first, so its even rows lead.
     at = np.empty(len(h), dtype=np.intp)  # the row of h that holds each row of B H
     for g in orbit_layout(M):
-        at[g.rows] = g.members
+        k = int(np.count_nonzero(g.rows < even_rows, axis=1).max())
+        at[g.rows[:, :k]] = g.members[:, :k]
         for o in range(0, len(g.members), 8):
             members = g.members[o:o + 8]
-            h[members] = g.coef[o:o + 8] @ h[members]
-    worst, start = [], 0
-    for u, cols in blocks:
-        r = u.T @ h[at[start:start + len(cols)]]  # (H V_r)^T
-        v = vectors[:, cols].T
-        v *= values[cols, None]
-        r -= v
+            h[members[:, :k]] = g.coef[o:o + 8, :k] @ h[members]
+    image, cos = partner_map(M)
+    worst, start, even = [], 0, {}
+    for b, u, cols in solved:
+        if b.partner > 0:
+            w = h[at[start:start + b.copies]].T @ u  # H V_r
+            start += b.copies
+            if b.dim == 2:
+                even[b.irrep] = w
+        else:
+            c, moved = cos[b.irrep], even.pop(b.irrep)
+            w = moved[image]
+            moved *= c
+            w -= moved
+            w /= np.sqrt(1.0 - c * c)
+            del moved  # before _columns allocates (peak RSS)
+        r = _columns(b, u)
+        r *= values[cols]
+        r -= w
         worst.append(np.abs(r, out=r).max())
-        start += len(cols)
     return float(np.max(worst))  # NaN if any is
 
 
 @lru_cache(maxsize=26)  # M >= 0 only: three parameter sets of 7 sectors, plus 5 entries
 def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> SpectrumResult:
-    """Eigenpairs from eigh of every block operator, both partners, one row per state.
+    """Eigenpairs from eigh of every C2'(0)-even block operator, one row per state.
 
-    Each eigenvector is a block eigenvector mapped back through its block's rows,
-    so it carries one irrep and a cluster's irrep slots count its block levels.
-    max|H v - E v| over the stored columns, on the dense sector H, comes from
-    _orbit_residual; above RESIDUAL_TOL max(spread, 1), or NaN, it raises
-    RuntimeError, and otherwise its ratio to that bound is residual_margin.
+    An odd block takes its even partner's levels and eigh vectors, so each E
+    level is solved, labelled and spin-checked once and fills two columns.
+    Each eigenvector is a block eigenvector mapped back through its block's
+    rows, so it carries one irrep and a cluster's irrep slots count its block
+    levels.  max|H v - E v| over every column comes from _orbit_residual;
+    above RESIDUAL_TOL max(spread, 1), or NaN, it raises RuntimeError, and
+    otherwise its ratio to that bound is residual_margin.
     """
-    entries = _block_operators(M, params.alpha)
-    solved = _solve_blocks(params, entries, np.linalg.eigh)
-    merged = np.concatenate([values for values, _ in solved])
+    entries = _partner_operators(M, params.alpha, 1)
+    pairs = _solve_blocks(params, entries, np.linalg.eigh)
+    blocks = irrep_blocks(M)
+    index = {b.irrep: k for k, (b, _, _) in enumerate(entries)}
+    even = [index[b.irrep] for b in blocks]  # each block's even partner
+    merged = np.concatenate([pairs[k][0] for k in even])
     order = np.argsort(merged, kind="stable")
     eigenvalues = merged[order]
     column = np.empty_like(order)  # sorted column of each merged level
     column[order] = np.arange(len(order))
-    eigenvectors = np.empty((len(order), len(order)), order="F")  # columns contiguous
-    irrep_of = np.empty(len(order), dtype=np.int64)  # index into IRREP_LABELS per column
-    blocks, start = [], 0
-    for (b, _, _), (values, u) in zip(entries, solved):
-        cols = column[start:start + len(values)]
-        eigenvectors[:, cols] = np.einsum("st,stk->sk", b.coef, u[b.rows])  # B^T u
-        irrep_of[cols] = IRREP_LABELS.index(b.irrep)
-        blocks.append((u, cols))
-        start += len(values)
+    sizes = [b.copies for b in blocks]
+    starts = np.cumsum([0] + sizes)
+    solved = tuple((b, pairs[k][1], column[i:j])
+                   for b, k, i, j in zip(blocks, even, starts, starts[1:]))
 
     spread = float(eigenvalues[-1] - eigenvalues[0])
-    margin = _check_residual(
-        M, _orbit_residual(M, params, eigenvectors, eigenvalues, blocks), spread)
+    margin = _check_residual(M, _orbit_residual(M, params, eigenvalues, solved), spread)
 
     deg_tol = deg_tol_rel * spread
     raw = split_into_clusters(eigenvalues, deg_tol)
     firsts = np.array([idx[0] for idx in raw])
     spins = [None] * len(raw)
     if params.jz_over_j == 1.0:
-        spins = _cluster_spins(M, order[firsts], solved)
+        level = order[firsts]  # merged position of each cluster's first level
+        offset = level - np.repeat(starts[:-1], sizes)[level]
+        spins = _cluster_spins(M, np.repeat(even, sizes)[level], offset, pairs)
     # eigenstates per irrep of every cluster, one reduceat over the columns
+    irrep_of = np.repeat([IRREP_LABELS.index(b.irrep) for b in blocks], sizes)[order]
     slots = np.add.reduceat(np.eye(len(IRREP_LABELS), dtype=np.int64)[irrep_of], firsts)
     clusters = []
     for idx, spin, counts in zip(raw, spins, slots.tolist()):
@@ -312,15 +353,15 @@ def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> Spec
             spin=spin,
         ))
     eigenvalues.flags.writeable = False
-    eigenvectors.flags.writeable = False
     return SpectrumResult(
         M=M,
         params=params,
         eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
         clusters=tuple(clusters),
         deg_tol=deg_tol,
         residual_margin=margin,
+        solved=solved,
+        storage=np.empty((len(order), len(order)), order="F"),
     )
 
 
@@ -329,10 +370,8 @@ diagonalize_sector.cache_clear = _diagonalize_sector.cache_clear
 
 
 def _mirror_result(res: SpectrumResult) -> SpectrumResult:
-    """Spectrum of sector -M from sector M via the exact global spin flip."""
-    vectors = spin_flip(StateVector(amps=res.eigenvectors, sector=res.M)).amps
-    vectors.flags.writeable = False
-    return replace(res, M=-res.M, eigenvectors=vectors)
+    """Sector -M by the exact global spin flip: M's levels and labels, rows flipped on read."""
+    return replace(res, M=-res.M, solved=(), mirror_of=res, storage=None)
 
 
 def full_spectrum(
@@ -366,8 +405,9 @@ def degeneracy_histogram(
     (at most a few ulps per level of the larger group), so only neighbours
     whose edge gap falls below 10 deg_tol plus that slack need their means.
     """
-    merged = np.sort(np.concatenate([
-        diagonalize_sector(abs(M), params, deg_tol_rel).eigenvalues for M in range(-6, 7)]))
+    # M = 0 is solved first, so the smaller sectors' temporaries reuse its heap (peak RSS)
+    levels = [diagonalize_sector(M, params, deg_tol_rel).eigenvalues for M in range(7)]
+    merged = np.sort(np.concatenate(levels[:0:-1] + levels))
     deg_tol = deg_tol_rel * float(merged[-1] - merged[0])
     breaks = np.flatnonzero(np.diff(merged) > deg_tol) + 1
     bounds = np.concatenate(([0], breaks, [len(merged)]))
@@ -628,7 +668,7 @@ def heisenberg_overlap_scan(
     for jz in jz_values:
         v, k, u = _ground_vector(ModelParams(alpha=alpha, jz_over_j=float(jz)), DEG_TOL_RELATIVE)
         if k not in casimir:
-            s_sq, q = np.linalg.eigh(_casimir_block(_class_table(0, 1)[k]))
+            s_sq, q = np.linalg.eigh(_spin_blocks(0)[k])
             casimir[k] = _spins(0, s_sq), q
         spins, q = casimir[k]
         weights = np.bincount(spins, (q.T @ u) ** 2)

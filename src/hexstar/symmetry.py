@@ -108,12 +108,13 @@ class IrrepBlock:
 
     Each row is one copy of the irrep.  For E1u and E2g it is one partner
     of the copy, even (``partner`` +1) or odd (-1) under the two-fold
-    rotation C2'(0); U_h and H commute, so both partner blocks of an irrep
-    have the same levels, and a level of the even block stands for ``dim``
-    states of the sector.  The rows B are kept per state: state s meets row
-    rows[s, j] with coefficient B[rows[s, j], s] = coef[s, j].  A row lives
-    on one configuration orbit, so a state meets at most t rows (t is 1, or
-    2 for E1u and E2g), and coefficient 0 pads the rest.
+    rotation C2'(0).  Row i of the odd block is the partner of row i of the
+    even one, so both carry the same operator of any H that commutes with
+    the group, and a level of the even block stands for ``dim`` states.
+    The rows B are kept per state: state s meets row rows[s, j] with
+    coefficient B[rows[s, j], s] = coef[s, j].  A row lives on one
+    configuration orbit, so a state meets at most t rows (t is 1, or 2 for
+    E1u and E2g), and coefficient 0 pads the rest.
     """
 
     irrep: str
@@ -139,11 +140,15 @@ def irrep_blocks(M: int) -> tuple[IrrepBlock, ...]:
     The 12 proper elements realise the 12 distinct site permutations, and
     every retained irrep has sigma_h trivial, so P_r = (d_r / 12) sum_g
     chi_r(g) U_g with U_g the signed action.  For the two-dimensional
-    irreps P_r (1 +- U_h) / 2, h = C2'(0) with chi(h) = 0, keeps one
+    irreps P_r (1 + U_h) / 2, h = C2'(0) with chi(h) = 0, keeps the even
     partner; it is again an orthogonal projector, because P_r is central
     and so commutes with U_h.  Every projector maps each configuration
     orbit to itself, so each orbit's restricted projector is diagonalized
-    on its own and its unit eigenvectors become rows, kept per state.
+    on its own and its unit eigenvectors become rows, kept per state.  The
+    odd rows are the partner functions of the even ones (Serre, Linear
+    Representations of Finite Groups, section 2.7): U_C6 turns a copy's
+    (even, odd) pair by m pi / 3, m = 1 for E1u and 2 for E2g, so the odd
+    row of e is o = (U_C6 e - c e) / sqrt(1 - c^2), c = chi_r(C6) / 2.
     """
     return _adapted_basis(M)[0]
 
@@ -158,15 +163,22 @@ def orbit_layout(M: int) -> tuple[OrbitGroup, ...]:
     return _adapted_basis(M)[1]
 
 
+def partner_map(M: int) -> tuple[np.ndarray, dict[str, float]]:
+    """C6^5 f per state f of sector M, so (U_C6 e)[f] = e[C6^5 f]; c per E irrep: irrep_blocks."""
+    ct = _chartable()
+    return _adapted_basis(M)[2], {r: ct.chi(r, "2C6") / 2 for r in ct.irreps if ct.dims[r] == 2}
+
+
 @lru_cache(maxsize=None)
-def _adapted_basis(M: int) -> tuple[tuple[IrrepBlock, ...], tuple[OrbitGroup, ...]]:
-    """irrep_blocks(M) and orbit_layout(M), built together from the same orbits."""
+def _adapted_basis(M: int) -> tuple[tuple[IrrepBlock, ...], tuple[OrbitGroup, ...], np.ndarray]:
+    """irrep_blocks(M), orbit_layout(M) and partner_map's image, built from the same orbits."""
     ct = _chartable()
     proper = [g for g in _group() if not g.inverted]
     by_perm = {g.perm: g for g in proper}
     h = next(g for g in proper if g.flip and g.rot == 0)
     # the element acting as U_g U_h, found by composing the site maps
     times_h = [by_perm[tuple(g.perm[i] for i in h.perm)] for g in proper]
+    c6 = next(k for k, g in enumerate(proper) if g.rot == 5 and not g.flip)  # C6^5, C6's inverse
     parity = np.array([g.parity for g in proper])
 
     basis = sector_basis(M)
@@ -183,26 +195,33 @@ def _adapted_basis(M: int) -> tuple[tuple[IrrepBlock, ...], tuple[OrbitGroup, ..
 
     expected = irrep_counts().counts
     partners = [(r, 1) for r in ct.irreps] + [(r, -1) for r in ct.irreps if ct.dims[r] == 2]
-    blocks = []
+    blocks, even = [], {}  # even: per (irrep, orbit size) the orbits and vectors of its even rows
     for r, partner in partners:
         chi = np.array([ct.chi(r, g.class_label) for g in proper])
         if ct.dims[r] == 2:
-            chi = chi + partner * np.array([ct.chi(r, g.class_label) for g in times_h])
-        weight = (chi * parity)[:, None] / 12.0  # U_g weight in the projector
+            chi = chi + np.array([ct.chi(r, g.class_label) for g in times_h])
+        weight = (chi * parity)[:, None] / 12.0  # U_g weight in the even projector
+        c = ct.chi(r, "2C6") / 2
         data, indices, lengths = [], [], []
         taken = sum(b.copies for b in blocks)  # rows of B in the blocks before this one
         for n, span in spans.items():
             members = order[span]  # (orbits, n)
-            src = members.ravel()
-            # Q[o, pos(g f), pos(f)] += weight(g) for every member f and element g
-            flat = (np.repeat(np.arange(len(span)), n) * n + pos[images[:, src]]) * n + pos[src]
-            q = np.bincount(flat.ravel(), np.broadcast_to(weight, flat.shape).ravel(),
-                            minlength=len(span) * n * n).reshape(-1, n, n)
-            evals, evecs = np.linalg.eigh(q)
-            o, k = np.nonzero(evals > 0.5)
-            placed[n].append((o, taken + np.arange(len(o)), evecs[o, :, k]))
+            if partner > 0:
+                src = members.ravel()
+                # Q[o, pos(g f), pos(f)] += weight(g) for every member f and element g
+                flat = (np.repeat(np.arange(len(span)), n) * n + pos[images[:, src]]) * n + pos[src]
+                q = np.bincount(flat.ravel(), np.broadcast_to(weight, flat.shape).ravel(),
+                                minlength=len(span) * n * n).reshape(-1, n, n)
+                evals, evecs = np.linalg.eigh(q)
+                o, k = np.nonzero(evals > 0.5)
+                o, vectors = even[r, n] = o, evecs[o, :, k]
+            else:  # the partner (U_C6 e - c e) / s of each even row e, on its orbit
+                o, e = even[r, n]
+                moved = np.take_along_axis(e, pos[images[c6, members[o]]], axis=1)
+                vectors = (moved - c * e) / np.sqrt(1.0 - c * c)
+            placed[n].append((o, taken + np.arange(len(o)), vectors))
             taken += len(o)
-            data.append(evecs[o, :, k].ravel())
+            data.append(vectors.ravel())
             indices.append(members[o].ravel())
             lengths.append(np.full(len(o), n))
         lengths = np.concatenate(lengths)
@@ -236,7 +255,9 @@ def _adapted_basis(M: int) -> tuple[tuple[IrrepBlock, ...], tuple[OrbitGroup, ..
                                  coef=coef[by].reshape(-1, n, n)))
         for a in layout[-1]:
             a.flags.writeable = False
-    return tuple(blocks), tuple(layout)
+    image = images[c6].copy()
+    image.flags.writeable = False
+    return tuple(blocks), tuple(layout), image
 
 
 def irrep_weights(vectors: np.ndarray, M: int) -> dict[str, np.ndarray]:

@@ -4,12 +4,13 @@ The group product read off the abstract (inverted, rot, flip) coordinates,
 the signed permutation action on amplitudes, the dense rows of an irrep
 block, the dense irrep labeller that rounds projection weights, the Schmidt
 scan over every cut, the exact entries summed pair by pair over a pair
-table built here from the geometry and the sector basis, and cluster
-labels counted cluster by cluster with spins from the dense Casimir.  The
-library builds none of these: its blocks carry their labels by
-construction, its scan takes one cut per orbit, and its matrices, exact
-entries and spins are all read from the six distance classes, so these
-only check it.
+table built here from the geometry and the sector basis, cluster labels
+counted cluster by cluster with spins from the dense Casimir, and the dense
+eigenvectors scattered at once after the solve.  The library builds none
+of these: its blocks carry their labels by construction, its scan takes
+one cut per orbit, its matrices, exact entries and spins are all read from
+the six distance classes, and its eigenvectors are built on first read, so
+these only check it.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import numpy as np
 
 from hexstar.entanglement import SVD_CHUNK, SVD_TOL, _cut_matrix, _ranks
 from hexstar.hamiltonian import ModelParams, heisenberg_casimir
-from hexstar.hilbert import StateVector, _config_map, sector_basis
+from hexstar.hilbert import StateVector, _config_map, sector_basis, spin_flip
 from hexstar.lattice import IRREP_LABELS, N_SITES, GroupElement, build_geometry
-from hexstar.spectrum import SpectrumResult, split_into_clusters
+from hexstar.spectrum import SpectrumResult, _partner_operators, _solve_blocks, split_into_clusters
 from hexstar.symmetry import IrrepBlock, irrep_blocks, irrep_weights
 
 PURE_TOL = 0.999  # amplitude of one irrep that labels an eigenvector as pure
@@ -178,3 +179,29 @@ def per_cluster_labels(res: SpectrumResult) -> list[tuple]:
         out.append((idx.tolist(), float(res.eigenvalues[idx[0]]), slots,
                     next(iter(slots)) if len(slots) == 1 else None, spin))
     return out
+
+
+def eager_eigenvectors(M: int, params: ModelParams) -> np.ndarray:
+    """The dense eigenvectors of sector M scattered at once, as a labelled solve once stored them.
+
+    eigh of each C2'(0)-even block operator, an odd block taking its even
+    partner's eigenpairs; every block's B^T u goes to the sorted columns of
+    its levels in one F-ordered array.  Sector -M is the spin flip of M.
+    """
+    if M < 0:
+        return spin_flip(StateVector(amps=eager_eigenvectors(-M, params), sector=-M)).amps
+    entries = _partner_operators(M, params.alpha, 1)
+    pairs = dict(zip((b.irrep for b, _, _ in entries),
+                     _solve_blocks(params, entries, np.linalg.eigh)))
+    blocks = irrep_blocks(M)
+    merged = np.concatenate([pairs[b.irrep][0] for b in blocks])
+    order = np.argsort(merged, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order))
+    vectors = np.empty((len(order), len(order)), order="F")
+    start = 0
+    for b in blocks:
+        values, u = pairs[b.irrep]
+        vectors[:, column[start:start + len(values)]] = np.einsum("st,stk->sk", b.coef, u[b.rows])
+        start += len(values)
+    return vectors

@@ -123,8 +123,9 @@ def test_schmidt_product_state(capsys):
     _, header, rows, stats = parse_csv(out)
     assert len(rows) == (1 << 11) - 1
     # config:63 (the outer ring down) is fixed by all 12 site permutations;
-    # its unfoldings have s2 = 0, so the product bound is the rounding allowance
-    rounding = entanglement.PRODUCT_ROUNDING
+    # its unfoldings have s2 = 0, so the product bound is the rounding
+    # allowance, 64 ulps for each of the twelve unfoldings in quadrature
+    rounding = math.sqrt(12) * 64 * np.finfo(float).eps
     assert stats == {"entangled": False, "min_rank": 1, "max_rank": 1,
                      "stabilizer_order": 12, "cut_orbits": 209,
                      "stabilizer_kept_margin": 0.0, "stabilizer_rejected_margin": None,

@@ -311,12 +311,14 @@ def test_an_uncertified_state_takes_one_svd_per_orbit(monkeypatch, spec, f):
 
 def test_the_rounding_allowance_keeps_the_bound_off_noise_level_tolerances(monkeypatch):
     # config:63 has exactly rank-one unfoldings: its whole bound is the
-    # allowance of 64 ulps, which no tolerance below 128 ulps can clear
+    # allowance of sqrt(12) x 64 ulps (64 per unfolding, twelve unfoldings),
+    # which no tolerance below twice that, about 443 ulps, can clear
     eps = float(np.finfo(float).eps)
+    allowance = np.sqrt(12) * 64 * eps
     state = basis_state(63)
     for tol in (SVD_TOL, 1e-13):
         margin = is_entangled(state, tol).product_margin
-        assert margin == pytest.approx(128 * eps / (tol * (1 - 128 * eps)))
+        assert margin == pytest.approx(2 * allowance / (tol * (1 - 2 * allowance)))
     shapes = _svd_spy(monkeypatch)
     report = is_entangled(state, 100 * eps)
     assert report.product_margin > 1 and len(shapes) > 1

@@ -27,7 +27,7 @@ from hexstar.hilbert import (
     sector_basis,
 )
 from hexstar.lattice import IRREP_LABELS, N_SITES, build_geometry
-from hexstar import cli, spectrum
+from hexstar import cli, spectrum, symmetry
 from hexstar.spectrum import (
     RESIDUAL_TOL,
     _diagonalize_sector,
@@ -44,6 +44,7 @@ from hexstar.symmetry import irrep_blocks, irrep_weights
 from reference import (
     act_permutation,
     dense_rows,
+    eager_eigenvectors,
     histogram_by_group_means,
     label_eigenvector,
     per_cluster_labels,
@@ -155,6 +156,44 @@ def test_negative_sector_is_the_spin_flip_of_the_positive_one(params, M):
     residual = np.abs(h @ vectors - vectors * down.eigenvalues).max()
     spread = down.eigenvalues[-1] - down.eigenvalues[0]
     assert residual <= RESIDUAL_TOL * max(spread, 1.0)
+
+
+@pytest.mark.parametrize("params", [HEISENBERG, XXZ_FERRO, ModelParams(3.7, 0.37)],
+                         ids=["heisenberg", "xxz", "alpha3.7"])
+def test_lazy_eigenvectors_are_the_eager_scatter(monkeypatch, params):
+    flips = []
+    flip = spectrum.spin_flip
+    monkeypatch.setattr(spectrum, "spin_flip",
+                        lambda state: flips.append(state.sector) or flip(state))
+    for M in range(-6, 7):
+        up = _uncached(abs(M), params, DEG_TOL_RELATIVE)
+        res = up if M >= 0 else spectrum._mirror_result(up)  # as diagonalize_sector(M) does
+        assert "eigenvectors" not in vars(up) | vars(res)  # the solve builds no column
+        vectors = res.eigenvectors
+        assert flips == ([-M] if M < 0 else [])  # sector -M flips the rows of M on first read
+        expected = eager_eigenvectors(M, params)
+        assert np.array_equal(vectors, expected)
+        assert vectors.flags.f_contiguous == expected.flags.f_contiguous
+        assert vectors.flags.c_contiguous == expected.flags.c_contiguous
+        assert not vectors.flags.writeable and res.eigenvectors is vectors
+        flips.clear()
+
+
+def test_a_labelled_solve_runs_one_eigh_per_even_block(monkeypatch):
+    # each E1u and E2g copy is solved once: 6 eigh at M = 0, not 8
+    calls = []
+    eigh = np.linalg.eigh
+    for M in range(7):
+        irrep_blocks(M)  # the adapted basis solves its own projectors, once per process
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+    for jz in (0.37, 1.0):
+        counts = []
+        for M in range(7):
+            calls.clear()
+            _uncached(M, ModelParams(4.4, jz), DEG_TOL_RELATIVE)
+            assert calls == [b.copies for b in irrep_blocks(M) if b.partner > 0]
+            counts.append(len(calls))
+        assert counts == [6, 6, 6, 6, 6, 5, 1]  # both partners: [8, 8, 8, 8, 8, 7, 1]
 
 
 def test_diagonalize_rejects_a_sector_below_minus_six():
@@ -554,14 +593,14 @@ def test_a_ground_scan_projects_no_odd_partner_block(monkeypatch):
             for b in blocks(M)))
         assert ground_state_scan(alpha, [-1.0, 0.0]).crossover is not None
     assert spectrum._class_table.cache_info().currsize == 7  # the even partners of M = 0..6
-    # a labelled solve at that range then builds each odd partner's table
-    # once and finds the even block operators the scan summed
+    # a labelled solve at that range then projects nothing: it finds the even
+    # block operators the scan summed, and an odd block shares its even partner's
     table, before = spectrum._class_table.cache_info(), spectrum._partner_operators.cache_info()
     for M in range(7):
         _uncached(M, ModelParams(alpha, 0.3), DEG_TOL_RELATIVE)
     after = spectrum._partner_operators.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (7, 7)
-    assert spectrum._class_table.cache_info().misses - table.misses == 7
+    assert (after.misses - before.misses, after.hits - before.hits) == (0, 7)
+    assert spectrum._class_table.cache_info().misses - table.misses == 0
 
 
 def test_scan_assembles_no_sector_hamiltonian(monkeypatch):
@@ -597,12 +636,20 @@ def test_ground_points_match_the_projected_hamiltonian(monkeypatch, alpha):
         assert abs(point.energy - reference.energy) <= 1e-12 * max(spread, 1.0)
 
 
+def _even_entries(M, alpha):
+    """Each block of irrep_blocks(M), both partners, with the operators of its even partner."""
+    entries = {e[0].irrep: e for e in spectrum._partner_operators(M, alpha, 1)}
+    return [(b, *entries[b.irrep][1:]) for b in irrep_blocks(M)]
+
+
 @pytest.mark.parametrize("alpha", [1.5, 6.0])
 def test_block_operators_are_the_projected_sector_hamiltonian(alpha):
-    # the reference is the per-point projection of the dense sector H, both partners
+    # the reference is the per-point projection of the dense sector H, both
+    # partners; an odd block has no operators of its own, only its even partner's
     for M in range(-6, 7):
-        entries = spectrum._block_operators(M, alpha)
-        assert [b for b, _, _ in entries] == list(irrep_blocks(M))
+        entries = _even_entries(M, alpha)
+        assert ([b for b, _, _ in spectrum._partner_operators(M, alpha, 1)]
+                == [b for b in irrep_blocks(M) if b.partner > 0])
         rows = [dense_rows(b) for b, _, _ in entries]
         for jz in (0.0, 1.0, -2.5):
             h = build_sector_hamiltonian(M, ModelParams(alpha, jz)).matrix
@@ -610,25 +657,40 @@ def test_block_operators_are_the_projected_sector_hamiltonian(alpha):
                 assert np.abs(xr + np.diag(jz * zr) - r @ (r @ h).T).max() <= 1e-13
 
 
+@settings(max_examples=12, deadline=None)
+@given(alpha=st.floats(1.0, 8.0), jz_over_j=st.floats(-3.0, 3.0), M=st.integers(0, 5))
+def test_odd_partner_blocks_carry_the_even_block_operators(alpha, jz_over_j, M):
+    # the odd rows come from the even ones by the partner map, so B H B^T on
+    # them is the even block's operator to rounding
+    h = build_sector_hamiltonian(M, ModelParams(alpha, jz_over_j)).matrix
+    scale = max(1.0, float(np.abs(h).max()))
+    odd = [(b, xr, zr) for b, xr, zr in _even_entries(M, alpha) if b.partner < 0]
+    assert {b.irrep for b, _, _ in odd} == {b.irrep for b in irrep_blocks(M) if b.dim == 2}
+    for b, xr, zr in odd:
+        r = dense_rows(b)
+        assert np.abs(xr + np.diag(jz_over_j * zr) - r @ (r @ h).T).max() <= 1e-13 * scale
+
+
 def test_a_second_anisotropy_builds_no_block_operators(monkeypatch):
-    # the class table is built once per (M, partner) in a process; after
-    # that neither a fresh alpha nor a fresh Jz/J projects anything
+    # the class table is built once per sector in a process, for the even
+    # partner only; after that neither a fresh alpha nor a fresh Jz/J projects anything
     monkeypatch.setattr(spectrum, "_diagonalize_sector", _uncached)  # keep the shared spectra
     spectrum._class_table.cache_clear()
     full_spectrum(ModelParams(4.37, 0.3))  # a fresh range
     info = spectrum._class_table.cache_info()
-    assert (info.misses, info.currsize) == (14, 14)
+    assert (info.misses, info.currsize) == (7, 7)
 
     def refuse(M):
         raise AssertionError(f"sector {M} was projected again")
 
-    monkeypatch.setattr(spectrum, "irrep_blocks", refuse)
     monkeypatch.setattr(spectrum, "coupling_classes", refuse)
+    bases = symmetry._adapted_basis.cache_info().misses  # the irrep rows are looked up only
     full_spectrum(ModelParams(4.37, -1.7))
     full_spectrum(ModelParams(4.63, 0.3))
     ground_state_point(ModelParams(4.71, 0.3))
     ground_state_point(ModelParams(4.71, -1.7))
-    assert spectrum._class_table.cache_info().misses == 14
+    assert spectrum._class_table.cache_info().misses == 7
+    assert symmetry._adapted_basis.cache_info().misses == bases
 
 
 def test_a_perturbed_block_operator_fails_the_residual_check(monkeypatch, capsys):
@@ -684,18 +746,31 @@ def test_the_orbit_residual_is_the_dense_residual(alpha, jz_over_j, M):
 
 
 def test_a_swapped_pair_of_stored_columns_fails_the_residual_check(monkeypatch):
-    # the residual reads the stored columns, not the block eigenvectors they came from
+    # the residual reads each level at the column it fills, so two eigenvectors
+    # of one block swapped against their levels fail, and so does a level
+    # given to the wrong block; the even block 0 and an odd block each
     check = spectrum._orbit_residual
 
-    def swapped(M, params, vectors, values, blocks):
-        a, b = blocks[0][1][:2]  # two columns of the first block
-        vectors = vectors.copy()
-        vectors[:, [a, b]] = vectors[:, [b, a]]
-        return check(M, params, vectors, values, blocks)
+    def swap_vectors(k):
+        def swapped(M, params, values, solved):
+            solved = list(solved)
+            b, u, cols = solved[k]
+            solved[k] = (b, u[:, [1, 0, *range(2, u.shape[1])]], cols)
+            return check(M, params, values, solved)
+        return swapped
 
-    monkeypatch.setattr(spectrum, "_orbit_residual", swapped)
-    with pytest.raises(RuntimeError, match="eigenpair residual"):
-        _uncached(3, ModelParams(6.0, 0.5), DEG_TOL_RELATIVE)
+    def swap_levels(M, params, values, solved):
+        (b0, u0, cols0), (b1, u1, cols1), *rest = solved
+        cols0, cols1 = cols0.copy(), cols1.copy()
+        cols0[0], cols1[0] = cols1[0], cols0[0]
+        return check(M, params, values, [(b0, u0, cols0), (b1, u1, cols1), *rest])
+
+    odd = next(k for k, b in enumerate(irrep_blocks(3)) if b.partner < 0)
+    for fault in (swap_vectors(0), swap_vectors(odd), swap_levels):
+        with monkeypatch.context() as m:
+            m.setattr(spectrum, "_orbit_residual", fault)
+            with pytest.raises(RuntimeError, match="eigenpair residual"):
+                _uncached(3, ModelParams(6.0, 0.5), DEG_TOL_RELATIVE)
 
 
 @pytest.mark.parametrize("params", [HEISENBERG, XXZ_FERRO], ids=["heisenberg", "xxz"])
@@ -707,9 +782,9 @@ def test_mirrored_sectors_carry_the_residual_margin(params):
 
 
 def test_a_perturbed_casimir_block_fails_the_spin_check(monkeypatch):
-    casimir = spectrum._casimir_block
-    monkeypatch.setattr(spectrum, "_casimir_block",
-                        lambda t: casimir(t) + 1e-3 * np.eye(t.z.shape[1]))
+    spin_blocks = spectrum._spin_blocks
+    monkeypatch.setattr(spectrum, "_spin_blocks", lambda M: tuple(
+        a + 1e-3 * np.eye(len(a)) for a in spin_blocks(M)))
     with pytest.raises(RuntimeError, match="non-integer total spin"):
         _uncached(4, HEISENBERG, DEG_TOL_RELATIVE)
 
@@ -727,7 +802,7 @@ def test_cluster_labels_match_the_per_cluster_loop(alpha, jz):
 
 def test_block_solves_accept_a_plain_eigenpair_tuple():
     # numpy before 2.0 returns eigh's eigenpairs as a plain (values, vectors) tuple
-    entries = spectrum._block_operators(2, 6.0)
+    entries = spectrum._partner_operators(2, 6.0, 1)
     solved = spectrum._solve_blocks(ModelParams(6.0, 0.5), entries,
                                     lambda a: tuple(np.linalg.eigh(a)))
     levels = spectrum._solve_blocks(ModelParams(6.0, 0.5), entries)
@@ -740,7 +815,7 @@ def test_a_solver_failure_at_finite_levels_keeps_its_own_error():
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        spectrum._solve_blocks(ModelParams(6.0, 0.5), spectrum._block_operators(2, 6.0), fail)
+        spectrum._solve_blocks(ModelParams(6.0, 0.5), spectrum._partner_operators(2, 6.0, 1), fail)
 
 
 @pytest.mark.parametrize("f_lo, f_hi, top_lo, top_hi, at", [
