@@ -24,13 +24,16 @@ end-to-end metric it keeps both sides' values, their medians, the ratio of
 the medians (child / parent), the pairs the child wins and the parent's
 interquartile range.  Each README line runs LINE_REPEATS times in both
 trees the same alternating way; it keeps each side's best wall time,
-smallest peak RSS and whether stdout and stderr are byte-identical.  The
+smallest peak RSS and whether stdout and stderr are byte-identical.  Where
+they are not, it also records how many output cells of the two sides' stdout
+differ and the largest absolute difference between their numeric cells.  The
 BLAS thread variables are recorded as found; nothing is set.
 """
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import re
@@ -75,8 +78,8 @@ def readme_lines() -> list[str]:
     return [line.split(None, 1)[1] for line in block.splitlines() if line.startswith("hexstar ")]
 
 
-def run_line(line: str, root: Path = ROOT) -> tuple[float, float, str]:
-    """Wall time, peak RSS (MB) and a digest of stdout and stderr of one README line in root."""
+def run_line(line: str, root: Path = ROOT) -> tuple[float, float, str, bytes]:
+    """Wall time, peak RSS (MB), a digest of stdout and stderr, and stdout of one README line."""
     start = time.perf_counter()
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         proc = subprocess.Popen([sys.executable, "-m", "hexstar", *line.split()],
@@ -88,8 +91,39 @@ def run_line(line: str, root: Path = ROOT) -> tuple[float, float, str]:
             raise SystemExit(f"hexstar {line} exited with {proc.returncode} in {root}")
         out.seek(0)
         err.seek(0)
-        digest = hashlib.sha256(out.read() + b"\0" + err.read()).hexdigest()
-    return wall, usage.ru_maxrss / 1024, digest  # ru_maxrss is in KiB on Linux
+        stdout = out.read()
+        digest = hashlib.sha256(stdout + b"\0" + err.read()).hexdigest()
+    return wall, usage.ru_maxrss / 1024, digest, stdout  # ru_maxrss is in KiB on Linux
+
+
+def _cells(text: bytes) -> list[list[str]]:
+    """Each line's cells: the fields between commas, blanks, colons, quotes and brackets."""
+    return [[c for c in re.split(r'[\s,:"\[\]{}]+', line) if c]
+            for line in text.decode().splitlines()]
+
+
+def output_diff(parent: bytes, child: bytes) -> dict:
+    """Cells that differ between two outputs, and the largest absolute difference of numeric ones.
+
+    Lines and cells are paired by position; a cell with no partner counts as
+    differing.  A pair is numeric when both parse as finite floats.
+    """
+    differing, largest = 0, None
+    a, b = _cells(parent), _cells(child)
+    for row_a, row_b in zip(a, b):
+        differing += abs(len(row_a) - len(row_b))
+        for x, y in zip(row_a, row_b):
+            if x == y:
+                continue
+            differing += 1
+            try:
+                gap = abs(float(x) - float(y))
+            except ValueError:
+                continue
+            if math.isfinite(gap):
+                largest = gap if largest is None else max(largest, gap)
+    differing += sum(len(row) for row in a[len(b):] + b[len(a):])
+    return {"cells_differing": differing, "max_abs_diff": largest}
 
 
 def cli_lines(repeats: int = 3) -> dict:
@@ -97,8 +131,8 @@ def cli_lines(repeats: int = 3) -> dict:
     out = {}
     for line in readme_lines():
         runs = [run_line(line) for _ in range(repeats)]
-        out[f"hexstar {line}"] = {"wall_s": round(min(wall for wall, _, _ in runs), 3),
-                                  "peak_rss_mb": round(min(peak for _, peak, _ in runs), 1)}
+        out[f"hexstar {line}"] = {"wall_s": round(min(r[0] for r in runs), 3),
+                                  "peak_rss_mb": round(min(r[1] for r in runs), 1)}
     return out
 
 
@@ -144,10 +178,12 @@ def paired(base: str, pairs: int, seed_start: int) -> dict:
             for k in range(LINE_REPEATS):
                 for side, root in order if k % 2 == 0 else order[::-1]:
                     sides[side].append(run_line(line, root))
+            identical = len({r[2] for rs in sides.values() for r in rs}) == 1
             lines[f"hexstar {line}"] = {
                 **{f"{side}_{what}": round(min(r[i] for r in sides[side]), 3 if i == 0 else 1)
                    for side in sides for i, what in ((0, "wall_s"), (1, "peak_rss_mb"))},
-                "bytes_identical": len({r[2] for rs in sides.values() for r in rs}) == 1}
+                "bytes_identical": identical,
+                **({} if identical else output_diff(sides["parent"][0][3], sides["child"][0][3]))}
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT,
                        capture_output=True)

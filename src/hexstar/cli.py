@@ -260,8 +260,11 @@ def _cluster_irrep_text(cluster) -> str:
 def cmd_spectrum(args: argparse.Namespace) -> _Output:
     params = _params(args)
     sectors = [args.sector] if args.sector is not None else range(6, -7, -1)
-    # sector -M has the levels and labels of M; only its eigenvectors, unread here, differ
-    results = [(M, diagonalize_sector(abs(M), params, args.tol_deg)) for M in sectors]
+    # sector -M has the levels and labels of M; only its eigenvectors, unread here, differ.
+    # |M| = 0 is solved first, so the smaller sectors' temporaries reuse its heap (peak RSS)
+    solved = {m: diagonalize_sector(m, params, args.tol_deg)
+              for m in sorted({abs(M) for M in sectors})}
+    results = [(M, solved[abs(M)]) for M in sectors]
     rows = (
         [str(M), str(k), _fmt(res.eigenvalues[k]), str(ci), str(c.size),
          _cluster_irrep_text(c), "" if c.spin is None else str(c.spin)]

@@ -11,25 +11,36 @@ are handled cluster-wise throughout: what counts is the projection of
 psi0 onto each eigenvalue cluster, never individual eigenvectors of a
 degenerate block, so every reported number is basis-choice free.
 
-Every entry point starts from one mode decomposition: psi0's projection
-onto each cluster, then exp(-2 pi i E t) per kept cluster and time.  A
-one-entry memo keeps both under the content they were computed from, so
-an evolve and a return of the same state on the same grid compute them
-once.  Equiprobability classes are first-fit classes, found by walking
-the representatives: each claims its later unclaimed matches at once, so
-a row goes to the earliest representative it matches, first-fit's rule.
+Every entry point starts from one mode decomposition, read from the
+sector spectrum's block form and never from dense eigenvector columns:
+z = U_b^T (B_b psi0) per irrep block b, scattered to the block's sorted
+columns, and psi0's projection onto each cluster, sum_b B_b^T U_b z over
+the cluster's columns of each block.  The mode sums are real: with
+theta = -2 pi E t and a_k the amplitude that cluster k carries to a row,
+
+    p(t) = (Re a . cos theta - Im a . sin theta)^2 + (Re a . sin theta + Im a . cos theta)^2,
+
+so no complex phase table is formed.  A one-entry memo keeps the cluster
+overlaps and the (cos theta, sin theta) pair under the content they were
+computed from, so an evolve and a return of the same state on the same grid
+compute them once.  Equiprobability classes are first-fit classes, found by
+walking the representatives: each claims its later unclaimed matches at
+once, so a row goes to the earliest representative it matches, first-fit's
+rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import StateVector, project_sector
+from .hilbert import StateVector, project_sector, spin_flip
 from .hamiltonian import DEG_TOL_RELATIVE, ModelParams
-from .spectrum import SUPPORT_TOL, EigenCluster, SpectrumResult, diagonalize_sector
+from .spectrum import SUPPORT_TOL, SpectrumResult, _columns, diagonalize_sector
+from .symmetry import IrrepBlock
 
 # Clusters with projection below this never matter against the 1e-10
 # tolerances used downstream; dropping them keeps the mode sum small.
@@ -118,57 +129,116 @@ def _content(a: np.ndarray) -> tuple:
     return a.dtype.str, a.shape, a.tobytes()
 
 
-def phase_factors(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-2 pi i E t), one row per energy and one column per time.
+def _phase_angles(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """theta = -2 pi E t, a real outer product: one row per energy and one column per time.
 
-    Raises ValueError when a phase 2 pi E t is not finite: a non-finite
-    time, or a finite one so large that the phase overflows.
+    Raises ValueError when a phase is not finite: a non-finite time, or a
+    finite one so large that the phase overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        arg = -2j * np.pi * np.outer(energies, times)
-    if not np.isfinite(arg).all():
+        theta = -2.0 * np.pi * np.outer(energies, times)
+    if not np.isfinite(theta).all():
         raise ValueError("times must be finite and small enough that every phase "
                          "2 pi E t is finite")
-    return np.exp(arg)
+    return theta
+
+
+def phase_factors(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-2 pi i E t), one row per energy and one column per time; ValueError as _phase_angles."""
+    return np.exp(1j * _phase_angles(energies, times))
+
+
+def _phase_parts(energies: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos theta, sin theta) of _phase_angles: the real and imaginary parts of phase_factors."""
+    theta = _phase_angles(energies, times)
+    return np.cos(theta), np.sin(theta, out=theta)
+
+
+class _Overlaps(NamedTuple):
+    """psi's coefficients on the sorted columns of a sector spectrum, and the clusters kept."""
+    z: np.ndarray         # (d,) V^T psi, column k for eigenvalues[k]
+    slot: np.ndarray      # (d,) index among the kept clusters of each column's cluster, or -1
+    energies: np.ndarray  # (K,) level of each kept cluster
+    norms: np.ndarray     # (K,) ||z|| over each kept cluster's columns, = ||P_cluster psi||
+
+
+def _block_form(res: SpectrumResult) -> tuple:
+    """The solved blocks behind res's columns: its own, or those of -M for a mirrored result."""
+    return res.solved if res.mirror_of is None else res.mirror_of.solved
+
+
+def _block_rows(b: IrrepBlock, psi: np.ndarray) -> np.ndarray:
+    """B_b psi: one bincount over the rows each state meets (two for a complex psi)."""
+    w = b.coef * psi[:, None]
+    rows = b.rows.ravel()
+    if np.iscomplexobj(w):
+        return (np.bincount(rows, w.real.ravel(), b.copies)
+                + 1j * np.bincount(rows, w.imag.ravel(), b.copies))
+    return np.bincount(rows, w.ravel(), b.copies)
 
 
 def _cluster_overlaps(
     state: StateVector, M: int, params: ModelParams, deg_tol_rel: float
-) -> tuple[float, SpectrumResult, tuple[tuple[EigenCluster, np.ndarray, np.ndarray, float], ...]]:
+) -> tuple[float, SpectrumResult, _Overlaps]:
     """First stage of the mode decomposition: psi's component in each cluster.
 
-    Returns the sector weight, the sector spectrum and, for every cluster
-    whose projection norm exceeds EVOLVE_FLOOR, the cluster with its
-    eigenvector block, the block coefficients z = block^T psi and ||z||.
-    All but the weight come from the memo when the normalized sector
-    component is the last one's, bit for bit, with the same M, params and
-    deg_tol_rel; its arrays are read-only.
+    Returns the sector weight, the sector spectrum and psi's overlaps: z at
+    every sorted column, from each block's U_b^T (B_b psi), and the clusters
+    whose ||z|| exceeds EVOLVE_FLOOR.  A mirrored sector -M reads the blocks
+    of M, on psi moved there by the exact spin flip.  All but the weight come
+    from the memo when the normalized sector component is the last one's, bit
+    for bit, with the same M, params and deg_tol_rel; its arrays are read-only.
     """
     psi, weight = _normalized_sector_state(state, M)
 
     def build():
         res = diagonalize_sector(M, params, deg_tol_rel)
-        kept = []
-        for cluster in res.clusters:
-            # cluster indices are contiguous, so the block is a view, not a copy
-            block = res.eigenvectors[:, cluster.indices[0]:cluster.indices[-1] + 1]
-            z = block.T @ psi
-            norm = float(np.linalg.norm(z))
-            if norm > EVOLVE_FLOOR:
-                block.flags.writeable = z.flags.writeable = False
-                kept.append((cluster, block, z, norm))
-        return res, tuple(kept)
+        flipped = psi if res.mirror_of is None else spin_flip(StateVector(amps=psi, sector=M)).amps
+        z = np.empty_like(flipped)
+        for b, u, cols in _block_form(res):
+            z[cols] = u.T @ _block_rows(b, flipped)
+        starts = np.array([c.indices[0] for c in res.clusters])
+        norms = np.sqrt(np.add.reduceat((z * z.conj()).real, starts))
+        kept = np.flatnonzero(norms > EVOLVE_FLOOR)
+        slot = np.full(len(starts), -1)
+        slot[kept] = np.arange(len(kept))
+        overlaps = _Overlaps(z=z, slot=np.repeat(slot, np.diff(starts, append=res.dim)),
+                             energies=res.eigenvalues[starts[kept]], norms=norms[kept])
+        for arr in overlaps:
+            arr.flags.writeable = False
+        return res, overlaps
 
-    res, kept = _memoized("overlaps", (M, params, deg_tol_rel, *_content(psi)), build)
-    return weight, res, kept
+    res, overlaps = _memoized("overlaps", (M, params, deg_tol_rel, *_content(psi)), build)
+    return weight, res, overlaps
 
 
-def _phase_table(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """phase_factors(energies, times), read-only, from the memo when both match the last."""
+def _projections(res: SpectrumResult, overlaps: _Overlaps) -> np.ndarray:
+    """(d, K) psi's projection onto each kept cluster: sum over blocks of B_b^T U_b z.
+
+    A block's columns ascend, so those of one cluster are adjacent, and one
+    reduceat sums U_b z over every cluster segment of the block at once.
+    """
+    z, slot = overlaps.z, overlaps.slot
+    proj = np.zeros((res.dim, len(overlaps.norms)), dtype=z.dtype)
+    for b, u, cols in _block_form(res):
+        k = slot[cols]
+        sel = np.flatnonzero(k >= 0)
+        if len(sel):
+            k = k[sel]
+            seg = np.flatnonzero(np.diff(k, prepend=-1))
+            proj[:, k[seg]] += _columns(b, np.add.reduceat(u[:, sel] * z[cols[sel]], seg, axis=1))
+    if res.mirror_of is not None:
+        proj = spin_flip(StateVector(amps=proj, sector=-res.M)).amps
+    return proj
+
+
+def _phase_table(energies: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_phase_parts(energies, times), read-only, from the memo when both match the last."""
     def build():
-        table = phase_factors(energies, times)
-        table.flags.writeable = False
-        return table
+        parts = _phase_parts(energies, times)
+        for arr in parts:
+            arr.flags.writeable = False
+        return parts
 
     return _memoized("phases", (*_content(energies), *_content(times)), build)
 
@@ -184,32 +254,30 @@ def _sector_modes(
     imaginary parts, orthonormalized within the cluster; a part whose
     remainder is at most EVOLVE_FLOOR adds no column.
     """
-    weight, res, kept = _cluster_overlaps(state, M, params, deg_tol_rel)
-    cols: list[np.ndarray] = []
-    col_cluster: list[int] = []
-    coef: list[complex] = []
-    parts = (np.real, np.imag) if np.iscomplexobj(state.amps) else (np.real,)
-    for k, (_, block, z, _) in enumerate(kept):
-        proj = block @ z  # P_cluster psi, complex iff psi is
-        own = len(cols)
-        for part in parts:
-            w = part(proj).copy()
-            for c in cols[own:]:
-                w -= c * (c @ w)
-            rest = float(np.linalg.norm(w))
-            if rest <= EVOLVE_FLOOR:
-                continue
-            w /= rest
-            cols.append(w)
-            col_cluster.append(k)
-            coef.append(complex(w @ proj))
+    weight, res, overlaps = _cluster_overlaps(state, M, params, deg_tol_rel)
+    proj = _projections(res, overlaps)
+    cols, keep = [], []
+    for part in (proj.real, proj.imag) if np.iscomplexobj(proj) else (proj,):
+        w = part.copy()
+        for c in cols:  # this cluster's earlier part
+            w -= c * np.einsum("ij,ij->j", c, w)
+        rest = np.linalg.norm(w, axis=0)
+        ok = rest > EVOLVE_FLOOR
+        w /= np.where(ok, rest, 1.0)
+        w[:, ~ok] = 0.0
+        cols.append(w)
+        keep.append(ok)
+    # a cluster's columns side by side, real part first
+    keep = np.stack(keep, axis=1).ravel()
+    basis = np.stack(cols, axis=2).reshape(len(proj), -1).compress(keep, axis=1)
+    col_cluster = np.flatnonzero(keep) // len(cols)
     return SpectralSupport(
         M=M,
-        overlap=np.array([norm for *_, norm in kept]),
-        energies=np.array([c.energy for c, *_ in kept]),
-        basis=np.stack(cols, axis=1) if cols else np.zeros((res.dim, 0)),
-        col_cluster=np.array(col_cluster, dtype=int),
-        coef=np.array(coef, dtype=complex),
+        overlap=overlaps.norms,
+        energies=overlaps.energies,
+        basis=basis,
+        col_cluster=col_cluster,
+        coef=np.einsum("ij,ij->j", basis, proj[:, col_cluster]).astype(complex),
         support_tol=EVOLVE_FLOOR,
     ), weight, res.deg_tol
 
@@ -324,9 +392,16 @@ def evolve_probabilities(
     """Rescaled probability of every sector configuration along a time grid.
 
     Every mode above EVOLVE_FLOOR is evolved, one row per equiprobability
-    class of those modes: p_rep(t) = |r_rep . (coef * phase(t))|^2 for the
-    class representative's basis row r_rep, given to every member, so the
-    members of a class are bitwise equal.  Since |r . a(t)| <= 1 and
+    class of those modes.  For the class representative's basis row r_rep,
+    a_k = sum of r_rep * coef over cluster k's columns, and with
+    theta = -2 pi E_k t the row is
+
+        p_rep(t) = (Re a . cos theta - Im a . sin theta)^2
+                   + (Re a . sin theta + Im a . cos theta)^2,
+
+    real matrix products only (Im a is 0 for a real state and is skipped),
+    given to every member, so the members of a class are bitwise equal.
+    That is |r_rep . (coef * e^{i theta})|^2; since |r . a(t)| <= 1 and
     ||a(t)||_1 = ||coef||_1, a member with r_f = +-r_rep + e differs from
     its class's row by at most 2 ||e||_inf ||coef||_1 in exact arithmetic;
     the largest such value is ``broadcast_bound``.  ``support_tol`` only
@@ -343,14 +418,8 @@ def evolve_probabilities(
     rep_rows = modes.basis[reps][row_class]
     row_dev = np.minimum(np.abs(modes.basis - rep_rows).max(axis=1, initial=0.0),
                          np.abs(modes.basis + rep_rows).max(axis=1, initial=0.0))
-    # one exp per kept cluster, gathered per column: each entry is the same
-    # np.exp of the same phase.  coef x phase is formed in the gathered copy
-    # and freed as soon as the product has read it.
-    scaled = _phase_table(modes.energies, times)[modes.col_cluster]
-    np.multiply(modes.coef[:, None], scaled, out=scaled)
-    amps = modes.basis[reps] @ scaled
-    del scaled
-    class_probs = amps.real**2 + amps.imag**2
+    class_probs = _mode_sums(modes.basis[reps], modes, np.iscomplexobj(state.amps),
+                             *_phase_table(modes.energies, times))
     support = modes.restrict(support_tol)
     same_modes = support.basis.shape == modes.basis.shape
     return Trajectory(
@@ -367,6 +436,30 @@ def evolve_probabilities(
     )
 
 
+def _mode_sums(rows: np.ndarray, modes: SpectralSupport, complex_state: bool,
+               cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """|rows . (coef * e^{i theta})|^2 per row and time, from real products with cos and sin.
+
+    The amplitudes a = rows * coef are summed per cluster first (C x K), so
+    each cluster's cos and sin rows are read once; a cluster without a
+    column keeps a zero column.
+    """
+    starts = np.flatnonzero(np.diff(modes.col_cluster, prepend=-1))
+    scaled = rows * (modes.coef if complex_state else modes.coef.real)
+    amps = np.zeros((len(rows), len(cos)), dtype=scaled.dtype)
+    amps[:, modes.col_cluster[starts]] = np.add.reduceat(scaled, starts, axis=1)
+    a_r = np.ascontiguousarray(amps.real)
+    re, im = a_r @ cos, a_r @ sin
+    if complex_state:
+        a_i = np.ascontiguousarray(amps.imag)
+        re -= a_i @ sin
+        im += a_i @ cos
+    np.square(re, out=re)
+    np.square(im, out=im)
+    re += im
+    return re
+
+
 def return_probability(
     state: StateVector,
     M: int,
@@ -376,15 +469,17 @@ def return_probability(
 ) -> np.ndarray:
     """|<psi0|psi(t)>|^2 for the normalized sector component of the state.
 
-    Needs only each cluster's energy and projection norm, the first stage
-    of the mode decomposition, and reads the phase table that an evolve of
-    the same state on the same grid has built.
+    With o_k the projection norm of kept cluster k and theta = -2 pi E_k t,
+    it is (o^2 . cos theta)^2 + (o^2 . sin theta)^2.  That needs only each
+    cluster's energy and projection norm, the first stage of the mode
+    decomposition, and reads the (cos, sin) pair that an evolve of the same
+    state on the same grid has built.
     """
-    kept = _cluster_overlaps(state, M, params, deg_tol_rel)[2]
-    energies = np.array([c.energy for c, *_ in kept])
-    overlap = np.array([norm for *_, norm in kept])
-    amp = overlap**2 @ _phase_table(energies, times)
-    return amp.real**2 + amp.imag**2
+    overlaps = _cluster_overlaps(state, M, params, deg_tol_rel)[2]
+    cos, sin = _phase_table(overlaps.energies, times)
+    weights = overlaps.norms**2
+    re, im = weights @ cos, weights @ sin
+    return re * re + im * im
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ lowest eigenvalue of one alpha-only matrix per block, in closed form.  Spin
 labels read B S^2 B^T, cached per sector.  A labelled solve checks every
 eigenpair against the dense sector H without forming H V (_orbit_residual).
 Downstream code reads the SpectrumResult: eigenvalues in units of J,
-eigenvectors as columns over the sector basis (built on first read),
-eigenvalue clusters at a relative tolerance of the spread, and the
+eigenvectors in block form (dense columns over the sector basis only when
+read), eigenvalue clusters at a relative tolerance of the spread, and the
 residual over its bound.
 """
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -69,9 +70,28 @@ def _columns(b: IrrepBlock, u: np.ndarray) -> np.ndarray:
     return np.einsum("st,stk->sk", b.coef, u[b.rows])
 
 
+def _untouched(d: int) -> np.ndarray:
+    """An unwritten (d, d) F-ordered array on an anonymous mapping of its own.
+
+    No heap page backs it, so it can neither pin pages that earlier
+    temporaries made resident nor split the heap amid a caller's temporaries.
+    From the heap the columns did both: taken at the solve, unread ones held
+    resident pages (quench peak RSS 114 MB against 87 MB); taken at the
+    read, they split the heap (10 MB more classify peak RSS).
+    """
+    return np.ndarray((d, d), order="F", buffer=mmap.mmap(-1, 8 * d * d))
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
-    """One sector's levels and labels; its eigenvectors stay in block form until first read."""
+    """One sector's levels and labels, with its eigenvectors in block form.
+
+    ``solved`` keeps each block's (B_b, U_b, sorted columns) for good, also
+    after ``eigenvectors`` has built the dense columns from it, so whatever
+    reads the block form gets the same bits either way.  No library path
+    reads ``eigenvectors``: dynamics works on the blocks.  The dense columns
+    are for the tests and the benchmark checks.
+    """
 
     M: int
     params: ModelParams
@@ -79,11 +99,8 @@ class SpectrumResult:
     clusters: tuple[EigenCluster, ...]
     deg_tol: float            # absolute clustering tolerance used
     residual_margin: float    # max|H v - E v| over its bound RESIDUAL_TOL max(spread, 1)
-    solved: tuple[_Solved, ...] = field(repr=False)  # per block of irrep_blocks(M); () once read
+    solved: tuple[_Solved, ...] = field(repr=False)  # per block of irrep_blocks(M); () if mirrored
     mirror_of: SpectrumResult | None = field(default=None, repr=False)  # sector -M, for M < 0
-    # taken with the levels and filled on first read: taken at the read, amid a
-    # caller's own temporaries, it fragmented the heap (10 MB more peak RSS)
-    storage: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -95,10 +112,9 @@ class SpectrumResult:
         if self.mirror_of is not None:
             vectors = spin_flip(StateVector(amps=self.mirror_of.eigenvectors, sector=-self.M)).amps
         else:
-            vectors = self.storage
+            vectors = _untouched(self.dim)
             for b, u, cols in self.solved:
                 vectors[:, cols] = _columns(b, u)
-            object.__setattr__(self, "solved", ())  # the columns now hold the same numbers
         vectors.flags.writeable = False
         return vectors
 
@@ -361,7 +377,6 @@ def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> Spec
         deg_tol=deg_tol,
         residual_margin=margin,
         solved=solved,
-        storage=np.empty((len(order), len(order)), order="F"),
     )
 
 
@@ -371,7 +386,7 @@ diagonalize_sector.cache_clear = _diagonalize_sector.cache_clear
 
 def _mirror_result(res: SpectrumResult) -> SpectrumResult:
     """Sector -M by the exact global spin flip: M's levels and labels, rows flipped on read."""
-    return replace(res, M=-res.M, solved=(), mirror_of=res, storage=None)
+    return replace(res, M=-res.M, solved=(), mirror_of=res)
 
 
 def full_spectrum(

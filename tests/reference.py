@@ -5,12 +5,13 @@ the signed permutation action on amplitudes, the dense rows of an irrep
 block, the dense irrep labeller that rounds projection weights, the Schmidt
 scan over every cut, the exact entries summed pair by pair over a pair
 table built here from the geometry and the sector basis, cluster labels
-counted cluster by cluster with spins from the dense Casimir, and the dense
-eigenvectors scattered at once after the solve.  The library builds none
+counted cluster by cluster with spins from the dense Casimir, the dense
+eigenvectors scattered at once after the solve, and a state's cluster
+overlaps and modes read off those dense columns.  The library builds none
 of these: its blocks carry their labels by construction, its scan takes
 one cut per orbit, its matrices, exact entries and spins are all read from
-the six distance classes, and its eigenvectors are built on first read, so
-these only check it.
+the six distance classes, its eigenvectors are built on first read, and
+its dynamics read the block form, so these only check it.
 """
 
 from __future__ import annotations
@@ -205,3 +206,42 @@ def eager_eigenvectors(M: int, params: ModelParams) -> np.ndarray:
         vectors[:, column[start:start + len(values)]] = np.einsum("st,stk->sk", b.coef, u[b.rows])
         start += len(values)
     return vectors
+
+
+def dense_cluster_overlaps(res: SpectrumResult,
+                           psi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(z, P psi) of every cluster from the dense columns V_c: z = V_c^T psi and P psi = V_c z."""
+    vectors = res.eigenvectors
+    out = []
+    for c in res.clusters:
+        block = vectors[:, c.indices]
+        z = block.T @ psi
+        out.append((z, block @ z))
+    return out
+
+
+def dense_modes(res: SpectrumResult, psi: np.ndarray,
+                floor: float) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Kept clusters, mode basis, column clusters and coefficients, cluster by cluster.
+
+    A cluster is kept when ||z|| exceeds floor.  Its projection's real and
+    (for a complex psi) imaginary parts are orthonormalized by Gram-Schmidt
+    within the cluster, each adding a column when its remainder exceeds floor.
+    """
+    kept, cols, col_cluster, coef = [], [], [], []
+    parts = (np.real, np.imag) if np.iscomplexobj(psi) else (np.real,)
+    for k, (z, proj) in enumerate(dense_cluster_overlaps(res, psi)):
+        if not np.linalg.norm(z) > floor:
+            continue
+        own = len(cols)
+        for part in parts:
+            w = part(proj).copy()
+            for c in cols[own:]:
+                w -= c * (c @ w)
+            rest = float(np.linalg.norm(w))
+            if rest > floor:
+                cols.append(w / rest)
+                col_cluster.append(len(kept))
+                coef.append(complex(cols[-1] @ proj))
+        kept.append(k)
+    return kept, np.stack(cols, axis=1), np.array(col_cluster), np.array(coef)

@@ -23,7 +23,7 @@ from hexstar.dynamics import (
     return_probability,
     spectral_support,
 )
-from hexstar.hamiltonian import HEISENBERG, XXZ_FERRO, ModelParams
+from hexstar.hamiltonian import DEG_TOL_RELATIVE, HEISENBERG, XXZ_FERRO, ModelParams
 from hexstar.hilbert import (
     StateVector,
     basis_state,
@@ -34,7 +34,8 @@ from hexstar.hilbert import (
     sector_basis,
     spin_flip,
 )
-from hexstar.spectrum import SUPPORT_TOL, _diagonalize_sector
+from hexstar.spectrum import SUPPORT_TOL, SpectrumResult, _diagonalize_sector, diagonalize_sector
+from reference import dense_cluster_overlaps, dense_modes
 
 # Spectral support dimensions per sector, M = 6 down to 0.  The in-plane
 # state is evolved under the anisotropic model, the mixed-ring state under
@@ -408,6 +409,26 @@ def test_evolution_properties_at_random_couplings(
 
 
 def _per_row_probabilities(state, M, params, times):
+    """Oracle: every configuration's own row of the evolved modes, in the library's real formula.
+
+    a = basis * coef summed per cluster, theta = -2 pi E t, and
+    (a_r . cos - a_i . sin)^2 + (a_r . sin + a_i . cos)^2, with a_i left out
+    for a real state, as the library evaluates its class rows.
+    """
+    modes = spectral_support(state, M, params, support_tol=EVOLVE_FLOOR)
+    theta = -2.0 * np.pi * np.outer(modes.energies, times)
+    cos, sin = np.cos(theta), np.sin(theta)
+    scaled = modes.basis * (modes.coef if np.iscomplexobj(state.amps) else modes.coef.real)
+    a = np.zeros((len(modes.basis), len(modes.energies)), dtype=scaled.dtype)
+    for k in range(len(modes.energies)):
+        a[:, k] = scaled[:, modes.col_cluster == k].sum(axis=1)
+    re, im = a.real @ cos, a.real @ sin
+    if np.iscomplexobj(a):
+        re, im = re - a.imag @ sin, im + a.imag @ cos
+    return re**2 + im**2
+
+
+def _complex_per_row_probabilities(state, M, params, times):
     """Oracle: every configuration's own row of the evolved modes, basis @ (coef * phase)."""
     modes = spectral_support(state, M, params, support_tol=EVOLVE_FLOOR)
     phase = np.exp(-2j * np.pi * np.outer(modes.energies[modes.col_cluster], times))
@@ -431,6 +452,9 @@ def test_class_rows_match_the_per_row_evolution(spec, M, params, support_tol,
     deviation = float(np.abs(traj.probs - oracle).max())
     assert deviation < 1e-12
     assert deviation <= traj.broadcast_bound
+    # the real formula is the complex mode sum up to rounding
+    complex_oracle = _complex_per_row_probabilities(state, M, params, times)
+    assert float(np.abs(traj.probs - complex_oracle).max()) < 1e-12
     # one evolved row per class, shared bit for bit by its members
     assert traj.class_probs.shape == (traj.row_class.max() + 1, len(times))
     assert np.array_equal(traj.probs, traj.class_probs[traj.row_class])
@@ -517,7 +541,7 @@ def test_an_evolve_and_a_return_share_one_decomposition(evolve_first, heisenberg
     traj_alone = _fresh(evolve_probabilities, *args)
     ret_alone = _fresh(return_probability, *args)
     dynamics._MEMO.clear()
-    with mock.patch.object(dynamics, "phase_factors", wraps=dynamics.phase_factors) as phases, \
+    with mock.patch.object(dynamics, "_phase_parts", wraps=dynamics._phase_parts) as phases, \
             mock.patch.object(dynamics, "diagonalize_sector",
                               wraps=dynamics.diagonalize_sector) as spectra:
         if evolve_first:
@@ -578,11 +602,99 @@ def test_the_memo_misses_when_any_input_changes(change, xxz_spectra):
 def test_the_memo_arrays_are_read_only(chi):
     times = np.linspace(0.0, 1.0, 11)
     evolve_probabilities(chi, 2, HEISENBERG, times)
-    phase = dynamics._MEMO["phases"][1]
-    with pytest.raises(ValueError, match="read-only"):
-        phase[0, 0] = 0.0
-    kept = dynamics._cluster_overlaps(chi, 2, HEISENBERG, dynamics.DEG_TOL_RELATIVE)[2]
-    _, block, z, _ = kept[0]
-    for array in (block, z):
+    for part in dynamics._MEMO["phases"][1]:  # cos and sin
         with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0.0
+            part[0, 0] = 0.0
+    overlaps = dynamics._cluster_overlaps(chi, 2, HEISENBERG, dynamics.DEG_TOL_RELATIVE)[2]
+    for array in overlaps:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def _overlap_states():
+    """States that meet few blocks (chi, a complex zeta) and all blocks (random: real, complex)."""
+    rng = np.random.default_rng(11)
+    plain = rng.normal(size=4096)
+    return (build_initial_state(parse_state_spec("chi")),
+            build_initial_state(parse_state_spec("zeta:1,0.3,2,1.1")),
+            StateVector(amps=plain, sector=None),
+            StateVector(amps=plain * np.exp(2j * np.pi * rng.random(4096)), sector=None))
+
+
+def _assert_block_form_is_the_dense_oracle(state, M, params, res):
+    """z per cluster, P_c psi, the kept clusters, the modes and the classes against V's columns."""
+    component, weight = project_sector(state, M)
+    psi = component.amps / np.sqrt(weight)  # ||psi|| = 1, so 1e-13 is 1e-13 ||psi||
+    dynamics._MEMO.clear()
+    with mock.patch.object(dynamics, "diagonalize_sector", lambda *args: res):
+        overlaps = dynamics._cluster_overlaps(state, M, params, DEG_TOL_RELATIVE)[2]
+        modes = dynamics._sector_modes(state, M, params, DEG_TOL_RELATIVE)[0]
+    dense = dense_cluster_overlaps(res, psi)
+    for c, (z, _) in zip(res.clusters, dense):
+        assert np.abs(overlaps.z[c.indices] - z).max() <= 1e-13
+    kept, basis, col_cluster, coef = dense_modes(res, psi, EVOLVE_FLOOR)
+    assert [k for k, c in enumerate(res.clusters) if overlaps.slot[c.indices[0]] >= 0] == kept
+    proj = dynamics._projections(res, overlaps)
+    assert np.abs(proj - np.stack([dense[k][1] for k in kept], axis=1)).max() <= 1e-13
+    assert np.array_equal(modes.col_cluster, col_cluster)
+    # the modes rebuild each P_c psi: sum of basis * coef over the cluster's columns
+    rebuilt = np.zeros(proj.shape, dtype=complex)
+    np.add.at(rebuilt.T, modes.col_cluster, (modes.basis * modes.coef).T)
+    assert np.abs(rebuilt - proj).max() <= 1e-13
+    oracle = SpectralSupport(M=M, overlap=np.array([np.linalg.norm(dense[k][0]) for k in kept]),
+                             energies=np.array([res.clusters[k].energy for k in kept]),
+                             basis=basis, col_cluster=col_cluster, coef=coef,
+                             support_tol=EVOLVE_FLOOR)
+    assert np.array_equal(modes.energies, oracle.energies)
+    assert np.abs(modes.overlap - oracle.overlap).max() <= 1e-13
+    for tol in (EVOLVE_FLOOR, SUPPORT_TOL):
+        got, want = modes.restrict(tol), oracle.restrict(tol)
+        assert np.array_equal(got.energies, want.energies)
+        assert np.array_equal(got.col_cluster, want.col_cluster)
+        assert [c.tolist() for c in equiprobability_classes(got)] == \
+            [c.tolist() for c in equiprobability_classes(want)]
+
+
+@pytest.mark.parametrize("params", [HEISENBERG, XXZ_FERRO, ModelParams(alpha=3.7, jz_over_j=0.4)],
+                         ids=["heisenberg", "xxz", "alpha3.7"])
+def test_block_form_overlaps_match_the_dense_columns(params):
+    states = _overlap_states()
+    for M in range(-6, 7):
+        for state in states:
+            if project_sector(state, M)[1] > 0.0:
+                _assert_block_form_is_the_dense_oracle(state, M, params,
+                                                       diagonalize_sector(M, params))
+
+
+def test_block_form_reads_its_own_blocks_after_a_read_and_for_a_negative_sector():
+    params = ModelParams(alpha=3.7, jz_over_j=0.4)
+    times = np.linspace(0.0, 1.0, 51)
+    for M in (-5, -2, 0, 3):
+        states = [s for s in _overlap_states() if project_sector(s, M)[1] > 0.0]
+        # a fresh result, outside the cache; M < 0 is solved on its own, on its own blocks
+        res = _diagonalize_sector.__wrapped__(M, params, DEG_TOL_RELATIVE)
+        assert res.mirror_of is None and len(res.solved) > 0
+        with mock.patch.object(dynamics, "diagonalize_sector", lambda *args: res):
+            unread = [_fresh(evolve_probabilities, s, M, params, times) for s in states]
+            res.eigenvectors  # builds the dense columns; the block form stays
+            read = [_fresh(evolve_probabilities, s, M, params, times) for s in states]
+        for got, expected in zip(read, unread):
+            _assert_same_trajectory(got, expected)
+        for state in states:
+            _assert_block_form_is_the_dense_oracle(state, M, params, res)
+
+
+def test_no_dynamics_path_reads_the_dense_eigenvectors(monkeypatch, xxz_spectra,
+                                                      heisenberg_spectra):
+    def tripwire(self):
+        raise AssertionError(f"sector {self.M}: the dense eigenvectors were read")
+
+    monkeypatch.setattr(SpectrumResult, "eigenvectors", property(tripwire))
+    times = np.linspace(0.0, 1.0, 101)
+    for spec, M, params in [("xi", 0, XXZ_FERRO), ("chi", 0, HEISENBERG),
+                            ("zeta:1,0.3,2,1.1", 3, HEISENBERG), ("config:3930", -2, XXZ_FERRO)]:
+        state = build_initial_state(parse_state_spec(spec))
+        dynamics._MEMO.clear()
+        assert np.isfinite(evolve_probabilities(state, M, params, times).class_probs).all()
+        assert np.isfinite(return_probability(state, M, params, times)).all()
+        assert spectral_support(state, M, params).dim > 0
