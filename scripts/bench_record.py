@@ -7,11 +7,13 @@ Run from the root of a checkout, on Linux.  For each seed it runs
 ``perfbench/run.py --workload all`` (every workload untraced and traced)
 and keeps the end-to-end summary together with the per-layer metrics of
 the traced runs, read from their records in ``perfbench/out/``.  It runs
-each ``hexstar ...`` line of the README's command-line block as
-``python -m hexstar``, three times with stdout discarded, and keeps the
-best wall time and the smallest peak RSS of each line; a child's peak is
-read from the rusage that ``os.wait4`` returns for it alone, since
-RUSAGE_CHILDREN holds the largest peak of all children so far.  It then
+each ``hexstar ...`` line of the README's command-line block through
+``hexstar.cli.main`` in a fresh interpreter (PEAK_WRAPPER), three times with
+stdout discarded, and keeps the best wall time and the smallest peak RSS of
+each line.  A child's peak is the ``VmHWM`` it reads from its own
+``/proc/self/status`` as it exits: the ``ru_maxrss`` that ``os.wait4``
+returns would also count the recorder's own high-water mark, which Linux
+folds into the child's at ``exec``.  It then
 counts the lines of ``src/`` and runs the Tier-1 suite once, recording its
 test count and wall time.  A claimed speedup is the difference between two
 such files made on the same machine.
@@ -78,22 +80,37 @@ def readme_lines() -> list[str]:
     return [line.split(None, 1)[1] for line in block.splitlines() if line.startswith("hexstar ")]
 
 
+# Runs one command line through hexstar.cli.main, like ``python -m hexstar``, and
+# writes the process's own peak RSS (VmHWM, in kB) to the file named by argv[1].
+PEAK_WRAPPER = """\
+import sys
+from hexstar.cli import main
+peak = sys.argv.pop(1)
+try:
+    code = main(sys.argv[1:])
+finally:
+    with open("/proc/self/status") as status, open(peak, "w") as out:
+        out.write(next(row for row in status if row.startswith("VmHWM:")).split()[1])
+raise SystemExit(code)
+"""
+
+
 def run_line(line: str, root: Path = ROOT) -> tuple[float, float, str, bytes]:
     """Wall time, peak RSS (MB), a digest of stdout and stderr, and stdout of one README line."""
-    start = time.perf_counter()
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        proc = subprocess.Popen([sys.executable, "-m", "hexstar", *line.split()],
-                                cwd=root, env=_env(root), stdout=out, stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err, \
+            tempfile.NamedTemporaryFile("r") as peak:
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", PEAK_WRAPPER, peak.name, *line.split()],
+                              cwd=root, env=_env(root), stdout=out, stderr=err)
         wall = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
         if proc.returncode:
             raise SystemExit(f"hexstar {line} exited with {proc.returncode} in {root}")
         out.seek(0)
         err.seek(0)
         stdout = out.read()
         digest = hashlib.sha256(stdout + b"\0" + err.read()).hexdigest()
-    return wall, usage.ru_maxrss / 1024, digest, stdout  # ru_maxrss is in KiB on Linux
+        rss_kb = int(peak.read())
+    return wall, rss_kb / 1024, digest, stdout
 
 
 def _cells(text: bytes) -> list[list[str]]:

@@ -10,11 +10,13 @@ block and skips the blocks whose Weyl bounds prove that they cannot hold a
 level its verdict reads; its ferro/antiferro crossover is the smallest
 lowest eigenvalue of one alpha-only matrix per block, in closed form.  Spin
 labels read B S^2 B^T, cached per sector.  A labelled solve checks every
-eigenpair against the dense sector H without forming H V (_orbit_residual).
-Downstream code reads the SpectrumResult: eigenvalues in units of J,
-eigenvectors in block form (dense columns over the sector basis only when
-read), eigenvalue clusters at a relative tolerance of the spread, and the
-residual over its bound.
+eigenpair at block size, ||H_r u - e u||; a projection certificate, built
+once per sector from the class parts and free of both couplings
+(_certificate), bounds what the dense sector H adds to that, so no dense H
+is formed.  Downstream code reads the SpectrumResult: eigenvalues in units
+of J, eigenvectors in block form (dense columns over the sector basis only
+when read), eigenvalue clusters at a relative tolerance of the spread, and
+the certified residual over its bound.
 """
 from __future__ import annotations
 
@@ -30,12 +32,11 @@ from .hilbert import StateVector, sector_basis, spin_flip
 from .hamiltonian import (
     DEG_TOL_RELATIVE,
     ModelParams,
-    build_sector_hamiltonian,
     class_weights,
     coupling_classes,
     total_coupling,
 )
-from .symmetry import IrrepBlock, irrep_blocks, orbit_layout, partner_map
+from .symmetry import IrrepBlock, irrep_blocks, orbit_layout
 
 SUPPORT_TOL = 1e-10   # default overlap threshold for spectral support
 RESIDUAL_TOL = 1e-10  # per-eigenpair residual bound, relative to the spread
@@ -98,7 +99,7 @@ class SpectrumResult:
     eigenvalues: np.ndarray   # ascending, units of J
     clusters: tuple[EigenCluster, ...]
     deg_tol: float            # absolute clustering tolerance used
-    residual_margin: float    # max|H v - E v| over its bound RESIDUAL_TOL max(spread, 1)
+    residual_margin: float    # a bound on max|H v - E v| over RESIDUAL_TOL max(spread, 1)
     solved: tuple[_Solved, ...] = field(repr=False)  # per block of irrep_blocks(M); () if mirrored
     mirror_of: SpectrumResult | None = field(default=None, repr=False)  # sector -M, for M < 0
 
@@ -200,6 +201,70 @@ def _class_table(M: int, partner: int) -> tuple[_ClassBlock, ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)  # every M = 0..6, next to its class table: free of alpha and Jz/J
+def _certificate(M: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Bounds on ||E^X_c||_2 and ||E^Z_c||_2 per class c, and on ||B B^T - I||_2.
+
+    E^X_c = B X_c B^T - (+)_r X_c,r and E^Z_c = B diag(zz_c) B^T - (+)_r diag(z_c,r)
+    over every row of B, an odd block carrying its even partner's class parts.
+    B is block-diagonal over the configuration orbits (orbit_layout, padded
+    here to k places each), so B X_c B^T is one k x k block coef_O C coef_P^T
+    per orbit pair (O, P) that X_c or the class table links, C the pair's
+    flip-flop entries by place.
+    ||E^X_c||_2 is at most the largest row sum of the symmetric matrix of its
+    blocks' Frobenius norms; diag(zz_c) and B B^T keep each orbit, so E^Z_c
+    and B B^T - I are bounded by their largest orbit block's Frobenius norm.
+    No (d, d) array is formed.
+    """
+    classes, layout = coupling_classes(M), orbit_layout(M)
+    k, n = max(g.members.shape[1] for g in layout), sum(len(g.members) for g in layout)
+    coef, own = np.zeros((n, k, k)), np.zeros((n, k))  # padded B per orbit, 1 at its places
+    # orbit * k + place of each sector state, and of each row of B
+    state, row = np.empty((2, len(classes.zz)), dtype=np.intp)
+    o = 0
+    for g in layout:
+        m, size = g.members.shape
+        coef[o:o + m, :size, :size], own[o:o + m, :size] = g.coef, 1.0
+        state[g.members] = row[g.rows] = (o + np.arange(m)[:, None]) * k + np.arange(size)
+        o += m
+    sizes = {(b.irrep, b.partner): b.copies for b in irrep_blocks(M)}
+    first = dict(zip(sizes, np.cumsum([0, *sizes.values()]).tolist()))  # of each block
+    parts, diagonal = [], np.zeros((6, n * k))  # the class table over every row of B
+    for t in _class_table(M, 1):
+        p, q = np.divmod(t.flat.astype(np.intp), len(t.z[0]))
+        for s in (first[key] for key in ((t.block.irrep, 1), (t.block.irrep, -1)) if key in first):
+            parts.append((row[s + p], row[s + q], t.cls.astype(np.intp), t.x))
+            diagonal[:, row[s:s + len(t.z[0])]] = t.z
+    i, j, cls, x = (np.concatenate(a) for a in zip(*parts))
+    # each entry's orbit pair (class, O, P), and its place in the pair's k x k block
+    (flips, f_place), (table, t_place) = (
+        ((c * n + a // k) * n + b // k, a % k * k + b % k) for a, b, c in (
+            (state[classes.rows], state[classes.cols], classes.cls.astype(np.intp)), (i, j, cls)))
+    linked = np.bincount(np.concatenate((flips, table)), minlength=6 * n * n) > 0
+    pair = np.cumsum(linked) - 1  # each linked orbit pair in order
+    f_place += pair[flips] * k * k
+    t_place += pair[table] * k * k
+    c, left, right = np.unravel_index(np.flatnonzero(linked), (6, n, n))
+    transposed = coef.transpose(0, 2, 1).copy()  # contiguous, for BLAS
+    frobenius = np.zeros((6, n, n))
+    for s in range(0, len(c), 256):  # 256 blocks at a time: small temporaries (peak RSS)
+        at, lo, size = slice(s, s + 256), s * k * k, len(c[s:s + 256]) * k * k
+        f, t = (f_place >= lo) & (f_place < lo + size), (t_place >= lo) & (t_place < lo + size)
+        count = np.bincount(f_place[f] - lo, minlength=size).reshape(-1, k, k)
+        e = coef[left[at]] @ (2.0 * count) @ transposed[right[at]]
+        e -= np.bincount(t_place[t] - lo, x[t], minlength=size).reshape(-1, k, k)
+        frobenius[c[at], left[at], right[at]] = np.sqrt((e * e).sum((1, 2)))
+    zz = np.zeros((6, n * k))
+    zz[:, state] = classes.zz.T
+    ez = (coef * zz.reshape(6, n, 1, k)) @ transposed
+    ez[..., range(k), range(k)] -= diagonal.reshape(6, n, k)
+    gram = coef @ transposed
+    gram[:, range(k), range(k)] -= own
+    return (np.maximum(frobenius, frobenius.transpose(0, 2, 1)).sum(axis=2).max(axis=1),
+            np.sqrt((ez * ez).sum((2, 3))).max(axis=1),
+            float(np.sqrt((gram * gram).sum((1, 2))).max()))
+
+
 def _class_sum(t: _ClassBlock, w: np.ndarray) -> np.ndarray:
     """sum_c w_c B X_c B^T, dense."""
     n = t.z.shape[1]
@@ -262,59 +327,48 @@ def _solve_blocks(params: ModelParams, entries: tuple[_Entry, ...], solve=np.lin
                        f"Jz/J={jz:g}: the energies overflow a float")
 
 
-def _check_residual(M: int, residual: float, spread: float) -> float:
-    """residual / (RESIDUAL_TOL max(spread, 1)); RuntimeError above that bound, or at NaN."""
-    bound = RESIDUAL_TOL * max(spread, 1.0)
-    if not residual <= bound:
-        raise RuntimeError(f"eigenpair residual {residual:.2e} too large in sector {M}")
-    return residual / bound
-
-
-def _orbit_residual(M: int, params: ModelParams, values: np.ndarray,
+def _block_residual(M: int, params: ModelParams, values: np.ndarray,
                     solved: tuple[_Solved, ...]) -> float:
-    """max|H v - E v| over every column v of V_r = B_r^T U_r, on the dense sector H, without H V.
+    """max ||H_r u - e u||_2 over every column u of every block's U_r, e its level.
 
-    solved is per block of irrep_blocks(M), and E is read at each block's
-    columns, so a level at the wrong column still fails.  H is symmetric, so
-    H V_r = (B H)[rows of r]^T U_r; B is block-diagonal over the
-    configuration orbits, so the even rows of B H are one k x k product per
-    orbit (symmetry.orbit_layout).  An odd row of B is (U_C6 e - c e) / s of
-    its even row e and H commutes with U_C6, so an odd block's H V_r is
-    (W moved by C6 - c W) / s, W the even block's: no product of its own.
+    solved is per block (both partners, or any subset), and e is read at each
+    block's sorted columns, so a level at the wrong column fails.  H_r is the
+    class-table sum X_r + (Jz/J) diag(z_r), not the operator handed to eigh,
+    and an odd block is checked against its even partner's H_r.
     """
-    h = build_sector_hamiltonian(M, params).matrix
-    even_rows = sum(b.copies for b, _, _ in solved if b.partner > 0)
-    # C_O H[O] reads only the rows of orbit O, so the rows of B H overwrite them
-    # in this call's own h, 8 orbits at a time: no d x d temporaries, which
-    # cost several times their arithmetic inside a labelled solve.  An orbit's
-    # rows ascend and the even blocks come first, so its even rows lead.
-    at = np.empty(len(h), dtype=np.intp)  # the row of h that holds each row of B H
-    for g in orbit_layout(M):
-        k = int(np.count_nonzero(g.rows < even_rows, axis=1).max())
-        at[g.rows[:, :k]] = g.members[:, :k]
-        for o in range(0, len(g.members), 8):
-            members = g.members[o:o + 8]
-            h[members[:, :k]] = g.coef[o:o + 8, :k] @ h[members]
-    image, cos = partner_map(M)
-    worst, start, even = [], 0, {}
+    w, jz = class_weights(params.alpha), params.jz_over_j
+    tables = {t.block.irrep: t for t in _class_table(M, 1)}
+    products, worst = {}, []  # H_r U_r per irrep, kept for an odd partner with the same U_r
     for b, u, cols in solved:
-        if b.partner > 0:
-            w = h[at[start:start + b.copies]].T @ u  # H V_r
-            start += b.copies
-            if b.dim == 2:
-                even[b.irrep] = w
-        else:
-            c, moved = cos[b.irrep], even.pop(b.irrep)
-            w = moved[image]
-            moved *= c
-            w -= moved
-            w /= np.sqrt(1.0 - c * c)
-            del moved  # before _columns allocates (peak RSS)
-        r = _columns(b, u)
-        r *= values[cols]
-        r -= w
-        worst.append(np.abs(r, out=r).max())
+        if products.get(b.irrep, (None,))[0] is not u:
+            t = tables[b.irrep]
+            products[b.irrep] = u, _class_sum(t, w) @ u + (jz * (w @ t.z))[:, None] * u
+        r = products[b.irrep][1] - u * values[cols]
+        peak = np.abs(r).max(axis=0)
+        r /= np.where(peak > 0.0, peak, 1.0)  # scaled, so that no square overflows
+        worst.append((peak * np.sqrt(np.einsum("ij,ij->j", r, r))).max())
     return float(np.max(worst))  # NaN if any is
+
+
+def _check_residual(M: int, params: ModelParams, residual: float, top: float,
+                    spread: float) -> float:
+    """Certified max|H v - e v| over RESIDUAL_TOL max(spread, 1); RuntimeError above 1, or at NaN.
+
+    residual is _block_residual's, top the largest |e| it read, and v = B^T u
+    each checked column over the sector basis.  With B H B^T = (+) H_r + E and
+    B B^T = I + D, B (H v - e v) = (H_r u - e u) + E u - e D u, and
+    ||B^-1||_2 <= 1 / sqrt(1 - ||D||_2), so max|H v - e v| <= ||H v - e v||_2 <=
+    (residual + ||E||_2 + top ||D||_2) / sqrt(1 - ||D||_2), and
+    ||E||_2 <= sum_c |w_c| (||E^X_c||_2 + |Jz/J| ||E^Z_c||_2) (_certificate).
+    No dense H is formed.
+    """
+    x, z, delta = _certificate(M)
+    spill = float(np.abs(class_weights(params.alpha)) @ (x + abs(params.jz_over_j) * z))
+    bound = (residual + spill + delta * top) / np.sqrt(1.0 - delta)
+    tol = RESIDUAL_TOL * max(spread, 1.0)
+    if not bound <= tol:
+        raise RuntimeError(f"eigenpair residual {bound:.2e} too large in sector {M}")
+    return bound / tol
 
 
 @lru_cache(maxsize=26)  # M >= 0 only: three parameter sets of 7 sectors, plus 5 entries
@@ -325,9 +379,11 @@ def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> Spec
     level is solved, labelled and spin-checked once and fills two columns.
     Each eigenvector is a block eigenvector mapped back through its block's
     rows, so it carries one irrep and a cluster's irrep slots count its block
-    levels.  max|H v - E v| over every column comes from _orbit_residual;
-    above RESIDUAL_TOL max(spread, 1), or NaN, it raises RuntimeError, and
-    otherwise its ratio to that bound is residual_margin.
+    levels.  _check_residual bounds max|H v - E v| over every column v of
+    the dense sector H by the block residual of both partners' columns plus
+    the sector's projection certificate; above RESIDUAL_TOL max(spread, 1),
+    or NaN, it raises RuntimeError, and otherwise that bound over its
+    tolerance is residual_margin.
     """
     entries = _partner_operators(M, params.alpha, 1)
     pairs = _solve_blocks(params, entries, np.linalg.eigh)
@@ -345,7 +401,8 @@ def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> Spec
                    for b, k, i, j in zip(blocks, even, starts, starts[1:]))
 
     spread = float(eigenvalues[-1] - eigenvalues[0])
-    margin = _check_residual(M, _orbit_residual(M, params, eigenvalues, solved), spread)
+    margin = _check_residual(M, params, _block_residual(M, params, eigenvalues, solved),
+                             float(np.abs(eigenvalues[[0, -1]]).max()), spread)
 
     deg_tol = deg_tol_rel * spread
     raw = split_into_clusters(eigenvalues, deg_tol)
@@ -589,7 +646,8 @@ def _ground_vector(params: ModelParams, deg_tol_rel: float) -> tuple[np.ndarray,
     u is the lowest eigenvector of the one block that holds the ground level.
     _ground_point on the C2'(0)-even M = 0 levels (eigvalsh) decides uniqueness (ValueError
     if not unique); a unique level lies in a one-dimensional irrep, whose rows each state
-    meets once, and eigh solves that block alone.
+    meets once, and eigh solves that block alone.  The pair is checked like a labelled
+    solve's: its block residual plus the M = 0 certificate.
     """
     entries = _partner_operators(0, params.alpha, 1)
     levels = {b.irrep: values for (b, _, _), values in zip(entries, _solve_blocks(params, entries))}
@@ -602,8 +660,8 @@ def _ground_vector(params: ModelParams, deg_tol_rel: float) -> tuple[np.ndarray,
     b = entries[k][0]
     vector = np.einsum("st,st->s", b.coef, u[b.rows, 0])
     spread = max(v[-1] for v in levels.values()) - point.energy
-    h = build_sector_hamiltonian(0, params).matrix
-    _check_residual(0, np.abs(h @ vector - vector * values[0]).max(), spread)
+    residual = _block_residual(0, params, values, ((b, u[:, :1], np.zeros(1, dtype=np.intp)),))
+    _check_residual(0, params, residual, abs(float(values[0])), spread)
     return vector, k, u[:, 0]
 
 

@@ -158,20 +158,15 @@ def orbit_layout(M: int) -> tuple[OrbitGroup, ...]:
 
     Each row of B lives on one configuration orbit and B is orthogonal, so
     an orbit of size k carries exactly k rows and B is block-diagonal over
-    the orbits: B H is one batched k x k product per orbit size.
+    the orbits: B A B^T of an operator A is one k x k block per pair of
+    orbits that A links.
     """
     return _adapted_basis(M)[1]
 
 
-def partner_map(M: int) -> tuple[np.ndarray, dict[str, float]]:
-    """C6^5 f per state f of sector M, so (U_C6 e)[f] = e[C6^5 f]; c per E irrep: irrep_blocks."""
-    ct = _chartable()
-    return _adapted_basis(M)[2], {r: ct.chi(r, "2C6") / 2 for r in ct.irreps if ct.dims[r] == 2}
-
-
 @lru_cache(maxsize=None)
-def _adapted_basis(M: int) -> tuple[tuple[IrrepBlock, ...], tuple[OrbitGroup, ...], np.ndarray]:
-    """irrep_blocks(M), orbit_layout(M) and partner_map's image, built from the same orbits."""
+def _adapted_basis(M: int) -> tuple[tuple[IrrepBlock, ...], tuple[OrbitGroup, ...]]:
+    """irrep_blocks(M) and orbit_layout(M), built from the same orbits."""
     ct = _chartable()
     proper = [g for g in _group() if not g.inverted]
     by_perm = {g.perm: g for g in proper}
@@ -255,9 +250,7 @@ def _adapted_basis(M: int) -> tuple[tuple[IrrepBlock, ...], tuple[OrbitGroup, ..
                                  coef=coef[by].reshape(-1, n, n)))
         for a in layout[-1]:
             a.flags.writeable = False
-    image = images[c6].copy()
-    image.flags.writeable = False
-    return tuple(blocks), tuple(layout), image
+    return tuple(blocks), tuple(layout)
 
 
 def irrep_weights(vectors: np.ndarray, M: int) -> dict[str, np.ndarray]:

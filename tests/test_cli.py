@@ -580,7 +580,7 @@ def test_the_solving_commands_load_no_scipy():
 
 def test_negative_sectors_are_only_mirrored(monkeypatch, capsys):
     calls = []
-    for name in ("build_sector_hamiltonian", "irrep_blocks", "_partner_operators"):
+    for name in ("_block_residual", "_certificate", "irrep_blocks", "_partner_operators"):
         def spy(M, *rest, _name=name, _original=getattr(spectrum, name), **kw):
             calls.append((_name, M))
             return _original(M, *rest, **kw)

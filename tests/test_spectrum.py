@@ -603,14 +603,41 @@ def test_a_ground_scan_projects_no_odd_partner_block(monkeypatch):
     assert spectrum._class_table.cache_info().misses - table.misses == 0
 
 
-def test_scan_assembles_no_sector_hamiltonian(monkeypatch):
+def _refuse_sector_hamiltonians(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the scan assembled a dense sector Hamiltonian")
+        raise AssertionError("a dense sector Hamiltonian was assembled")
 
-    monkeypatch.setattr("hexstar.spectrum.build_sector_hamiltonian", refuse)
+    # every dense sector H and S^2 is summed by hamiltonian._assemble
     monkeypatch.setattr("hexstar.hamiltonian.build_sector_hamiltonian", refuse)
+    monkeypatch.setattr("hexstar.hamiltonian._assemble", refuse)
+
+
+def test_scan_assembles_no_sector_hamiltonian(monkeypatch):
+    _refuse_sector_hamiltonians(monkeypatch)
     scan = ground_state_scan(5.77, [-1.0, 0.0])  # an alpha no other test splits
     assert scan.crossover is not None
+
+
+def test_labelled_solves_assemble_no_sector_hamiltonian(monkeypatch):
+    monkeypatch.setattr(spectrum, "_diagonalize_sector", _uncached)  # keep the shared spectra
+    _refuse_sector_hamiltonians(monkeypatch)
+    params = ModelParams(5.13, 0.3)  # a range no other test solves
+    assert all(0.0 <= res.residual_margin <= 1.0 for res in full_spectrum(params).values())
+    vector, _, _ = spectrum._ground_vector(params, DEG_TOL_RELATIVE)
+    assert vector.shape == (sector_basis(0).dim,)
+
+
+def test_the_projection_certificate_is_built_once_per_sector(monkeypatch):
+    # it is free of both couplings: a fresh alpha or Jz/J only weights it
+    monkeypatch.setattr(spectrum, "_diagonalize_sector", _uncached)
+    spectrum._certificate.cache_clear()
+    full_spectrum(ModelParams(4.83, 0.3))
+    info = spectrum._certificate.cache_info()
+    assert (info.misses, info.currsize) == (7, 7)
+    full_spectrum(ModelParams(4.83, -1.9))
+    full_spectrum(ModelParams(5.29, 0.3))
+    spectrum._ground_vector(ModelParams(5.29, -0.4), DEG_TOL_RELATIVE)
+    assert spectrum._certificate.cache_info().misses == 7
 
 
 def _projected_levels(params):
@@ -716,32 +743,39 @@ def test_a_perturbed_block_operator_fails_the_residual_check(monkeypatch, capsys
 
 def test_a_perturbed_class_table_entry_fails_the_residual_check(monkeypatch):
     build = spectrum._class_table
-    table = list(build(3, 1))
-    t = table[0]
+    t = build(3, 1)[0]
     n = t.z.shape[1]
-    # a nearest-neighbour entry on or below the diagonal, which eigh reads
+    # a nearest-neighbour entry on or below the diagonal, which eigh reads, and its mirror
     k = np.nonzero((t.cls == 0) & (t.flat // n >= t.flat % n))[0][0]
-    x = t.x.copy()
-    x[k] += 1e-6
-    table[0] = t._replace(x=x)
-    monkeypatch.setattr(spectrum, "_class_table", lambda M, partner: (
-        tuple(table) if (M, partner) == (3, 1) else build(M, partner)))
+    mirror = np.nonzero((t.cls == 0) & (t.flat == t.flat[k] % n * n + t.flat[k] // n))[0][0]
     monkeypatch.setattr(spectrum, "_partner_operators", spectrum._partner_operators.__wrapped__)
-    with pytest.raises(RuntimeError, match="eigenpair residual"):
-        _uncached(3, ModelParams(6.0, 0.5), DEG_TOL_RELATIVE)
+    # the projection certificate, built afresh from the perturbed table, sees the
+    # entry move; with its mirror moved too, eigh and the block residual read one
+    # symmetric operator, and only the certificate does
+    monkeypatch.setattr(spectrum, "_certificate", spectrum._certificate.__wrapped__)
+    for moved in ([k], [k, mirror]):
+        x = t.x.copy()
+        x[moved] += 1e-6
+        table = (t._replace(x=x), *build(3, 1)[1:])
+        with monkeypatch.context() as m:
+            m.setattr(spectrum, "_class_table", lambda M, partner, table=table: (
+                table if (M, partner) == (3, 1) else build(M, partner)))
+            with pytest.raises(RuntimeError, match="eigenpair residual"):
+                _uncached(3, ModelParams(6.0, 0.5), DEG_TOL_RELATIVE)
 
 
 @settings(max_examples=20, deadline=None)
 @given(**_couplings, M=st.integers(0, 6))
-def test_the_orbit_residual_is_the_dense_residual(alpha, jz_over_j, M):
-    # the dense H V - V E stays the oracle; both are rounding-sized, and agree
-    # to within a thousandth of RESIDUAL_TOL
+def test_the_residual_margin_bounds_the_dense_residual(alpha, jz_over_j, M):
+    # the dense H V - V E stays the oracle; the certified bound lies above it,
+    # both are rounding-sized, and they agree to within a thousandth of RESIDUAL_TOL
     params = ModelParams(alpha, jz_over_j)
     res = _uncached(M, params, DEG_TOL_RELATIVE)
     h = build_sector_hamiltonian(M, params).matrix
     dense = np.abs(h @ res.eigenvectors - res.eigenvectors * res.eigenvalues).max()
     scale = max(res.eigenvalues[-1] - res.eigenvalues[0], 1.0)
     assert 0.0 <= res.residual_margin <= 1.0
+    assert dense <= res.residual_margin * RESIDUAL_TOL * scale
     assert abs(res.residual_margin * RESIDUAL_TOL * scale - dense) <= 1e-13 * scale
 
 
@@ -749,7 +783,7 @@ def test_a_swapped_pair_of_stored_columns_fails_the_residual_check(monkeypatch):
     # the residual reads each level at the column it fills, so two eigenvectors
     # of one block swapped against their levels fail, and so does a level
     # given to the wrong block; the even block 0 and an odd block each
-    check = spectrum._orbit_residual
+    check = spectrum._block_residual
 
     def swap_vectors(k):
         def swapped(M, params, values, solved):
@@ -768,7 +802,7 @@ def test_a_swapped_pair_of_stored_columns_fails_the_residual_check(monkeypatch):
     odd = next(k for k, b in enumerate(irrep_blocks(3)) if b.partner < 0)
     for fault in (swap_vectors(0), swap_vectors(odd), swap_levels):
         with monkeypatch.context() as m:
-            m.setattr(spectrum, "_orbit_residual", fault)
+            m.setattr(spectrum, "_block_residual", fault)
             with pytest.raises(RuntimeError, match="eigenpair residual"):
                 _uncached(3, ModelParams(6.0, 0.5), DEG_TOL_RELATIVE)
 
