@@ -235,11 +235,14 @@ def _certificate(M: int) -> tuple[np.ndarray, np.ndarray, float]:
         for s in (first[key] for key in ((t.block.irrep, 1), (t.block.irrep, -1)) if key in first):
             parts.append((row[s + p], row[s + q], t.cls.astype(np.intp), t.x))
             diagonal[:, row[s:s + len(t.z[0])]] = t.z
-    i, j, cls, x = (np.concatenate(a) for a in zip(*parts))
-    # each entry's orbit pair (class, O, P), and its place in the pair's k x k block
-    (flips, f_place), (table, t_place) = (
-        ((c * n + a // k) * n + b // k, a % k * k + b % k) for a, b, c in (
-            (state[classes.rows], state[classes.cols], classes.cls.astype(np.intp)), (i, j, cls)))
+    i, j, cls, value = (np.concatenate(a) for a in zip(*parts))
+
+    def block_of(a, b, c):
+        """The orbit pair (class, O, P) of entries (a, b) of class c, and their place in it."""
+        return (c * n + a // k) * n + b // k, a % k * k + b % k
+
+    flips, f_place = block_of(state[classes.rows], state[classes.cols], classes.cls.astype(np.intp))
+    table, t_place = block_of(i, j, cls)
     linked = np.bincount(np.concatenate((flips, table)), minlength=6 * n * n) > 0
     pair = np.cumsum(linked) - 1  # each linked orbit pair in order
     f_place += pair[flips] * k * k
@@ -248,11 +251,12 @@ def _certificate(M: int) -> tuple[np.ndarray, np.ndarray, float]:
     transposed = coef.transpose(0, 2, 1).copy()  # contiguous, for BLAS
     frobenius = np.zeros((6, n, n))
     for s in range(0, len(c), 256):  # 256 blocks at a time: small temporaries (peak RSS)
-        at, lo, size = slice(s, s + 256), s * k * k, len(c[s:s + 256]) * k * k
-        f, t = (f_place >= lo) & (f_place < lo + size), (t_place >= lo) & (t_place < lo + size)
-        count = np.bincount(f_place[f] - lo, minlength=size).reshape(-1, k, k)
+        at, lo, cells = slice(s, s + 256), s * k * k, len(c[s:s + 256]) * k * k
+        mine_f = (f_place >= lo) & (f_place < lo + cells)
+        mine_t = (t_place >= lo) & (t_place < lo + cells)
+        count = np.bincount(f_place[mine_f] - lo, minlength=cells).reshape(-1, k, k)
         e = coef[left[at]] @ (2.0 * count) @ transposed[right[at]]
-        e -= np.bincount(t_place[t] - lo, x[t], minlength=size).reshape(-1, k, k)
+        e -= np.bincount(t_place[mine_t] - lo, value[mine_t], minlength=cells).reshape(-1, k, k)
         frobenius[c[at], left[at], right[at]] = np.sqrt((e * e).sum((1, 2)))
     zz = np.zeros((6, n * k))
     zz[:, state] = classes.zz.T
@@ -260,9 +264,10 @@ def _certificate(M: int) -> tuple[np.ndarray, np.ndarray, float]:
     ez[..., range(k), range(k)] -= diagonal.reshape(6, n, k)
     gram = coef @ transposed
     gram[:, range(k), range(k)] -= own
-    return (np.maximum(frobenius, frobenius.transpose(0, 2, 1)).sum(axis=2).max(axis=1),
-            np.sqrt((ez * ez).sum((2, 3))).max(axis=1),
-            float(np.sqrt((gram * gram).sum((1, 2))).max()))
+    x = np.maximum(frobenius, frobenius.transpose(0, 2, 1)).sum(axis=2).max(axis=1)
+    z = np.sqrt((ez * ez).sum((2, 3))).max(axis=1)
+    x.flags.writeable = z.flags.writeable = False  # cached: every caller reads the same arrays
+    return x, z, float(np.sqrt((gram * gram).sum((1, 2))).max())
 
 
 def _class_sum(t: _ClassBlock, w: np.ndarray) -> np.ndarray:
