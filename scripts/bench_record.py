@@ -18,8 +18,9 @@ counts the lines of ``src/`` and runs the Tier-1 suite once, recording its
 test count and wall time.  A claimed speedup is the difference between two
 such files made on the same machine.
 
-With ``--base REV`` it compares instead: REV is checked out with ``git
-worktree`` into a temporary directory (removed afterwards), and parent (REV)
+With ``--base REV`` it compares instead: REV's committed files are unpacked
+by ``git archive`` into a temporary directory (removed afterwards;
+base_tree), and parent (REV)
 and child (this checkout) run ``perfbench/run.py --trace 0`` alternately,
 one seed per pair, the parent first on odd pairs.  For every workload and
 end-to-end metric it keeps both sides' values, their medians, the ratio of
@@ -33,16 +34,18 @@ BLAS thread variables are recorded as found; nothing is set.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import platform
 import re
-import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -173,16 +176,23 @@ def _summary(parent: list[float], child: list[float], higher_is_better: bool) ->
             "pairs": len(parent), "parent_iqr": q3 - q1}
 
 
-def paired(base: str, pairs: int, seed_start: int) -> dict:
-    """Parent (base) and child (this checkout) run alternately, the parent first on odd pairs."""
+@contextlib.contextmanager
+def base_tree(base: str):
+    """(the commit base names, a temporary directory holding its committed files), removed after."""
     rev = subprocess.run(["git", "rev-parse", "--verify", base + "^{commit}"], cwd=ROOT,
                          capture_output=True, text=True, check=True).stdout.strip()
-    scratch = Path(tempfile.mkdtemp(prefix="bench-base-"))
-    tree = scratch / "base"
-    subprocess.run(["git", "worktree", "add", "--detach", str(tree), rev], cwd=ROOT,
-                   capture_output=True, check=True)
-    order = (("parent", tree), ("child", ROOT))
-    try:
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tree:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
+        yield rev, Path(tree)
+
+
+def paired(base: str, pairs: int, seed_start: int) -> dict:
+    """Parent (base) and child (this checkout) run alternately, the parent first on odd pairs."""
+    with base_tree(base) as (rev, tree):
+        order = (("parent", tree), ("child", ROOT))
         runs = {w: {"parent": [], "child": []} for w in WORKLOADS}
         for pair in range(1, pairs + 1):
             seed = seed_start + pair - 1
@@ -201,11 +211,6 @@ def paired(base: str, pairs: int, seed_start: int) -> dict:
                    for side in sides for i, what in ((0, "wall_s"), (1, "peak_rss_mb"))},
                 "bytes_identical": identical,
                 **({} if identical else output_diff(sides["parent"][0][3], sides["child"][0][3]))}
-    finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT,
-                       capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
-        shutil.rmtree(scratch, ignore_errors=True)
     return {
         "base": rev,
         "seeds": [seed_start, seed_start + pairs - 1],

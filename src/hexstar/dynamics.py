@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import StateVector, project_sector, spin_flip
+from .hilbert import StateVector, project_sector
 from .hamiltonian import DEG_TOL_RELATIVE, ModelParams
 from .spectrum import SUPPORT_TOL, SpectrumResult, _columns, diagonalize_sector
 from .symmetry import IrrepBlock
@@ -162,11 +162,6 @@ class _Overlaps(NamedTuple):
     norms: np.ndarray     # (K,) ||z|| over each kept cluster's columns, = ||P_cluster psi||
 
 
-def _block_form(res: SpectrumResult) -> tuple:
-    """The solved blocks behind res's columns: its own, or those of -M for a mirrored result."""
-    return res.solved if res.mirror_of is None else res.mirror_of.solved
-
-
 def _block_rows(b: IrrepBlock, psi: np.ndarray) -> np.ndarray:
     """B_b psi: one bincount over the rows each state meets (two for a complex psi)."""
     w = b.coef * psi[:, None]
@@ -184,19 +179,18 @@ def _cluster_overlaps(
 
     Returns the sector weight, the sector spectrum and psi's overlaps: z at
     every sorted column, from each block's U_b^T (B_b psi), and the clusters
-    whose ||z|| exceeds EVOLVE_FLOOR.  A mirrored sector -M reads the blocks
-    of M, on psi moved there by the exact spin flip.  All but the weight come
-    from the memo when the normalized sector component is the last one's, bit
-    for bit, with the same M, params and deg_tol_rel; its arrays are read-only.
+    whose ||z|| exceeds EVOLVE_FLOOR; a sector -M's blocks are M's read through
+    the spin flip, so psi is never flipped.  All but the weight come from the
+    memo when the normalized sector component is the last one's, bit for bit,
+    with the same M, params and deg_tol_rel; its arrays are read-only.
     """
     psi, weight = _normalized_sector_state(state, M)
 
     def build():
         res = diagonalize_sector(M, params, deg_tol_rel)
-        flipped = psi if res.mirror_of is None else spin_flip(StateVector(amps=psi, sector=M)).amps
-        z = np.empty_like(flipped)
-        for b, u, cols in _block_form(res):
-            z[cols] = u.T @ _block_rows(b, flipped)
+        z = np.empty_like(psi)
+        for b, u, cols in res.solved:
+            z[cols] = u.T @ _block_rows(b, psi)
         starts = np.array([c.indices[0] for c in res.clusters])
         norms = np.sqrt(np.add.reduceat((z * z.conj()).real, starts))
         kept = np.flatnonzero(norms > EVOLVE_FLOOR)
@@ -220,15 +214,13 @@ def _projections(res: SpectrumResult, overlaps: _Overlaps) -> np.ndarray:
     """
     z, slot = overlaps.z, overlaps.slot
     proj = np.zeros((res.dim, len(overlaps.norms)), dtype=z.dtype)
-    for b, u, cols in _block_form(res):
+    for b, u, cols in res.solved:
         k = slot[cols]
         sel = np.flatnonzero(k >= 0)
         if len(sel):
             k = k[sel]
             seg = np.flatnonzero(np.diff(k, prepend=-1))
             proj[:, k[seg]] += _columns(b, np.add.reduceat(u[:, sel] * z[cols[sel]], seg, axis=1))
-    if res.mirror_of is not None:
-        proj = spin_flip(StateVector(amps=proj, sector=-res.M)).amps
     return proj
 
 

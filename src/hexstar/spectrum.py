@@ -16,7 +16,9 @@ once per sector from the class parts and free of both couplings
 is formed.  Downstream code reads the SpectrumResult: eigenvalues in units
 of J, eigenvectors in block form (dense columns over the sector basis only
 when read), eigenvalue clusters at a relative tolerance of the spread, and
-the certified residual over its bound.
+the certified residual over its bound.  Sector -M is never solved: it is
+M's result with each block's state axis reversed (_mirror_result), and is
+read like any other.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import IRREP_DIMS, IRREP_LABELS, N_SITES, build_geometry
-from .hilbert import StateVector, sector_basis, spin_flip
+from .hilbert import sector_basis
 from .hamiltonian import (
     DEG_TOL_RELATIVE,
     ModelParams,
@@ -54,13 +56,17 @@ def thread_budget() -> int:
 class EigenCluster:
     indices: np.ndarray      # eigenindices, contiguous ascending
     energy: float            # representative eigenvalue, units of J
-    irrep_slots: dict[str, int] | None = None  # eigenstates per irrep
-    irrep: str | None = None  # set when a single irrep fills the cluster
-    spin: int | None = None   # total spin, Heisenberg point only
+    irrep_slots: dict[str, int]  # eigenstates per irrep
+    spin: int | None = None  # total spin, Heisenberg point only
 
     @property
     def size(self) -> int:
         return len(self.indices)
+
+    @property
+    def irrep(self) -> str | None:
+        """The irrep when a single one fills the cluster, else None."""
+        return next(iter(self.irrep_slots)) if len(self.irrep_slots) == 1 else None
 
 
 _Solved = tuple[IrrepBlock, np.ndarray, np.ndarray]  # (block, its eigh vectors U_r, their columns)
@@ -87,11 +93,12 @@ def _untouched(d: int) -> np.ndarray:
 class SpectrumResult:
     """One sector's levels and labels, with its eigenvectors in block form.
 
-    ``solved`` keeps each block's (B_b, U_b, sorted columns) for good, also
-    after ``eigenvectors`` has built the dense columns from it, so whatever
-    reads the block form gets the same bits either way.  No library path
-    reads ``eigenvectors``: dynamics works on the blocks.  The dense columns
-    are for the tests and the benchmark checks.
+    ``solved`` keeps each block's (B_b over this sector's states, U_b, sorted
+    columns) for good, also after ``eigenvectors`` has built the dense columns
+    from it, so whatever reads the block form gets the same bits either way;
+    sector -M's holds M's, read through the flip.  No library path reads
+    ``eigenvectors``: dynamics works on the blocks.  The dense columns are for
+    the tests and the benchmark checks.
     """
 
     M: int
@@ -100,8 +107,7 @@ class SpectrumResult:
     clusters: tuple[EigenCluster, ...]
     deg_tol: float            # absolute clustering tolerance used
     residual_margin: float    # a bound on max|H v - E v| over RESIDUAL_TOL max(spread, 1)
-    solved: tuple[_Solved, ...] = field(repr=False)  # per block of irrep_blocks(M); () if mirrored
-    mirror_of: SpectrumResult | None = field(default=None, repr=False)  # sector -M, for M < 0
+    solved: tuple[_Solved, ...] = field(repr=False)  # per block
 
     @property
     def dim(self) -> int:
@@ -109,13 +115,10 @@ class SpectrumResult:
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
-        """Column k belongs to eigenvalues[k]: F-ordered, read-only; M < 0 flips the rows of -M."""
-        if self.mirror_of is not None:
-            vectors = spin_flip(StateVector(amps=self.mirror_of.eigenvectors, sector=-self.M)).amps
-        else:
-            vectors = _untouched(self.dim)
-            for b, u, cols in self.solved:
-                vectors[:, cols] = _columns(b, u)
+        """Column k belongs to eigenvalues[k]: F-ordered, read-only, B_b^T U_b per block."""
+        vectors = _untouched(self.dim)
+        for b, u, cols in self.solved:
+            vectors[:, cols] = _columns(b, u)
         vectors.flags.writeable = False
         return vectors
 
@@ -136,7 +139,8 @@ def diagonalize_sector(
 
     Every call form (tolerance given or defaulted, positional or keyword)
     shares one cache entry per (|M|, params, deg_tol_rel): sector -M is
-    the exact spin flip of the cached sector M, never solved on its own.
+    the cached sector M read through the exact spin flip (_mirror_result),
+    never solved on its own.
     """
     if M >= 0:
         return _diagonalize_sector(M, params, deg_tol_rel)
@@ -157,11 +161,10 @@ class _ClassBlock(NamedTuple):
 
 
 @lru_cache(maxsize=None)  # every M = 0..6, built once per process
-def _class_table(M: int, partner: int) -> tuple[_ClassBlock, ...]:
-    """The class parts of every irrep block of one C2'(0) partner of sector M.
+def _class_table(M: int) -> tuple[_ClassBlock, ...]:
+    """The class parts of every C2'(0)-even irrep block of sector M.
 
-    Only the even partner (+1) has one: an odd block carries its even
-    block's operators, so partner -1 raises ValueError.  The point group
+    An odd block carries its even partner's operators.  The point group
     keeps distances, so it commutes with each X_c, and a row of B lives on
     one configuration orbit, which keeps each zz_c: every B diag(zz_c) B^T
     is diagonal, zz_c weighted by squared rows.  A flip-flop entry (a, b) of
@@ -170,8 +173,6 @@ def _class_table(M: int, partner: int) -> tuple[_ClassBlock, ...]:
     projects all six classes; X_c is symmetric, so the entries a < b and
     the transpose of their sum give the rest.
     """
-    if partner != 1:
-        raise ValueError("only the C2'(0)-even blocks have a class table")
     classes = coupling_classes(M)
     k = classes.zz.shape[1]
     upper = classes.rows < classes.cols
@@ -179,7 +180,7 @@ def _class_table(M: int, partner: int) -> tuple[_ClassBlock, ...]:
     cls = classes.cls[upper].astype(np.intp)
     table = []
     for b in irrep_blocks(M):
-        if b.partner != partner:
+        if b.partner < 0:
             continue
         n = b.copies
         i = (cls[:, None] * n + np.take(b.rows, left, axis=0)) * n
@@ -230,7 +231,7 @@ def _certificate(M: int) -> tuple[np.ndarray, np.ndarray, float]:
     sizes = {(b.irrep, b.partner): b.copies for b in irrep_blocks(M)}
     first = dict(zip(sizes, np.cumsum([0, *sizes.values()]).tolist()))  # of each block
     parts, diagonal = [], np.zeros((6, n * k))  # the class table over every row of B
-    for t in _class_table(M, 1):
+    for t in _class_table(M):
         p, q = np.divmod(t.flat.astype(np.intp), len(t.z[0]))
         for s in (first[key] for key in ((t.block.irrep, 1), (t.block.irrep, -1)) if key in first):
             parts.append((row[s + p], row[s + q], t.cls.astype(np.intp), t.x))
@@ -277,15 +278,14 @@ def _class_sum(t: _ClassBlock, w: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=7)  # the sectors of one alpha
-def _partner_operators(M: int, alpha: float, partner: int) -> tuple[_Entry, ...]:
-    """Both parts of every irrep block of one C2'(0) partner of sector M, for any Jz/J.
+def _partner_operators(M: int, alpha: float) -> tuple[_Entry, ...]:
+    """Both parts of every C2'(0)-even irrep block of sector M, for any Jz/J.
 
     Six-term sums over the class table: nothing is projected at a fresh alpha.
-    Labelled solves and scans read the even partner (+1) only: an odd
-    block's operators are its even partner's.
+    An odd block's operators are its even partner's.
     """
     w = class_weights(alpha)
-    return tuple((t.block, _class_sum(t, w), w @ t.z) for t in _class_table(M, partner))
+    return tuple((t.block, _class_sum(t, w), w @ t.z) for t in _class_table(M))
 
 
 @lru_cache(maxsize=None)  # every M = 0..6, next to its class table: free of alpha and Jz/J
@@ -293,7 +293,7 @@ def _spin_blocks(M: int) -> tuple[np.ndarray, ...]:
     """B S^2 B^T = 3N/4 + (sum_c B [X_c + diag(zz_c)] B^T) / 2 of each even block of sector M."""
     ones = np.ones(6)  # one weight per distance class
     blocks = tuple(0.5 * (_class_sum(t, ones) + np.diag(ones @ t.z))
-                   + 0.75 * N_SITES * np.eye(t.z.shape[1]) for t in _class_table(M, 1))
+                   + 0.75 * N_SITES * np.eye(t.z.shape[1]) for t in _class_table(M))
     for a in blocks:
         a.flags.writeable = False
     return blocks
@@ -342,7 +342,7 @@ def _block_residual(M: int, params: ModelParams, values: np.ndarray,
     and an odd block is checked against its even partner's H_r.
     """
     w, jz = class_weights(params.alpha), params.jz_over_j
-    tables = {t.block.irrep: t for t in _class_table(M, 1)}
+    tables = {t.block.irrep: t for t in _class_table(M)}
     products, worst = {}, []  # H_r U_r per irrep, kept for an odd partner with the same U_r
     for b, u, cols in solved:
         if products.get(b.irrep, (None,))[0] is not u:
@@ -390,7 +390,7 @@ def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> Spec
     or NaN, it raises RuntimeError, and otherwise that bound over its
     tolerance is residual_margin.
     """
-    entries = _partner_operators(M, params.alpha, 1)
+    entries = _partner_operators(M, params.alpha)
     pairs = _solve_blocks(params, entries, np.linalg.eigh)
     blocks = irrep_blocks(M)
     index = {b.irrep: k for k, (b, _, _) in enumerate(entries)}
@@ -427,7 +427,6 @@ def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> Spec
             indices=idx,
             energy=float(eigenvalues[idx[0]]),
             irrep_slots=held,
-            irrep=next(iter(held)) if len(held) == 1 else None,
             spin=spin,
         ))
     eigenvalues.flags.writeable = False
@@ -447,8 +446,15 @@ diagonalize_sector.cache_clear = _diagonalize_sector.cache_clear
 
 
 def _mirror_result(res: SpectrumResult) -> SpectrumResult:
-    """Sector -M by the exact global spin flip: M's levels and labels, rows flipped on read."""
-    return replace(res, M=-res.M, solved=(), mirror_of=res)
+    """Sector -M by the exact global spin flip: M's levels, labels, U_b and columns.
+
+    The flip f -> f XOR 4095 = 4095 - f reverses the increasing-f order, so
+    state i of sector M is state d - 1 - i of -M, with no sign: each block
+    of -M is M's block with its state axis reversed.
+    """
+    solved = tuple((replace(b, rows=b.rows[::-1], coef=b.coef[::-1]), u, cols)
+                   for b, u, cols in res.solved)
+    return replace(res, M=-res.M, solved=solved)
 
 
 def full_spectrum(
@@ -533,7 +539,7 @@ class _LevelMemory:
 
     def __init__(self, alpha: float, deg_tol_rel: float = DEG_TOL_RELATIVE):
         self.alpha, self.deg_tol_rel = alpha, deg_tol_rel
-        self.blocks = [(M, e) for M in range(0, 7) for e in _partner_operators(M, alpha, 1)]
+        self.blocks = [(M, e) for M in range(0, 7) for e in _partner_operators(M, alpha)]
         self.z_lo, self.z_hi = np.array([(z.min(), z.max()) for _, (_, _, z) in self.blocks]).T
         self.jz, self.low, self.top = np.full((3, len(self.blocks)), np.nan)  # the last solve
         self.solves = 0  # block eigvalsh calls
@@ -646,7 +652,7 @@ def ground_state_point(
 
 
 def _ground_vector(params: ModelParams, deg_tol_rel: float) -> tuple[np.ndarray, int, np.ndarray]:
-    """The M = 0 ground vector B^T u; k, the index of its block in _class_table(0, 1); and u.
+    """The M = 0 ground vector B^T u; k, the index of its block in _class_table(0); and u.
 
     u is the lowest eigenvector of the one block that holds the ground level.
     _ground_point on the C2'(0)-even M = 0 levels (eigvalsh) decides uniqueness (ValueError
@@ -654,7 +660,7 @@ def _ground_vector(params: ModelParams, deg_tol_rel: float) -> tuple[np.ndarray,
     meets once, and eigh solves that block alone.  The pair is checked like a labelled
     solve's: its block residual plus the M = 0 certificate.
     """
-    entries = _partner_operators(0, params.alpha, 1)
+    entries = _partner_operators(0, params.alpha)
     levels = {b.irrep: values for (b, _, _), values in zip(entries, _solve_blocks(params, entries))}
     point = _ground_point(params.jz_over_j, {0: levels}, deg_tol_rel)
     if point.degeneracy > 1:

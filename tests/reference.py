@@ -191,7 +191,7 @@ def eager_eigenvectors(M: int, params: ModelParams) -> np.ndarray:
     """
     if M < 0:
         return spin_flip(StateVector(amps=eager_eigenvectors(-M, params), sector=-M)).amps
-    entries = _partner_operators(M, params.alpha, 1)
+    entries = _partner_operators(M, params.alpha)
     pairs = dict(zip((b.irrep for b, _, _ in entries),
                      _solve_blocks(params, entries, np.linalg.eigh)))
     blocks = irrep_blocks(M)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 from functools import lru_cache
 from unittest import mock
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hexstar import dynamics
+from hexstar import dynamics, spectrum
 from hexstar.analytic import gap
 from hexstar.dynamics import (
     CLASS_TOL,
@@ -669,19 +670,53 @@ def test_block_form_overlaps_match_the_dense_columns(params):
 def test_block_form_reads_its_own_blocks_after_a_read_and_for_a_negative_sector():
     params = ModelParams(alpha=3.7, jz_over_j=0.4)
     times = np.linspace(0.0, 1.0, 51)
+    solve = _diagonalize_sector.__wrapped__  # fresh results, outside the cache
     for M in (-5, -2, 0, 3):
         states = [s for s in _overlap_states() if project_sector(s, M)[1] > 0.0]
-        # a fresh result, outside the cache; M < 0 is solved on its own, on its own blocks
-        res = _diagonalize_sector.__wrapped__(M, params, DEG_TOL_RELATIVE)
-        assert res.mirror_of is None and len(res.solved) > 0
-        with mock.patch.object(dynamics, "diagonalize_sector", lambda *args: res):
-            unread = [_fresh(evolve_probabilities, s, M, params, times) for s in states]
-            res.eigenvectors  # builds the dense columns; the block form stays
-            read = [_fresh(evolve_probabilities, s, M, params, times) for s in states]
-        for got, expected in zip(read, unread):
-            _assert_same_trajectory(got, expected)
-        for state in states:
-            _assert_block_form_is_the_dense_oracle(state, M, params, res)
+        results = [solve(M, params, DEG_TOL_RELATIVE)]  # M < 0: solved on its own blocks
+        if M < 0:
+            up = solve(-M, params, DEG_TOL_RELATIVE)
+            results.append(spectrum._mirror_result(up))  # as diagonalize_sector(M) reads it
+            # M's U_b and columns, each block's state axis reversed
+            for (b, u, cols), (b_up, u_up, cols_up) in zip(results[-1].solved, up.solved):
+                assert u is u_up and cols is cols_up
+                assert np.array_equal(b.rows, b_up.rows[::-1])
+                assert np.array_equal(b.coef, b_up.coef[::-1])
+        for res in results:
+            _assert_reads_its_own_blocks(states, M, params, times, res)
+
+
+def _assert_reads_its_own_blocks(states, M, params, times, res):
+    """Trajectories from res's block form equal before and after its dense columns are built."""
+    assert len(res.solved) > 0
+    with mock.patch.object(dynamics, "diagonalize_sector", lambda *args: res):
+        unread = [_fresh(evolve_probabilities, s, M, params, times) for s in states]
+        res.eigenvectors  # builds the dense columns; the block form stays
+        read = [_fresh(evolve_probabilities, s, M, params, times) for s in states]
+    for got, expected in zip(read, unread):
+        _assert_same_trajectory(got, expected)
+    for state in states:
+        _assert_block_form_is_the_dense_oracle(state, M, params, res)
+
+
+def test_no_dynamics_path_flips_a_state(monkeypatch, xxz_spectra, heisenberg_spectra):
+    # sector -M carries M's blocks read through the flip: psi and the projections stay put
+    def tripwire(state):
+        raise AssertionError(f"a sector {state.sector} state went through the spin flip")
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "hexstar"]:
+        if getattr(module, "spin_flip", None) is spin_flip:
+            monkeypatch.setattr(module, "spin_flip", tripwire)
+    times = np.linspace(0.0, 1.0, 51)
+    for spec, M, params in [("xi", -5, XXZ_FERRO), ("xi", -1, HEISENBERG),
+                            ("zeta:1,0.3,2,1.1", -3, HEISENBERG), ("config:3930", -2, XXZ_FERRO)]:
+        state = build_initial_state(parse_state_spec(spec))
+        dynamics._MEMO.clear()
+        assert np.isfinite(evolve_probabilities(state, M, params, times).class_probs).all()
+        dynamics._MEMO.clear()
+        assert np.isfinite(return_probability(state, M, params, times)).all()
+        dynamics._MEMO.clear()
+        assert spectral_support(state, M, params).dim > 0
 
 
 def test_no_dynamics_path_reads_the_dense_eigenvectors(monkeypatch, xxz_spectra,

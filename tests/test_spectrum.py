@@ -160,23 +160,25 @@ def test_negative_sector_is_the_spin_flip_of_the_positive_one(params, M):
 
 @pytest.mark.parametrize("params", [HEISENBERG, XXZ_FERRO, ModelParams(3.7, 0.37)],
                          ids=["heisenberg", "xxz", "alpha3.7"])
-def test_lazy_eigenvectors_are_the_eager_scatter(monkeypatch, params):
-    flips = []
-    flip = spectrum.spin_flip
-    monkeypatch.setattr(spectrum, "spin_flip",
-                        lambda state: flips.append(state.sector) or flip(state))
+def test_lazy_eigenvectors_are_the_eager_scatter(params):
     for M in range(-6, 7):
         up = _uncached(abs(M), params, DEG_TOL_RELATIVE)
         res = up if M >= 0 else spectrum._mirror_result(up)  # as diagonalize_sector(M) does
         assert "eigenvectors" not in vars(up) | vars(res)  # the solve builds no column
+        if M < 0:
+            # -M holds M's U_b and columns; each block's state axis is M's reversed
+            assert len(res.solved) == len(up.solved)
+            for (b, u, cols), (b_up, u_up, cols_up) in zip(res.solved, up.solved):
+                assert u is u_up and cols is cols_up
+                assert (b.irrep, b.partner, b.copies) == (b_up.irrep, b_up.partner, b_up.copies)
+                assert np.array_equal(b.rows, b_up.rows[::-1])
+                assert np.array_equal(b.coef, b_up.coef[::-1])
         vectors = res.eigenvectors
-        assert flips == ([-M] if M < 0 else [])  # sector -M flips the rows of M on first read
-        expected = eager_eigenvectors(M, params)
+        expected = eager_eigenvectors(M, params)  # sector -M: the spin flip of M's
         assert np.array_equal(vectors, expected)
         assert vectors.flags.f_contiguous == expected.flags.f_contiguous
         assert vectors.flags.c_contiguous == expected.flags.c_contiguous
         assert not vectors.flags.writeable and res.eigenvectors is vectors
-        flips.clear()
 
 
 def test_a_labelled_solve_runs_one_eigh_per_even_block(monkeypatch):
@@ -665,7 +667,7 @@ def test_ground_points_match_the_projected_hamiltonian(monkeypatch, alpha):
 
 def _even_entries(M, alpha):
     """Each block of irrep_blocks(M), both partners, with the operators of its even partner."""
-    entries = {e[0].irrep: e for e in spectrum._partner_operators(M, alpha, 1)}
+    entries = {e[0].irrep: e for e in spectrum._partner_operators(M, alpha)}
     return [(b, *entries[b.irrep][1:]) for b in irrep_blocks(M)]
 
 
@@ -675,7 +677,7 @@ def test_block_operators_are_the_projected_sector_hamiltonian(alpha):
     # partners; an odd block has no operators of its own, only its even partner's
     for M in range(-6, 7):
         entries = _even_entries(M, alpha)
-        assert ([b for b, _, _ in spectrum._partner_operators(M, alpha, 1)]
+        assert ([b for b, _, _ in spectrum._partner_operators(M, alpha)]
                 == [b for b in irrep_blocks(M) if b.partner > 0])
         rows = [dense_rows(b) for b, _, _ in entries]
         for jz in (0.0, 1.0, -2.5):
@@ -726,14 +728,14 @@ def test_a_perturbed_block_operator_fails_the_residual_check(monkeypatch, capsys
     build = spectrum._partner_operators
     for M, solve in ((3, lambda: _uncached(3, params, DEG_TOL_RELATIVE)),
                      (0, lambda: spectrum._ground_vector(params, DEG_TOL_RELATIVE))):
-        entries = list(build(M, 6.0, 1))
+        entries = list(build(M, 6.0))
         b, xr, zr = entries[0]
         xr = xr.copy()
         xr[0, 0] += 1e-6
         entries[0] = (b, xr, zr)
         with monkeypatch.context() as m:
-            m.setattr(spectrum, "_partner_operators", lambda k, alpha, partner: (
-                tuple(entries) if (k, partner) == (M, 1) else build(k, alpha, partner)))
+            m.setattr(spectrum, "_partner_operators", lambda k, alpha: (
+                tuple(entries) if k == M else build(k, alpha)))
             with pytest.raises(RuntimeError, match="eigenpair residual"):
                 solve()
             if M == 0:
@@ -743,7 +745,7 @@ def test_a_perturbed_block_operator_fails_the_residual_check(monkeypatch, capsys
 
 def test_a_perturbed_class_table_entry_fails_the_residual_check(monkeypatch):
     build = spectrum._class_table
-    t = build(3, 1)[0]
+    t = build(3)[0]
     n = t.z.shape[1]
     # a nearest-neighbour entry on or below the diagonal, which eigh reads, and its mirror
     k = np.nonzero((t.cls == 0) & (t.flat // n >= t.flat % n))[0][0]
@@ -756,10 +758,10 @@ def test_a_perturbed_class_table_entry_fails_the_residual_check(monkeypatch):
     for moved in ([k], [k, mirror]):
         x = t.x.copy()
         x[moved] += 1e-6
-        table = (t._replace(x=x), *build(3, 1)[1:])
+        table = (t._replace(x=x), *build(3)[1:])
         with monkeypatch.context() as m:
-            m.setattr(spectrum, "_class_table", lambda M, partner, table=table: (
-                table if (M, partner) == (3, 1) else build(M, partner)))
+            m.setattr(spectrum, "_class_table", lambda M, table=table: (
+                table if M == 3 else build(M)))
             with pytest.raises(RuntimeError, match="eigenpair residual"):
                 _uncached(3, ModelParams(6.0, 0.5), DEG_TOL_RELATIVE)
 
@@ -836,7 +838,7 @@ def test_cluster_labels_match_the_per_cluster_loop(alpha, jz):
 
 def test_block_solves_accept_a_plain_eigenpair_tuple():
     # numpy before 2.0 returns eigh's eigenpairs as a plain (values, vectors) tuple
-    entries = spectrum._partner_operators(2, 6.0, 1)
+    entries = spectrum._partner_operators(2, 6.0)
     solved = spectrum._solve_blocks(ModelParams(6.0, 0.5), entries,
                                     lambda a: tuple(np.linalg.eigh(a)))
     levels = spectrum._solve_blocks(ModelParams(6.0, 0.5), entries)
@@ -849,7 +851,7 @@ def test_a_solver_failure_at_finite_levels_keeps_its_own_error():
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        spectrum._solve_blocks(ModelParams(6.0, 0.5), spectrum._partner_operators(2, 6.0, 1), fail)
+        spectrum._solve_blocks(ModelParams(6.0, 0.5), spectrum._partner_operators(2, 6.0), fail)
 
 
 @pytest.mark.parametrize("f_lo, f_hi, top_lo, top_hi, at", [
@@ -902,7 +904,7 @@ def test_overlap_scan_refuses_a_degenerate_ground_level(monkeypatch, degenerate_
     def merged(params, entries, solve=np.linalg.eigvalsh):
         solved = solve_blocks(params, entries, solve)
         if (params.jz_over_j == degenerate_jz
-                and entries is spectrum._partner_operators(0, params.alpha, 1)):
+                and entries is spectrum._partner_operators(0, params.alpha)):
             e0, e1 = np.sort(np.concatenate(solved))[:2]
             for v in solved:
                 v[v == e1] = e0
