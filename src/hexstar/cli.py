@@ -250,9 +250,7 @@ def cmd_symmetry_tables(args: argparse.Namespace) -> _Output:
 
 
 def _cluster_irrep_text(cluster) -> str:
-    if cluster.irrep is not None:
-        return cluster.irrep
-    return "+".join(f"{r}:{n}" for r, n in sorted(cluster.irrep_slots.items()))
+    return cluster.irrep or "+".join(f"{r}:{n}" for r, n in sorted(cluster.irrep_slots.items()))
 
 
 def cmd_spectrum(args: argparse.Namespace) -> _Output:

@@ -208,6 +208,19 @@ def eager_eigenvectors(M: int, params: ModelParams) -> np.ndarray:
     return vectors
 
 
+def assert_mirrored_blocks(down: SpectrumResult, up: SpectrumResult) -> None:
+    """Sector -M's block form is M's U_b and columns, each block's state axis reversed.
+
+    The spin flip f -> 4095 - f sends state i of sector M to state d - 1 - i of -M.
+    """
+    assert down.M == -up.M < 0 and len(down.solved) == len(up.solved)
+    for (b, u, cols), (b_up, u_up, cols_up) in zip(down.solved, up.solved):
+        assert u is u_up and cols is cols_up
+        assert (b.irrep, b.partner, b.copies) == (b_up.irrep, b_up.partner, b_up.copies)
+        assert np.array_equal(b.rows, b_up.rows[::-1])
+        assert np.array_equal(b.coef, b_up.coef[::-1])
+
+
 def dense_cluster_overlaps(res: SpectrumResult,
                            psi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(z, P psi) of every cluster from the dense columns V_c: z = V_c^T psi and P psi = V_c z."""

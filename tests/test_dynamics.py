@@ -36,7 +36,7 @@ from hexstar.hilbert import (
     spin_flip,
 )
 from hexstar.spectrum import SUPPORT_TOL, SpectrumResult, _diagonalize_sector, diagonalize_sector
-from reference import dense_cluster_overlaps, dense_modes
+from reference import assert_mirrored_blocks, dense_cluster_overlaps, dense_modes
 
 # Spectral support dimensions per sector, M = 6 down to 0.  The in-plane
 # state is evolved under the anisotropic model, the mixed-ring state under
@@ -677,11 +677,7 @@ def test_block_form_reads_its_own_blocks_after_a_read_and_for_a_negative_sector(
         if M < 0:
             up = solve(-M, params, DEG_TOL_RELATIVE)
             results.append(spectrum._mirror_result(up))  # as diagonalize_sector(M) reads it
-            # M's U_b and columns, each block's state axis reversed
-            for (b, u, cols), (b_up, u_up, cols_up) in zip(results[-1].solved, up.solved):
-                assert u is u_up and cols is cols_up
-                assert np.array_equal(b.rows, b_up.rows[::-1])
-                assert np.array_equal(b.coef, b_up.coef[::-1])
+            assert_mirrored_blocks(results[-1], up)
         for res in results:
             _assert_reads_its_own_blocks(states, M, params, times, res)
 

@@ -43,6 +43,7 @@ from hexstar.spectrum import (
 from hexstar.symmetry import irrep_blocks, irrep_weights
 from reference import (
     act_permutation,
+    assert_mirrored_blocks,
     dense_rows,
     eager_eigenvectors,
     histogram_by_group_means,
@@ -166,13 +167,7 @@ def test_lazy_eigenvectors_are_the_eager_scatter(params):
         res = up if M >= 0 else spectrum._mirror_result(up)  # as diagonalize_sector(M) does
         assert "eigenvectors" not in vars(up) | vars(res)  # the solve builds no column
         if M < 0:
-            # -M holds M's U_b and columns; each block's state axis is M's reversed
-            assert len(res.solved) == len(up.solved)
-            for (b, u, cols), (b_up, u_up, cols_up) in zip(res.solved, up.solved):
-                assert u is u_up and cols is cols_up
-                assert (b.irrep, b.partner, b.copies) == (b_up.irrep, b_up.partner, b_up.copies)
-                assert np.array_equal(b.rows, b_up.rows[::-1])
-                assert np.array_equal(b.coef, b_up.coef[::-1])
+            assert_mirrored_blocks(res, up)
         vectors = res.eigenvectors
         expected = eager_eigenvectors(M, params)  # sector -M: the spin flip of M's
         assert np.array_equal(vectors, expected)
