@@ -19,10 +19,10 @@ test count and wall time.  A claimed speedup is the difference between two
 such files made on the same machine.
 
 With ``--base REV`` it compares instead: REV's committed files are unpacked
-by ``git archive`` into a temporary directory (removed afterwards;
-base_tree), and parent (REV)
-and child (this checkout) run ``perfbench/run.py --trace 0`` alternately,
-one seed per pair, the parent first on odd pairs.  For every workload and
+by ``git archive`` into a temporary directory, removed afterwards
+(base_tree), and parent (REV) and child (this checkout) run
+``perfbench/run.py --trace 0`` alternately, one seed per pair, the parent
+first on odd pairs.  For every workload and
 end-to-end metric it keeps both sides' values, their medians, the ratio of
 the medians (child / parent), the pairs the child wins and the parent's
 interquartile range.  Each README line runs LINE_REPEATS times in both
@@ -178,7 +178,7 @@ def _summary(parent: list[float], child: list[float], higher_is_better: bool) ->
 
 @contextlib.contextmanager
 def base_tree(base: str):
-    """(the commit base names, a temporary directory holding its committed files), removed after."""
+    """Yields (the commit base names, a temporary directory with its committed files)."""
     rev = subprocess.run(["git", "rev-parse", "--verify", base + "^{commit}"], cwd=ROOT,
                          capture_output=True, text=True, check=True).stdout.strip()
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,

@@ -61,10 +61,11 @@ def _records(cases: dict):
     t = cases["times"]
     times = np.linspace(0.0, t["t_max"], t["t_steps"])
     states = {spec: build_initial_state(parse_state_spec(spec)) for spec in cases["states"]}
-    for c in cases["couplings"]:
-        params = (getattr(hamiltonian, c["name"]) if "name" in c
-                  else hamiltonian.ModelParams(c["alpha"], c["jz_over_j"]))
-        name = c.get("name") or f"({params.alpha:g}, {params.jz_over_j:g})"
+    for coupling in cases["couplings"]:
+        name = coupling.get("name")
+        params = (getattr(hamiltonian, name) if name
+                  else hamiltonian.ModelParams(coupling["alpha"], coupling["jz_over_j"]))
+        name = name or f"({params.alpha:g}, {params.jz_over_j:g})"
         for M in cases["sectors"]:
             group = "M >= 0" if M >= 0 else "M < 0"
             res = diagonalize_sector(M, params)
@@ -91,7 +92,10 @@ def _records(cases: dict):
     for line in cases["cli"]:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(line.split())
+            try:
+                code = cli.main(line.split())
+            except SystemExit as exc:  # argparse refuses the line
+                code = exc.code
         yield "command lines", f"hexstar {line}", {
             "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
