@@ -4,7 +4,8 @@ The symmetric combinations of one flipped spin on the outer ring and one
 on the inner ring span a two-dimensional block that the Hamiltonian never
 leaves.  Its entries have closed forms in alpha and Jz/J, written down
 here independently of the generic assembly code so the two can be played
-against each other.  All energies are in units of J.
+against each other.  All energies are in units of J.  The block evolves
+through dynamics' one real kernel, with no complex phase table.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import phase_factors
+from .dynamics import _phase_parts, _power
 from .hamiltonian import ModelParams, build_sector_hamiltonian, exact_capable
 from .hilbert import StateVector, sector_basis
 
@@ -168,8 +169,6 @@ def m5_probabilities(
     block = m5_block(alpha, jz_over_j)
     evals, evecs = np.linalg.eigh(block.matrix)
     coef = evecs.T @ start
-    phase = phase_factors(evals, times)
-    amp = evecs @ (coef[:, None] * phase)
-    p_outer = (amp[0].real**2 + amp[0].imag**2) / _RING
-    p_inner = (amp[1].real**2 + amp[1].imag**2) / _RING
+    cos, sin = _phase_parts(evals, times)
+    p_outer, p_inner = _power(evecs, None, coef[:, None] * cos, coef[:, None] * sin) / _RING
     return p_outer, p_inner

@@ -15,13 +15,14 @@ Every entry point starts from one mode decomposition, read from the
 sector spectrum's block form and never from dense eigenvector columns:
 z = U_b^T (B_b psi0) per irrep block b, scattered to the block's sorted
 columns, and psi0's projection onto each cluster, sum_b B_b^T U_b z over
-the cluster's columns of each block.  The mode sums are real: with
-theta = -2 pi E t and a_k the amplitude that cluster k carries to a row,
+the cluster's columns of each block.  One real kernel, _power, serves an
+evolve's class rows, a return's squared overlaps and analytic's M = 5 block:
+with theta = -2 pi E t and a_k the amplitude that mode k carries to a row,
 
     p(t) = (Re a . cos theta - Im a . sin theta)^2 + (Re a . sin theta + Im a . cos theta)^2,
 
 so no complex phase table is formed.  A one-entry memo keeps the cluster
-overlaps and the (cos theta, sin theta) pair under the content they were
+overlaps and _phase_parts' (cos theta, sin theta) under the content they were
 computed from, so an evolve and a return of the same state on the same grid
 compute them once.  Equiprobability classes are first-fit classes, found by
 walking the representatives: each claims its later unclaimed matches at
@@ -39,7 +40,7 @@ import numpy as np
 
 from .hilbert import StateVector, project_sector
 from .hamiltonian import DEG_TOL_RELATIVE, ModelParams
-from .spectrum import SUPPORT_TOL, SpectrumResult, _columns, diagonalize_sector
+from .spectrum import SUPPORT_TOL, SpectrumResult, _columns, _run_starts, diagonalize_sector
 from .symmetry import IrrepBlock
 
 # Clusters with projection below this never matter against the 1e-10
@@ -129,8 +130,8 @@ def _content(a: np.ndarray) -> tuple:
     return a.dtype.str, a.shape, a.tobytes()
 
 
-def _phase_angles(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """theta = -2 pi E t, a real outer product: one row per energy and one column per time.
+def _phase_parts(energies: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos theta, sin theta) of theta = -2 pi E t: one row per energy and one column per time.
 
     Raises ValueError when a phase is not finite: a non-finite time, or a
     finite one so large that the phase overflows.
@@ -140,18 +141,24 @@ def _phase_angles(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
     if not np.isfinite(theta).all():
         raise ValueError("times must be finite and small enough that every phase "
                          "2 pi E t is finite")
-    return theta
-
-
-def phase_factors(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-2 pi i E t), one row per energy and one column per time; ValueError as _phase_angles."""
-    return np.exp(1j * _phase_angles(energies, times))
-
-
-def _phase_parts(energies: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cos theta, sin theta) of _phase_angles: the real and imaginary parts of phase_factors."""
-    theta = _phase_angles(energies, times)
     return np.cos(theta), np.sin(theta, out=theta)
+
+
+def _power(a_r: np.ndarray, a_i: np.ndarray | None,
+           cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """|(a_r + i a_i) . e^{i theta}|^2 per row and time: the one time-evolution kernel.
+
+    It is (a_r cos - a_i sin)^2 + (a_r sin + a_i cos)^2, real products only,
+    with cos and sin one row per mode; a_i None is a real amplitude.
+    """
+    re, im = a_r @ cos, a_r @ sin
+    if a_i is not None:
+        re -= a_i @ sin
+        im += a_i @ cos
+    np.square(re, out=re)
+    np.square(im, out=im)
+    re += im
+    return re
 
 
 class _Overlaps(NamedTuple):
@@ -191,7 +198,7 @@ def _cluster_overlaps(
         z = np.empty_like(psi)
         for b, u, cols in res.solved:
             z[cols] = u.T @ _block_rows(b, psi)
-        starts = np.array([c.indices[0] for c in res.clusters])
+        starts = _run_starts(res.eigenvalues, res.deg_tol)
         norms = np.sqrt(np.add.reduceat((z * z.conj()).real, starts))
         kept = np.flatnonzero(norms > EVOLVE_FLOOR)
         slot = np.full(len(starts), -1)
@@ -219,7 +226,7 @@ def _projections(res: SpectrumResult, overlaps: _Overlaps) -> np.ndarray:
         sel = np.flatnonzero(k >= 0)
         if len(sel):
             k = k[sel]
-            seg = np.flatnonzero(np.diff(k, prepend=-1))
+            seg = _run_starts(k, 0)
             proj[:, k[seg]] += _columns(b, np.add.reduceat(u[:, sel] * z[cols[sel]], seg, axis=1))
     return proj
 
@@ -295,8 +302,7 @@ def frequency_count(support: SpectralSupport, deg_tol: float) -> FrequencyCount:
     formula = n * (n - 1) // 2
     e = support.energies
     diffs = np.sort(np.abs(e[:, None] - e[None, :])[np.triu_indices(n, k=1)])
-    distinct = 1 + int(np.count_nonzero(np.diff(diffs) > deg_tol)) if len(diffs) else 0
-    return FrequencyCount(formula=formula, distinct=distinct)
+    return FrequencyCount(formula=formula, distinct=len(_run_starts(diffs, deg_tol)))
 
 
 def equiprobability_classes(support: SpectralSupport) -> tuple[np.ndarray, ...]:
@@ -430,26 +436,18 @@ def evolve_probabilities(
 
 def _mode_sums(rows: np.ndarray, modes: SpectralSupport, complex_state: bool,
                cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """|rows . (coef * e^{i theta})|^2 per row and time, from real products with cos and sin.
+    """|rows . (coef * e^{i theta})|^2 per row and time, by _power.
 
     The amplitudes a = rows * coef are summed per cluster first (C x K), so
     each cluster's cos and sin rows are read once; a cluster without a
     column keeps a zero column.
     """
-    starts = np.flatnonzero(np.diff(modes.col_cluster, prepend=-1))
+    starts = _run_starts(modes.col_cluster, 0)
     scaled = rows * (modes.coef if complex_state else modes.coef.real)
     amps = np.zeros((len(rows), len(cos)), dtype=scaled.dtype)
     amps[:, modes.col_cluster[starts]] = np.add.reduceat(scaled, starts, axis=1)
-    a_r = np.ascontiguousarray(amps.real)
-    re, im = a_r @ cos, a_r @ sin
-    if complex_state:
-        a_i = np.ascontiguousarray(amps.imag)
-        re -= a_i @ sin
-        im += a_i @ cos
-    np.square(re, out=re)
-    np.square(im, out=im)
-    re += im
-    return re
+    a_i = np.ascontiguousarray(amps.imag) if complex_state else None
+    return _power(np.ascontiguousarray(amps.real), a_i, cos, sin)
 
 
 def return_probability(
@@ -462,16 +460,14 @@ def return_probability(
     """|<psi0|psi(t)>|^2 for the normalized sector component of the state.
 
     With o_k the projection norm of kept cluster k and theta = -2 pi E_k t,
-    it is (o^2 . cos theta)^2 + (o^2 . sin theta)^2.  That needs only each
+    it is _power of the real amplitudes o^2, (o^2 . cos theta)^2 +
+    (o^2 . sin theta)^2.  That needs only each
     cluster's energy and projection norm, the first stage of the mode
     decomposition, and reads the (cos, sin) pair that an evolve of the same
     state on the same grid has built.
     """
     overlaps = _cluster_overlaps(state, M, params, deg_tol_rel)[2]
-    cos, sin = _phase_table(overlaps.energies, times)
-    weights = overlaps.norms**2
-    re, im = weights @ cos, weights @ sin
-    return re * re + im * im
+    return _power(overlaps.norms**2, None, *_phase_table(overlaps.energies, times))
 
 
 @dataclass(frozen=True)

@@ -123,13 +123,9 @@ class SpectrumResult:
         return vectors
 
 
-def split_into_clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Group ascending values into runs separated by gaps larger than tol."""
-    if len(values) == 0:
-        return []
-    bounds = [0, *(np.flatnonzero(np.diff(values) > tol) + 1).tolist(), len(values)]
-    indices = np.arange(len(values))
-    return [indices[start:stop] for start, stop in zip(bounds, bounds[1:])]
+def _run_starts(values: np.ndarray, tol: float) -> np.ndarray:
+    """Start of each run of ascending values, split where a gap exceeds tol: the one run rule."""
+    return np.flatnonzero(np.concatenate(([len(values) > 0], np.diff(values) > tol)))
 
 
 def diagonalize_sector(
@@ -410,8 +406,8 @@ def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> Spec
                              float(np.abs(eigenvalues[[0, -1]]).max()), spread)
 
     deg_tol = deg_tol_rel * spread
-    raw = split_into_clusters(eigenvalues, deg_tol)
-    firsts = np.array([idx[0] for idx in raw])
+    firsts = _run_starts(eigenvalues, deg_tol)
+    raw = np.split(np.arange(len(eigenvalues)), firsts[1:])
     spins = [None] * len(raw)
     if params.jz_over_j == 1.0:
         level = order[firsts]  # merged position of each cluster's first level
@@ -482,18 +478,18 @@ def degeneracy_histogram(
     """Histogram of eigenvalue multiplicities across the full 4096 states.
 
     Sector -M has the levels of M, so only the cached sectors M >= 0 are read.
-    The groups are split_into_clusters' runs, counted from their break
-    positions.  A gap between the mean levels of two neighbouring groups is
-    never below the gap at their edges, up to the rounding of the two means
-    (at most a few ulps per level of the larger group), so only neighbours
-    whose edge gap falls below 10 deg_tol plus that slack need their means.
+    The groups are the runs of _run_starts, sized from their starts.  A gap
+    between the mean levels of two neighbouring groups is never below the
+    gap at their edges, up to the rounding of the two means (at most a few
+    ulps per level of the larger group), so only neighbours whose edge gap
+    falls below 10 deg_tol plus that slack need their means.
     """
     # M = 0 is solved first, so the smaller sectors' temporaries reuse its heap (peak RSS)
     levels = [diagonalize_sector(M, params, deg_tol_rel).eigenvalues for M in range(7)]
     merged = np.sort(np.concatenate(levels[:0:-1] + levels))
     deg_tol = deg_tol_rel * float(merged[-1] - merged[0])
-    breaks = np.flatnonzero(np.diff(merged) > deg_tol) + 1
-    bounds = np.concatenate(([0], breaks, [len(merged)]))
+    bounds = np.append(_run_starts(merged, deg_tol), len(merged))
+    breaks = bounds[1:-1]
     sizes, counts = np.unique(np.diff(bounds), return_counts=True)
 
     slack = 4 * int(sizes[-1]) * np.spacing(np.abs(merged).max())

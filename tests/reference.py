@@ -6,12 +6,13 @@ block, the dense irrep labeller that rounds projection weights, the Schmidt
 scan over every cut, the exact entries summed pair by pair over a pair
 table built here from the geometry and the sector basis, cluster labels
 counted cluster by cluster with spins from the dense Casimir, the dense
-eigenvectors scattered at once after the solve, and a state's cluster
-overlaps and modes read off those dense columns.  The library builds none
-of these: its blocks carry their labels by construction, its scan takes
-one cut per orbit, its matrices, exact entries and spins are all read from
-the six distance classes, its eigenvectors are built on first read, and
-its dynamics read the block form, so these only check it.
+eigenvectors scattered at once after the solve, a state's cluster
+overlaps and modes read off those dense columns, and clusters cut one gap
+at a time.  The library builds none of these: its blocks carry their labels
+by construction, its scan takes one cut per orbit, its matrices, exact
+entries and spins are all read from the six distance classes, its
+eigenvectors are built on first read, its dynamics read the block form and
+its runs are cut by one vectorized rule, so these only check it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from hexstar.entanglement import SVD_CHUNK, SVD_TOL, _cut_matrix, _ranks
 from hexstar.hamiltonian import ModelParams, heisenberg_casimir
 from hexstar.hilbert import StateVector, _config_map, sector_basis, spin_flip
 from hexstar.lattice import IRREP_LABELS, N_SITES, GroupElement, build_geometry
-from hexstar.spectrum import SpectrumResult, _partner_operators, _solve_blocks, split_into_clusters
+from hexstar.spectrum import SpectrumResult, _partner_operators, _solve_blocks
 from hexstar.symmetry import IrrepBlock, irrep_blocks, irrep_weights
 
 PURE_TOL = 0.999  # amplitude of one irrep that labels an eigenvector as pure
@@ -132,6 +133,16 @@ def exact_entries_by_pair(M: int, params: ModelParams) -> dict[tuple[int, int], 
     return entries
 
 
+def split_into_clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Indices of each run of ascending values, cut one gap at a time where it exceeds tol."""
+    groups: list[list[int]] = []
+    for i, value in enumerate(values):
+        if not groups or value - values[i - 1] > tol:
+            groups.append([])
+        groups[-1].append(i)
+    return [np.array(g) for g in groups]
+
+
 def histogram_by_group_means(merged: np.ndarray, deg_tol: float) -> tuple[dict, tuple]:
     """Degeneracy counts and ambiguous gaps of sorted levels: every group's mean, then their gaps."""
     counts: dict[int, int] = {}
@@ -233,17 +244,17 @@ def dense_cluster_overlaps(res: SpectrumResult,
     return out
 
 
-def dense_modes(res: SpectrumResult, psi: np.ndarray,
+def dense_modes(overlaps: list[tuple[np.ndarray, np.ndarray]],
                 floor: float) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-    """Kept clusters, mode basis, column clusters and coefficients, cluster by cluster.
+    """Kept clusters, mode basis, column clusters and coefficients, from dense_cluster_overlaps.
 
     A cluster is kept when ||z|| exceeds floor.  Its projection's real and
     (for a complex psi) imaginary parts are orthonormalized by Gram-Schmidt
     within the cluster, each adding a column when its remainder exceeds floor.
     """
     kept, cols, col_cluster, coef = [], [], [], []
-    parts = (np.real, np.imag) if np.iscomplexobj(psi) else (np.real,)
-    for k, (z, proj) in enumerate(dense_cluster_overlaps(res, psi)):
+    parts = (np.real, np.imag) if np.iscomplexobj(overlaps[0][0]) else (np.real,)
+    for k, (z, proj) in enumerate(overlaps):
         if not np.linalg.norm(z) > floor:
             continue
         own = len(cols)

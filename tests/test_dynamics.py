@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hexstar import dynamics, spectrum
-from hexstar.analytic import gap
+from hexstar import analytic, dynamics, spectrum
+from hexstar.analytic import gap, m5_block
 from hexstar.dynamics import (
     CLASS_TOL,
     EVOLVE_FLOOR,
@@ -515,9 +515,40 @@ def test_phase_factors_are_the_plain_exponential_inside_the_float_range(xi):
     energies = np.concatenate([[0.0, -0.0], rng.uniform(-20.0, 20.0, 40)])
     times = np.concatenate([[0.0, 1e306, -1e306], rng.uniform(-1e3, 1e3, 30)])
     expected = np.exp(-2j * np.pi * np.outer(energies, times))
-    assert np.array_equal(dynamics.phase_factors(energies, times), expected)
+    cos, sin = dynamics._phase_parts(energies, times)
+    assert np.array_equal(cos, expected.real)
+    assert np.array_equal(sin, expected.imag)
     traj = evolve_probabilities(xi, 5, HEISENBERG, np.array([0.0, 1e306]))
     assert np.isfinite(traj.probs).all()
+
+
+def _complex_m5(initial, alpha, jz_over_j, times):
+    """The complex route of m5_probabilities: an e^{i theta} table and one complex product."""
+    start = np.array([1.0, 0.0]) if initial == "outer" else np.array([1.0, 1.0]) / math.sqrt(2.0)
+    evals, evecs = np.linalg.eigh(m5_block(alpha, jz_over_j).matrix)
+    coef = evecs.T @ start
+    amp = evecs @ (coef[:, None] * np.exp(-2j * np.pi * np.outer(evals, times)))
+    return (amp[0].real**2 + amp[0].imag**2) / 6, (amp[1].real**2 + amp[1].imag**2) / 6
+
+
+def test_every_evolution_reads_one_real_phase_table_and_one_kernel(chi):
+    times = np.linspace(0.0, 50.0, 2001)
+    phases = mock.Mock(wraps=dynamics._phase_parts)
+    power = mock.Mock(wraps=dynamics._power)
+    dynamics._MEMO.clear()
+    with mock.patch.multiple(dynamics, _phase_parts=phases, _power=power), \
+            mock.patch.multiple(analytic, _phase_parts=phases, _power=power):
+        return_probability(chi, 4, HEISENBERG, times)
+        assert (phases.call_count, power.call_count) == (1, 1)
+        evolve_probabilities(chi, 4, HEISENBERG, times)  # the return's phases, from the memo
+        assert (phases.call_count, power.call_count) == (1, 2)
+        for alpha in (2.0, 3.3):
+            for initial in ("outer", "symmetric"):
+                calls = phases.call_count, power.call_count
+                got = analytic.m5_probabilities(initial, alpha, 0.37, times)
+                assert (phases.call_count, power.call_count) == (calls[0] + 1, calls[1] + 1)
+                for p, q in zip(got, _complex_m5(initial, alpha, 0.37, times)):
+                    assert np.array_equal(p, q), (alpha, initial)
 
 
 def _fresh(fn, *args, **kwargs):
@@ -633,7 +664,7 @@ def _assert_block_form_is_the_dense_oracle(state, M, params, res):
     dense = dense_cluster_overlaps(res, psi)
     for c, (z, _) in zip(res.clusters, dense):
         assert np.abs(overlaps.z[c.indices] - z).max() <= 1e-13
-    kept, basis, col_cluster, coef = dense_modes(res, psi, EVOLVE_FLOOR)
+    kept, basis, col_cluster, coef = dense_modes(dense, EVOLVE_FLOOR)
     assert [k for k, c in enumerate(res.clusters) if overlaps.slot[c.indices[0]] >= 0] == kept
     proj = dynamics._projections(res, overlaps)
     assert np.abs(proj - np.stack([dense[k][1] for k in kept], axis=1)).max() <= 1e-13
@@ -661,10 +692,10 @@ def _assert_block_form_is_the_dense_oracle(state, M, params, res):
 def test_block_form_overlaps_match_the_dense_columns(params):
     states = _overlap_states()
     for M in range(-6, 7):
+        res = diagonalize_sector(M, params)  # one result, so its dense columns are built once
         for state in states:
             if project_sector(state, M)[1] > 0.0:
-                _assert_block_form_is_the_dense_oracle(state, M, params,
-                                                       diagonalize_sector(M, params))
+                _assert_block_form_is_the_dense_oracle(state, M, params, res)
 
 
 def test_block_form_reads_its_own_blocks_after_a_read_and_for_a_negative_sector():

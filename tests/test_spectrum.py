@@ -38,7 +38,6 @@ from hexstar.spectrum import (
     ground_state_scan,
     heisenberg_overlap_scan,
     ising_degeneracy_check,
-    split_into_clusters,
 )
 from hexstar.symmetry import irrep_blocks, irrep_weights
 from reference import (
@@ -49,6 +48,7 @@ from reference import (
     histogram_by_group_means,
     label_eigenvector,
     per_cluster_labels,
+    split_into_clusters,
 )
 
 # Eigenvalue multiplicities over all 4096 states, counted once at the
@@ -214,6 +214,10 @@ def test_split_into_clusters_basics():
     groups = split_into_clusters(values, 1e-8)
     assert [len(g) for g in groups] == [2, 2, 1]
     assert [len(g) for g in split_into_clusters(np.array([3.0]), 1e-8)] == [1]
+    # the library's one run rule starts the same runs
+    assert spectrum._run_starts(values, 1e-8).tolist() == [g[0] for g in groups] == [0, 2, 4]
+    assert spectrum._run_starts(np.array([3.0]), 1e-8).tolist() == [0]
+    assert spectrum._run_starts(np.array([]), 1e-8).tolist() == []
 
 
 def test_clusters_partition_each_sector(xxz_spectra):
