@@ -22,7 +22,8 @@ With ``--base REV`` it compares instead: REV's committed files are unpacked
 by ``git archive`` into a temporary directory, removed afterwards
 (base_tree), and parent (REV) and child (this checkout) run
 ``perfbench/run.py --trace 0`` alternately, one seed per pair, the parent
-first on odd pairs.  For every workload and
+first on odd pairs.  It records both trees' ``src/`` line counts, counted
+as the record mode counts them (_src_lines).  For every workload and
 end-to-end metric it keeps both sides' values, their medians, the ratio of
 the medians (child / parent), the pairs the child wins and the parent's
 interquartile range.  Each README line runs LINE_REPEATS times in both
@@ -74,6 +75,11 @@ def perfbench(seed: int) -> dict:
 def _env(root: Path = ROOT) -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))}
+
+
+def _src_lines(root: Path = ROOT) -> int:
+    """Lines of the Python files under root's ``src/``: the count every record carries."""
+    return sum(len(path.read_text().splitlines()) for path in (root / "src").rglob("*.py"))
 
 
 def readme_lines() -> list[str]:
@@ -192,6 +198,7 @@ def base_tree(base: str):
 def paired(base: str, pairs: int, seed_start: int) -> dict:
     """Parent (base) and child (this checkout) run alternately, the parent first on odd pairs."""
     with base_tree(base) as (rev, tree):
+        src_lines = {"parent": _src_lines(tree), "child": _src_lines(ROOT)}
         order = (("parent", tree), ("child", ROOT))
         runs = {w: {"parent": [], "child": []} for w in WORKLOADS}
         for pair in range(1, pairs + 1):
@@ -215,6 +222,7 @@ def paired(base: str, pairs: int, seed_start: int) -> dict:
         "base": rev,
         "seeds": [seed_start, seed_start + pairs - 1],
         "seconds": SECONDS,
+        "src_lines": src_lines,
         "thread_vars": {k: os.environ.get(k) for k in THREAD_VARS},
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version()},
         "workloads": {w: {"failed": [sum(r["failed"] for r in runs[w][s]) for s in runs[w]],
@@ -257,7 +265,7 @@ def main() -> None:
         digest.update(path.relative_to(ROOT).as_posix().encode() + b"\0" + path.read_bytes())
     doc = {
         "src_sha256": digest.hexdigest(),
-        "src_lines": sum(len(path.read_text().splitlines()) for path in sources),
+        "src_lines": _src_lines(),
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version()},
         "perfbench": {str(seed): perfbench(seed) for seed in args.seeds},
         "readme_cli": cli_lines(),

@@ -111,30 +111,35 @@ class M5Block:
     diagonal_gap: float                             # h11 - h22; sign gives the ordering
 
 
-def m5_block(alpha: float, jz_over_j: float) -> M5Block:
-    ModelParams(alpha, jz_over_j)  # the couplings' own checks: ValueError on a bad one
+def _matrix(alpha: float, jz_over_j: float) -> np.ndarray:
+    """The 2x2 block in (outer, inner) ordering, after the couplings' own checks."""
+    ModelParams(alpha, jz_over_j)  # ValueError on a bad alpha or Jz/J
     h11_0, h12_0, h22_0, h11_1, h22_1 = block_entries(alpha)
     x = jz_over_j
-    matrix = np.array([
+    return np.array([
         [h11_0 + x * h11_1, h12_0],
         [h12_0, h22_0 + x * h22_1],
     ])
+
+
+def m5_block(alpha: float, jz_over_j: float) -> M5Block:
+    matrix = _matrix(alpha, jz_over_j)
     exact = None
     if exact_capable(alpha):
         e11_0, e12_0, e22_0, e11_1, e22_1 = exact_block_entries(alpha)
-        xf = Fraction(x)
+        xf = Fraction(jz_over_j)
         exact = (
             (e11_0 + xf * e11_1, e12_0),
             (e12_0, e22_0 + xf * e22_1),
         )
     return M5Block(
         alpha=alpha,
-        jz_over_j=x,
+        jz_over_j=jz_over_j,
         e_outer=_sym_ring_state(outer=True),
         e_inner=_sym_ring_state(outer=False),
         matrix=matrix,
         exact=exact,
-        delta_e=gap(alpha, x),
+        delta_e=gap(alpha, jz_over_j),
         diagonal_gap=matrix[0, 0] - matrix[1, 1],
     )
 
@@ -166,8 +171,7 @@ def m5_probabilities(
         start = np.array([1.0, 1.0]) / math.sqrt(2.0)
     else:
         raise ValueError(f"unknown initial vector {initial!r}")
-    block = m5_block(alpha, jz_over_j)
-    evals, evecs = np.linalg.eigh(block.matrix)
+    evals, evecs = np.linalg.eigh(_matrix(alpha, jz_over_j))
     coef = evecs.T @ start
     cos, sin = _phase_parts(evals, times)
     p_outer, p_inner = _power(evecs, None, coef[:, None] * cos, coef[:, None] * sin) / _RING

@@ -502,11 +502,12 @@ def collapse_metrics(traj: Trajectory) -> CollapseMetrics:
     peaks = probs.max(axis=1)[row_class]
     if len(peaks) >= 3:
         third = float(np.sort(peaks)[::-1][2])
-        dominant = tuple(int(i) for i in np.nonzero(peaks > 2.0 * third)[0])
+        is_dominant = peaks > 2.0 * third
     else:
-        dominant = tuple(int(i) for i in np.nonzero(peaks > 0.5)[0])
-    rest = [float(peaks[i]) for i in range(len(peaks)) if i not in dominant]
-    tail_max = max(rest) if rest else 0.0
+        is_dominant = peaks > 0.5
+    dominant = tuple(int(i) for i in np.flatnonzero(is_dominant))
+    rest = peaks[~is_dominant]
+    tail_max = float(rest.max()) if len(rest) else 0.0
     return CollapseMetrics(
         initial_outcome=initial,
         initial_prob=p0,

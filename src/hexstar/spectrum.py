@@ -22,9 +22,8 @@ read like any other.
 """
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -77,26 +76,14 @@ def _columns(b: IrrepBlock, u: np.ndarray) -> np.ndarray:
     return np.einsum("st,stk->sk", b.coef, u[b.rows])
 
 
-def _untouched(d: int) -> np.ndarray:
-    """An unwritten (d, d) F-ordered array on an anonymous mapping of its own.
-
-    No heap page backs it, so it can neither pin pages that earlier
-    temporaries made resident nor split the heap amid a caller's temporaries.
-    From the heap the columns did both: taken at the solve, unread ones held
-    resident pages (quench peak RSS 114 MB against 87 MB); taken at the
-    read, they split the heap (10 MB more classify peak RSS).
-    """
-    return np.ndarray((d, d), order="F", buffer=mmap.mmap(-1, 8 * d * d))
-
-
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
     """One sector's levels and labels, with its eigenvectors in block form.
 
     ``solved`` keeps each block's (B_b over this sector's states, U_b, sorted
-    columns) for good, also after ``eigenvectors`` has built the dense columns
-    from it, so whatever reads the block form gets the same bits either way;
-    sector -M's holds M's, read through the flip.  No library path reads
+    columns); sector -M's holds M's, read through the flip.  ``eigenvectors``
+    maps them out to dense columns afresh on every read and keeps none, so
+    the result holds the block form alone.  No library path reads
     ``eigenvectors``: dynamics works on the blocks.  The dense columns are for
     the tests and the benchmark checks.
     """
@@ -113,10 +100,10 @@ class SpectrumResult:
     def dim(self) -> int:
         return len(self.eigenvalues)
 
-    @cached_property
+    @property
     def eigenvectors(self) -> np.ndarray:
         """Column k belongs to eigenvalues[k]: F-ordered, read-only, B_b^T U_b per block."""
-        vectors = _untouched(self.dim)
+        vectors = np.empty((self.dim, self.dim), order="F")
         for b, u, cols in self.solved:
             vectors[:, cols] = _columns(b, u)
         vectors.flags.writeable = False

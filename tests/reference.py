@@ -10,9 +10,10 @@ eigenvectors scattered at once after the solve, a state's cluster
 overlaps and modes read off those dense columns, and clusters cut one gap
 at a time.  The library builds none of these: its blocks carry their labels
 by construction, its scan takes one cut per orbit, its matrices, exact
-entries and spins are all read from the six distance classes, its
-eigenvectors are built on first read, its dynamics read the block form and
-its runs are cut by one vectorized rule, so these only check it.
+entries and spins are all read from the six distance classes, its dense
+eigenvectors are mapped out of the block form afresh on every read and kept
+nowhere, its dynamics read the block form and its runs are cut by one
+vectorized rule, so these only check it.
 """
 
 from __future__ import annotations
@@ -177,13 +178,14 @@ def per_cluster_labels(res: SpectrumResult) -> list[tuple]:
     (Jz/J = 1 only) come from the dense Casimir on each cluster's first column.
     """
     blocks = irrep_blocks(res.M)
-    projected = [dense_rows(b) @ res.eigenvectors for b in blocks]
+    vectors = res.eigenvectors  # built afresh on every read
+    projected = [dense_rows(b) @ vectors for b in blocks]
     held = np.stack([np.einsum("ij,ij->j", p, p) for p in projected])
     irrep_of = np.array([IRREP_LABELS.index(b.irrep) for b in blocks])[held.argmax(axis=0)]
     clusters = split_into_clusters(res.eigenvalues, res.deg_tol)
     spins = [None] * len(clusters)
     if res.params.jz_over_j == 1.0:
-        spins = dense_casimir_spins(res.eigenvectors[:, [idx[0] for idx in clusters]], res.M)
+        spins = dense_casimir_spins(vectors[:, [idx[0] for idx in clusters]], res.M)
     out = []
     for idx, spin in zip(clusters, spins):
         counts = np.bincount(irrep_of[idx], minlength=len(IRREP_LABELS))

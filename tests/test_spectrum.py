@@ -173,7 +173,13 @@ def test_lazy_eigenvectors_are_the_eager_scatter(params):
         assert np.array_equal(vectors, expected)
         assert vectors.flags.f_contiguous == expected.flags.f_contiguous
         assert vectors.flags.c_contiguous == expected.flags.c_contiguous
-        assert not vectors.flags.writeable and res.eigenvectors is vectors
+        assert not vectors.flags.writeable
+        again = res.eigenvectors  # built afresh: the result keeps no dense column
+        assert again is not vectors and np.array_equal(again, vectors)
+        assert again.flags.f_contiguous == vectors.flags.f_contiguous
+        assert again.flags.c_contiguous == vectors.flags.c_contiguous
+        assert not again.flags.writeable
+        assert "eigenvectors" not in vars(res)
 
 
 def test_a_labelled_solve_runs_one_eigh_per_even_block(monkeypatch):
@@ -773,7 +779,8 @@ def test_the_residual_margin_bounds_the_dense_residual(alpha, jz_over_j, M):
     params = ModelParams(alpha, jz_over_j)
     res = _uncached(M, params, DEG_TOL_RELATIVE)
     h = build_sector_hamiltonian(M, params).matrix
-    dense = np.abs(h @ res.eigenvectors - res.eigenvectors * res.eigenvalues).max()
+    vectors = res.eigenvectors
+    dense = np.abs(h @ vectors - vectors * res.eigenvalues).max()
     scale = max(res.eigenvalues[-1] - res.eigenvalues[0], 1.0)
     assert 0.0 <= res.residual_margin <= 1.0
     assert dense <= res.residual_margin * RESIDUAL_TOL * scale
