@@ -313,8 +313,8 @@ def cmd_ground_scan(args: argparse.Namespace) -> _Output:
 
 def _class_cells(traj: Trajectory, fmt: Callable[[float], str]) -> Iterable[list[str]]:
     """Per time point, one cell per configuration, formatted once per class."""
-    for column in traj.class_probs.T.tolist():
-        yield np.array(list(map(fmt, column)), dtype=object)[traj.row_class].tolist()
+    for column in traj.class_probs.T:  # one time point to Python floats at a time (peak RSS)
+        yield np.array(list(map(fmt, column.tolist())), dtype=object)[traj.row_class].tolist()
 
 
 def cmd_dynamics(args: argparse.Namespace) -> _Output:

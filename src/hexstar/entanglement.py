@@ -70,7 +70,6 @@ SVD_CHUNK = 32
 PRODUCT_ROUNDING = math.sqrt(N_SITES) * 64 * np.finfo(float).eps
 
 
-@lru_cache(maxsize=None)
 def _cut_axes(mask: int) -> tuple[int, ...]:
     """Tensor axes of part A, then of part B, each highest site first."""
     high_first = range(N_SITES - 1, -1, -1)

@@ -77,10 +77,6 @@ class SectorHamiltonian:
     matrix: np.ndarray  # (d, d) float64, units of J
     exact: dict[tuple[int, int], Fraction] | None  # sparse entries, same units
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 class CouplingClasses(NamedTuple):
     """Sector M of H/J as sum_c w_c [X_c + (Jz/J) diag(zz_c)], free of both couplings.

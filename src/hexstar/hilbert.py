@@ -62,10 +62,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    @property
-    def dim(self) -> int:
-        return len(self.amps)
-
 
 def basis_state(f: int) -> StateVector:
     if not 0 <= f < N_CONFIGS:

@@ -56,7 +56,6 @@ class Geometry:
 
     positions: np.ndarray    # (12, 2) float
     distance_sq: np.ndarray  # (12, 12) int, units of a^2
-    nn_distance: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +111,7 @@ def build_geometry() -> Geometry:
 
     pos.flags.writeable = False
     d2_int.flags.writeable = False
-    return Geometry(positions=pos, distance_sq=d2_int, nn_distance=1.0)
+    return Geometry(positions=pos, distance_sq=d2_int)
 
 
 def _coordinate_matrix(inverted: bool, rot: int, flip: bool) -> np.ndarray:

@@ -260,7 +260,6 @@ def _class_sum(t: _ClassBlock, w: np.ndarray) -> np.ndarray:
     return np.bincount(t.flat, w[t.cls] * t.x, minlength=n * n).reshape(n, n)
 
 
-@lru_cache(maxsize=7)  # the sectors of one alpha
 def _partner_operators(M: int, alpha: float) -> tuple[_Entry, ...]:
     """Both parts of every C2'(0)-even irrep block of sector M, for any Jz/J.
 

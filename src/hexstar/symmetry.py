@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lattice
-from .lattice import CharacterTable, GroupElement
+from .lattice import GroupElement
 from .hilbert import StateVector, _config_map, sector_basis
 
 INT_TOL = 1e-9  # multiplicities must be integers to this
@@ -28,11 +28,6 @@ STABILIZER_TOL = 1e-12  # largest deviation from a phase of a kept permutation, 
 @lru_cache(maxsize=1)
 def _group() -> tuple[GroupElement, ...]:
     return lattice.build_group(lattice.build_geometry())
-
-
-@lru_cache(maxsize=1)
-def _chartable() -> CharacterTable:
-    return lattice.character_table()
 
 
 def sector_character(g: GroupElement, M: int) -> int:
@@ -55,7 +50,7 @@ class IrrepCountTable:
     counts: dict[str, dict[int, int]]
 
     def dimension_check(self, M: int) -> int:
-        dims = _chartable().dims
+        dims = lattice.character_table().dims
         return sum(dims[r] * self.counts[r][M] for r in self.counts)
 
 
@@ -69,7 +64,7 @@ class MultipletTable:
 @lru_cache(maxsize=1)
 def irrep_counts() -> IrrepCountTable:
     group = _group()
-    ct = _chartable()
+    ct = lattice.character_table()
     counts: dict[str, dict[int, int]] = {r: {} for r in ct.irreps}
     for M in range(-6, 7):
         chars = {g: sector_character(g, M) for g in group}
@@ -167,7 +162,7 @@ def orbit_layout(M: int) -> tuple[OrbitGroup, ...]:
 @lru_cache(maxsize=None)
 def _adapted_basis(M: int) -> tuple[tuple[IrrepBlock, ...], tuple[OrbitGroup, ...]]:
     """irrep_blocks(M) and orbit_layout(M), built from the same orbits."""
-    ct = _chartable()
+    ct = lattice.character_table()
     proper = [g for g in _group() if not g.inverted]
     by_perm = {g.perm: g for g in proper}
     h = next(g for g in proper if g.flip and g.rot == 0)
@@ -260,7 +255,7 @@ def irrep_weights(vectors: np.ndarray, M: int) -> dict[str, np.ndarray]:
     24 group elements instead of materializing the projectors.
     """
     group = _group()
-    ct = _chartable()
+    ct = lattice.character_table()
     basis = sector_basis(M)
     out = {}
     overlaps = {}

@@ -351,6 +351,11 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "t-steps" in err
 
 
+def test_a_one_point_ground_scan_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "ground-scan", "--jz-points", "1")
+    assert (code, out) == (2, "") and "--jz-points must be at least 2" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("spectrum", "--sector", "6", "--alpha", "inf"),
     ("spectrum", "--sector", "6", "--jz-over-j", "nan"),

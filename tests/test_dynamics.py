@@ -265,6 +265,16 @@ def test_empty_sector_component_is_rejected(chi):
         evolve_probabilities(chi, -2, HEISENBERG, np.linspace(0, 1, 5))
 
 
+def test_a_sector_state_of_another_sector_or_of_zero_norm_is_rejected():
+    times = np.linspace(0, 1, 5)
+    other = StateVector(amps=np.ones(sector_basis(3).dim), sector=3)
+    with pytest.raises(ValueError, match="state lives in sector 3, not 4"):
+        evolve_probabilities(other, 4, HEISENBERG, times)
+    zero = StateVector(amps=np.zeros(sector_basis(4).dim), sector=4)
+    with pytest.raises(ValueError, match="cannot evolve the zero vector"):
+        evolve_probabilities(zero, 4, HEISENBERG, times)
+
+
 def test_configuration_state_return_is_not_instantly_lost():
     state = basis_state(63)
     times = np.array([0.0])

@@ -149,6 +149,11 @@ def test_sector_dimensions_guard():
         build_sector_hamiltonian(7, HEISENBERG)
 
 
+def test_exact_assembly_refuses_an_odd_alpha():
+    with pytest.raises(ValueError, match="exact couplings need a positive even integer alpha"):
+        build_sector_hamiltonian(5, ModelParams(3.0, 1.0), exact=True)
+
+
 @pytest.fixture(scope="module")
 def pauli_sites():
     """Sparse 4096x4096 Pauli x, y, z on each site; bit i is site i, set means down."""

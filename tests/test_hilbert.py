@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hexstar.hilbert import (
     N_CONFIGS,
     _POPCOUNT,
+    StateSpec,
     StateVector,
     basis_state,
     build_initial_state,
@@ -69,6 +70,17 @@ def test_basis_state_bounds():
         basis_state(-1)
     with pytest.raises(ValueError):
         basis_state(N_CONFIGS)
+
+
+def test_a_sector_state_is_not_projected_again():
+    component, _ = project_sector(basis_state(63), 0)
+    with pytest.raises(ValueError, match="already restricted to a sector"):
+        project_sector(component, 0)
+
+
+def test_an_unknown_state_kind_is_rejected():
+    with pytest.raises(ValueError, match="unknown state kind 'bogus'"):
+        build_initial_state(StateSpec(kind="bogus"))
 
 
 def test_act_permutation_is_norm_preserving(group):

@@ -27,7 +27,6 @@ def test_ring_radii(geometry):
 def test_squared_distances_are_the_allowed_integers(geometry):
     off = geometry.distance_sq[~np.eye(N_SITES, dtype=bool)]
     assert set(np.unique(off).tolist()) == set(ALLOWED_DISTANCE_SQ)
-    assert geometry.nn_distance == 1.0
 
 
 def test_specific_separations(geometry):

@@ -600,13 +600,11 @@ def test_a_ground_scan_projects_no_odd_partner_block(monkeypatch):
             for b in blocks(M)))
         assert ground_state_scan(alpha, [-1.0, 0.0]).crossover is not None
     assert spectrum._class_table.cache_info().currsize == 7  # the even partners of M = 0..6
-    # a labelled solve at that range then projects nothing: it finds the even
-    # block operators the scan summed, and an odd block shares its even partner's
-    table, before = spectrum._class_table.cache_info(), spectrum._partner_operators.cache_info()
+    # a labelled solve at that range then projects nothing: it sums the even
+    # blocks' class parts the scan built, and an odd block shares its even partner's
+    table = spectrum._class_table.cache_info()
     for M in range(7):
         _uncached(M, ModelParams(alpha, 0.3), DEG_TOL_RELATIVE)
-    after = spectrum._partner_operators.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (0, 7)
     assert spectrum._class_table.cache_info().misses - table.misses == 0
 
 
@@ -755,7 +753,6 @@ def test_a_perturbed_class_table_entry_fails_the_residual_check(monkeypatch):
     # a nearest-neighbour entry on or below the diagonal, which eigh reads, and its mirror
     k = np.nonzero((t.cls == 0) & (t.flat // n >= t.flat % n))[0][0]
     mirror = np.nonzero((t.cls == 0) & (t.flat == t.flat[k] % n * n + t.flat[k] // n))[0][0]
-    monkeypatch.setattr(spectrum, "_partner_operators", spectrum._partner_operators.__wrapped__)
     # the projection certificate, built afresh from the perturbed table, sees the
     # entry move; with its mirror moved too, eigh and the block residual read one
     # symmetric operator, and only the certificate does
@@ -910,7 +907,7 @@ def test_overlap_scan_refuses_a_degenerate_ground_level(monkeypatch, degenerate_
     def merged(params, entries, solve=np.linalg.eigvalsh):
         solved = solve_blocks(params, entries, solve)
         if (params.jz_over_j == degenerate_jz
-                and entries is spectrum._partner_operators(0, params.alpha)):
+                and [e[0] for e in entries] == [t.block for t in spectrum._class_table(0)]):
             e0, e1 = np.sort(np.concatenate(solved))[:2]
             for v in solved:
                 v[v == e1] = e0

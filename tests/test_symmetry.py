@@ -16,10 +16,9 @@ from hexstar.hilbert import (
     product_state,
     sector_basis,
 )
-from hexstar.lattice import IRREP_DIMS, IRREP_LABELS
+from hexstar.lattice import IRREP_DIMS, IRREP_LABELS, character_table
 from hexstar.spectrum import _sector_levels
 from hexstar.symmetry import (
-    _chartable,
     _group,
     irrep_blocks,
     irrep_counts,
@@ -57,7 +56,7 @@ MULTIPLET_CENSUS = {
 def _irrep_projector(irrep: str, M: int) -> np.ndarray:
     """Dense projector onto the irrep component of the sector."""
     group = _group()
-    ct = _chartable()
+    ct = character_table()
     basis = sector_basis(M)
     d = basis.dim
     proj = np.zeros((d, d))
@@ -102,7 +101,7 @@ def _classify_factorized_state(state: StateVector) -> dict[str, float]:
 
 def _identify_one_dim_irrep(signature: dict[str, float]) -> str:
     """Match a class-eigenvalue signature against the 1D irrep characters."""
-    ct = _chartable()
+    ct = character_table()
     for r in ct.irreps:
         if ct.dims[r] != 1:
             continue
