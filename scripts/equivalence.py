@@ -6,18 +6,23 @@
 Run from the root of a checkout.  The cases are ``scripts/equivalence_cases.json``:
 every state there, at every coupling, in every sector it reaches (a sector
 component of nonzero weight); the labelled spectrum of every sector at every
-coupling; and command lines run through ``hexstar.cli.main`` ("README"
-stands for each ``hexstar`` line of the README's command-line block).
+coupling; the projection certificate of every sector M = 0..6; and command
+lines run through ``hexstar.cli.main`` ("README" stands for each
+``hexstar`` line of the README's command-line block).
 
 Each tree runs the cases in a fresh interpreter of its own (``--dump``),
 with its own ``src/`` on the import path, and pickles one record per case.
 The base revision's committed files are unpacked by ``git archive`` into a
 temporary directory (bench_record.base_tree).  Per field and per group of
-cases (M >= 0, M < 0, command lines) the report says ``==`` with the dtype,
-or how many entries differ and the largest absolute difference.  Fields:
+cases the report says ``==`` with the dtype, or how many entries differ and
+the largest absolute difference.  The groups are certificates, M >= 0,
+M < 0 and command lines.  Fields:
 
+- certificate: x, z and delta of spectrum._certificate(M), the bounds the
+  residual check adds to every block residual;
 - spectrum: eigenvalues, labels (indices, energy, irrep slots, irrep and
-  spin of every cluster), eigenvectors (the dense columns);
+  spin of every cluster), eigenvectors (the dense columns) and
+  residual_margin;
 - dynamics: class_probs, row_class, return_prob, support_dim,
   support_overlap, classes, freq (formula, distinct) and regime;
 - command lines: exit code, stdout and stderr, with the cell diff of
@@ -40,7 +45,7 @@ import numpy as np
 from bench_record import ROOT, _cells, _env, base_tree, output_diff, readme_lines
 
 CASES = Path(__file__).with_name("equivalence_cases.json")
-GROUPS = ("M >= 0", "M < 0", "command lines")
+GROUPS = ("certificates", "M >= 0", "M < 0", "command lines")
 
 
 def _cases() -> dict:
@@ -56,8 +61,11 @@ def _records(cases: dict):
     from hexstar import cli, hamiltonian
     from hexstar.dynamics import evolve_probabilities, regime_classifier, return_probability
     from hexstar.hilbert import build_initial_state, parse_state_spec, project_sector
-    from hexstar.spectrum import diagonalize_sector
+    from hexstar.spectrum import _certificate, diagonalize_sector
 
+    for M in range(7):
+        x, z, delta = _certificate(M)
+        yield "certificates", f"certificate M={M}", {"x": x, "z": z, "delta": delta}
     t = cases["times"]
     times = np.linspace(0.0, t["t_max"], t["t_steps"])
     states = {spec: build_initial_state(parse_state_spec(spec)) for spec in cases["states"]}
@@ -74,6 +82,7 @@ def _records(cases: dict):
                 "labels": [(c.indices.tolist(), c.energy, c.irrep_slots, c.irrep, c.spin)
                            for c in res.clusters],
                 "eigenvectors": np.asarray(res.eigenvectors),
+                "residual_margin": res.residual_margin,
             }
             for spec, state in states.items():
                 if project_sector(state, M)[1] == 0.0:

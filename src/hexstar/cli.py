@@ -522,7 +522,7 @@ def main(argv: list[str] | None = None) -> int:
     except (RuntimeError, np.linalg.LinAlgError) as exc:  # before ValueError, its base
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a grid too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

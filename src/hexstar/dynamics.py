@@ -40,7 +40,8 @@ import numpy as np
 
 from .hilbert import StateVector, project_sector
 from .hamiltonian import DEG_TOL_RELATIVE, ModelParams
-from .spectrum import SUPPORT_TOL, SpectrumResult, _columns, _run_starts, diagonalize_sector
+from .spectrum import (SUPPORT_TOL, SpectrumResult, _check_tol, _columns, _run_starts,
+                       diagonalize_sector)
 from .symmetry import IrrepBlock
 
 # Clusters with projection below this never matter against the 1e-10
@@ -77,7 +78,11 @@ class SpectralSupport:
         return len(self.overlap)
 
     def restrict(self, support_tol: float) -> SpectralSupport:
-        """The clusters above support_tol, with their columns; ValueError if none is."""
+        """The clusters above support_tol, with their columns; ValueError if none is.
+
+        A NaN, infinite or negative support_tol raises ValueError.
+        """
+        _check_tol("support_tol", support_tol)
         keep = self.overlap > support_tol
         if not keep.any():
             raise ValueError(f"no cluster overlap exceeds support_tol={support_tol:g}; "
@@ -298,6 +303,7 @@ class FrequencyCount:
 
 
 def frequency_count(support: SpectralSupport, deg_tol: float) -> FrequencyCount:
+    _check_tol("deg_tol", deg_tol)
     n = support.dim
     formula = n * (n - 1) // 2
     e = support.energies

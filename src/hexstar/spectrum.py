@@ -43,6 +43,12 @@ SUPPORT_TOL = 1e-10   # default overlap threshold for spectral support
 RESIDUAL_TOL = 1e-10  # per-eigenpair residual bound, relative to the spread
 
 
+def _check_tol(name: str, value: float) -> None:
+    """ValueError for a NaN, infinite or negative tolerance."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name}={value:g} must be finite and non-negative")
+
+
 def thread_budget() -> int:
     """Workers that solve sectors: 1, since sectors are diagonalized one after another.
 
@@ -123,8 +129,10 @@ def diagonalize_sector(
     Every call form (tolerance given or defaulted, positional or keyword)
     shares one cache entry per (|M|, params, deg_tol_rel): sector -M is
     the cached sector M read through the exact spin flip (_mirror_result),
-    never solved on its own.
+    never solved on its own.  A NaN, infinite or negative deg_tol_rel raises
+    ValueError before the cache is read.
     """
+    _check_tol("deg_tol_rel", deg_tol_rel)
     if M >= 0:
         return _diagonalize_sector(M, params, deg_tol_rel)
     sector_basis(M)  # rejects M < -6
@@ -191,26 +199,18 @@ def _certificate(M: int) -> tuple[np.ndarray, np.ndarray, float]:
 
     E^X_c = B X_c B^T - (+)_r X_c,r and E^Z_c = B diag(zz_c) B^T - (+)_r diag(z_c,r)
     over every row of B, an odd block carrying its even partner's class parts.
-    B is block-diagonal over the configuration orbits (orbit_layout, padded
-    here to k places each), so B X_c B^T is one k x k block coef_O C coef_P^T
-    per orbit pair (O, P) that X_c or the class table links, C the pair's
-    flip-flop entries by place.
+    B is block-diagonal over the configuration orbits (orbit_layout, k places
+    each), so B X_c B^T is one k x k block coef_O C coef_P^T per orbit pair
+    (O, P) that X_c or the class table links, C the pair's flip-flop entries
+    by place.
     ||E^X_c||_2 is at most the largest row sum of the symmetric matrix of its
     blocks' Frobenius norms; diag(zz_c) and B B^T keep each orbit, so E^Z_c
     and B B^T - I are bounded by their largest orbit block's Frobenius norm.
     No (d, d) array is formed.
     """
-    classes, layout = coupling_classes(M), orbit_layout(M)
-    k, n = max(g.members.shape[1] for g in layout), sum(len(g.members) for g in layout)
-    coef, own = np.zeros((n, k, k)), np.zeros((n, k))  # padded B per orbit, 1 at its places
-    # orbit * k + place of each sector state, and of each row of B
-    state, row = np.empty((2, len(classes.zz)), dtype=np.intp)
-    o = 0
-    for g in layout:
-        m, size = g.members.shape
-        coef[o:o + m, :size, :size], own[o:o + m, :size] = g.coef, 1.0
-        state[g.members] = row[g.rows] = (o + np.arange(m)[:, None]) * k + np.arange(size)
-        o += m
+    classes, (state, row, coef) = coupling_classes(M), orbit_layout(M)
+    n, k = coef.shape[:2]
+    own = np.bincount(state, minlength=n * k).reshape(n, k)  # 1 at each orbit's places
     sizes = {(b.irrep, b.partner): b.copies for b in irrep_blocks(M)}
     first = dict(zip(sizes, np.cumsum([0, *sizes.values()]).tolist()))  # of each block
     parts, diagonal = [], np.zeros((6, n * k))  # the class table over every row of B
@@ -314,18 +314,24 @@ def _solve_blocks(params: ModelParams, entries: tuple[_Entry, ...], solve=np.lin
                        f"Jz/J={jz:g}: the energies overflow a float")
 
 
-def _block_residual(M: int, params: ModelParams, values: np.ndarray,
-                    solved: tuple[_Solved, ...]) -> float:
-    """max ||H_r u - e u||_2 over every column u of every block's U_r, e its level.
+def _certify(M: int, params: ModelParams, values: np.ndarray, solved: tuple[_Solved, ...],
+             spread: float) -> float:
+    """Certified max|H v - e v| over RESIDUAL_TOL max(spread, 1); RuntimeError above 1, or at NaN.
 
-    solved is per block (both partners, or any subset), and e is read at each
-    block's sorted columns, so a level at the wrong column fails.  H_r is the
-    class-table sum X_r + (Jz/J) diag(z_r), not the operator handed to eigh,
-    and an odd block is checked against its even partner's H_r.
+    v = B^T u runs over every column u of every block's U_r in solved (both
+    partners, or any subset), e its level read at the block's sorted columns,
+    so a level at the wrong column fails.  H_r is the class-table sum
+    X_r + (Jz/J) diag(z_r), not the operator handed to eigh, and an odd block
+    is checked against its even partner's H_r.  With B H B^T = (+) H_r + E and
+    B B^T = I + D, B (H v - e v) = (H_r u - e u) + E u - e D u, and
+    ||B^-1||_2 <= 1 / sqrt(1 - ||D||_2), so max|H v - e v| <= ||H v - e v||_2 <=
+    (max ||H_r u - e u||_2 + ||E||_2 + max|e| ||D||_2) / sqrt(1 - ||D||_2), and
+    ||E||_2 <= sum_c |w_c| (||E^X_c||_2 + |Jz/J| ||E^Z_c||_2) (_certificate).
+    No dense H is formed.
     """
     w, jz = class_weights(params.alpha), params.jz_over_j
     tables = {t.block.irrep: t for t in _class_table(M)}
-    products, worst = {}, []  # H_r U_r per irrep, kept for an odd partner with the same U_r
+    products, worst, top = {}, [], []  # H_r U_r per irrep, kept for an odd partner's same U_r
     for b, u, cols in solved:
         if products.get(b.irrep, (None,))[0] is not u:
             t = tables[b.irrep]
@@ -334,24 +340,11 @@ def _block_residual(M: int, params: ModelParams, values: np.ndarray,
         peak = np.abs(r).max(axis=0)
         r /= np.where(peak > 0.0, peak, 1.0)  # scaled, so that no square overflows
         worst.append((peak * np.sqrt(np.einsum("ij,ij->j", r, r))).max())
-    return float(np.max(worst))  # NaN if any is
-
-
-def _check_residual(M: int, params: ModelParams, residual: float, top: float,
-                    spread: float) -> float:
-    """Certified max|H v - e v| over RESIDUAL_TOL max(spread, 1); RuntimeError above 1, or at NaN.
-
-    residual is _block_residual's, top the largest |e| it read, and v = B^T u
-    each checked column over the sector basis.  With B H B^T = (+) H_r + E and
-    B B^T = I + D, B (H v - e v) = (H_r u - e u) + E u - e D u, and
-    ||B^-1||_2 <= 1 / sqrt(1 - ||D||_2), so max|H v - e v| <= ||H v - e v||_2 <=
-    (residual + ||E||_2 + top ||D||_2) / sqrt(1 - ||D||_2), and
-    ||E||_2 <= sum_c |w_c| (||E^X_c||_2 + |Jz/J| ||E^Z_c||_2) (_certificate).
-    No dense H is formed.
-    """
+        top.append(np.abs(values[cols]).max())
     x, z, delta = _certificate(M)
-    spill = float(np.abs(class_weights(params.alpha)) @ (x + abs(params.jz_over_j) * z))
-    bound = (residual + spill + delta * top) / np.sqrt(1.0 - delta)
+    spill = float(np.abs(w) @ (x + abs(jz) * z))
+    # NaN if any residual or level is
+    bound = (float(np.max(worst)) + spill + delta * float(np.max(top))) / np.sqrt(1.0 - delta)
     tol = RESIDUAL_TOL * max(spread, 1.0)
     if not bound <= tol:
         raise RuntimeError(f"eigenpair residual {bound:.2e} too large in sector {M}")
@@ -366,11 +359,11 @@ def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> Spec
     level is solved, labelled and spin-checked once and fills two columns.
     Each eigenvector is a block eigenvector mapped back through its block's
     rows, so it carries one irrep and a cluster's irrep slots count its block
-    levels.  _check_residual bounds max|H v - E v| over every column v of
-    the dense sector H by the block residual of both partners' columns plus
-    the sector's projection certificate; above RESIDUAL_TOL max(spread, 1),
-    or NaN, it raises RuntimeError, and otherwise that bound over its
-    tolerance is residual_margin.
+    levels.  _certify bounds max|H v - E v| over every column v of the dense
+    sector H by the block residual of both partners' columns plus the
+    sector's projection certificate; above RESIDUAL_TOL max(spread, 1), or
+    NaN, it raises RuntimeError, and otherwise that bound over its tolerance
+    is residual_margin.
     """
     entries = _partner_operators(M, params.alpha)
     pairs = _solve_blocks(params, entries, np.linalg.eigh)
@@ -388,8 +381,7 @@ def _diagonalize_sector(M: int, params: ModelParams, deg_tol_rel: float) -> Spec
                    for b, k, i, j in zip(blocks, even, starts, starts[1:]))
 
     spread = float(eigenvalues[-1] - eigenvalues[0])
-    margin = _check_residual(M, params, _block_residual(M, params, eigenvalues, solved),
-                             float(np.abs(eigenvalues[[0, -1]]).max()), spread)
+    margin = _certify(M, params, eigenvalues, solved, spread)
 
     deg_tol = deg_tol_rel * spread
     firsts = _run_starts(eigenvalues, deg_tol)
@@ -596,6 +588,7 @@ def _sector_levels(
 def _ground_point(
     jz_over_j: float, levels: dict[int, dict[str, np.ndarray]], deg_tol_rel: float
 ) -> GroundPoint:
+    _check_tol("deg_tol_rel", deg_tol_rel)
     merged = np.concatenate([v for blocks in levels.values() for v in blocks.values()])
     deg_tol = deg_tol_rel * float(merged.max() - merged.min())
     e0 = float(merged.min())
@@ -653,8 +646,7 @@ def _ground_vector(params: ModelParams, deg_tol_rel: float) -> tuple[np.ndarray,
     b = entries[k][0]
     vector = np.einsum("st,st->s", b.coef, u[b.rows, 0])
     spread = max(v[-1] for v in levels.values()) - point.energy
-    residual = _block_residual(0, params, values, ((b, u[:, :1], np.zeros(1, dtype=np.intp)),))
-    _check_residual(0, params, residual, abs(float(values[0])), spread)
+    _certify(0, params, values, ((b, u[:, :1], np.zeros(1, dtype=np.intp)),), spread)
     return vector, k, u[:, 0]
 
 
@@ -729,15 +721,11 @@ def heisenberg_overlap_scan(
     block eigenvector.
     """
     ref_vector, _, _ = _ground_vector(ModelParams(alpha=alpha, jz_over_j=1.0), DEG_TOL_RELATIVE)
-    casimir = {}  # per ground block: the spins and eigenvectors of its B S^2 B^T
     out = []
     for jz in jz_values:
         v, k, u = _ground_vector(ModelParams(alpha=alpha, jz_over_j=float(jz)), DEG_TOL_RELATIVE)
-        if k not in casimir:
-            s_sq, q = np.linalg.eigh(_spin_blocks(0)[k])
-            casimir[k] = _spins(0, s_sq), q
-        spins, q = casimir[k]
-        weights = np.bincount(spins, (q.T @ u) ** 2)
+        s_sq, q = np.linalg.eigh(_spin_blocks(0)[k])
+        weights = np.bincount(_spins(0, s_sq), (q.T @ u) ** 2)
         out.append(OverlapPoint(
             jz_over_j=float(jz),
             overlap_sq=float(np.dot(ref_vector, v) ** 2),

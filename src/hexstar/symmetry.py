@@ -77,7 +77,6 @@ def irrep_counts() -> IrrepCountTable:
     return IrrepCountTable(counts=counts)
 
 
-@lru_cache(maxsize=1)
 def multiplet_counts() -> MultipletTable:
     """Resolve sector multiplicities into total-spin multiplets.
 
@@ -105,7 +104,7 @@ class IrrepBlock:
     of the copy, even (``partner`` +1) or odd (-1) under the two-fold
     rotation C2'(0).  Row i of the odd block is the partner of row i of the
     even one, so both carry the same operator of any H that commutes with
-    the group, and a level of the even block stands for ``dim`` states.
+    the group, and a level of their even block stands for two states.
     The rows B are kept per state: state s meets row rows[s, j] with
     coefficient B[rows[s, j], s] = coef[s, j].  A row lives on one
     configuration orbit, so a state meets at most t rows (t is 1, or 2 for
@@ -113,18 +112,17 @@ class IrrepBlock:
     """
 
     irrep: str
-    dim: int            # dimension of the irrep
     partner: int        # -1 for the C2'(0)-odd rows of E1u and E2g, else +1
     copies: int         # number of rows; they are orthonormal
     rows: np.ndarray    # (sector dim, t) int, the rows each state meets
     coef: np.ndarray    # (sector dim, t) float, the state's coefficient in each
 
 
-class OrbitGroup(NamedTuple):
-    """The rows of B on the configuration orbits of one size k, stacked over those orbits."""
-    members: np.ndarray  # (orbits, k) the states of each orbit, ascending
-    rows: np.ndarray     # (orbits, k) the rows of B that live on it, ascending
-    coef: np.ndarray     # (orbits, k, k) B[rows[o, i], members[o, j]]
+class OrbitLayout(NamedTuple):
+    """B over the configuration orbits, padded to the largest orbit's k places each."""
+    state: np.ndarray  # (sector dim,) orbit * k + place of each sector state, ascending per orbit
+    row: np.ndarray    # (sector dim,) orbit * k + place of each row of B, ascending per orbit
+    coef: np.ndarray   # (orbits, k, k) B[row, state] by place, zero past the orbit's size
 
 
 def irrep_blocks(M: int) -> tuple[IrrepBlock, ...]:
@@ -148,19 +146,19 @@ def irrep_blocks(M: int) -> tuple[IrrepBlock, ...]:
     return _adapted_basis(M)[0]
 
 
-def orbit_layout(M: int) -> tuple[OrbitGroup, ...]:
+def orbit_layout(M: int) -> OrbitLayout:
     """B, the rows of every block of irrep_blocks(M) stacked in that order, orbit by orbit.
 
     Each row of B lives on one configuration orbit and B is orthogonal, so
-    an orbit of size k carries exactly k rows and B is block-diagonal over
+    an orbit of m states carries exactly m rows and B is block-diagonal over
     the orbits: B A B^T of an operator A is one k x k block per pair of
-    orbits that A links.
+    orbits that A links.  The orbits come by size, then by smallest state.
     """
     return _adapted_basis(M)[1]
 
 
 @lru_cache(maxsize=None)
-def _adapted_basis(M: int) -> tuple[tuple[IrrepBlock, ...], tuple[OrbitGroup, ...]]:
+def _adapted_basis(M: int) -> tuple[tuple[IrrepBlock, ...], OrbitLayout]:
     """irrep_blocks(M) and orbit_layout(M), built from the same orbits."""
     ct = lattice.character_table()
     proper = [g for g in _group() if not g.inverted]
@@ -230,22 +228,26 @@ def _adapted_basis(M: int) -> tuple[tuple[IrrepBlock, ...], tuple[OrbitGroup, ..
         coef[at] = np.concatenate(data)[by_state]
         for a in (rows, coef):
             a.flags.writeable = False
-        blocks.append(IrrepBlock(irrep=r, dim=ct.dims[r], partner=partner, copies=copies,
-                                 rows=rows, coef=coef))
+        blocks.append(IrrepBlock(irrep=r, partner=partner, copies=copies, rows=rows,
+                                 coef=coef))
     if sum(b.copies for b in blocks) != d:
         raise RuntimeError(f"irrep rows of both partners do not fill sector {M} of "
                            f"dimension {d}")
-    layout = []
+    k, first = max(spans), 0  # first: the orbits of the smaller sizes
+    layout = OrbitLayout(state=np.empty(d, dtype=np.intp), row=np.empty(d, dtype=np.intp),
+                         coef=np.zeros((len(sizes), k, k)))
     for n, span in spans.items():
         o, rows, coef = (np.concatenate(a) for a in zip(*placed[n]))
         by = np.lexsort((rows, o))  # by orbit, rows ascending
         if not np.array_equal(o[by], np.repeat(np.arange(len(span)), n)):
             raise RuntimeError(f"irrep rows of sector {M} do not fill each orbit once")
-        layout.append(OrbitGroup(members=order[span], rows=rows[by].reshape(-1, n),
-                                 coef=coef[by].reshape(-1, n, n)))
-        for a in layout[-1]:
-            a.flags.writeable = False
-    return tuple(blocks), tuple(layout)
+        place = (first + np.arange(len(span))[:, None]) * k + np.arange(n)
+        layout.state[order[span]] = layout.row[rows[by].reshape(-1, n)] = place
+        layout.coef[first:first + len(span), :n, :n] = coef[by].reshape(-1, n, n)
+        first += len(span)
+    for a in layout:
+        a.flags.writeable = False
+    return tuple(blocks), layout
 
 
 def irrep_weights(vectors: np.ndarray, M: int) -> dict[str, np.ndarray]:

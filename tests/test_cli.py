@@ -357,6 +357,17 @@ def test_a_one_point_ground_scan_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("return-prob", "--state", "xi", "--sector", "6", "--t-steps", str(10**15)),
+    ("ground-scan", "--jz-points", str(10**15)),
+])
+def test_a_grid_too_large_to_allocate_is_a_usage_error(capsys, argv):
+    # 10**15 points (7 PiB) is refused at once; a size that might be allocated is never tried
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("argv", [
     ("spectrum", "--sector", "6", "--alpha", "inf"),
     ("spectrum", "--sector", "6", "--jz-over-j", "nan"),
     ("ground-scan", "--alpha", "nan", "--jz-points", "2"),
@@ -585,7 +596,7 @@ def test_the_solving_commands_load_no_scipy():
 
 def test_negative_sectors_are_only_mirrored(monkeypatch, capsys):
     calls = []
-    for name in ("_block_residual", "_certificate", "irrep_blocks", "_partner_operators"):
+    for name in ("_certify", "_certificate", "irrep_blocks", "_partner_operators"):
         def spy(M, *rest, _name=name, _original=getattr(spectrum, name), **kw):
             calls.append((_name, M))
             return _original(M, *rest, **kw)

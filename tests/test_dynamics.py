@@ -20,6 +20,7 @@ from hexstar.dynamics import (
     collapse_metrics,
     equiprobability_classes,
     evolve_probabilities,
+    frequency_count,
     regime_classifier,
     return_probability,
     spectral_support,
@@ -369,6 +370,30 @@ def test_a_row_joins_the_earliest_representative_it_matches(monkeypatch, gram_bl
     rows = CLASS_TOL * np.array(entries)[:, None]
     classes = equiprobability_classes(_row_support(rows))
     assert [c.tolist() for c in classes] == expected == _first_fit_classes(rows)
+
+
+_TOLERANCE_ENTRIES = {  # (name in the message, call at that tolerance)
+    "evolve_probabilities_support_tol": ("support_tol", lambda xi, tol: evolve_probabilities(
+        xi, 5, HEISENBERG, np.linspace(0.0, 1.0, 3), support_tol=tol)),
+    "evolve_probabilities_deg_tol_rel": ("deg_tol_rel", lambda xi, tol: evolve_probabilities(
+        xi, 5, HEISENBERG, np.linspace(0.0, 1.0, 3), deg_tol_rel=tol)),
+    "spectral_support": ("support_tol", lambda xi, tol: spectral_support(
+        xi, 5, HEISENBERG, support_tol=tol)),
+    "return_probability": ("deg_tol_rel", lambda xi, tol: return_probability(
+        xi, 5, HEISENBERG, np.linspace(0.0, 1.0, 3), deg_tol_rel=tol)),
+    "restrict": ("support_tol", lambda xi, tol: spectral_support(
+        xi, 5, HEISENBERG).restrict(tol)),
+    "frequency_count": ("deg_tol", lambda xi, tol: frequency_count(
+        spectral_support(xi, 5, HEISENBERG), tol)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_TOLERANCE_ENTRIES))
+def test_a_nan_infinite_or_negative_tolerance_is_rejected(xi, entry):
+    name, call = _TOLERANCE_ENTRIES[entry]
+    for bad in (-1e-8, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"{name}=.* must be finite and non-negative"):
+            call(xi, bad)
 
 
 def test_non_finite_times_are_rejected(chi):

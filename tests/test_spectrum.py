@@ -26,7 +26,7 @@ from hexstar.hilbert import (
     parse_state_spec,
     sector_basis,
 )
-from hexstar.lattice import IRREP_LABELS, N_SITES, build_geometry
+from hexstar.lattice import IRREP_DIMS, IRREP_LABELS, N_SITES, build_geometry
 from hexstar import cli, spectrum, symmetry
 from hexstar.spectrum import (
     RESIDUAL_TOL,
@@ -202,6 +202,26 @@ def test_a_labelled_solve_runs_one_eigh_per_even_block(monkeypatch):
 def test_diagonalize_rejects_a_sector_below_minus_six():
     with pytest.raises(ValueError, match="-7"):
         diagonalize_sector(-7, HEISENBERG)
+
+
+_TOLERANCE_ENTRIES = {
+    "diagonalize_sector": lambda tol: diagonalize_sector(1, HEISENBERG, tol),
+    "diagonalize_sector_mirrored": lambda tol: diagonalize_sector(-1, HEISENBERG, tol),
+    "full_spectrum": lambda tol: full_spectrum(HEISENBERG, tol),
+    "degeneracy_histogram": lambda tol: degeneracy_histogram(HEISENBERG, tol),
+    "ground_state_point": lambda tol: ground_state_point(HEISENBERG, tol),
+    "ground_state_scan": lambda tol: ground_state_scan(6.0, [-1.0, 0.0], tol),
+}
+
+
+@pytest.mark.parametrize("entry", list(_TOLERANCE_ENTRIES))
+def test_a_nan_infinite_or_negative_tolerance_is_rejected(entry):
+    # rejected before the cache is read: no sector is solved or cached at it
+    misses = _diagonalize_sector.cache_info().misses
+    for bad in (-1e-8, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="deg_tol_rel=.* must be finite and non-negative"):
+            _TOLERANCE_ENTRIES[entry](bad)
+    assert _diagonalize_sector.cache_info().misses == misses
 
 
 def test_slots_count_both_partners_of_e_levels(xxz_spectra):
@@ -608,6 +628,18 @@ def test_a_ground_scan_projects_no_odd_partner_block(monkeypatch):
     assert spectrum._class_table.cache_info().misses - table.misses == 0
 
 
+def test_a_ground_scan_builds_no_projection_certificate(monkeypatch):
+    # its levels carry no residual check, so neither a scan nor a point pays
+    # for the coupling-free certificate, which only the labelled solve and
+    # the ground vector read
+    calls, certificate = [], spectrum._certificate
+    monkeypatch.setattr(spectrum, "_certificate", lambda M: calls.append(M) or certificate(M))
+    # a range no other test solves
+    assert ground_state_scan(4.67, [-1.0, 0.0]).crossover is not None
+    ground_state_point(ModelParams(4.67, 0.4))
+    assert calls == []
+
+
 def _refuse_sector_hamiltonians(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a dense sector Hamiltonian was assembled")
@@ -697,7 +729,8 @@ def test_odd_partner_blocks_carry_the_even_block_operators(alpha, jz_over_j, M):
     h = build_sector_hamiltonian(M, ModelParams(alpha, jz_over_j)).matrix
     scale = max(1.0, float(np.abs(h).max()))
     odd = [(b, xr, zr) for b, xr, zr in _even_entries(M, alpha) if b.partner < 0]
-    assert {b.irrep for b, _, _ in odd} == {b.irrep for b in irrep_blocks(M) if b.dim == 2}
+    assert {b.irrep for b, _, _ in odd} == {b.irrep for b in irrep_blocks(M)
+                                            if IRREP_DIMS[b.irrep] == 2}
     for b, xr, zr in odd:
         r = dense_rows(b)
         assert np.abs(xr + np.diag(jz_over_j * zr) - r @ (r @ h).T).max() <= 1e-13 * scale
@@ -788,26 +821,26 @@ def test_a_swapped_pair_of_stored_columns_fails_the_residual_check(monkeypatch):
     # the residual reads each level at the column it fills, so two eigenvectors
     # of one block swapped against their levels fail, and so does a level
     # given to the wrong block; the even block 0 and an odd block each
-    check = spectrum._block_residual
+    check = spectrum._certify
 
     def swap_vectors(k):
-        def swapped(M, params, values, solved):
+        def swapped(M, params, values, solved, spread):
             solved = list(solved)
             b, u, cols = solved[k]
             solved[k] = (b, u[:, [1, 0, *range(2, u.shape[1])]], cols)
-            return check(M, params, values, solved)
+            return check(M, params, values, solved, spread)
         return swapped
 
-    def swap_levels(M, params, values, solved):
+    def swap_levels(M, params, values, solved, spread):
         (b0, u0, cols0), (b1, u1, cols1), *rest = solved
         cols0, cols1 = cols0.copy(), cols1.copy()
         cols0[0], cols1[0] = cols1[0], cols0[0]
-        return check(M, params, values, [(b0, u0, cols0), (b1, u1, cols1), *rest])
+        return check(M, params, values, [(b0, u0, cols0), (b1, u1, cols1), *rest], spread)
 
     odd = next(k for k, b in enumerate(irrep_blocks(3)) if b.partner < 0)
     for fault in (swap_vectors(0), swap_vectors(odd), swap_levels):
         with monkeypatch.context() as m:
-            m.setattr(spectrum, "_block_residual", fault)
+            m.setattr(spectrum, "_certify", fault)
             with pytest.raises(RuntimeError, match="eigenpair residual"):
                 _uncached(3, ModelParams(6.0, 0.5), DEG_TOL_RELATIVE)
 

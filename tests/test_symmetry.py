@@ -222,7 +222,7 @@ def test_odd_partner_rows_complete_the_sector(group, M):
     for b in blocks:
         bt = dense_rows(b).T
         assert np.abs(_irrep_projector(b.irrep, M) @ bt - bt).max() < 1e-12
-        if b.dim == 2:  # the partners are the two eigenspaces of U_h
+        if IRREP_DIMS[b.irrep] == 2:  # the partners are the two eigenspaces of U_h
             moved = act_permutation(h, StateVector(amps=bt, sector=M)).amps
             assert np.abs(moved - b.partner * bt).max() < 1e-12
 
@@ -231,19 +231,28 @@ def test_odd_partner_rows_complete_the_sector(group, M):
 def test_the_orbit_layout_scatters_back_to_every_block(group, M):
     blocks = irrep_blocks(M)
     basis = sector_basis(M)
-    stacked = np.zeros((basis.dim, basis.dim))
-    for g in orbit_layout(M):
-        k = g.members.shape[1]
-        assert g.rows.shape == g.members.shape and g.coef.shape == (len(g.rows), k, k)
-        # each orbit is one configuration orbit of the group, members ascending
-        for m in g.members:
-            images = {int(basis.index_of[_config_map(e.perm)[basis.configs[m[0]]]]) for e in group}
-            assert sorted(images) == m.tolist()
-        stacked[g.rows[:, :, None], g.members[:, None, :]] = g.coef
-    for part in ("rows", "members"):
-        placed = np.concatenate([getattr(g, part).ravel() for g in orbit_layout(M)])
-        assert np.array_equal(np.sort(placed), np.arange(basis.dim))
-    # the rows of irrep_blocks(M) in order, entry for entry
+    d = basis.dim
+    state, row, coef = orbit_layout(M)
+    n, k = coef.shape[:2]
+    assert state.shape == row.shape == (d,) and coef.shape == (n, k, k)
+    # states and rows each fill every place once: places 0..m-1 of an orbit of m states
+    sizes = np.bincount(state // k, minlength=n)
+    assert sizes.min() > 0
+    places = np.flatnonzero(np.arange(k) < sizes[:, None])
+    for part in (state, row):
+        assert np.array_equal(np.sort(part), places)
+    # each orbit is one configuration orbit of the group, members ascending by place
+    for m in np.split(np.argsort(state), np.cumsum(sizes)[:-1]):
+        images = {int(basis.index_of[_config_map(e.perm)[basis.configs[m[0]]]]) for e in group}
+        assert sorted(images) == m.tolist()
+    # the rows of irrep_blocks(M) in order, entry for entry, and zero past an orbit's places
+    at = np.full((2, n * k), -1)  # the state and the row at each place
+    at[0, state] = at[1, row] = np.arange(d)
+    filled = at[0].reshape(n, k) >= 0
+    o, i, j = np.nonzero(filled[:, :, None] & filled[:, None, :])
+    assert np.count_nonzero(coef) == np.count_nonzero(coef[o, i, j])
+    stacked = np.zeros((d, d))
+    stacked[at[1].reshape(n, k)[o, i], at[0].reshape(n, k)[o, j]] = coef[o, i, j]
     assert np.array_equal(stacked, np.vstack([dense_rows(b) for b in blocks]))
 
 
@@ -256,7 +265,8 @@ def test_irrep_blocks_split_the_sector_hamiltonian(alpha, jz_over_j, M):
     blocks = [b for b in irrep_blocks(M) if b.partner > 0]
     levels = _sector_levels(params)[M]
     assert list(levels) == [b.irrep for b in blocks]
-    merged = np.sort(np.concatenate([np.repeat(levels[b.irrep], b.dim) for b in blocks]))
+    merged = np.sort(np.concatenate([np.repeat(levels[b.irrep], IRREP_DIMS[b.irrep])
+                                     for b in blocks]))
     spread = dense[-1] - dense[0]
     assert np.abs(merged - dense).max() <= 1e-12 * max(spread, 1.0)
 
