@@ -31,7 +31,10 @@ trees the same alternating way; it keeps each side's best wall time,
 smallest peak RSS and whether stdout and stderr are byte-identical.  Where
 they are not, it also records how many output cells of the two sides' stdout
 differ and the largest absolute difference between their numeric cells.  The
-BLAS thread variables are recorded as found; nothing is set.
+BLAS thread variables are recorded as found; nothing is set.  Both modes also
+record, per tree, the thread count numpy's bundled OpenBLAS was loaded with
+and the counts in force at the ``eigh`` calls of one labelled solve, read in
+a fresh interpreter (BLAS_PROBE).
 """
 
 import argparse
@@ -102,6 +105,30 @@ finally:
         out.write(next(row for row in status if row.startswith("VmHWM:")).split()[1])
 raise SystemExit(code)
 """
+
+
+# Prints, as JSON, the thread count numpy's bundled OpenBLAS was loaded with and
+# the counts in force at each np.linalg.eigh of the labelled M = 0 solve at
+# (3.7, 0.4), both read through ctypes; None where that library is not found.
+BLAS_PROBE = """\
+import ctypes, json, pathlib
+import numpy as np
+libs = sorted((pathlib.Path(np.__file__).parent.parent / "numpy.libs").glob("*scipy_openblas*"))
+get = ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_ if libs else lambda: None
+loaded, seen, eigh = get(), set(), np.linalg.eigh
+np.linalg.eigh = lambda a: seen.add(get()) or eigh(a)
+from hexstar.hamiltonian import ModelParams
+from hexstar.spectrum import diagonalize_sector
+diagonalize_sector(0, ModelParams(3.7, 0.4))
+print(json.dumps({"loaded": loaded, "solve": sorted(seen, key=str)}))
+"""
+
+
+def blas_threads(root: Path = ROOT) -> dict:
+    """OpenBLAS threads at numpy's load and at a labelled solve's eigh calls, in root's tree."""
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], cwd=root, env=_env(root),
+                          capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(proc.stdout)
 
 
 def run_line(line: str, root: Path = ROOT) -> tuple[float, float, str, bytes]:
@@ -199,6 +226,7 @@ def paired(base: str, pairs: int, seed_start: int) -> dict:
     """Parent (base) and child (this checkout) run alternately, the parent first on odd pairs."""
     with base_tree(base) as (rev, tree):
         src_lines = {"parent": _src_lines(tree), "child": _src_lines(ROOT)}
+        blas = {"parent": blas_threads(tree), "child": blas_threads(ROOT)}
         order = (("parent", tree), ("child", ROOT))
         runs = {w: {"parent": [], "child": []} for w in WORKLOADS}
         for pair in range(1, pairs + 1):
@@ -224,6 +252,7 @@ def paired(base: str, pairs: int, seed_start: int) -> dict:
         "seconds": SECONDS,
         "src_lines": src_lines,
         "thread_vars": {k: os.environ.get(k) for k in THREAD_VARS},
+        "blas_threads": blas,
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version()},
         "workloads": {w: {"failed": [sum(r["failed"] for r in runs[w][s]) for s in runs[w]],
                           "attempted": [sum(r["attempted"] for r in runs[w][s]) for s in runs[w]],
@@ -267,6 +296,8 @@ def main() -> None:
         "src_sha256": digest.hexdigest(),
         "src_lines": _src_lines(),
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version()},
+        "thread_vars": {k: os.environ.get(k) for k in THREAD_VARS},
+        "blas_threads": blas_threads(),
         "perfbench": {str(seed): perfbench(seed) for seed in args.seeds},
         "readme_cli": cli_lines(),
         "tier1": tier1(),

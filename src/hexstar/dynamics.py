@@ -293,6 +293,7 @@ def spectral_support(
     support_tol: float = SUPPORT_TOL,
     deg_tol_rel: float = DEG_TOL_RELATIVE,
 ) -> SpectralSupport:
+    _check_tol("support_tol", support_tol)
     return _sector_modes(state, M, params, deg_tol_rel)[0].restrict(support_tol)
 
 
@@ -413,6 +414,7 @@ def evolve_probabilities(
     the same one spectral_support reports; when it drops no mode column the
     reported classes are the evolved ones.
     """
+    _check_tol("support_tol", support_tol)
     modes, weight, deg_tol = _sector_modes(state, M, params, deg_tol_rel)
     evolved = equiprobability_classes(modes)
     reps = np.array([members[0] for members in evolved])

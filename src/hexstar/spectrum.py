@@ -18,12 +18,19 @@ of J, eigenvectors in block form (dense columns over the sector basis only
 when read), eigenvalue clusters at a relative tolerance of the spread, and
 the certified residual over its bound.  Sector -M is never solved: it is
 M's result with each block's state axis reversed (_mirror_result), and is
-read like any other.
+read like any other.  Every entry point that solves blocks runs on one
+thread of numpy's OpenBLAS (blas_threads) and gives the caller's count back:
+a block has at most 156 rows, too few to share, and after each call on two
+threads the idle worker spins for about 0.13 s of CPU.  The levels then no
+longer depend on the caller's thread count.
 """
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -52,9 +59,47 @@ def _check_tol(name: str, value: float) -> None:
 def thread_budget() -> int:
     """Workers that solve sectors: 1, since sectors are diagonalized one after another.
 
-    perfbench records it as ``sector_pool_workers``.
+    perfbench records it as ``sector_pool_workers``.  Each solve also runs on
+    one BLAS thread (blas_threads).
     """
     return 1
+
+
+def _load_openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, through ctypes; else None."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*scipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # numpy has loaded it, so this is numpy's copy
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):  # not loadable, or without these symbols
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+_OPENBLAS = _load_openblas()
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Run the body, or each call of the decorated function, on n OpenBLAS threads.
+
+    The caller's count is restored afterwards, also when the body raises.  The
+    count is process-wide, so calls from several Python threads would share
+    it.  Without numpy's bundled OpenBLAS this does nothing.
+    """
+    if _OPENBLAS is None:
+        yield
+        return
+    get, put = _OPENBLAS
+    caller = get()
+    put(n)
+    try:
+        yield
+    finally:
+        put(caller)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +166,7 @@ def _run_starts(values: np.ndarray, tol: float) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([len(values) > 0], np.diff(values) > tol)))
 
 
+@blas_threads(1)
 def diagonalize_sector(
     M: int, params: ModelParams, deg_tol_rel: float = DEG_TOL_RELATIVE
 ) -> SpectrumResult:
@@ -588,7 +634,6 @@ def _sector_levels(
 def _ground_point(
     jz_over_j: float, levels: dict[int, dict[str, np.ndarray]], deg_tol_rel: float
 ) -> GroundPoint:
-    _check_tol("deg_tol_rel", deg_tol_rel)
     merged = np.concatenate([v for blocks in levels.values() for v in blocks.values()])
     deg_tol = deg_tol_rel * float(merged.max() - merged.min())
     e0 = float(merged.min())
@@ -615,6 +660,7 @@ def _ground_point(
     )
 
 
+@blas_threads(1)
 def ground_state_point(
     params: ModelParams, deg_tol_rel: float = DEG_TOL_RELATIVE
 ) -> GroundPoint:
@@ -623,9 +669,11 @@ def ground_state_point(
     It holds every level v with v - e0 <= deg_tol_rel * spread, the one degeneracy rule.
     A unique ground level lies in M = 0: every level of M > 0 has its spin-flip copy at -M.
     """
+    _check_tol("deg_tol_rel", deg_tol_rel)
     return _ground_point(params.jz_over_j, _sector_levels(params), deg_tol_rel)
 
 
+@blas_threads(1)
 def _ground_vector(params: ModelParams, deg_tol_rel: float) -> tuple[np.ndarray, int, np.ndarray]:
     """The M = 0 ground vector B^T u; k, the index of its block in _class_table(0); and u.
 
@@ -635,6 +683,7 @@ def _ground_vector(params: ModelParams, deg_tol_rel: float) -> tuple[np.ndarray,
     meets once, and eigh solves that block alone.  The pair is checked like a labelled
     solve's: its block residual plus the M = 0 certificate.
     """
+    _check_tol("deg_tol_rel", deg_tol_rel)
     entries = _partner_operators(0, params.alpha)
     levels = {b.irrep: values for (b, _, _), values in zip(entries, _solve_blocks(params, entries))}
     point = _ground_point(params.jz_over_j, {0: levels}, deg_tol_rel)
@@ -675,6 +724,7 @@ def _crossover(memory: _LevelMemory, w: float) -> tuple[float, float]:
     return jz, excess
 
 
+@blas_threads(1)
 def ground_state_scan(
     alpha: float,
     jz_values: tuple[float, ...] | list[float] | np.ndarray,
@@ -691,6 +741,7 @@ def ground_state_scan(
     value, twice.  Otherwise all three are None.  block_solves counts the
     block eigvalsh calls, the crossover's 35 and its check included.
     """
+    _check_tol("deg_tol_rel", deg_tol_rel)
     memory = _LevelMemory(alpha, deg_tol_rel)
     points = tuple(_ground_point(jz, _sector_levels(ModelParams(alpha=alpha, jz_over_j=jz),
                                                     memory), deg_tol_rel)
@@ -708,6 +759,7 @@ class OverlapPoint:
     spin_weights: dict[int, float]    # total-spin content of the ground state
 
 
+@blas_threads(1)
 def heisenberg_overlap_scan(
     jz_values: tuple[float, ...] | list[float] | np.ndarray,
     alpha: float = 6.0,

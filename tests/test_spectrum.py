@@ -1,7 +1,10 @@
 """Diagonalization, degeneracy structure, and the ground-state scan."""
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from hexstar.hamiltonian import (
     heisenberg_casimir,
     total_coupling,
 )
-from hexstar.dynamics import evolve_probabilities
+from hexstar.dynamics import evolve_probabilities, spectral_support
 from hexstar.hilbert import (
     FULL_MASK,
     StateVector,
@@ -221,6 +224,33 @@ def test_a_nan_infinite_or_negative_tolerance_is_rejected(entry):
     for bad in (-1e-8, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="deg_tol_rel=.* must be finite and non-negative"):
             _TOLERANCE_ENTRIES[entry](bad)
+    assert _diagonalize_sector.cache_info().misses == misses
+
+
+def test_a_bad_tolerance_is_rejected_before_any_solve(monkeypatch):
+    # each entry point checks its tolerances first: no sector is solved and no
+    # block operator is summed before the ValueError
+    chi = build_initial_state(parse_state_spec("chi"))
+    params, times = ModelParams(5.55, 0.3), np.linspace(0.0, 1.0, 3)  # solved by no other test
+    calls = []
+    for name in ("_sector_levels", "_partner_operators"):
+        real = getattr(spectrum, name)
+        monkeypatch.setattr(spectrum, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    entries = {
+        "deg_tol_rel": (lambda tol: ground_state_scan(5.61, [-1.0, 0.0], tol),
+                        lambda tol: ground_state_point(params, tol),
+                        lambda tol: spectrum._ground_vector(params, tol)),
+        "support_tol": (lambda tol: evolve_probabilities(chi, 2, params, times, support_tol=tol),
+                        lambda tol: spectral_support(chi, 2, params, support_tol=tol)),
+    }
+    misses = _diagonalize_sector.cache_info().misses
+    for name, calls_at in entries.items():
+        for call in calls_at:
+            for bad in (-1.0, np.nan):
+                with pytest.raises(ValueError, match=f"{name}=.* must be finite and non-negative"):
+                    call(bad)
+    assert calls == []
     assert _diagonalize_sector.cache_info().misses == misses
 
 
@@ -1019,3 +1049,61 @@ def test_an_anisotropy_that_overflows_the_levels_is_a_numerical_failure(geometry
     ferro = ground_state_point(ModelParams(6.0, -1e306))
     assert ferro.sectors == (-6, 6) and ferro.energy == pytest.approx(-1e306 * w, rel=1e-12)
     assert 0 in ground_state_point(ModelParams(6.0, 1e306)).sectors
+
+
+_needs_openblas = pytest.mark.skipif(spectrum._OPENBLAS is None,
+                                     reason="numpy's bundled OpenBLAS was not found")
+
+
+def _blas_count():
+    return spectrum._OPENBLAS[0]()
+
+
+@_needs_openblas
+def test_every_block_solve_runs_on_one_blas_thread(monkeypatch):
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, solve=solve: seen.append(_blas_count()) or solve(a))
+    # _solve_blocks binds eigvalsh as its default when it is defined
+    monkeypatch.setattr(spectrum._solve_blocks, "__defaults__", (np.linalg.eigvalsh,))
+    spectrum._class_table.cache_clear()  # cold tables, built inside the solve
+    spectrum._certificate.cache_clear()
+    with spectrum.blas_threads(2):  # the caller's pool, whatever the environment set
+        for M in range(7):
+            diagonalize_sector(M, ModelParams(5.29, 0.3))  # a point no other test solves
+        labelled = len(seen)
+        scan = ground_state_scan(5.29, [-1.0, 0.0])
+        assert _blas_count() == 2
+    # one eigh per even block of M = 0..6, and the adapted basis's own if not yet built
+    assert labelled >= 36
+    assert len(seen) - labelled == scan.block_solves
+    assert set(seen) == {1}
+
+
+@_needs_openblas
+def test_the_callers_blas_threads_are_restored():
+    with spectrum.blas_threads(2):
+        full_spectrum(HEISENBERG)
+        assert _blas_count() == 2
+        with pytest.raises(RuntimeError, match="overflow"):
+            full_spectrum(ModelParams(6.0, 1.7e308))
+        assert _blas_count() == 2
+
+
+@_needs_openblas
+def test_levels_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS reads OPENBLAS_NUM_THREADS once, as numpy loads it: one child per count
+    src = os.path.dirname(os.path.dirname(spectrum.__file__))
+    code = ("import sys; from hexstar import ModelParams, diagonalize_sector; sys.stdout.write("
+            "diagonalize_sector(0, ModelParams(3.7, 0.4)).eigenvalues.tobytes().hex())")
+    levels = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=env, check=True)
+        levels.append(np.frombuffer(bytes.fromhex(proc.stdout)))
+    assert len(levels[0]) == sector_basis(0).dim
+    assert np.array_equal(*levels)
