@@ -6,9 +6,10 @@
 Run from the root of a checkout.  The cases are ``scripts/equivalence_cases.json``:
 every state there, at every coupling, in every sector it reaches (a sector
 component of nonzero weight); the labelled spectrum of every sector at every
-coupling; the projection certificate of every sector M = 0..6; and command
-lines run through ``hexstar.cli.main`` ("README" stands for each
-``hexstar`` line of the README's command-line block).
+coupling; the projection certificate of every sector M = 0..6; the ground
+route's scans, points, vectors and overlap scans; and command lines run
+through ``hexstar.cli.main`` ("README" stands for each ``hexstar`` line of
+the README's command-line block).
 
 Each tree runs the cases in a fresh interpreter of its own (``--dump``),
 with its own ``src/`` on the import path, and pickles one record per case.
@@ -16,7 +17,7 @@ The base revision's committed files are unpacked by ``git archive`` into a
 temporary directory (bench_record.base_tree).  Per field and per group of
 cases the report says ``==`` with the dtype, or how many entries differ and
 the largest absolute difference.  The groups are certificates, M >= 0,
-M < 0 and command lines.  Fields:
+M < 0, ground and command lines.  Fields:
 
 - certificate: x, z and delta of spectrum._certificate(M), the bounds the
   residual check adds to every block residual;
@@ -25,6 +26,12 @@ M < 0 and command lines.  Fields:
   residual_margin;
 - dynamics: class_probs, row_class, return_prob, support_dim,
   support_overlap, classes, freq (formula, distinct) and regime;
+- ground: a ground_state_scan's energies, points (Jz/J, sectors,
+  degeneracy, irrep), crossover, bracket, excess and block_solves at each
+  scan alpha on the scan grid; at each point alpha and Jz/J of the point
+  grid, ground_state_point's energy and point, and _ground_vector's vector
+  and block index, or its error text; heisenberg_overlap_scan's overlaps
+  and spin weights at each overlap alpha on the overlap grid;
 - command lines: exit code, stdout and stderr, with the cell diff of
   bench_record.output_diff where stdout differs.
 """
@@ -45,7 +52,7 @@ import numpy as np
 from bench_record import ROOT, _cells, _env, base_tree, output_diff, readme_lines
 
 CASES = Path(__file__).with_name("equivalence_cases.json")
-GROUPS = ("certificates", "M >= 0", "M < 0", "command lines")
+GROUPS = ("certificates", "M >= 0", "M < 0", "ground", "command lines")
 
 
 def _cases() -> dict:
@@ -98,6 +105,7 @@ def _records(cases: dict):
                     "freq": (traj.freq.formula, traj.freq.distinct),
                     "regime": regime_classifier(traj),
                 }
+    yield from _ground_records(cases["ground"])
     for line in cases["cli"]:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -107,6 +115,48 @@ def _records(cases: dict):
                 code = exc.code
         yield "command lines", f"hexstar {line}", {
             "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _point(p) -> tuple:
+    return p.jz_over_j, p.sectors, p.degeneracy, p.irrep
+
+
+def _ground_records(ground: dict):
+    """(group, key, fields) of the ground route's cases: scans, points, vectors, overlaps."""
+    from hexstar.hamiltonian import DEG_TOL_RELATIVE, ModelParams
+    from hexstar.spectrum import (_ground_vector, ground_state_point, ground_state_scan,
+                                  heisenberg_overlap_scan)
+
+    grid = np.linspace(*ground["scan_grid"])
+    for alpha in ground["scan_alphas"]:
+        scan = ground_state_scan(alpha, grid)
+        yield "ground", f"ground scan alpha={alpha:g}", {
+            "energies": np.array([p.energy for p in scan.points]),
+            "points": [_point(p) for p in scan.points],
+            "crossover": scan.crossover,
+            "bracket": scan.crossover_bracket,
+            "excess": scan.crossover_excess,
+            "block_solves": scan.block_solves,
+        }
+    for alpha in ground["point_alphas"]:
+        for jz in np.linspace(*ground["point_grid"]).tolist():
+            params = ModelParams(alpha, jz)
+            point = ground_state_point(params)
+            try:
+                vector, k, _ = _ground_vector(params, DEG_TOL_RELATIVE)
+                error = ""
+            except ValueError as exc:
+                vector, k, error = None, None, str(exc)
+            yield "ground", f"ground point ({alpha:g}, {jz:g})", {
+                "energy": np.array(point.energy), "point": _point(point),
+                "vector": vector, "block": k, "vector_error": error,
+            }
+    for alpha in ground["overlap_alphas"]:
+        points = heisenberg_overlap_scan(np.linspace(*ground["overlap_grid"]), alpha)
+        yield "ground", f"overlap scan alpha={alpha:g}", {
+            "overlap_sq": np.array([p.overlap_sq for p in points]),
+            "spin_weights": [p.spin_weights for p in points],
+        }
 
 
 def dump(cases_path: str, out_path: str) -> None:

@@ -73,10 +73,11 @@ def _caches() -> dict[str, tuple[int, int]]:
             continue
         module = importlib.import_module(f"hexstar.{info.name}")
         for name, obj in sorted(vars(module).items()):
-            # an lru_cache wrapper, counted in the module that defines it
-            if (hasattr(obj, "__wrapped__") and callable(getattr(obj, "cache_info", None))
-                    and obj.__module__ == module.__name__):
-                stats = obj.cache_info()
+            # an lru_cache wrapper, counted in the module that defines it; a
+            # function that carries another's cache_info is not one
+            cache_info = getattr(obj, "cache_info", None)
+            if getattr(cache_info, "__self__", None) is obj and obj.__module__ == module.__name__:
+                stats = cache_info()
                 out[f"{info.name}.{name}"] = stats.hits, stats.misses
     return out
 

@@ -21,10 +21,11 @@ with theta = -2 pi E t and a_k the amplitude that mode k carries to a row,
 
     p(t) = (Re a . cos theta - Im a . sin theta)^2 + (Re a . sin theta + Im a . cos theta)^2,
 
-so no complex phase table is formed.  A one-entry memo keeps the cluster
-overlaps and _phase_parts' (cos theta, sin theta) under the content they were
-computed from, so an evolve and a return of the same state on the same grid
-compute them once.  Equiprobability classes are first-fit classes, found by
+so no complex phase table is formed.  Two one-entry lru_caches keep the last
+cluster overlaps (_solved_overlaps) and the last (cos theta, sin theta) table
+(_phases), each keyed on the bytes of the arrays it is computed from, so an
+evolve and a return of the same state on the same grid compute them once.
+Equiprobability classes are first-fit classes, found by
 walking the representatives: each claims its later unclaimed matches at
 once, so a row goes to the earliest representative it matches, first-fit's
 rule.
@@ -33,7 +34,7 @@ rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -115,24 +116,14 @@ def _normalized_sector_state(
     return state.amps / n, n * n
 
 
-# One entry per slot, (key, value): the last cluster overlaps and the last
-# phase table, each keyed on the content it was computed from.  An entry is
-# replaced whole, so a caller reads either a matching entry or builds its own.
-_MEMO: dict[str, tuple] = {}
-
-
-def _memoized(slot: str, key: tuple, build):
-    entry = _MEMO.get(slot)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    value = build()
-    _MEMO[slot] = (key, value)
-    return value
-
-
 def _content(a: np.ndarray) -> tuple:
+    """(dtype, shape, bytes): a hashable key that _array turns back into the same array."""
     a = np.asarray(a)
     return a.dtype.str, a.shape, a.tobytes()
+
+
+def _array(dtype: str, shape: tuple, data: bytes) -> np.ndarray:
+    return np.frombuffer(data, dtype).reshape(shape)
 
 
 def _phase_parts(energies: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,35 +178,37 @@ def _block_rows(b: IrrepBlock, psi: np.ndarray) -> np.ndarray:
 def _cluster_overlaps(
     state: StateVector, M: int, params: ModelParams, deg_tol_rel: float
 ) -> tuple[float, SpectrumResult, _Overlaps]:
-    """First stage of the mode decomposition: psi's component in each cluster.
-
-    Returns the sector weight, the sector spectrum and psi's overlaps: z at
-    every sorted column, from each block's U_b^T (B_b psi), and the clusters
-    whose ||z|| exceeds EVOLVE_FLOOR; a sector -M's blocks are M's read through
-    the spin flip, so psi is never flipped.  All but the weight come from the
-    memo when the normalized sector component is the last one's, bit for bit,
-    with the same M, params and deg_tol_rel; its arrays are read-only.
-    """
+    """First stage of the mode decomposition: the sector weight, then _solved_overlaps of psi."""
     psi, weight = _normalized_sector_state(state, M)
+    return weight, *_solved_overlaps(M, params, deg_tol_rel, _content(psi))
 
-    def build():
-        res = diagonalize_sector(M, params, deg_tol_rel)
-        z = np.empty_like(psi)
-        for b, u, cols in res.solved:
-            z[cols] = u.T @ _block_rows(b, psi)
-        starts = _run_starts(res.eigenvalues, res.deg_tol)
-        norms = np.sqrt(np.add.reduceat((z * z.conj()).real, starts))
-        kept = np.flatnonzero(norms > EVOLVE_FLOOR)
-        slot = np.full(len(starts), -1)
-        slot[kept] = np.arange(len(kept))
-        overlaps = _Overlaps(z=z, slot=np.repeat(slot, np.diff(starts, append=res.dim)),
-                             energies=res.eigenvalues[starts[kept]], norms=norms[kept])
-        for arr in overlaps:
-            arr.flags.writeable = False
-        return res, overlaps
 
-    res, overlaps = _memoized("overlaps", (M, params, deg_tol_rel, *_content(psi)), build)
-    return weight, res, overlaps
+@lru_cache(maxsize=1)  # the last state's: an evolve and a return of it share one decomposition
+def _solved_overlaps(M: int, params: ModelParams, deg_tol_rel: float,
+                     psi: tuple) -> tuple[SpectrumResult, _Overlaps]:
+    """The sector spectrum and the overlaps of the psi whose _content is given.
+
+    The overlaps are z at every sorted column, from each block's
+    U_b^T (B_b psi), and the clusters whose ||z|| exceeds EVOLVE_FLOOR; a
+    sector -M's blocks are M's read through the spin flip, so psi is never
+    flipped.  The value is a function of the key alone, psi's bytes with M,
+    params and deg_tol_rel; its arrays are read-only.
+    """
+    psi = _array(*psi)
+    res = diagonalize_sector(M, params, deg_tol_rel)
+    z = np.empty_like(psi)
+    for b, u, cols in res.solved:
+        z[cols] = u.T @ _block_rows(b, psi)
+    starts = _run_starts(res.eigenvalues, res.deg_tol)
+    norms = np.sqrt(np.add.reduceat((z * z.conj()).real, starts))
+    kept = np.flatnonzero(norms > EVOLVE_FLOOR)
+    slot = np.full(len(starts), -1)
+    slot[kept] = np.arange(len(kept))
+    overlaps = _Overlaps(z=z, slot=np.repeat(slot, np.diff(starts, append=res.dim)),
+                         energies=res.eigenvalues[starts[kept]], norms=norms[kept])
+    for arr in overlaps:
+        arr.flags.writeable = False
+    return res, overlaps
 
 
 def _projections(res: SpectrumResult, overlaps: _Overlaps) -> np.ndarray:
@@ -237,14 +230,17 @@ def _projections(res: SpectrumResult, overlaps: _Overlaps) -> np.ndarray:
 
 
 def _phase_table(energies: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_phase_parts(energies, times), read-only, from the memo when both match the last."""
-    def build():
-        parts = _phase_parts(energies, times)
-        for arr in parts:
-            arr.flags.writeable = False
-        return parts
+    """_phase_parts(energies, times), read-only, from _phases' cache when both match the last."""
+    return _phases(_content(energies), _content(times))
 
-    return _memoized("phases", (*_content(energies), *_content(times)), build)
+
+@lru_cache(maxsize=1)  # the last grid's: an evolve and a return on it share one table
+def _phases(energies: tuple, times: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """_phase_parts of the energies and times given by their _content, read-only."""
+    parts = _phase_parts(_array(*energies), _array(*times))
+    for arr in parts:
+        arr.flags.writeable = False
+    return parts
 
 
 def _sector_modes(

@@ -90,7 +90,7 @@ class CouplingClasses(NamedTuple):
     zz: np.ndarray      # (d, 6) int8 sum of sz sz over the pairs of each class
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=None)
 def coupling_classes(M: int) -> CouplingClasses:
     """The integer class parts of sector M, read off its basis and the pair distances."""
     basis = sector_basis(M)
@@ -123,7 +123,7 @@ def class_weights(alpha: float) -> np.ndarray:
     return np.array(_pair_couplings(ALLOWED_DISTANCE_SQ, alpha))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=None)
 def _exact_layout(M: int) -> tuple[list[tuple[int, int]], list[int], list[list[int]]]:
     """The keys of sector M's exact entries, each key's slot, and the distinct rows of zz.
 

@@ -660,17 +660,15 @@ def _ground_point(
     )
 
 
-@blas_threads(1)
 def ground_state_point(
     params: ModelParams, deg_tol_rel: float = DEG_TOL_RELATIVE
 ) -> GroundPoint:
-    """Global ground level at one parameter point, from irrep-block eigenvalues only.
+    """Global ground level at one parameter point: the one point of ground_state_scan.
 
     It holds every level v with v - e0 <= deg_tol_rel * spread, the one degeneracy rule.
     A unique ground level lies in M = 0: every level of M > 0 has its spin-flip copy at -M.
     """
-    _check_tol("deg_tol_rel", deg_tol_rel)
-    return _ground_point(params.jz_over_j, _sector_levels(params), deg_tol_rel)
+    return ground_state_scan(params.alpha, [params.jz_over_j], deg_tol_rel).points[0]
 
 
 @blas_threads(1)

@@ -566,11 +566,17 @@ def _complex_m5(initial, alpha, jz_over_j, times):
     return (amp[0].real**2 + amp[0].imag**2) / 6, (amp[1].real**2 + amp[1].imag**2) / 6
 
 
+def _clear_memo():
+    """Empty the two dynamics caches: the last cluster overlaps and the last phase table."""
+    dynamics._solved_overlaps.cache_clear()
+    dynamics._phases.cache_clear()
+
+
 def test_every_evolution_reads_one_real_phase_table_and_one_kernel(chi):
     times = np.linspace(0.0, 50.0, 2001)
     phases = mock.Mock(wraps=dynamics._phase_parts)
     power = mock.Mock(wraps=dynamics._power)
-    dynamics._MEMO.clear()
+    _clear_memo()
     with mock.patch.multiple(dynamics, _phase_parts=phases, _power=power), \
             mock.patch.multiple(analytic, _phase_parts=phases, _power=power):
         return_probability(chi, 4, HEISENBERG, times)
@@ -586,9 +592,28 @@ def test_every_evolution_reads_one_real_phase_table_and_one_kernel(chi):
                     assert np.array_equal(p, q), (alpha, initial)
 
 
+def test_an_evolve_and_a_return_hit_each_dynamics_cache_once(chi):
+    # the return reads the evolve's overlaps and phase table from the two
+    # caches; a cold start's rule, cache_clear on every module attribute that
+    # has one, empties both
+    times = np.linspace(0.0, 1.0, 21)
+    caches = (dynamics._solved_overlaps, dynamics._phases)
+    _clear_memo()
+    evolve_probabilities(chi, 1, HEISENBERG, times)
+    return_probability(chi, 1, HEISENBERG, times)
+    for cache in caches:
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    for obj in list(vars(dynamics).values()):
+        clear = getattr(obj, "cache_clear", None)
+        if callable(clear):
+            clear()
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+
+
 def _fresh(fn, *args, **kwargs):
     """fn with the dynamics memo emptied first: the oracle for every memo test."""
-    dynamics._MEMO.clear()
+    _clear_memo()
     return fn(*args, **kwargs)
 
 
@@ -607,7 +632,7 @@ def test_an_evolve_and_a_return_share_one_decomposition(evolve_first, heisenberg
     args = (state, 0, HEISENBERG, times)
     traj_alone = _fresh(evolve_probabilities, *args)
     ret_alone = _fresh(return_probability, *args)
-    dynamics._MEMO.clear()
+    _clear_memo()
     with mock.patch.object(dynamics, "_phase_parts", wraps=dynamics._phase_parts) as phases, \
             mock.patch.object(dynamics, "diagonalize_sector",
                               wraps=dynamics.diagonalize_sector) as spectra:
@@ -656,10 +681,10 @@ def test_the_memo_misses_when_any_input_changes(change, xxz_spectra):
         return (evolve_probabilities(*args, deg_tol_rel=kw["deg_tol_rel"]),
                 return_probability(*args, deg_tol_rel=kw["deg_tol_rel"]))
 
-    dynamics._MEMO.clear()
+    _clear_memo()
     first = run(base)
     traj, ret = run(other)
-    dynamics._MEMO.clear()
+    _clear_memo()
     traj_alone, ret_alone = run(other)
     assert not (np.array_equal(traj.probs, first[0].probs) and np.array_equal(ret, first[1]))
     _assert_same_trajectory(traj, traj_alone)
@@ -669,10 +694,12 @@ def test_the_memo_misses_when_any_input_changes(change, xxz_spectra):
 def test_the_memo_arrays_are_read_only(chi):
     times = np.linspace(0.0, 1.0, 11)
     evolve_probabilities(chi, 2, HEISENBERG, times)
-    for part in dynamics._MEMO["phases"][1]:  # cos and sin
+    overlaps = dynamics._cluster_overlaps(chi, 2, HEISENBERG, dynamics.DEG_TOL_RELATIVE)[2]
+    hits = dynamics._phases.cache_info().hits
+    for part in dynamics._phase_table(overlaps.energies, times):  # the evolve's cos and sin
         with pytest.raises(ValueError, match="read-only"):
             part[0, 0] = 0.0
-    overlaps = dynamics._cluster_overlaps(chi, 2, HEISENBERG, dynamics.DEG_TOL_RELATIVE)[2]
+    assert dynamics._phases.cache_info().hits == hits + 1
     for array in overlaps:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
@@ -692,7 +719,7 @@ def _assert_block_form_is_the_dense_oracle(state, M, params, res):
     """z per cluster, P_c psi, the kept clusters, the modes and the classes against V's columns."""
     component, weight = project_sector(state, M)
     psi = component.amps / np.sqrt(weight)  # ||psi|| = 1, so 1e-13 is 1e-13 ||psi||
-    dynamics._MEMO.clear()
+    _clear_memo()
     with mock.patch.object(dynamics, "diagonalize_sector", lambda *args: res):
         overlaps = dynamics._cluster_overlaps(state, M, params, DEG_TOL_RELATIVE)[2]
         modes = dynamics._sector_modes(state, M, params, DEG_TOL_RELATIVE)[0]
@@ -773,11 +800,11 @@ def test_no_dynamics_path_flips_a_state(monkeypatch, xxz_spectra, heisenberg_spe
     for spec, M, params in [("xi", -5, XXZ_FERRO), ("xi", -1, HEISENBERG),
                             ("zeta:1,0.3,2,1.1", -3, HEISENBERG), ("config:3930", -2, XXZ_FERRO)]:
         state = build_initial_state(parse_state_spec(spec))
-        dynamics._MEMO.clear()
+        _clear_memo()
         assert np.isfinite(evolve_probabilities(state, M, params, times).class_probs).all()
-        dynamics._MEMO.clear()
+        _clear_memo()
         assert np.isfinite(return_probability(state, M, params, times)).all()
-        dynamics._MEMO.clear()
+        _clear_memo()
         assert spectral_support(state, M, params).dim > 0
 
 
@@ -791,7 +818,7 @@ def test_no_dynamics_path_reads_the_dense_eigenvectors(monkeypatch, xxz_spectra,
     for spec, M, params in [("xi", 0, XXZ_FERRO), ("chi", 0, HEISENBERG),
                             ("zeta:1,0.3,2,1.1", 3, HEISENBERG), ("config:3930", -2, XXZ_FERRO)]:
         state = build_initial_state(parse_state_spec(spec))
-        dynamics._MEMO.clear()
+        _clear_memo()
         assert np.isfinite(evolve_probabilities(state, M, params, times).class_probs).all()
         assert np.isfinite(return_probability(state, M, params, times)).all()
         assert spectral_support(state, M, params).dim > 0

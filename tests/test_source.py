@@ -47,6 +47,25 @@ def test_every_private_module_name_is_used():
     assert dead == []
 
 
+def _empty_container(node):
+    """True for {}, [], dict(), list() and set(): what a hand-made cache starts as."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "list", "set") and not node.args and not node.keywords)
+
+
+def test_no_module_binds_an_empty_container():
+    # an empty dict, list or set bound at module level is a hand-made cache;
+    # every cache is an lru_cache, which the cache tools read and clear
+    found = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+             for name, node in _module_level_names(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Assign, ast.AnnAssign)) and _empty_container(node.value)]
+    assert found == []
+
+
 def _readme_section(title):
     text = (ROOT / "README.md").read_text()
     match = re.search(rf"^## {re.escape(title)}\n(.*?)(?=^## |\Z)", text, re.M | re.S)

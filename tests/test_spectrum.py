@@ -471,7 +471,7 @@ def test_ground_level_counts_two_states_per_e_level(monkeypatch, ground, expecte
     for M, blocks in ground.items():
         for irrep, e0 in blocks.items():
             levels[M][irrep] = np.array([e0, 3.0])
-    monkeypatch.setattr("hexstar.spectrum._sector_levels", lambda params: levels)
+    monkeypatch.setattr("hexstar.spectrum._sector_levels", lambda params, *memory: levels)
     point = ground_state_point(HEISENBERG)
     assert (point.sectors, point.degeneracy, point.irrep) == expected
     assert point.energy == 0.0
@@ -707,7 +707,7 @@ def test_the_projection_certificate_is_built_once_per_sector(monkeypatch):
     assert spectrum._certificate.cache_info().misses == 7
 
 
-def _projected_levels(params):
+def _projected_levels(params, *memory):
     """Reference: the dense sector H projected onto each C2'(0)-even block, per point."""
     return {M: {b.irrep: np.linalg.eigvalsh(r @ (r @ h).T)
                 for b, r in ((b, dense_rows(b)) for b in irrep_blocks(M)) if b.partner > 0}
