@@ -33,8 +33,9 @@ they are not, it also records how many output cells of the two sides' stdout
 differ and the largest absolute difference between their numeric cells.  The
 BLAS thread variables are recorded as found; nothing is set.  Both modes also
 record, per tree, the thread count numpy's bundled OpenBLAS was loaded with
-and the counts in force at the ``eigh`` calls of one labelled solve, read in
-a fresh interpreter (BLAS_PROBE).
+and the counts in force at the ``eigh`` calls of one labelled solve, at the
+``dynamics._power`` calls of one evolve and at the ``svd`` calls of one
+entangled Schmidt scan, read in a fresh interpreter (BLAS_PROBE).
 """
 
 import argparse
@@ -109,23 +110,37 @@ raise SystemExit(code)
 
 # Prints, as JSON, the thread count numpy's bundled OpenBLAS was loaded with and
 # the counts in force at each np.linalg.eigh of the labelled M = 0 solve at
-# (3.7, 0.4), both read through ctypes; None where that library is not found.
+# (3.7, 0.4) ("solve"), at each dynamics._power of an evolve of chi on that
+# sector ("evolve") and at each np.linalg.svd of the Schmidt scan of an entangled
+# state, (|0> + |4095>) / sqrt 2 ("svd"), all read through ctypes; None where
+# that library is not found.
 BLAS_PROBE = """\
 import ctypes, json, pathlib
 import numpy as np
 libs = sorted((pathlib.Path(np.__file__).parent.parent / "numpy.libs").glob("*scipy_openblas*"))
 get = ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_ if libs else lambda: None
-loaded, seen, eigh = get(), set(), np.linalg.eigh
-np.linalg.eigh = lambda a: seen.add(get()) or eigh(a)
+loaded, seen = get(), {"solve": set(), "evolve": set(), "svd": set()}
+def spy(key, fn):
+    return lambda *args, **kwargs: seen[key].add(get()) or fn(*args, **kwargs)
+np.linalg.eigh = spy("solve", np.linalg.eigh)
+np.linalg.svd = spy("svd", np.linalg.svd)
+from hexstar import dynamics, entanglement, hilbert
 from hexstar.hamiltonian import ModelParams
 from hexstar.spectrum import diagonalize_sector
-diagonalize_sector(0, ModelParams(3.7, 0.4))
-print(json.dumps({"loaded": loaded, "solve": sorted(seen, key=str)}))
+dynamics._power = spy("evolve", dynamics._power)
+params = ModelParams(3.7, 0.4)
+diagonalize_sector(0, params)
+chi = hilbert.build_initial_state(hilbert.parse_state_spec("chi"))
+dynamics.evolve_probabilities(chi, 0, params, np.linspace(0.0, 1.0, 2001))
+ghz = np.zeros(hilbert.N_CONFIGS)
+ghz[[0, -1]] = 0.5 ** 0.5
+entanglement.is_entangled(hilbert.StateVector(ghz))
+print(json.dumps({"loaded": loaded, **{k: sorted(v, key=str) for k, v in seen.items()}}))
 """
 
 
 def blas_threads(root: Path = ROOT) -> dict:
-    """OpenBLAS threads at numpy's load and at a labelled solve's eigh calls, in root's tree."""
+    """OpenBLAS threads at numpy's load, at a solve's eigh, an evolve's _power and a scan's svd."""
     proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], cwd=root, env=_env(root),
                           capture_output=True, text=True, check=True, timeout=120)
     return json.loads(proc.stdout)

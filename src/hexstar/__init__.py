@@ -19,7 +19,6 @@ from .hilbert import (
     StateSpec,
     sector_basis,
     basis_state,
-    spin_flip,
     project_sector,
     parse_state_spec,
     build_initial_state,

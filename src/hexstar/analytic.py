@@ -19,6 +19,7 @@ import numpy as np
 from .dynamics import _phase_parts, _power
 from .hamiltonian import ModelParams, build_sector_hamiltonian, exact_capable
 from .hilbert import StateVector, sector_basis
+from .spectrum import blas_threads
 
 _M = 5          # the block lives in the single-flipped-spin sector
 _RING = 6       # sites per ring
@@ -144,6 +145,7 @@ def m5_block(alpha: float, jz_over_j: float) -> M5Block:
     )
 
 
+@blas_threads(1)
 def numeric_block(alpha: float, jz_over_j: float) -> np.ndarray:
     """The same 2x2, but assembled by the generic engine for cross-checking."""
     params = ModelParams(alpha=alpha, jz_over_j=jz_over_j)
@@ -155,6 +157,7 @@ def numeric_block(alpha: float, jz_over_j: float) -> np.ndarray:
     return s.T @ ham.matrix @ s
 
 
+@blas_threads(1)
 def m5_probabilities(
     initial: str, alpha: float, jz_over_j: float, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

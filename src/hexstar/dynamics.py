@@ -25,6 +25,11 @@ so no complex phase table is formed.  Two one-entry lru_caches keep the last
 cluster overlaps (_solved_overlaps) and the last (cos theta, sin theta) table
 (_phases), each keyed on the bytes of the arrays it is computed from, so an
 evolve and a return of the same state on the same grid compute them once.
+The four entry points, spectral_support, equiprobability_classes,
+evolve_probabilities and return_probability, run on one thread of numpy's
+OpenBLAS (spectrum.blas_threads) and give the caller's count back: after the
+Gram and mode-sum products on two threads, the idle worker spins for about
+0.13 s of CPU, longer than a whole quench takes.
 Equiprobability classes are first-fit classes, found by
 walking the representatives: each claims its later unclaimed matches at
 once, so a row goes to the earliest representative it matches, first-fit's
@@ -42,7 +47,7 @@ import numpy as np
 from .hilbert import StateVector, project_sector
 from .hamiltonian import DEG_TOL_RELATIVE, ModelParams
 from .spectrum import (SUPPORT_TOL, SpectrumResult, _check_tol, _columns, _run_starts,
-                       diagonalize_sector)
+                       blas_threads, diagonalize_sector)
 from .symmetry import IrrepBlock
 
 # Clusters with projection below this never matter against the 1e-10
@@ -282,6 +287,7 @@ def _sector_modes(
     ), weight, res.deg_tol
 
 
+@blas_threads(1)
 def spectral_support(
     state: StateVector,
     M: int,
@@ -308,6 +314,7 @@ def frequency_count(support: SpectralSupport, deg_tol: float) -> FrequencyCount:
     return FrequencyCount(formula=formula, distinct=len(_run_starts(diffs, deg_tol)))
 
 
+@blas_threads(1)
 def equiprobability_classes(support: SpectralSupport) -> tuple[np.ndarray, ...]:
     """Group outcomes whose support projections agree up to one global sign.
 
@@ -382,6 +389,7 @@ class Trajectory:
         return self.class_probs[self.row_class]
 
 
+@blas_threads(1)
 def evolve_probabilities(
     state: StateVector,
     M: int,
@@ -454,6 +462,7 @@ def _mode_sums(rows: np.ndarray, modes: SpectralSupport, complex_state: bool,
     return _power(np.ascontiguousarray(amps.real), a_i, cos, sin)
 
 
+@blas_threads(1)
 def return_probability(
     state: StateVector,
     M: int,

@@ -58,6 +58,7 @@ import numpy as np
 
 from .lattice import N_SITES
 from .hilbert import FULL_MASK, StateVector, _config_map
+from .spectrum import blas_threads
 from .symmetry import STABILIZER_TOL, stabilizer
 
 SVD_TOL = 1e-10  # relative threshold on singular values
@@ -141,6 +142,7 @@ class EntanglementReport:
     product_margin: float | None
 
 
+@blas_threads(1)
 def is_entangled(state: StateVector, tol: float = SVD_TOL) -> EntanglementReport:
     """Scan the 2^11 - 1 distinct bipartitions (complement cuts coincide), one SVD per orbit.
 

@@ -81,17 +81,6 @@ def _config_map(perm: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def spin_flip(state: StateVector) -> StateVector:
-    """Global spin flip f -> f XOR 4095; maps sector M to -M with no sign."""
-    if state.sector is None:
-        return StateVector(amps=state.amps[_ALL_CONFIGS ^ FULL_MASK], sector=None)
-    src = sector_basis(state.sector)
-    dst = sector_basis(-state.sector)
-    new = np.empty_like(state.amps)
-    new[dst.index_of[src.configs ^ FULL_MASK]] = state.amps
-    return StateVector(amps=new, sector=-state.sector)
-
-
 def project_sector(state: StateVector, M: int) -> tuple[StateVector, float]:
     """Sector component of a full state plus its squared norm (the weight)."""
     if state.sector is not None:

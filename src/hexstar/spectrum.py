@@ -19,10 +19,12 @@ when read), eigenvalue clusters at a relative tolerance of the spread, and
 the certified residual over its bound.  Sector -M is never solved: it is
 M's result with each block's state axis reversed (_mirror_result), and is
 read like any other.  Every entry point that solves blocks runs on one
-thread of numpy's OpenBLAS (blas_threads) and gives the caller's count back:
-a block has at most 156 rows, too few to share, and after each call on two
-threads the idle worker spins for about 0.13 s of CPU.  The levels then no
-longer depend on the caller's thread count.
+thread of numpy's OpenBLAS (blas_threads) and gives the caller's count back,
+and so does every entry point of dynamics, entanglement and analytic that
+forms products or singular values: a block has at most 156 rows, too few to
+share, and after each call on two threads the idle worker spins for about
+0.13 s of CPU, longer than a quench takes.  The levels then no longer depend
+on the caller's thread count.
 """
 from __future__ import annotations
 
@@ -59,8 +61,9 @@ def _check_tol(name: str, value: float) -> None:
 def thread_budget() -> int:
     """Workers that solve sectors: 1, since sectors are diagonalized one after another.
 
-    perfbench records it as ``sector_pool_workers``.  Each solve also runs on
-    one BLAS thread (blas_threads).
+    perfbench records it as ``sector_pool_workers``.  Each solve, and each
+    dynamics, Schmidt and M = 5 product, also runs on one BLAS thread
+    (blas_threads).
     """
     return 1
 
@@ -86,6 +89,8 @@ _OPENBLAS = _load_openblas()
 def blas_threads(n: int):
     """Run the body, or each call of the decorated function, on n OpenBLAS threads.
 
+    Every entry point that solves blocks or evolves, scans or projects a
+    state carries blas_threads(1); a nested scope finds 1 and gives 1 back.
     The caller's count is restored afterwards, also when the body raises.  The
     count is process-wide, so calls from several Python threads would share
     it.  Without numpy's bundled OpenBLAS this does nothing.

@@ -5,15 +5,16 @@ the signed permutation action on amplitudes, the dense rows of an irrep
 block, the dense irrep labeller that rounds projection weights, the Schmidt
 scan over every cut, the exact entries summed pair by pair over a pair
 table built here from the geometry and the sector basis, cluster labels
-counted cluster by cluster with spins from the dense Casimir, the dense
-eigenvectors scattered at once after the solve, a state's cluster
-overlaps and modes read off those dense columns, and clusters cut one gap
-at a time.  The library builds none of these: its blocks carry their labels
-by construction, its scan takes one cut per orbit, its matrices, exact
-entries and spins are all read from the six distance classes, its dense
-eigenvectors are mapped out of the block form afresh on every read and kept
-nowhere, its dynamics read the block form and its runs are cut by one
-vectorized rule, so these only check it.
+counted cluster by cluster with spins from the dense Casimir, the global
+spin flip, the dense eigenvectors scattered at once after the solve (sector
+-M through the flip), a state's cluster overlaps and modes read off those
+dense columns, and clusters cut one gap at a time.  The library builds none
+of these: its blocks carry their labels by construction, its scan takes one
+cut per orbit, its matrices, exact entries and spins are all read from the
+six distance classes, its sector -M is M's blocks with the state axis
+reversed, its dense eigenvectors are mapped out of the block form afresh on
+every read and kept nowhere, its dynamics read the block form and its runs
+are cut by one vectorized rule, so these only check it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from hexstar.entanglement import SVD_CHUNK, SVD_TOL, _cut_matrix, _ranks
 from hexstar.hamiltonian import ModelParams, heisenberg_casimir
-from hexstar.hilbert import StateVector, _config_map, sector_basis, spin_flip
+from hexstar.hilbert import FULL_MASK, N_CONFIGS, StateVector, _config_map, sector_basis
 from hexstar.lattice import IRREP_LABELS, N_SITES, GroupElement, build_geometry
 from hexstar.spectrum import SpectrumResult, _partner_operators, _solve_blocks
 from hexstar.symmetry import IrrepBlock, irrep_blocks, irrep_weights
@@ -193,6 +194,17 @@ def per_cluster_labels(res: SpectrumResult) -> list[tuple]:
         out.append((idx.tolist(), float(res.eigenvalues[idx[0]]), slots,
                     next(iter(slots)) if len(slots) == 1 else None, spin))
     return out
+
+
+def spin_flip(state: StateVector) -> StateVector:
+    """Global spin flip f -> f XOR 4095; maps sector M to -M with no sign."""
+    if state.sector is None:
+        return StateVector(amps=state.amps[np.arange(N_CONFIGS) ^ FULL_MASK], sector=None)
+    src = sector_basis(state.sector)
+    dst = sector_basis(-state.sector)
+    new = np.empty_like(state.amps)
+    new[dst.index_of[src.configs ^ FULL_MASK]] = state.amps
+    return StateVector(amps=new, sector=-state.sector)
 
 
 def eager_eigenvectors(M: int, params: ModelParams) -> np.ndarray:

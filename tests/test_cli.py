@@ -141,6 +141,16 @@ def test_schmidt_of_the_unique_heisenberg_ground_state(capsys):
     assert stats["entangled"] is True
 
 
+def test_schmidt_refuses_a_state_of_zero_norm(capsys, monkeypatch):
+    # every state the command line builds has unit norm; the guard protects outside input
+    monkeypatch.setattr(cli, "_resolve_state",
+                        lambda args: hexstar.StateVector(amps=np.zeros(1 << 12)))
+    code, out, err = run_cli(capsys, "schmidt", "--state", "xi")
+    assert code == 2
+    assert out == ""
+    assert err == "error: state has zero norm\n"
+
+
 def test_degenerate_ground_state_is_refused(capsys):
     # the ferromagnetic ground level is the pair M = +-6
     code, out, err = run_cli(capsys, "schmidt", "--state", "ground", "--jz-over-j", "-3")

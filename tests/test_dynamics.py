@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 from functools import lru_cache
 from unittest import mock
@@ -25,6 +27,7 @@ from hexstar.dynamics import (
     return_probability,
     spectral_support,
 )
+from hexstar.entanglement import is_entangled
 from hexstar.hamiltonian import DEG_TOL_RELATIVE, HEISENBERG, XXZ_FERRO, ModelParams
 from hexstar.hilbert import (
     StateVector,
@@ -34,10 +37,9 @@ from hexstar.hilbert import (
     product_state,
     project_sector,
     sector_basis,
-    spin_flip,
 )
 from hexstar.spectrum import SUPPORT_TOL, SpectrumResult, _diagonalize_sector, diagonalize_sector
-from reference import assert_mirrored_blocks, dense_cluster_overlaps, dense_modes
+from reference import assert_mirrored_blocks, dense_cluster_overlaps, dense_modes, spin_flip
 
 # Spectral support dimensions per sector, M = 6 down to 0.  The in-plane
 # state is evolved under the anisotropic model, the mixed-ring state under
@@ -788,14 +790,11 @@ def _assert_reads_its_own_blocks(states, M, params, times, res):
         _assert_block_form_is_the_dense_oracle(state, M, params, res)
 
 
-def test_no_dynamics_path_flips_a_state(monkeypatch, xxz_spectra, heisenberg_spectra):
-    # sector -M carries M's blocks read through the flip: psi and the projections stay put
-    def tripwire(state):
-        raise AssertionError(f"a sector {state.sector} state went through the spin flip")
-
-    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "hexstar"]:
-        if getattr(module, "spin_flip", None) is spin_flip:
-            monkeypatch.setattr(module, "spin_flip", tripwire)
+def test_no_dynamics_path_flips_a_state(xxz_spectra, heisenberg_spectra):
+    # sector -M carries M's blocks read through the flip: psi and the projections stay put,
+    # and the state flip is a test reference that no hexstar module binds
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "hexstar"]
+    assert [m.__name__ for m in modules if hasattr(m, "spin_flip")] == []
     times = np.linspace(0.0, 1.0, 51)
     for spec, M, params in [("xi", -5, XXZ_FERRO), ("xi", -1, HEISENBERG),
                             ("zeta:1,0.3,2,1.1", -3, HEISENBERG), ("config:3930", -2, XXZ_FERRO)]:
@@ -822,3 +821,78 @@ def test_no_dynamics_path_reads_the_dense_eigenvectors(monkeypatch, xxz_spectra,
         assert np.isfinite(evolve_probabilities(state, M, params, times).class_probs).all()
         assert np.isfinite(return_probability(state, M, params, times)).all()
         assert spectral_support(state, M, params).dim > 0
+
+
+_needs_openblas = pytest.mark.skipif(spectrum._OPENBLAS is None,
+                                     reason="numpy's bundled OpenBLAS was not found")
+
+
+@_needs_openblas
+def test_every_dynamics_and_schmidt_product_runs_on_one_blas_thread(monkeypatch, chi):
+    count = spectrum._OPENBLAS[0]
+    seen = {"_power": [], "svd": [], "eigh": []}
+
+    def spy(name, fn):
+        return lambda *args, **kwargs: seen[name].append(count()) or fn(*args, **kwargs)
+
+    power = spy("_power", dynamics._power)
+    for module in (dynamics, analytic):  # analytic binds its own name for the kernel
+        monkeypatch.setattr(module, "_power", power)
+    monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+    times = np.linspace(0.0, 1.0, 101)
+    ghz = np.zeros(1 << 12)
+    ghz[[0, -1]] = math.sqrt(0.5)  # entangled on every cut, so the orbit scan runs
+    with spectrum.blas_threads(2):  # the caller's pool, whatever the environment set
+        _clear_memo()
+        evolve_probabilities(chi, 0, HEISENBERG, times)
+        return_probability(chi, 0, HEISENBERG, times)
+        assert is_entangled(StateVector(amps=ghz)).entangled
+        analytic.m5_probabilities("symmetric", 6.0, -3.0, times)
+        assert count() == 2
+        with pytest.raises(ValueError, match="finite"):
+            evolve_probabilities(chi, 0, HEISENBERG, np.array([0.0, np.inf]))
+        assert count() == 2
+    # an evolve, a return and the M = 5 block; the unfoldings and the cut orbits
+    assert len(seen["_power"]) == 3 and len(seen["svd"]) > 1 and seen["eigh"]
+    assert {name: set(counts) for name, counts in seen.items()} == dict.fromkeys(seen, {1})
+
+
+# CPU that the process burns in a 0.3 s sleep after a threaded 400 x 400 product
+# (the control), then after one quench op of chi in M = 0 on 2001 times.
+NO_SPIN_PROBE = """\
+import time
+import numpy as np
+from hexstar import (HEISENBERG, build_initial_state, evolve_probabilities, is_entangled,
+                     parse_state_spec, return_probability)
+
+def idle_cpu():
+    start = time.process_time()
+    time.sleep(0.3)
+    return time.process_time() - start
+
+a = np.random.default_rng(0).normal(size=(400, 400))
+a @ a
+control = idle_cpu()
+chi = build_initial_state(parse_state_spec("chi"))
+times = np.linspace(0.0, 1.0, 2001)
+evolve_probabilities(chi, 0, HEISENBERG, times)
+return_probability(chi, 0, HEISENBERG, times)
+is_entangled(chi)
+print(control, idle_cpu())
+"""
+
+
+@_needs_openblas
+def test_a_quench_leaves_no_blas_worker_spinning():
+    # OpenBLAS reads OPENBLAS_NUM_THREADS once, as numpy loads it: a child at two threads
+    src = os.path.dirname(os.path.dirname(dynamics.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", NO_SPIN_PROBE], capture_output=True, text=True,
+                          timeout=120, env=env, check=True)
+    control, after_quench = map(float, proc.stdout.split())
+    if control <= 0.05:
+        pytest.skip(f"a sleep after a threaded product burnt {control:.3f} s of CPU: "
+                    "no idle worker spins here to be seen")
+    assert after_quench < 0.02

@@ -18,10 +18,9 @@ from hexstar.hilbert import (
     product_state,
     project_sector,
     sector_basis,
-    spin_flip,
 )
 from hexstar.lattice import N_SITES
-from reference import act_permutation, compose
+from reference import act_permutation, compose, spin_flip
 
 
 def _magnetization(f: int) -> int:
