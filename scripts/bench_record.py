@@ -21,12 +21,13 @@ such files made on the same machine.
 With ``--base REV`` it compares instead: REV's committed files are unpacked
 by ``git archive`` into a temporary directory, removed afterwards
 (base_tree), and parent (REV) and child (this checkout) run
-``perfbench/run.py --trace 0`` alternately, one seed per pair, the parent
-first on odd pairs.  It records both trees' ``src/`` line counts, counted
-as the record mode counts them (_src_lines).  For every workload and
-end-to-end metric it keeps both sides' values, their medians, the ratio of
-the medians (child / parent), the pairs the child wins and the parent's
-interquartile range.  Each README line runs LINE_REPEATS times in both
+``perfbench/run.py --trace 0`` alternately for BENCHMARK.json's
+``run_seconds``, one seed per pair, the parent first on odd pairs.  It
+records both trees' ``src/`` line counts, counted as the record mode
+counts them (_src_lines).  For every workload and every end-to-end metric
+of BENCHMARK.json it keeps both sides' values, their medians, the ratio
+of the medians (child / parent), the pairs the child wins and the
+parent's interquartile range.  Each README line runs LINE_REPEATS times in both
 trees the same alternating way; it keeps each side's best wall time,
 smallest peak RSS and whether stdout and stderr are byte-identical.  Where
 they are not, it also records how many output cells of the two sides' stdout
@@ -57,10 +58,6 @@ from pathlib import Path
 
 ROOT = Path.cwd()
 WORKLOADS = ("classify", "scan", "quench", "cli")
-# end-to-end metrics of BENCHMARK.json, each with True when higher is better
-E2E = {"setup_s": False, "ops_per_s": True, "op_p50_s": False, "cpu_s_per_op": False,
-       "peak_rss_mb": False}
-SECONDS = 5.0     # timed phase of each paired perfbench run, as BENCHMARK.json runs it
 LINE_REPEATS = 4  # runs of each README line per side in a paired comparison
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -74,6 +71,16 @@ def perfbench(seed: int) -> dict:
         record = ROOT / "perfbench" / "out" / f"{name}-seed{seed}-trace1.record.json"
         summary[name]["traced_metrics"] = json.loads(record.read_text())["result"]["metrics"]
     return summary
+
+
+def _benchmark() -> tuple[dict, float]:
+    """BENCHMARK.json's end-to-end metrics, each with True when higher is better, and run_seconds.
+
+    run_seconds is the timed phase of each paired perfbench run.
+    """
+    doc = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    return ({m["name"]: m["better"] == "higher" for m in doc["end_to_end"]},
+            float(doc["run_seconds"]))
 
 
 def _env(root: Path = ROOT) -> dict:
@@ -206,12 +213,13 @@ def cli_lines(repeats: int = 3) -> dict:
 
 def _perfbench_run(root: Path, workload: str, seed: int) -> dict:
     """The end-to-end metric values and fail count of one untraced perfbench run in root."""
+    e2e, seconds = _benchmark()
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"failed": result["failed"], "attempted": result["attempted"],
-            **{name: m["value"] for name, m in result["metrics"].items() if name in E2E}}
+            **{name: m["value"] for name, m in result["metrics"].items() if name in e2e}}
 
 
 def _summary(parent: list[float], child: list[float], higher_is_better: bool) -> dict:
@@ -239,6 +247,7 @@ def base_tree(base: str):
 
 def paired(base: str, pairs: int, seed_start: int) -> dict:
     """Parent (base) and child (this checkout) run alternately, the parent first on odd pairs."""
+    e2e, seconds = _benchmark()
     with base_tree(base) as (rev, tree):
         src_lines = {"parent": _src_lines(tree), "child": _src_lines(ROOT)}
         blas = {"parent": blas_threads(tree), "child": blas_threads(ROOT)}
@@ -264,7 +273,7 @@ def paired(base: str, pairs: int, seed_start: int) -> dict:
     return {
         "base": rev,
         "seeds": [seed_start, seed_start + pairs - 1],
-        "seconds": SECONDS,
+        "seconds": seconds,
         "src_lines": src_lines,
         "thread_vars": {k: os.environ.get(k) for k in THREAD_VARS},
         "blas_threads": blas,
@@ -273,7 +282,7 @@ def paired(base: str, pairs: int, seed_start: int) -> dict:
                           "attempted": [sum(r["attempted"] for r in runs[w][s]) for s in runs[w]],
                           **{m: _summary([r[m] for r in runs[w]["parent"]],
                                          [r[m] for r in runs[w]["child"]], better)
-                             for m, better in E2E.items()}}
+                             for m, better in e2e.items()}}
                       for w in WORKLOADS},
         "readme_cli": lines,
     }

@@ -6,7 +6,8 @@
 Run from the root of a checkout.  The cases are ``scripts/equivalence_cases.json``:
 every state there, at every coupling, in every sector it reaches (a sector
 component of nonzero weight); the labelled spectrum of every sector at every
-coupling; the projection certificate of every sector M = 0..6; the ground
+coupling; the symmetry-adapted basis of every sector M = -6..6; the
+projection certificate of every sector M = 0..6; the ground
 route's scans, points, vectors and overlap scans; and command lines run
 through ``hexstar.cli.main`` ("README" stands for each ``hexstar`` line of
 the README's command-line block).
@@ -16,9 +17,12 @@ with its own ``src/`` on the import path, and pickles one record per case.
 The base revision's committed files are unpacked by ``git archive`` into a
 temporary directory (bench_record.base_tree).  Per field and per group of
 cases the report says ``==`` with the dtype, or how many entries differ and
-the largest absolute difference.  The groups are certificates, M >= 0,
-M < 0, ground and command lines.  Fields:
+the largest absolute difference.  The groups are basis, certificates,
+M >= 0, M < 0, ground and command lines.  Fields:
 
+- basis: irrep, partner, copies, rows and coef of each IrrepBlock of
+  symmetry.irrep_blocks(M), and the state, row and coef arrays of
+  symmetry.orbit_layout(M) (layout state, layout row, layout coef);
 - certificate: x, z and delta of spectrum._certificate(M), the bounds the
   residual check adds to every block residual;
 - spectrum: eigenvalues, labels (indices, energy, irrep slots, irrep and
@@ -52,7 +56,7 @@ import numpy as np
 from bench_record import ROOT, _cells, _env, base_tree, output_diff, readme_lines
 
 CASES = Path(__file__).with_name("equivalence_cases.json")
-GROUPS = ("certificates", "M >= 0", "M < 0", "ground", "command lines")
+GROUPS = ("basis", "certificates", "M >= 0", "M < 0", "ground", "command lines")
 
 
 def _cases() -> dict:
@@ -69,7 +73,14 @@ def _records(cases: dict):
     from hexstar.dynamics import evolve_probabilities, regime_classifier, return_probability
     from hexstar.hilbert import build_initial_state, parse_state_spec, project_sector
     from hexstar.spectrum import _certificate, diagonalize_sector
+    from hexstar.symmetry import irrep_blocks, orbit_layout
 
+    for M in range(-6, 7):
+        for b in irrep_blocks(M):
+            yield "basis", f"block {b.irrep} {b.partner:+d} M={M}", {
+                name: getattr(b, name) for name in ("irrep", "partner", "copies", "rows", "coef")}
+        yield "basis", f"layout M={M}", {
+            f"layout {name}": a for name, a in orbit_layout(M)._asdict().items()}
     for M in range(7):
         x, z, delta = _certificate(M)
         yield "certificates", f"certificate M={M}", {"x": x, "z": z, "delta": delta}

@@ -4,9 +4,9 @@ Characters of the signed permutation action, irrep multiplicities per
 magnetization sector, total-spin multiplet counts, the symmetry-adapted
 bases that split each sector Hamiltonian into one block per irrep and
 C2'(0) partner, for the six irreps that survive the trivial horizontal
-mirror, each block held as the rows that every sector state meets (and
-all blocks' rows once more, orbit by orbit), and the stabilizer of a
-full-space state among the site permutations.
+mirror (all blocks' rows stored once, orbit by orbit, and each block read
+off that store as the rows every sector state meets), and the stabilizer
+of a full-space state among the site permutations.
 """
 
 from __future__ import annotations
@@ -137,7 +137,8 @@ def irrep_blocks(M: int) -> tuple[IrrepBlock, ...]:
     partner; it is again an orthogonal projector, because P_r is central
     and so commutes with U_h.  Every projector maps each configuration
     orbit to itself, so each orbit's restricted projector is diagonalized
-    on its own and its unit eigenvectors become rows, kept per state.  The
+    on its own and its unit eigenvectors become rows, placed in
+    orbit_layout(M) and read off it per state.  The
     odd rows are the partner functions of the even ones (Serre, Linear
     Representations of Finite Groups, section 2.7): U_C6 turns a copy's
     (even, odd) pair by m pi / 3, m = 1 for E1u and 2 for E2g, so the odd
@@ -153,13 +154,15 @@ def orbit_layout(M: int) -> OrbitLayout:
     an orbit of m states carries exactly m rows and B is block-diagonal over
     the orbits: B A B^T of an operator A is one k x k block per pair of
     orbits that A links.  The orbits come by size, then by smallest state.
+    This is the one store of B: each row is placed here as it is found, and
+    every block of irrep_blocks(M) is read off it.
     """
     return _adapted_basis(M)[1]
 
 
 @lru_cache(maxsize=None)
 def _adapted_basis(M: int) -> tuple[tuple[IrrepBlock, ...], OrbitLayout]:
-    """irrep_blocks(M) and orbit_layout(M), built from the same orbits."""
+    """irrep_blocks(M) and orbit_layout(M): each row of B placed once, every block read off."""
     ct = lattice.character_table()
     proper = [g for g in _group() if not g.inverted]
     by_perm = {g.perm: g for g in proper}
@@ -178,73 +181,65 @@ def _adapted_basis(M: int) -> tuple[tuple[IrrepBlock, ...], OrbitLayout]:
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     pos = np.empty(d, dtype=np.int64)
     pos[order] = np.arange(d) - starts[orbit[order]]
-    spans = {n: starts[sizes == n][:, None] + np.arange(n) for n in np.unique(sizes).tolist()}
-    placed = {n: [] for n in spans}  # per orbit size: the orbit, row of B and coefficients
+    by_size = np.argsort(sizes, kind="stable")  # the layout's orbits: by size, then smallest state
+    slot = np.argsort(by_size)[orbit]  # each state's orbit in the layout
+    k, filled = sizes.max(), np.zeros(len(sizes), dtype=np.intp)  # filled: rows on each orbit
+    layout = OrbitLayout(state=slot * k + pos,
+                         row=np.empty(d, dtype=np.intp), coef=np.zeros((len(sizes), k, k)))
+    ns, firsts = np.unique(sizes[by_size], return_index=True)
+    # per orbit size: the layout's first orbit of that size, and the members of each such orbit
+    spans = {n: (first, order[starts[sizes == n][:, None] + np.arange(n)])
+             for n, first in zip(ns.tolist(), firsts.tolist())}
 
     expected = irrep_counts().counts
     partners = [(r, 1) for r in ct.irreps] + [(r, -1) for r in ct.irreps if ct.dims[r] == 2]
-    blocks, even = [], {}  # even: per (irrep, orbit size) the orbits and vectors of its even rows
+    blocks, even, taken = [], {}, 0  # even: per (irrep, orbit size) its even rows; taken: rows
     for r, partner in partners:
         chi = np.array([ct.chi(r, g.class_label) for g in proper])
         if ct.dims[r] == 2:
             chi = chi + np.array([ct.chi(r, g.class_label) for g in times_h])
         weight = (chi * parity)[:, None] / 12.0  # U_g weight in the even projector
         c = ct.chi(r, "2C6") / 2
-        data, indices, lengths = [], [], []
-        taken = sum(b.copies for b in blocks)  # rows of B in the blocks before this one
-        for n, span in spans.items():
-            members = order[span]  # (orbits, n)
+        lo = taken  # the block's rows of B are lo..taken-1
+        for n, (first, members) in spans.items():  # members: (orbits, n)
             if partner > 0:
-                src = members.ravel()
+                src, m = members.ravel(), len(members)
                 # Q[o, pos(g f), pos(f)] += weight(g) for every member f and element g
-                flat = (np.repeat(np.arange(len(span)), n) * n + pos[images[:, src]]) * n + pos[src]
+                flat = (np.repeat(np.arange(m), n) * n + pos[images[:, src]]) * n + pos[src]
                 q = np.bincount(flat.ravel(), np.broadcast_to(weight, flat.shape).ravel(),
-                                minlength=len(span) * n * n).reshape(-1, n, n)
+                                minlength=m * n * n).reshape(-1, n, n)
                 evals, evecs = np.linalg.eigh(q)
-                o, k = np.nonzero(evals > 0.5)
-                o, vectors = even[r, n] = o, evecs[o, :, k]
+                o, v = np.nonzero(evals > 0.5)
+                o, vectors = even[r, n] = o, evecs[o, :, v]
             else:  # the partner (U_C6 e - c e) / s of each even row e, on its orbit
                 o, e = even[r, n]
                 moved = np.take_along_axis(e, pos[images[c6, members[o]]], axis=1)
                 vectors = (moved - c * e) / np.sqrt(1.0 - c * c)
-            placed[n].append((o, taken + np.arange(len(o)), vectors))
+            o = first + o  # ascending, so the batch rows on one orbit are adjacent
+            place = filled[o] + np.arange(len(o)) - np.searchsorted(o, o)
+            layout.coef[o, place, :n] = vectors
+            layout.row[taken:taken + len(o)] = o * k + place
+            np.add.at(filled, o, 1)
             taken += len(o)
-            data.append(vectors.ravel())
-            indices.append(members[o].ravel())
-            lengths.append(np.full(len(o), n))
-        lengths = np.concatenate(lengths)
-        copies = len(lengths)
+        copies = taken - lo
         if copies != expected[r][M]:
             raise RuntimeError(f"{copies} rows for {r} in sector {M}, expected {expected[r][M]}")
         if not copies:
             continue
-        state = np.concatenate(indices)
-        by_state = np.argsort(state, kind="stable")  # each state's rows stay ascending
-        met = np.bincount(state, minlength=d)
-        at = (state[by_state], np.arange(len(state)) - np.repeat(np.cumsum(met) - met, met))
-        rows = np.zeros((d, met.max()), dtype=np.intp)
-        coef = np.zeros(rows.shape)
-        rows[at] = np.repeat(np.arange(copies), lengths)[by_state]
-        coef[at] = np.concatenate(data)[by_state]
+        # the block's rows run through the orbits in ascending order; a state meets its own orbit's
+        on = layout.row[lo:taken] // k
+        start = np.searchsorted(on, slot)
+        met = np.searchsorted(on, slot, side="right") - start
+        j = np.arange(met.max())
+        hit = j < met[:, None]  # pads: row 0 with coefficient 0
+        rows = np.where(hit, start[:, None] + j, 0)
+        coef = np.where(hit, layout.coef[slot[:, None], layout.row[lo + rows] % k, pos[:, None]],
+                        0.0)
         for a in (rows, coef):
             a.flags.writeable = False
-        blocks.append(IrrepBlock(irrep=r, partner=partner, copies=copies, rows=rows,
-                                 coef=coef))
-    if sum(b.copies for b in blocks) != d:
-        raise RuntimeError(f"irrep rows of both partners do not fill sector {M} of "
-                           f"dimension {d}")
-    k, first = max(spans), 0  # first: the orbits of the smaller sizes
-    layout = OrbitLayout(state=np.empty(d, dtype=np.intp), row=np.empty(d, dtype=np.intp),
-                         coef=np.zeros((len(sizes), k, k)))
-    for n, span in spans.items():
-        o, rows, coef = (np.concatenate(a) for a in zip(*placed[n]))
-        by = np.lexsort((rows, o))  # by orbit, rows ascending
-        if not np.array_equal(o[by], np.repeat(np.arange(len(span)), n)):
-            raise RuntimeError(f"irrep rows of sector {M} do not fill each orbit once")
-        place = (first + np.arange(len(span))[:, None]) * k + np.arange(n)
-        layout.state[order[span]] = layout.row[rows[by].reshape(-1, n)] = place
-        layout.coef[first:first + len(span), :n, :n] = coef[by].reshape(-1, n, n)
-        first += len(span)
+        blocks.append(IrrepBlock(irrep=r, partner=partner, copies=copies, rows=rows, coef=coef))
+    if not np.array_equal(filled, sizes[by_size]):  # so taken == d too
+        raise RuntimeError(f"irrep rows of sector {M} do not fill each orbit once")
     for a in layout:
         a.flags.writeable = False
     return tuple(blocks), layout

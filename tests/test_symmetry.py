@@ -1,5 +1,6 @@
 """Symmetry classification: irrep censuses, projectors, state labels."""
 
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexstar import lattice, symmetry
 from hexstar.hamiltonian import HEISENBERG, XXZ_FERRO, ModelParams, build_sector_hamiltonian
 from hexstar.hilbert import (
     StateVector,
@@ -227,7 +229,7 @@ def test_odd_partner_rows_complete_the_sector(group, M):
             assert np.abs(moved - b.partner * bt).max() < 1e-12
 
 
-@pytest.mark.parametrize("M", range(7))
+@pytest.mark.parametrize("M", range(-6, 7))
 def test_the_orbit_layout_scatters_back_to_every_block(group, M):
     blocks = irrep_blocks(M)
     basis = sector_basis(M)
@@ -254,6 +256,33 @@ def test_the_orbit_layout_scatters_back_to_every_block(group, M):
     stacked = np.zeros((d, d))
     stacked[at[1].reshape(n, k)[o, i], at[0].reshape(n, k)[o, j]] = coef[o, i, j]
     assert np.array_equal(stacked, np.vstack([dense_rows(b) for b in blocks]))
+
+
+@pytest.fixture
+def cold_basis():
+    """An empty adapted-basis cache, emptied again afterwards."""
+    symmetry._adapted_basis.cache_clear()
+    yield
+    symmetry._adapted_basis.cache_clear()
+
+
+def test_the_adapted_basis_refuses_a_row_count_off_the_census(monkeypatch, cold_basis):
+    table = irrep_counts()
+    counts = {r: dict(by_m) for r, by_m in table.counts.items()}
+    counts["A1g"][3] += 1
+    monkeypatch.setattr(symmetry, "irrep_counts",
+                        lambda: dataclasses.replace(table, counts=counts))
+    with pytest.raises(RuntimeError, match="^14 rows for A1g in sector 3, expected 15$"):
+        irrep_blocks(3)
+
+
+def test_the_adapted_basis_refuses_rows_that_leave_an_orbit_unfilled(monkeypatch, cold_basis):
+    irrep_counts()  # cached with every irrep, before the table loses one
+    ct = character_table()
+    without_a2g = dataclasses.replace(ct, irreps=tuple(r for r in ct.irreps if r != "A2g"))
+    monkeypatch.setattr(lattice, "character_table", lambda: without_a2g)
+    with pytest.raises(RuntimeError, match="^irrep rows of sector 3 do not fill each orbit once$"):
+        orbit_layout(3)
 
 
 @settings(max_examples=12, deadline=None)
